@@ -16,7 +16,6 @@ Every subcommand takes `--config <file>` and `--out <dir>`; exit codes are
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -79,12 +78,10 @@ def validate(config_path, out_dir):
 @_common
 def storm(config, out_dir):
     """Generate the design-storm suite as CSV hyetographs."""
-    from lidscore.pipeline import _Writer, build_storms
+    from lidscore.pipeline import _persist_storms, _Writer, build_storms
 
-    writer = _Writer(out_dir)
-    for name, hyeto in build_storms(config).items():
-        path = writer.path("storms", f"storm_{name}.csv")
-        hyeto.to_csv(path)
+    storms = build_storms(config)
+    for path, hyeto in zip(_persist_storms(_Writer(out_dir), storms), storms.values()):
         click.echo(f"wrote {path} (depth {hyeto.depth_mm():.2f} mm, "
                    f"peak {hyeto.intensities_mm_hr.max():.1f} mm/hr)")
 
@@ -93,27 +90,21 @@ def storm(config, out_dir):
 @_common
 def atrcr(config, out_dir):
     """Capture-depth statistics from the configured rainfall record."""
-    import numpy as np
-
-    from lidscore.pipeline import _Writer
+    from lidscore.pipeline import ATRCR_GRID_MM, _persist_atrcr_curve, _Writer
     from lidscore.storms import RainRecord, atrcr_curve, invert_atrcr
 
     if config.sizing is None or config.sizing.target.rainfall_csv is None:
         raise ConfigError("config has no sizing.target.rainfall_csv")
     record = RainRecord.from_csv(config.sizing.target.rainfall_csv)
     min_event = config.sizing.min_event_mm
-    grid = [float(h) for h in np.arange(0.0, 61.0, 1.0)]
-    curve = atrcr_curve(record, grid, min_event)
-    writer = _Writer(out_dir)
-    writer.write_rows(["depth_mm", "atrcr"],
-                      [[repr(h), repr(r)] for h, r in sorted(curve.items())],
-                      "atrcr_curve.csv")
+    path = _persist_atrcr_curve(_Writer(out_dir),
+                                atrcr_curve(record, ATRCR_GRID_MM, min_event))
     target = config.sizing.target.atrcr
     if target is not None:
         depth = invert_atrcr(record, target, min_event)
         click.echo(f"ATRCR {target:.0%} is reached at a capture depth of "
                    f"{depth:.2f} mm")
-    click.echo(f"wrote {out_dir}/atrcr_curve.csv")
+    click.echo(f"wrote {path}")
 
 
 @main.command()
@@ -138,45 +129,27 @@ def simulate(config, out_dir):
 @_common
 def weights(config, out_dir):
     """Resolve the indicator hierarchy weights (values or matrices)."""
-    from lidscore.pipeline import _Writer
+    from lidscore.pipeline import _persist_weights, _Writer
 
     tree, reports = config.weight_tree()
-    writer = _Writer(out_dir)
-    payload = {
-        "tree": tree.to_dict(),
-        "consistency": {
-            node: {"lambda_max": r.lambda_max, "ci": r.ci, "ri": r.ri,
-                   "cr": r.cr, "passed": r.passed}
-            for node, r in sorted(reports.items())
-        },
-    }
-    writer.write_json(payload, "weights.json")
+    path = _persist_weights(_Writer(out_dir), tree, reports)
     for node, r in sorted(reports.items()):
         click.echo(f"{node}: lambda_max {r.lambda_max:.4f}, CR {r.cr:.4f} "
                    f"({'ok' if r.passed else 'REJECTED'})")
-    click.echo(f"wrote {out_dir}/weights.json")
+    click.echo(f"wrote {path}")
 
 
 @main.command()
 @_common
 def evaluate(config, out_dir):
     """Build the indicator tables (simulating where the hierarchy asks)."""
-    from lidscore.pipeline import (_Writer, assemble_indicators, build_storms,
-                                   simulate_all)
+    from lidscore.pipeline import _persist_indicators, _Writer, simulate_if_needed
 
     tree, _ = config.weight_tree()
-    runs = None
-    if any(l.source == "simulated" for l in tree.leaves()):
-        runs = simulate_all(config, build_storms(config))
-    table, simulated = assemble_indicators(config, tree, runs)
     writer = _Writer(out_dir)
-    if simulated is not None:
-        path = writer.path("indicators", "simulated_environmental.csv")
-        simulated.to_csv(path)
-        click.echo(f"wrote {path}")
-    path = writer.path("indicators", "normalized.csv")
-    table.to_csv(path)
-    click.echo(f"wrote {path}")
+    _persist_indicators(writer, config, tree, simulate_if_needed(config, tree))
+    for rel in writer.files:
+        click.echo(f"wrote {out_dir / rel}")
 
 
 @main.command()
@@ -187,9 +160,12 @@ def evaluate(config, out_dir):
 @_common
 def rank(config, out_dir, sensitivity_node, delta):
     """Run the full pipeline and print the scenario ranking."""
-    from lidscore.pipeline import run_pipeline, weight_sensitivity
+    from lidscore.pipeline import run_pipeline
 
-    manifest = run_pipeline(config, out_dir)
+    manifest = run_pipeline(
+        config, out_dir,
+        sensitivity=(sensitivity_node, delta) if sensitivity_node else None,
+    )
     if manifest.ranking:
         click.echo("ranking: " + " > ".join(manifest.ranking))
     else:
@@ -197,13 +173,8 @@ def rank(config, out_dir, sensitivity_node, delta):
     for name, ok in manifest.compliance.items():
         if not ok:
             click.echo(f"warning: {name} does not meet the required control volume")
-    if sensitivity_node:
-        outcome = weight_sensitivity(config, sensitivity_node, delta)
-        path = Path(out_dir) / "sensitivity.json"
-        with open(path, "w") as fh:
-            json.dump(outcome, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        for key, entry in outcome["perturbations"].items():
+    if manifest.sensitivity:
+        for key, entry in manifest.sensitivity["perturbations"].items():
             changed = "changes" if entry["top_changed"] else "keeps"
             click.echo(f"Δ{key}: top scenario {changed} "
                        f"({' > '.join(entry['ranking'])})")

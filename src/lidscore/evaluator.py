@@ -9,7 +9,6 @@ comprehensive benefit used for ranking.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -201,13 +200,6 @@ class IndicatorTable:
             normalized=self.normalized,
         )
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario"] + list(self.indicators))
-            for name, row in zip(self.scenarios, self.values):
-                writer.writerow([name] + [repr(float(v)) for v in row])
-
     @classmethod
     def from_csv(cls, path, normalized: bool = False) -> "IndicatorTable":
         with open(path, newline="") as fh:
@@ -311,16 +303,6 @@ class BenefitReport:
                 for indicator in self.leaf_values.indicators
             },
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> dict:
-        with open(path) as fh:
-            return json.load(fh)
 
 
 def rank_scenarios(scenarios, scores, tol: float = 1e-12):

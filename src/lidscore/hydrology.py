@@ -9,7 +9,6 @@ timing, the only things the downstream indicators need.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -140,14 +139,6 @@ class Hydrograph:
     @property
     def volume_m3(self) -> float:
         return float(self.flows_lps.sum() * self.step_s / 1000.0)
-
-    def to_csv(self, path) -> None:
-        """Write `t_s,flow_Lps` rows (t at step start)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "flow_Lps"])
-            for k, q in enumerate(self.flows_lps):
-                writer.writerow([repr(k * self.step_s), repr(float(q))])
 
 
 def composite_runoff_coefficient(land_uses) -> float:

@@ -9,7 +9,6 @@ static capacity equals the published per-unit-area control capacity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -300,16 +299,3 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
         storage_initial_m3=float(initial_storage_m3),
     )
 
-
-def scenario_table_csv(scenarios, path) -> None:
-    """Write scenario areas as a table: one row per scenario, one column
-    per facility kind plus the total."""
-    kinds = [k for k in LidKind]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario"] + [k.value + "_ha" for k in kinds] + ["total_ha"])
-        for sc in scenarios:
-            areas = sc.area_by_kind()
-            row = [sc.name] + [repr(round(areas.get(k, 0.0), 6)) for k in kinds]
-            row.append(repr(round(sc.total_area_ha, 6)))
-            writer.writerow(row)

@@ -3,9 +3,14 @@
 Stages: sizing check -> design storms -> baseline and scenario simulations
 (skipped entirely when every hierarchy leaf is direct-injected) ->
 indicator tables -> weighting -> normalization -> roll-up -> ranking ->
-capacity compliance flags. All result files are written deterministically:
-rerunning an identical config byte-reproduces them (only the manifest
-carries a timestamp).
+capacity compliance flags -> optional weight sensitivity.
+
+`_Writer` is the only code that formats, hashes and writes result files.
+Each file is built in memory, hashed from those bytes and written once, so
+the manifest lists every file a run writes. The CLI subcommands call the
+same `_persist_*` stage functions as `run_pipeline`, so each file comes
+from exactly one function. Rerunning an identical config byte-reproduces
+every file; only the manifest carries a timestamp.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import hashlib
+import io
 import json
 import platform
 from dataclasses import dataclass, field
@@ -36,6 +42,7 @@ from lidscore.storms import (RainRecord, atrcr_curve, design_storm_suite,
 
 MASS_BALANCE_LIMIT = 0.005
 ZERO_COLUMN_POLICY = {"peak_delay": "uniform"}
+ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.csv
 
 
 @dataclass
@@ -90,9 +97,10 @@ class RunManifest:
     compliance: dict
     files: dict = field(default_factory=dict)
     versions: dict = field(default_factory=dict)
+    sensitivity: dict | None = None   # written to sensitivity.json only
 
-    def to_json(self, path) -> None:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "config_hash": self.config_hash,
             "package_version": self.package_version,
             "kernel_backend": self.kernel_backend,
@@ -103,43 +111,39 @@ class RunManifest:
             "versions": dict(sorted(self.versions.items())),
             "files": dict(sorted(self.files.items())),
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 class _Writer:
-    """Tracks every emitted file and its content hash for the manifest."""
+    """Formats, hashes and writes every result file.
+
+    `files` maps each written path (relative to the output directory) to
+    the SHA-256 of the bytes written there."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.files: dict = {}
 
-    def path(self, *parts) -> Path:
-        p = self.out_dir.joinpath(*parts)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        return p
-
-    def record(self, path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.files[str(path.relative_to(self.out_dir))] = digest
+    def record(self, text: str, *parts) -> Path:
+        data = text.encode("utf-8")
+        path = self.out_dir.joinpath(*parts)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        except OSError as exc:
+            raise LidscoreError(f"cannot write {path}: {exc.strerror or exc}") from None
+        self.files[str(path.relative_to(self.out_dir))] = hashlib.sha256(data).hexdigest()
+        return path
 
     def write_json(self, obj, *parts) -> Path:
-        p = self.path(*parts)
-        with open(p, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.record(p)
-        return p
+        return self.record(json.dumps(obj, indent=2, sort_keys=True) + "\n", *parts)
 
     def write_rows(self, header, rows, *parts) -> Path:
-        p = self.path(*parts)
-        with open(p, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        self.record(p)
-        return p
+        """CSV with a header row, `csv` default quoting and CRLF line ends."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return self.record(buf.getvalue(), *parts)
 
 
 def storm_label(depth_mm: float) -> str:
@@ -179,8 +183,7 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     else:
         record = RainRecord.from_csv(target.rainfall_csv)
         depth = invert_atrcr(record, target.atrcr, config.sizing.min_event_mm)
-        grid = [float(h) for h in np.arange(0.0, 61.0, 1.0)]
-        atrcr_points = atrcr_curve(record, grid, config.sizing.min_event_mm)
+        atrcr_points = atrcr_curve(record, ATRCR_GRID_MM, config.sizing.min_event_mm)
     existing_m3, existing_depth = existing_capacity(
         config.sizing.existing_facilities, psi, area_ha
     )
@@ -269,27 +272,71 @@ def simulate_all(config: ProjectConfig, storms: dict) -> dict:
     return runs
 
 
+def _persist_storms(writer: _Writer, storms: dict) -> list:
+    """storms/storm_<name>.csv: `t_min,intensity_mm_per_hr`, t at step start."""
+    return [
+        writer.write_rows(
+            ["t_min", "intensity_mm_per_hr"],
+            [[repr(k * storm.step_s / 60.0), repr(float(v))]
+             for k, v in enumerate(storm.intensities_mm_hr)],
+            "storms", f"storm_{name}.csv",
+        )
+        for name, storm in storms.items()
+    ]
+
+
+def _persist_atrcr_curve(writer: _Writer, points: dict) -> Path:
+    rows = [[repr(h), repr(r)] for h, r in sorted(points.items())]
+    return writer.write_rows(["depth_mm", "atrcr"], rows, "atrcr_curve.csv")
+
+
+def _persist_weights(writer: _Writer, tree: WeightTree, reports: dict) -> Path:
+    return writer.write_json({
+        "tree": tree.to_dict(),
+        "consistency": {
+            node: {"lambda_max": r.lambda_max, "ci": r.ci, "ri": r.ri,
+                   "cr": r.cr, "passed": r.passed}
+            for node, r in sorted(reports.items())
+        },
+    }, "weights.json")
+
+
+def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
+    rows = [[name] + [repr(float(v)) for v in row]
+            for name, row in zip(table.scenarios, table.values)]
+    return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
+
+
+def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts) -> Path:
+    """`t_s,flow_Lps` rows, t at step start."""
+    rows = [[repr(k * hydro.step_s), repr(float(q))]
+            for k, q in enumerate(hydro.flows_lps)]
+    return writer.write_rows(["t_s", "flow_Lps"], rows, *parts)
+
+
+def _persist_pollutograph(writer: _Writer, hydro: Hydrograph, loads_kg,
+                          *parts) -> Path:
+    """`t_s,load_kg,conc_mg_L` rows; the concentration is blank where there
+    is no flow to define it."""
+    rows = []
+    for k, load in enumerate(loads_kg):
+        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
+        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
+        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
+    return writer.write_rows(["t_s", "load_kg", "conc_mg_L"], rows, *parts)
+
+
 def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:
     for label, storm_runs in runs.items():
         for run in storm_runs:
             base = ("results", label, run.storm)
             for outfall, hydro in run.outfall_hydrographs.items():
-                rows = [
-                    [repr(k * hydro.step_s), repr(float(q))]
-                    for k, q in enumerate(hydro.flows_lps)
-                ]
-                writer.write_rows(["t_s", "flow_Lps"], rows,
-                                  *base, f"hydro_{outfall}.csv")
+                _persist_hydrograph(writer, hydro, *base, f"hydro_{outfall}.csv")
             for outfall, by_pollutant in run.outfall_load_series.items():
-                hydro = run.outfall_hydrographs[outfall]
                 for pollutant, series in by_pollutant.items():
-                    rows = []
-                    for k, load in enumerate(series):
-                        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
-                        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
-                        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
-                    writer.write_rows(["t_s", "load_kg", "conc_mg_L"], rows,
-                                      *base, f"quality_{outfall}_{pollutant}.csv")
+                    _persist_pollutograph(writer, run.outfall_hydrographs[outfall],
+                                          series, *base,
+                                          f"quality_{outfall}_{pollutant}.csv")
             rows = [
                 [sc_id, repr(float(b.rainfall_m3)), repr(float(b.runoff_m3)),
                  repr(float(b.infiltration_m3)), repr(float(b.surface_storage_m3)),
@@ -433,13 +480,41 @@ class _Stage:
         return False
 
 
+def simulate_if_needed(config: ProjectConfig, tree: WeightTree,
+                       storms: dict | None = None) -> dict | None:
+    """Simulate when a hierarchy leaf is simulated or there is no scenario
+    to evaluate (a baseline-only run); None otherwise. Storms are built
+    here unless given."""
+    if config.scenarios and not any(l.source == "simulated" for l in tree.leaves()):
+        return None
+    with _Stage("simulation"):
+        return simulate_all(config, storms if storms is not None else build_storms(config))
+
+
+def _persist_indicators(writer: _Writer, config: ProjectConfig,
+                        tree: WeightTree, runs: dict | None) -> tuple:
+    """Assemble the indicator tables and write them under indicators/.
+    Returns (normalized table, simulated raw table or None)."""
+    with _Stage("indicator assembly"):
+        table, simulated_table = assemble_indicators(config, tree, runs)
+    if simulated_table is not None:
+        _persist_table(writer, simulated_table,
+                       "indicators", "simulated_environmental.csv")
+    _persist_table(writer, table, "indicators", "normalized.csv")
+    return table, simulated_table
+
+
 def run_pipeline(config: ProjectConfig, out_dir=None,
-                 render: str | None = None) -> RunManifest:
+                 render: str | None = None,
+                 sensitivity: tuple | None = None) -> RunManifest:
     """Execute every stage the config asks for and persist the results.
 
     `render` additionally writes the summary tables in the given format
-    ("markdown", "csv" or "json"). Errors abort the run and name the
-    failing stage."""
+    ("markdown", "csv" or "json"). `sensitivity` = (node, delta)
+    additionally writes `weight_sensitivity` to sensitivity.json. Errors
+    abort the run and name the failing stage."""
+    if sensitivity is not None and not config.scenarios:
+        raise ConfigError("a sensitivity analysis needs scenarios to rank")
     writer = _Writer(Path(out_dir) if out_dir else config.output_dir)
     with _Stage("weighting"):
         tree, consistency_reports = config.weight_tree()
@@ -449,56 +524,28 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     if sizing is not None:
         writer.write_json(sizing.to_dict(), "sizing.json")
         if sizing.atrcr_points is not None:
-            rows = [[repr(h), repr(r)] for h, r in sorted(sizing.atrcr_points.items())]
-            writer.write_rows(["depth_mm", "atrcr"], rows, "atrcr_curve.csv")
-
-    weights_payload = {
-        "tree": tree.to_dict(),
-        "consistency": {
-            node: {"lambda_max": r.lambda_max, "ci": r.ci, "ri": r.ri,
-                   "cr": r.cr, "passed": r.passed}
-            for node, r in sorted(consistency_reports.items())
-        },
-    }
-    writer.write_json(weights_payload, "weights.json")
+            _persist_atrcr_curve(writer, sizing.atrcr_points)
+    _persist_weights(writer, tree, consistency_reports)
 
     with _Stage("design storms"):
         storms = build_storms(config)
-    for name, storm in storms.items():
-        rows = [
-            [repr(k * storm.step_s / 60.0), repr(float(v))]
-            for k, v in enumerate(storm.intensities_mm_hr)
-        ]
-        writer.write_rows(["t_min", "intensity_mm_per_hr"], rows,
-                          "storms", f"storm_{name}.csv")
+    _persist_storms(writer, storms)
 
-    needs_simulation = any(l.source == "simulated" for l in tree.leaves())
-    runs = None
-    if needs_simulation or not config.scenarios:
-        with _Stage("simulation"):
-            runs = simulate_all(config, storms)
+    runs = simulate_if_needed(config, tree, storms)
+    if runs is not None:
         _persist_runs(writer, config, runs)
 
     ranking: list = []
     report = None
     table = None
     simulated_table = None
+    outcome = None
     if config.scenarios:
-        with _Stage("indicator assembly"):
-            table, simulated_table = assemble_indicators(config, tree, runs)
-        if simulated_table is not None:
-            p = writer.path("indicators", "simulated_environmental.csv")
-            simulated_table.to_csv(p)
-            writer.record(p)
-        p = writer.path("indicators", "normalized.csv")
-        table.to_csv(p)
-        writer.record(p)
+        table, simulated_table = _persist_indicators(writer, config, tree, runs)
         with _Stage("benefit roll-up"):
             report = rollup(tree, table)
         ranking = list(report.ranking)
-        p = writer.path("benefit_report.json")
-        report.to_json(p)
-        writer.record(p)
+        writer.write_json(report.to_dict(), "benefit_report.json")
         top_nodes = [c.name for c in tree.root.children] + [tree.root.name]
         rows = [
             [name] + [repr(report.score(node, name)) for node in top_nodes]
@@ -513,6 +560,10 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
             ],
             "ranking.csv",
         )
+        if sensitivity is not None:
+            with _Stage("sensitivity"):
+                outcome = weight_sensitivity(tree, table, *sensitivity)
+            writer.write_json(outcome, "sensitivity.json")
 
     if render:
         from lidscore.report import render_tables
@@ -534,22 +585,22 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
         storms=list(storms),
         ranking=ranking,
         compliance=compliance,
-        files=writer.files,
+        files=dict(writer.files),
         versions={"lidscore": lidscore.__version__, "numpy": np.__version__,
                   "python": platform.python_version()},
+        sensitivity=outcome,
     )
-    manifest.to_json(writer.path("manifest.json"))
+    # written after the snapshot above, so the manifest does not list itself
+    writer.write_json(manifest.to_dict(), "manifest.json")
     return manifest
 
 
-def weight_sensitivity(config: ProjectConfig, node: str, delta: float) -> dict:
+def weight_sensitivity(tree: WeightTree, table: IndicatorTable, node: str,
+                       delta: float) -> dict:
     """Perturb one hierarchy node weight by +/-delta (siblings renormalized)
-    and report whether the top-ranked scenario changes."""
-    tree, _ = config.weight_tree()
-    runs = None
-    if any(l.source == "simulated" for l in tree.leaves()):
-        runs = simulate_all(config, build_storms(config))
-    table, _ = assemble_indicators(config, tree, runs)
+    and report whether the top-ranked scenario changes. `table` is the
+    normalized leaf table of `tree`; the leaf set does not change under
+    re-weighting, so it applies to every perturbed tree."""
     base_report = rollup(tree, table)
     base_weight = tree.find(node).weight
     outcomes = {"node": node, "base_weight": base_weight,
@@ -560,9 +611,7 @@ def weight_sensitivity(config: ProjectConfig, node: str, delta: float) -> dict:
             raise ValidationError(
                 f"perturbed weight {w:.4f} for {node!r} outside [0, 1]"
             )
-        perturbed = tree.reweighted(node, w)
-        # leaf set is unchanged, so the same normalized table applies
-        report = rollup(perturbed, table)
+        report = rollup(tree.reweighted(node, w), table)
         outcomes["perturbations"][f"{sign * delta:+g}"] = {
             "weight": w,
             "ranking": list(report.ranking),

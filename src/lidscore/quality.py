@@ -7,7 +7,6 @@ by the runoff intensity, so a step removes B * (1 - exp(-C3 * q^C4 * dt)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,19 +58,6 @@ class Pollutograph:
         self.loads_kg = np.asarray(self.loads_kg, dtype=float)
         if np.any(self.loads_kg < 0) or not np.all(np.isfinite(self.loads_kg)):
             raise ValidationError(f"{self.site}/{self.pollutant}: bad load series")
-
-    def to_csv(self, path, hydrograph: Hydrograph | None = None) -> None:
-        """Write `t_s,load_kg,conc_mg_L` rows; concentration is blank when
-        there is no flow to define it."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "load_kg", "conc_mg_L"])
-            for k, load in enumerate(self.loads_kg):
-                conc = ""
-                if hydrograph is not None and hydrograph.flows_lps[k] > 0:
-                    litres = float(hydrograph.flows_lps[k]) * self.step_s
-                    conc = repr(float(load) * 1e6 / litres)
-                writer.writerow([repr(k * self.step_s), repr(float(load)), conc])
 
 
 def buildup(spec: PollutantSpec, antecedent_dry_days: float) -> float:

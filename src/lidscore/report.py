@@ -32,10 +32,7 @@ def _emit(writer, name: str, fmt: str, header, rows):
         lines = ["| " + " | ".join(str(h) for h in header) + " |",
                  "|" + "---|" * len(header)]
         lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-        path = writer.path("tables", f"{name}.md")
-        path.write_text("\n".join(lines) + "\n")
-        writer.record(path)
-        return path
+        return writer.record("\n".join(lines) + "\n", "tables", f"{name}.md")
     raise ValidationError(f"unknown report format {fmt!r}")
 
 

@@ -191,14 +191,6 @@ class Hyetograph:
     def duration_min(self) -> float:
         return len(self.intensities_mm_hr) * self.step_s / 60.0
 
-    def to_csv(self, path) -> None:
-        """Write `t_min,intensity_mm_per_hr` rows (t at step start)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_min", "intensity_mm_per_hr"])
-            for k, value in enumerate(self.intensities_mm_hr):
-                writer.writerow([repr(k * self.step_s / 60.0), repr(float(value))])
-
 
 def _chicago_ordinate(t_min: float, peak_min: float, peak_ratio: float, idf: IdfParams) -> float:
     # Instantaneous Chicago intensity: both branches share

@@ -1,11 +1,15 @@
 """Tests for the command-line surface: subcommands, outputs, exit codes."""
 
+import hashlib
+import json
 import shutil
+from unittest import mock
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from lidscore import pipeline
 from lidscore.cli import main
 
 DATA_FILES = ("rainfall.csv", "environmental_indicators.csv",
@@ -114,6 +118,22 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "sensitivity.json").exists()
 
+    def test_rank_sensitivity_unknown_node_exits_3(self, runner, sample_dir, tmp_path):
+        result = runner.invoke(main, [
+            "rank", "--config", str(sample_dir / "published_tables.yaml"),
+            "--out", str(tmp_path), "--sensitivity", "nonexistent"])
+        assert result.exit_code == 3
+        assert "no node" in result.output
+
+    def test_out_under_a_regular_file_exits_3(self, runner, sample_dir, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        result = runner.invoke(main, [
+            "rank", "--config", str(sample_dir / "published_tables.yaml"),
+            "--out", str(blocker / "out")])
+        assert result.exit_code == 3
+        assert f"error: cannot write {blocker / 'out'}" in result.output
+
     def test_runtime_failure_exits_3(self, runner, sample_dir, tmp_path):
         """A raw direct column of zeros breaks normalization at run time."""
         path = copy_project(sample_dir, tmp_path, "published_tables.yaml")
@@ -141,3 +161,59 @@ class TestReport:
         assert result.exit_code == 0, result.output
         assert (tmp_path / fmt / "tables").is_dir()
         assert "ranking:" in result.output
+
+
+def hashes_on_disk(out_dir):
+    """{relative path: SHA-256} of every file under out_dir but the manifest."""
+    return {
+        str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out_dir.rglob("*")
+        if p.is_file() and p != out_dir / "manifest.json"
+    }
+
+
+@pytest.fixture(scope="module")
+def sports_rank(sample_dir, tmp_path_factory):
+    """Output directory of `rank --sensitivity` on the bundled project and
+    the number of times it ran simulate_all."""
+    out = tmp_path_factory.mktemp("rank")
+    with mock.patch.object(pipeline, "simulate_all",
+                           wraps=pipeline.simulate_all) as simulate_all:
+        result = CliRunner().invoke(main, [
+            "rank", "--config", str(sample_dir / "sports_center.yaml"),
+            "--out", str(out), "--sensitivity", "environmental",
+            "--delta", "0.05"])
+    assert result.exit_code == 0, result.output
+    return out, simulate_all.call_count
+
+
+class TestSingleWriter:
+    def test_rank_sensitivity_simulates_once(self, sports_rank):
+        assert sports_rank[1] == 1
+
+    def test_rank_manifest_lists_every_file(self, sports_rank):
+        out, _ = sports_rank
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "sensitivity.json" in manifest["files"]
+        assert manifest["files"] == hashes_on_disk(out)
+
+    def test_report_manifest_lists_every_file(self, runner, sample_dir, tmp_path):
+        result = runner.invoke(main, [
+            "report", "--config", str(sample_dir / "sports_center.yaml"),
+            "--out", str(tmp_path), "--format", "markdown"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["files"] == hashes_on_disk(tmp_path)
+
+    @pytest.mark.parametrize("command",
+                             ["storm", "atrcr", "weights", "evaluate", "simulate"])
+    def test_subcommand_files_equal_rank_files(self, command, sports_rank, runner,
+                                               sample_dir, tmp_path):
+        result = runner.invoke(main, [
+            command, "--config", str(sample_dir / "sports_center.yaml"),
+            "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        written = hashes_on_disk(tmp_path)
+        assert written
+        ranked = hashes_on_disk(sports_rank[0])
+        assert {path: ranked.get(path) for path in written} == written

@@ -5,17 +5,20 @@ published raw indicators and weights, every cell within +/-0.001 and the
 ranking 4 > 1 > 2 > 3 > 5.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import reference
 from lidscore.errors import ValidationError
-from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
-                                TreeNode, WeightTree, comprehensive,
+from lidscore.evaluator import (IndicatorTable, StormSummary, TreeNode,
+                                WeightTree, comprehensive,
                                 evaluate_environmental,
                                 facility_indicator_scores, normalize,
                                 rank_scenarios, rollup)
 from lidscore.lid import LidKind, LidLayers, LidPlacement, LidSpec, Scenario
+from lidscore.pipeline import _persist_table, _Writer
 
 
 def reference_tree():
@@ -304,16 +307,15 @@ class TestBenefitReportSerialization:
     def test_json_round_trip(self, tmp_path):
         tree, table = full_normalized_table()
         report = rollup(tree, table)
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        loaded = BenefitReport.from_json(path)
+        writer = _Writer(tmp_path)
+        path = writer.write_json(report.to_dict(), "report.json")
+        loaded = json.loads(path.read_text())
         assert loaded["ranking"] == report.ranking
         np.testing.assert_allclose(
             loaded["scores"]["comprehensive"],
             report.node_scores["comprehensive"], atol=1e-12)
         # serialize -> parse -> serialize is byte-stable
-        path2 = tmp_path / "again.json"
-        report.to_json(path2)
+        path2 = writer.write_json(loaded, "again.json")
         assert path.read_bytes() == path2.read_bytes()
 
 
@@ -321,8 +323,7 @@ class TestIndicatorTableCsv:
     def test_round_trip(self, tmp_path):
         table = IndicatorTable(["s1", "s2"], ["a", "b"],
                                np.array([[1.5, 2.0], [0.25, 4.0]]))
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
+        path = _persist_table(_Writer(tmp_path), table, "table.csv")
         loaded = IndicatorTable.from_csv(path)
         assert loaded.scenarios == table.scenarios
         assert loaded.indicators == table.indicators

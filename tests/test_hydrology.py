@@ -293,9 +293,10 @@ class TestRoute:
 
 class TestHydrographExport:
     def test_csv_format(self, tmp_path):
+        from lidscore.pipeline import _persist_hydrograph, _Writer
+
         h = hydro("a", [0.0, 12.5, 3.0])
-        path = tmp_path / "h.csv"
-        h.to_csv(path)
+        path = _persist_hydrograph(_Writer(tmp_path), h, "h.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps"
         assert lines[1] == "0,0.0"

@@ -87,12 +87,13 @@ class TestSelection:
         assert callable(kernels.step_subarea)
 
     def test_env_override_forces_python(self, tmp_path):
+        import os
         import subprocess
         import sys
 
         code = ("import lidscore.kernels as k; print(k.BACKEND)")
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin", "LIDSCORE_PURE_PYTHON": "1"},
+            env=dict(os.environ, LIDSCORE_PURE_PYTHON="1"),
             capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "python"

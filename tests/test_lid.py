@@ -232,13 +232,11 @@ class TestSimulateLidUnit:
 
 
 class TestScenarioTableExport:
-    def test_columns_mirror_catalog_kinds(self, tmp_path):
-        from lidscore.lid import scenario_table_csv
+    def test_columns_mirror_catalog_kinds(self, published_config, tmp_path):
+        from lidscore.pipeline import run_pipeline
 
-        scenarios = [scenario_from_reference(n) for n in reference.SCENARIO_AREAS]
-        path = tmp_path / "scenarios.csv"
-        scenario_table_csv(scenarios, path)
-        lines = path.read_text().splitlines()
+        run_pipeline(published_config, tmp_path, render="csv")
+        lines = (tmp_path / "tables" / "scenario_areas.csv").read_text().splitlines()
         assert lines[0] == ("scenario,bio_retention_ha,grassed_swale_ha,"
                             "sunken_green_ha,permeable_pavement_ha,"
                             "storage_tank_ha,total_ha")

@@ -15,8 +15,9 @@ from lidscore.config import load_config
 from lidscore.errors import ValidationError
 from lidscore.evaluator import StormSummary
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (build_storms, compute_sizing, run_pipeline,
-                               simulate_all, simulate_run, weight_sensitivity)
+from lidscore.pipeline import (assemble_indicators, build_storms,
+                               compute_sizing, run_pipeline, simulate_all,
+                               simulate_run, weight_sensitivity)
 
 
 def compare_trees(a: Path, b: Path, skip=("manifest.json",)):
@@ -169,26 +170,34 @@ class TestPipelineShapes:
         assert run.summary.peak_lps > 0
 
 
+@pytest.fixture(scope="module")
+def published_weighted(published_config):
+    """(weighted tree, normalized leaf table) of the published project."""
+    tree, _ = published_config.weight_tree()
+    table, _ = assemble_indicators(published_config, tree, None)
+    return tree, table
+
+
 class TestWeightSensitivity:
-    def test_zero_delta_keeps_ranking(self, published_config):
-        outcome = weight_sensitivity(published_config, "environmental", 0.0)
+    def test_zero_delta_keeps_ranking(self, published_weighted):
+        outcome = weight_sensitivity(*published_weighted, "environmental", 0.0)
         for entry in outcome["perturbations"].values():
             assert entry["ranking"] == outcome["base_ranking"]
             assert not entry["top_changed"]
 
-    def test_large_shift_reports_rankings(self, published_config):
-        outcome = weight_sensitivity(published_config, "environmental", 0.108)
+    def test_large_shift_reports_rankings(self, published_weighted):
+        outcome = weight_sensitivity(*published_weighted, "environmental", 0.108)
         assert outcome["base_weight"] == pytest.approx(0.608)
         for entry in outcome["perturbations"].values():
             assert sorted(entry["ranking"]) == sorted(reference.SCENARIOS)
 
-    def test_overshoot_rejected(self, published_config):
+    def test_overshoot_rejected(self, published_weighted):
         with pytest.raises(ValidationError, match="outside"):
-            weight_sensitivity(published_config, "environmental", 0.5)
+            weight_sensitivity(*published_weighted, "environmental", 0.5)
 
-    def test_unknown_node(self, published_config):
+    def test_unknown_node(self, published_weighted):
         with pytest.raises(ValidationError, match="no node"):
-            weight_sensitivity(published_config, "nonexistent", 0.05)
+            weight_sensitivity(*published_weighted, "nonexistent", 0.05)
 
 
 class TestReportRendering:

@@ -176,12 +176,13 @@ class TestSubcatchmentQuality:
 
 class TestPollutographExport:
     def test_csv_with_concentrations(self, tmp_path):
+        from lidscore.pipeline import _persist_pollutograph, _Writer
+
         flows = np.array([0.0, 500.0, 250.0])
         h = Hydrograph(site="s", step_s=60, flows_lps=flows)
         p = Pollutograph(site="s", pollutant="TSS", step_s=60,
                          loads_kg=np.array([0.0, 0.03, 0.015]))
-        path = tmp_path / "poll.csv"
-        p.to_csv(path, h)
+        path = _persist_pollutograph(_Writer(tmp_path), h, p.loads_kg, "poll.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,load_kg,conc_mg_L"
         assert lines[1].endswith(",0.0,")          # no flow, no concentration

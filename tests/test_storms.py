@@ -186,9 +186,10 @@ class TestChicagoHyetograph:
             chicago_hyetograph(26, 90, 1.0, IDF, 60)
 
     def test_csv_export(self, tmp_path):
+        from lidscore.pipeline import _persist_storms, _Writer
+
         h = chicago_hyetograph(26, 90, 0.5, IDF, 60)
-        path = tmp_path / "storm.csv"
-        h.to_csv(path)
+        [path] = _persist_storms(_Writer(tmp_path), {"26mm": h})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_min,intensity_mm_per_hr"
         assert len(lines) == 91
