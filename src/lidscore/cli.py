@@ -115,7 +115,7 @@ def simulate(config, out_dir):
 
     writer = _Writer(out_dir)
     runs = simulate_all(config, build_storms(config))
-    _persist_runs(writer, config, runs)
+    _persist_runs(writer, runs)
     for label, storm_runs in runs.items():
         for run in storm_runs:
             worst = max(b.closure_error() for b in run.balances.values())

@@ -352,19 +352,11 @@ def route(inflows: dict, links) -> dict:
     if len(steps) != 1:
         raise ValidationError("inflow hydrographs have mixed steps")
     dt = steps.pop()
-    paths = _downstream_paths(links)
-    plan = []  # (outfall, shift steps, flows)
-    for node, hydro in inflows.items():
-        outfall, lag = paths.get(node, (node, 0.0))
-        plan.append((outfall, int(round(lag / dt)), hydro.flows_lps))
-    length = max(shift + flows.size for _, shift, flows in plan)
-    accum: dict = {}
-    for outfall, shift, flows in plan:
-        base = accum.setdefault(outfall, np.zeros(length))
-        base += _shift(flows, shift, length)
+    routed = route_series({node: h.flows_lps for node, h in inflows.items()},
+                          links, dt)
     return {
         outfall: Hydrograph(site=outfall, step_s=dt, flows_lps=flows)
-        for outfall, flows in sorted(accum.items())
+        for outfall, flows in routed.items()
     }
 
 

@@ -5,12 +5,21 @@ Stages: sizing check -> design storms -> baseline and scenario simulations
 indicator tables -> weighting -> normalization -> roll-up -> ranking ->
 capacity compliance flags -> optional weight sensitivity.
 
+Within one `simulate_all` call each storm keeps the baseline result of
+every subcatchment; a scenario that places nothing in a subcatchment
+reuses that result instead of simulating it again (the runs are
+deterministic, so the reused result is bit-identical).
+
 `_Writer` is the only code that formats, hashes and writes result files.
 Each file is built in memory, hashed from those bytes and written once, so
-the manifest lists every file a run writes. The CLI subcommands call the
-same `_persist_*` stage functions as `run_pipeline`, so each file comes
-from exactly one function. Rerunning an identical config byte-reproduces
-every file; only the manifest carries a timestamp.
+the manifest lists every file a run writes. Hydrographs and pollutographs
+go through its column-block series writer (`write_series`): one C-level
+`%`-format join per block of rows, each time column formatted once per
+writer, bytes equal to a `csv.writer` row of `repr` strings per step. The
+CLI subcommands call the same `_persist_*` stage functions as
+`run_pipeline`, so each file comes from exactly one function. Rerunning an
+identical config byte-reproduces every file; only the manifest carries a
+timestamp.
 """
 
 from __future__ import annotations
@@ -122,6 +131,7 @@ class _Writer:
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.files: dict = {}
+        self._time_columns: dict = {}
 
     def record(self, text: str, *parts) -> Path:
         data = text.encode("utf-8")
@@ -144,6 +154,26 @@ class _Writer:
         writer.writerow(header)
         writer.writerows(rows)
         return self.record(buf.getvalue(), *parts)
+
+    def write_series(self, header, blocks, *parts) -> Path:
+        """Numeric CSV, byte-equal to `write_rows` with `repr` of every
+        value, formatted a block of rows at a time. `blocks` holds
+        (row format, columns) pairs in file order; the columns are lists
+        of Python numbers or preformatted strings, and `%r` of a Python
+        float is its repr."""
+        text = [",".join(header), "\r\n"]
+        for fmt, columns in blocks:
+            text.append("".join(map(fmt.__mod__, zip(*columns))))
+        return self.record("".join(text), *parts)
+
+    def time_column(self, n: int, step_s) -> list:
+        """repr of `k * step_s` for k < n, formatted once per writer."""
+        key = (n, step_s)
+        column = self._time_columns.get(key)
+        if column is None:
+            column = list(map(repr, (np.arange(n) * step_s).tolist()))
+            self._time_columns[key] = column
+        return column
 
 
 def storm_label(depth_mm: float) -> str:
@@ -200,8 +230,14 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
 
 
 def simulate_run(config: ProjectConfig, storm, label: str,
-                 storm_name: str, scenario=None) -> StormRun:
-    """Simulate every subcatchment, route to the outfalls and summarize."""
+                 storm_name: str, scenario=None,
+                 reuse: dict | None = None) -> StormRun:
+    """Simulate every subcatchment, route to the outfalls and summarize.
+
+    `reuse` maps subcatchment ids to the (Hydrograph, WaterBalance,
+    [Pollutograph per pollutant]) of a placement-free run under this same
+    storm. A subcatchment without placements takes its entry instead of
+    being simulated again, and a new placement-free run is added to it."""
     dt = config.storms.step_s
     node_flows: dict = {}
     node_loads: dict = {p.name: {} for p in config.pollutants}
@@ -210,24 +246,31 @@ def simulate_run(config: ProjectConfig, storm, label: str,
         placements = []
         if scenario is not None:
             placements = [p for p in scenario.placements if p.subcatchment == sc.id]
-        hydro, balance, detail = simulate_subcatchment(
-            sc, storm, placements, config.catalog,
-            sim_step_s=dt, tail_min=config.storms.tail_min,
-        )
-        closure = balance.closure_error()
-        if closure > MASS_BALANCE_LIMIT:
-            raise LidscoreError(
-                f"{label}/{storm_name}/{sc.id}: water balance closure "
-                f"{closure:.2%} exceeds {MASS_BALANCE_LIMIT:.1%}"
+        shared = reuse is not None and not placements
+        if shared and sc.id in reuse:
+            hydro, balance, pollutographs = reuse[sc.id]
+        else:
+            hydro, balance, detail = simulate_subcatchment(
+                sc, storm, placements, config.catalog,
+                sim_step_s=dt, tail_min=config.storms.tail_min,
             )
+            closure = balance.closure_error()
+            if closure > MASS_BALANCE_LIMIT:
+                raise LidscoreError(
+                    f"{label}/{storm_name}/{sc.id}: water balance closure "
+                    f"{closure:.2%} exceeds {MASS_BALANCE_LIMIT:.1%}"
+                )
+            pollutographs = [
+                simulate_quality(sc, detail.pre_lid_runoff_m3, spec, dt,
+                                 config.antecedent_dry_days, placements)
+                for spec in config.pollutants
+            ]
+            if shared:
+                reuse[sc.id] = (hydro, balance, pollutographs)
         balances[sc.id] = balance
         flows = node_flows.setdefault(sc.outlet, np.zeros(hydro.flows_lps.size))
         flows += hydro.flows_lps
-        for spec in config.pollutants:
-            pollutograph = simulate_quality(
-                sc, detail.pre_lid_runoff_m3, spec, dt,
-                config.antecedent_dry_days, placements,
-            )
+        for spec, pollutograph in zip(config.pollutants, pollutographs):
             loads = node_loads[spec.name].setdefault(
                 sc.outlet, np.zeros(pollutograph.loads_kg.size)
             )
@@ -259,14 +302,16 @@ def simulate_run(config: ProjectConfig, storm, label: str,
 def simulate_all(config: ProjectConfig, storms: dict) -> dict:
     """Baseline plus every scenario, for every storm. Returns
     {run label: [StormRun in storm order]} with 'baseline' first."""
-    runs: dict = {"baseline": []}
-    for storm_name, storm in storms.items():
-        runs["baseline"].append(
-            simulate_run(config, storm, "baseline", storm_name, None)
-        )
+    # per storm: subcatchment id -> its baseline result (see simulate_run)
+    reuse = {storm_name: {} for storm_name in storms}
+    runs: dict = {"baseline": [
+        simulate_run(config, storm, "baseline", storm_name, None, reuse[storm_name])
+        for storm_name, storm in storms.items()
+    ]}
     for scenario in config.scenarios:
         runs[scenario.name] = [
-            simulate_run(config, storm, scenario.name, storm_name, scenario)
+            simulate_run(config, storm, scenario.name, storm_name, scenario,
+                         reuse[storm_name])
             for storm_name, storm in storms.items()
         ]
     return runs
@@ -309,24 +354,38 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
 
 def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts) -> Path:
     """`t_s,flow_Lps` rows, t at step start."""
-    rows = [[repr(k * hydro.step_s), repr(float(q))]
-            for k, q in enumerate(hydro.flows_lps)]
-    return writer.write_rows(["t_s", "flow_Lps"], rows, *parts)
+    flows = hydro.flows_lps
+    times = writer.time_column(flows.size, hydro.step_s)
+    return writer.write_series(["t_s", "flow_Lps"],
+                               [("%s,%r\r\n", (times, flows.tolist()))], *parts)
 
 
 def _persist_pollutograph(writer: _Writer, hydro: Hydrograph, loads_kg,
                           *parts) -> Path:
     """`t_s,load_kg,conc_mg_L` rows; the concentration is blank where there
-    is no flow to define it."""
-    rows = []
-    for k, load in enumerate(loads_kg):
-        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
-        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
-        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
-    return writer.write_rows(["t_s", "load_kg", "conc_mg_L"], rows, *parts)
+    is no flow to define it (no flow, or past the end of the hydrograph)."""
+    loads = np.asarray(loads_kg, dtype=float)
+    n = loads.size
+    flows = np.zeros(n)
+    overlap = min(n, hydro.flows_lps.size)
+    flows[:overlap] = hydro.flows_lps[:overlap]
+    wet = flows > 0
+    conc = np.zeros(n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.divide(loads * 1e6, flows * hydro.step_s, out=conc, where=wet)
+    times = writer.time_column(n, hydro.step_s)
+    loads, conc = loads.tolist(), conc.tolist()
+    # contiguous runs of wet or dry steps, each written with its row format
+    bounds = [0, *(np.flatnonzero(wet[1:] != wet[:-1]) + 1).tolist(), n]
+    blocks = [
+        ("%s,%r,%r\r\n", (times[a:b], loads[a:b], conc[a:b])) if wet[a]
+        else ("%s,%r,\r\n", (times[a:b], loads[a:b]))
+        for a, b in zip(bounds, bounds[1:]) if a < b
+    ]
+    return writer.write_series(["t_s", "load_kg", "conc_mg_L"], blocks, *parts)
 
 
-def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:
+def _persist_runs(writer: _Writer, runs: dict) -> None:
     for label, storm_runs in runs.items():
         for run in storm_runs:
             base = ("results", label, run.storm)
@@ -533,7 +592,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
 
     runs = simulate_if_needed(config, tree, storms)
     if runs is not None:
-        _persist_runs(writer, config, runs)
+        _persist_runs(writer, runs)
 
     ranking: list = []
     report = None

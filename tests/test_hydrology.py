@@ -323,7 +323,8 @@ class TestRoutingProperties:
         inflow = hydro("a", flows)
         out = route({"a": inflow}, links)["out"]
         assert out.volume_m3 == pytest.approx(inflow.volume_m3, rel=1e-9, abs=1e-9)
-        assert int(np.argmax(out.flows_lps)) == int(np.argmax(inflow.flows_lps)) + lag_steps
+        if max(flows) > 0.0:   # an all-zero series has no peak to shift
+            assert int(np.argmax(out.flows_lps)) == int(np.argmax(inflow.flows_lps)) + lag_steps
 
     def test_inflow_directly_at_outfall(self):
         # a node with no outgoing link is its own outfall

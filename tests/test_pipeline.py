@@ -1,7 +1,9 @@
 """End-to-end pipeline tests on the bundled projects."""
 
+import csv
 import dataclasses
 import filecmp
+import io
 import json
 import shutil
 from pathlib import Path
@@ -9,13 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import reference
+import lidscore.pipeline
 from lidscore.config import load_config
 from lidscore.errors import ValidationError
 from lidscore.evaluator import StormSummary
+from lidscore.hydrology import Hydrograph
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (assemble_indicators, build_storms,
+from lidscore.pipeline import (_persist_hydrograph, _persist_pollutograph,
+                               _Writer, assemble_indicators, build_storms,
                                compute_sizing, run_pipeline, simulate_all,
                                simulate_run, weight_sensitivity)
 
@@ -241,3 +247,118 @@ class TestHeaderOnlyRender:
         lines = text.splitlines()
         assert lines[0].startswith("scenario,")
         assert len(lines) == 1
+
+
+def reference_csv(header, rows) -> bytes:
+    """A series file built row by row: `csv.writer` over `repr` strings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def reference_hydrograph(hydro) -> bytes:
+    return reference_csv(["t_s", "flow_Lps"], [
+        [repr(k * hydro.step_s), repr(float(q))]
+        for k, q in enumerate(hydro.flows_lps)
+    ])
+
+
+def reference_pollutograph(hydro, loads_kg) -> bytes:
+    rows = []
+    for k, load in enumerate(loads_kg):
+        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
+        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
+        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
+    return reference_csv(["t_s", "load_kg", "conc_mg_L"], rows)
+
+
+# zero, subnormals, extremes and values that need all 17 significant digits
+SPECIAL_VALUES = [0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e16,
+                  0.30000000000000004, 1 / 3, 123456.78901234567, 2.0 ** 52 + 1]
+series_values = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_VALUES),
+              st.floats(0.0, 1e16, allow_nan=False, allow_infinity=False)),
+    max_size=30,
+)
+
+
+class TestSeriesWriterBytes:
+    """The column-block writer gives the bytes of the row-by-row reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(flows=series_values, loads=series_values,
+           step_s=st.sampled_from([1.0, 60, 60.0, 90.0, 300.0]))
+    @example(flows=[], loads=[], step_s=60.0)                         # empty
+    @example(flows=[0.0] * 5, loads=[1e-3] * 5, step_s=60.0)         # no flow
+    @example(flows=[2.0, 3.0], loads=[1e-3, 2e-3, 4e-3, 0.0], step_s=60.0)
+    @example(flows=[0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],               # wet/dry
+             loads=[1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324], step_s=60)
+    def test_series_bytes_equal_reference(self, tmp_path_factory, flows, loads,
+                                          step_s):
+        hydro = Hydrograph(site="o", step_s=step_s, flows_lps=np.array(flows))
+        loads_kg = np.array(loads, dtype=float)
+        writer = _Writer(tmp_path_factory.mktemp("series"))
+        path = _persist_hydrograph(writer, hydro, "h.csv")
+        assert path.read_bytes() == reference_hydrograph(hydro)
+        path = _persist_pollutograph(writer, hydro, loads_kg, "q.csv")
+        assert path.read_bytes() == reference_pollutograph(hydro, loads_kg)
+        # the time column is cached per writer: a second file of the same
+        # length reuses it and still matches
+        path = _persist_pollutograph(writer, hydro, loads_kg[::-1], "q2.csv")
+        assert path.read_bytes() == reference_pollutograph(hydro, loads_kg[::-1])
+
+
+def assert_same_run(a, b):
+    """Two StormRuns with bit-identical series, loads and balances."""
+    assert list(a.outfall_hydrographs) == list(b.outfall_hydrographs)
+    for outfall, hydro in a.outfall_hydrographs.items():
+        assert hydro.flows_lps.tobytes() == b.outfall_hydrographs[outfall].flows_lps.tobytes()
+    assert list(a.outfall_load_series) == list(b.outfall_load_series)
+    for outfall, by_pollutant in a.outfall_load_series.items():
+        assert list(by_pollutant) == list(b.outfall_load_series[outfall])
+        for pollutant, series in by_pollutant.items():
+            assert series.tobytes() == b.outfall_load_series[outfall][pollutant].tobytes()
+    assert a.balances == b.balances
+    assert a.summary == b.summary
+
+
+class TestBaselineReuse:
+    """Placement-free subcatchments take the baseline run of their storm."""
+
+    def test_placement_free_subcatchments_simulated_once(self, sports_config,
+                                                         monkeypatch):
+        calls = []
+        simulate = lidscore.pipeline.simulate_subcatchment
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].id)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(lidscore.pipeline, "simulate_subcatchment", counting)
+        simulate_all(sports_config, build_storms(sports_config))
+        # 6 subcatchments x 3 storms x (baseline + 5 scenarios) = 108 runs,
+        # less D, which no scenario places anything in: 5 scenarios x 3 storms
+        assert len(calls) == 93
+        assert calls.count("D") == 3
+
+    def test_runs_equal_unshared_runs(self, sports_config, runs):
+        storms = build_storms(sports_config)
+        scenarios = {sc.name: sc for sc in sports_config.scenarios}
+        for label, storm_runs in runs.items():
+            for run, (storm_name, storm) in zip(storm_runs, storms.items()):
+                alone = simulate_run(sports_config, storm, label, storm_name,
+                                     scenarios.get(label))
+                assert_same_run(run, alone)
+
+    def test_empty_scenario_reproduces_baseline(self, sports_config):
+        empty = Scenario("empty", ())
+        config = dataclasses.replace(sports_config, scenarios=[empty])
+        storms = build_storms(config)
+        shared = simulate_all(config, storms)
+        for base, run, (storm_name, storm) in zip(shared["baseline"], shared["empty"],
+                                                  storms.items()):
+            assert_same_run(run, base)
+            assert_same_run(
+                simulate_run(config, storm, "empty", storm_name, empty), base)
