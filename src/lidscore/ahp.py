@@ -99,9 +99,6 @@ class WeightVector:
         if np.any(w < 0):
             raise ValidationError("weights must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {label: float(w) for label, w in zip(self.labels, self.weights)}
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -188,9 +185,11 @@ def weight_tree(hierarchy: dict, matrices: dict, force: bool = False):
     """Fill hierarchy weights from one pairwise matrix per internal node.
 
     `hierarchy` is the nested node mapping accepted by
-    evaluator.TreeNode.from_dict, without weights on the children of nodes
-    named in `matrices`. Any node with CR >= 0.1 rejects the tree unless
-    `force` is set. Returns (WeightTree, {node: ConsistencyReport}).
+    evaluator.TreeNode.from_dict. Explicit child weights win when every
+    child of a node has one; otherwise the node needs an entry in
+    `matrices` (a single child gets weight 1). Any node with CR >= 0.1
+    rejects the tree unless `force` is set. Returns
+    (WeightTree, {node: ConsistencyReport}).
     """
     from lidscore.evaluator import TreeNode, WeightTree
 
@@ -201,7 +200,9 @@ def weight_tree(hierarchy: dict, matrices: dict, force: bool = False):
         children_spec = spec.get("children") or []
         if not children_spec:
             return TreeNode.leaf_from_dict(spec, weight)
-        if len(children_spec) == 1:
+        if all("weight" in c for c in children_spec):
+            weights = [float(c["weight"]) for c in children_spec]
+        elif len(children_spec) == 1:
             weights = [1.0]
         else:
             matrix = matrices.get(name)

@@ -60,16 +60,9 @@ def _common(fn):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--out", "out_dir", default=None, type=click.Path(), hidden=True)
-def validate(config_path, out_dir):
+@_common
+def validate(config, out_dir):
     """Check the project file and report every problem found."""
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        for line in exc.errors:
-            click.echo(f"error: {line}", err=True)
-        sys.exit(EXIT_VALIDATION)
     click.echo(f"{config.path}: OK ({len(config.subcatchments)} subcatchments, "
                f"{len(config.scenarios)} scenarios)")
 

@@ -16,7 +16,6 @@ import yaml
 
 from lidscore import ahp
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
-from lidscore.evaluator import TreeNode, WeightTree
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
@@ -54,10 +53,6 @@ class SizingSettings:
     psi: float | None = None        # overrides the land-use composite
     area_ha: float | None = None    # overrides the summed subcatchment area
 
-    @property
-    def existing_total_m3(self) -> float:
-        return sum(v for _, v in self.existing_facilities)
-
 
 @dataclass(frozen=True)
 class DirectTable:
@@ -88,46 +83,11 @@ class ProjectConfig:
         """Resolve the hierarchy to a WeightTree, deriving weights from
         pairwise matrices wherever explicit weights are missing. Returns
         (tree, {node: ConsistencyReport})."""
-        reports: dict = {}
-
-        def build(spec: dict, weight: float) -> TreeNode:
-            children_spec = spec.get("children") or []
-            if not children_spec:
-                return TreeNode.leaf_from_dict(spec, weight)
-            if all("weight" in c for c in children_spec):
-                weights = [float(c["weight"]) for c in children_spec]
-            elif len(children_spec) == 1:
-                weights = [1.0]
-            else:
-                name = spec["name"]
-                matrix = self.matrices.get(name)
-                if matrix is None:
-                    raise ConfigError(
-                        f"hierarchy.{name}: children need weights or a pairwise matrix"
-                    )
-                expected = tuple(c["name"] for c in children_spec)
-                if matrix.labels != expected:
-                    raise ConfigError(
-                        f"matrices.{name}: labels {matrix.labels} do not match "
-                        f"children {expected}"
-                    )
-                report = ahp.consistency(matrix)
-                reports[name] = report
-                if not report.passed:
-                    raise ConfigError(
-                        f"matrices.{name}: CR = {report.cr:.4f} >= {ahp.CR_LIMIT}"
-                    )
-                weights = list(ahp.derive_weights(matrix).weights)
-            children = tuple(
-                build(child, float(w)) for child, w in zip(children_spec, weights)
-            )
-            return TreeNode(name=spec["name"], weight=weight, children=children)
-
         try:
-            tree = WeightTree(build(self.hierarchy_spec, 1.0))
+            return ahp.weight_tree(self.hierarchy_spec, self.matrices)
         except ValidationError as exc:
             raise ConfigError(f"hierarchy: {exc}") from exc
-        return tree, reports
+
 
 class _Collector:
     def __init__(self):
@@ -461,8 +421,3 @@ def load_config(path) -> ProjectConfig:
     except (ConfigError, LidscoreError) as exc:
         raise ConfigError([str(exc)]) from exc
     return config
-
-
-def validate_config(path) -> ProjectConfig:
-    """Alias of load_config; kept for CLI symmetry."""
-    return load_config(path)

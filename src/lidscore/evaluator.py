@@ -188,18 +188,6 @@ class IndicatorTable:
             raise ValidationError(f"no indicator column {indicator!r}") from None
         return self.values[:, j]
 
-    def merged_with(self, other: "IndicatorTable") -> "IndicatorTable":
-        if other.scenarios != self.scenarios:
-            raise ValidationError("cannot merge tables with different scenarios")
-        if self.normalized != other.normalized:
-            raise ValidationError("cannot merge normalized with raw tables")
-        return IndicatorTable(
-            scenarios=list(self.scenarios),
-            indicators=list(self.indicators) + list(other.indicators),
-            values=np.hstack([self.values, other.values]),
-            normalized=self.normalized,
-        )
-
     @classmethod
     def from_csv(cls, path, normalized: bool = False) -> "IndicatorTable":
         with open(path, newline="") as fh:

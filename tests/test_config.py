@@ -5,7 +5,7 @@ import shutil
 import pytest
 import yaml
 
-from lidscore.config import load_config, validate_config
+from lidscore.config import load_config
 from lidscore.errors import ConfigError
 
 
@@ -40,10 +40,6 @@ class TestValidProjects:
         assert reports == {}  # explicit weights, no matrices involved
         leaves = [l.indicator for l in tree.leaves()]
         assert len(leaves) == 15
-
-    def test_validate_config_alias(self, sample_dir):
-        config = validate_config(sample_dir / "sports_center.yaml")
-        assert config.name == "sports_center"
 
     def test_config_hash_tracks_bytes(self, sample_dir, tmp_path):
         original = load_config(sample_dir / "sports_center.yaml")

@@ -44,12 +44,10 @@ def full_normalized_table():
     tree = reference_tree()
     env, econ = reference_tables()
     env_n = normalize(env, tree)
-    merged = env_n.merged_with(econ)
     order = [leaf.indicator for leaf in tree.leaves()]
+    columns = [(env_n if i in env_n.indicators else econ).column(i) for i in order]
     return tree, IndicatorTable(
-        reference.SCENARIOS, order,
-        np.column_stack([merged.column(i) for i in order]),
-        normalized=True,
+        reference.SCENARIOS, order, np.column_stack(columns), normalized=True,
     )
 
 

@@ -1,19 +1,10 @@
-"""Backend parity: the compiled kernels must reproduce the pure-Python
-implementation bit for bit."""
+"""Stepping kernels: exact mass closure, non-negative fluxes and
+step-size independence of the LID-unit balance."""
 
 import numpy as np
 import pytest
 
-from lidscore import _reservoir_py
 from lidscore import kernels
-
-try:
-    from lidscore import _reservoir
-except ImportError:
-    _reservoir = None
-
-needs_ext = pytest.mark.skipif(_reservoir is None,
-                               reason="compiled extension not built")
 
 RNG = np.random.default_rng(42)
 
@@ -24,6 +15,8 @@ def subarea_cases():
     yield (RNG.uniform(0, 0.03, 120), RNG.uniform(0, 0.01, 120),
            5e-4, 2.5, 30.0, 0.01, 1.2)
     yield (np.zeros(10), np.full(10, 0.005), 1e-3, 0.5, 300.0, 0.01, 4.0)
+    # asks for 8,280 substeps per step, which the kernel clamps to 3,600
+    yield (np.full(6, 0.02), np.full(6, 0.003), 1e-3, 0.0, 3600.0, 0.01, 0.0)
 
 
 def lid_cases():
@@ -36,7 +29,7 @@ class TestPurePython:
     @pytest.mark.parametrize("case", list(subarea_cases()))
     def test_subarea_mass_closes_exactly(self, case):
         intensity, fcap, coef, ds, dt, max_step, d0 = case
-        runoff, infil, d_end = _reservoir_py.step_subarea(*case)
+        runoff, infil, d_end = kernels.step_subarea(*case)
         rain = float(intensity.sum()) * dt + d0
         assert rain == pytest.approx(
             float(runoff.sum() + infil.sum()) + d_end, abs=1e-9)
@@ -45,7 +38,7 @@ class TestPurePython:
     @pytest.mark.parametrize("case", list(lid_cases()))
     def test_lid_mass_closes_exactly(self, case):
         inflow = case[0]
-        overflow, drained, exfil, v = _reservoir_py.step_lid_unit(*case)
+        overflow, drained, exfil, v = kernels.step_lid_unit(*case)
         total_in = float(inflow.sum()) + case[5]
         total_out = float(overflow.sum() + drained.sum() + exfil.sum()) + v
         assert total_in == pytest.approx(total_out, abs=1e-9)
@@ -54,46 +47,9 @@ class TestPurePython:
         """Piecewise-constant rates are integrated exactly, so slicing the
         same inflow onto a finer grid changes nothing."""
         inflow = np.array([30.0, 50.0, 10.0, 0.0])
-        coarse = _reservoir_py.step_lid_unit(inflow, 25 / 3600, 2 / 3600,
-                                             60.0, 60.0, 0.0)
-        fine = _reservoir_py.step_lid_unit(np.repeat(inflow / 60, 60),
-                                           25 / 3600, 2 / 3600, 60.0, 1.0, 0.0)
+        coarse = kernels.step_lid_unit(inflow, 25 / 3600, 2 / 3600,
+                                       60.0, 60.0, 0.0)
+        fine = kernels.step_lid_unit(np.repeat(inflow / 60, 60),
+                                     25 / 3600, 2 / 3600, 60.0, 1.0, 0.0)
         assert coarse[0].sum() == pytest.approx(fine[0].sum(), abs=1e-9)
         assert coarse[3] == pytest.approx(fine[3], abs=1e-9)
-
-
-@needs_ext
-class TestBackendParity:
-    @pytest.mark.parametrize("case", list(subarea_cases()))
-    def test_subarea_bitwise_equal(self, case):
-        py = _reservoir_py.step_subarea(*case)
-        cy = _reservoir.step_subarea(*case)
-        np.testing.assert_array_equal(py[0], cy[0])
-        np.testing.assert_array_equal(py[1], cy[1])
-        assert py[2] == cy[2]
-
-    @pytest.mark.parametrize("case", list(lid_cases()))
-    def test_lid_bitwise_equal(self, case):
-        py = _reservoir_py.step_lid_unit(*case)
-        cy = _reservoir.step_lid_unit(*case)
-        for a, b in zip(py[:3], cy[:3]):
-            np.testing.assert_array_equal(a, b)
-        assert py[3] == cy[3]
-
-
-class TestSelection:
-    def test_backend_is_reported(self):
-        assert kernels.BACKEND in ("cython", "python")
-        assert callable(kernels.step_subarea)
-
-    def test_env_override_forces_python(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        code = ("import lidscore.kernels as k; print(k.BACKEND)")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, LIDSCORE_PURE_PYTHON="1"),
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "python"
