@@ -7,8 +7,7 @@ from lidscore.ahp import (ConsistencyReport, PairwiseMatrix, WeightVector,
                           consistency, derive_weights, weight_tree)
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
-                                TreeNode, WeightTree, comprehensive,
-                                evaluate_environmental,
+                                TreeNode, WeightTree, evaluate_environmental,
                                 facility_indicator_scores, normalize, rollup)
 from lidscore.hydrology import (HortonParams, Hydrograph, LandUse, Link,
                                 Subcatchment, composite_runoff_coefficient,
@@ -18,10 +17,9 @@ from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
                           allocate_areas, area_proportions, control_capacity,
                           default_catalog, existing_capacity, required_volume,
                           simulate_lid_unit)
-from lidscore.metrics import FitReport, nse, peak_stats, reduction
+from lidscore.metrics import FitReport, nse, peak_stats
 from lidscore.quality import (PollutantSpec, Pollutograph, apply_lid_removal,
-                              buildup, event_load, event_mean_concentration,
-                              washoff_step)
+                              buildup)
 from lidscore.storms import (Hyetograph, IdfParams, RainRecord, atrcr_curve,
                              chicago_hyetograph, design_storm_suite,
                              invert_atrcr, segment_events)

@@ -106,16 +106,10 @@ class ConsistencyReport:
     ci: float
     ri: float
     cr: float
-    order: int
 
     @property
     def passed(self) -> bool:
         return self.cr < CR_LIMIT
-
-    @property
-    def always_consistent(self) -> bool:
-        # 1x1 and 2x2 reciprocal matrices cannot be inconsistent
-        return self.order <= 2
 
 
 def _principal_eigenvector(m: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000):
@@ -136,20 +130,10 @@ def _principal_eigenvector(m: np.ndarray, tol: float = 1e-12, max_iter: int = 10
     )
 
 
-def derive_weights(matrix: PairwiseMatrix, method: str = "eigenvector") -> WeightVector:
-    """Priority weights of a pairwise matrix.
-
-    `eigenvector` (default) returns the normalized principal eigenvector;
-    `geometric` is the row-geometric-mean alternative kept for
-    cross-checking.
-    """
-    if method == "eigenvector":
-        w, _ = _principal_eigenvector(matrix.values)
-    elif method == "geometric":
-        g = np.exp(np.log(matrix.values).mean(axis=1))
-        w = g / g.sum()
-    else:
-        raise ValidationError(f"unknown weighting method {method!r}")
+def derive_weights(matrix: PairwiseMatrix) -> WeightVector:
+    """Priority weights of a pairwise matrix: its normalized principal
+    eigenvector."""
+    w, _ = _principal_eigenvector(matrix.values)
     return WeightVector(matrix.labels, w)
 
 
@@ -157,15 +141,16 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
     """Consistency screen: lambda_max, CI = (lambda_max - n)/(n - 1), CR = CI/RI."""
     n = matrix.order
     if n < 2:
-        return ConsistencyReport(1.0, 0.0, 0.0, 0.0, n)
+        return ConsistencyReport(1.0, 0.0, 0.0, 0.0)
     _, lam = _principal_eigenvector(matrix.values)
     ci = (lam - n) / (n - 1)
     if n == 2:
-        return ConsistencyReport(lam, ci, 0.0, 0.0, n)
+        # 2x2 reciprocal matrices cannot be inconsistent
+        return ConsistencyReport(lam, ci, 0.0, 0.0)
     if n not in RANDOM_INDEX:
         raise ValidationError(f"no random index for order {n}")
     ri = RANDOM_INDEX[n]
-    return ConsistencyReport(lam, ci, ri, ci / ri, n)
+    return ConsistencyReport(lam, ci, ri, ci / ri)
 
 
 def aggregate_matrices(matrices) -> PairwiseMatrix:
@@ -181,15 +166,15 @@ def aggregate_matrices(matrices) -> PairwiseMatrix:
     return PairwiseMatrix(labels, np.exp(np.log(stack).mean(axis=0)))
 
 
-def weight_tree(hierarchy: dict, matrices: dict, force: bool = False):
-    """Fill hierarchy weights from one pairwise matrix per internal node.
+def weight_tree(hierarchy: dict, matrices: dict):
+    """Build the weighted indicator tree from the nested node mapping of a
+    project's `hierarchy` section.
 
-    `hierarchy` is the nested node mapping accepted by
-    evaluator.TreeNode.from_dict. Explicit child weights win when every
-    child of a node has one; otherwise the node needs an entry in
-    `matrices` (a single child gets weight 1). Any node with CR >= 0.1
-    rejects the tree unless `force` is set. Returns
-    (WeightTree, {node: ConsistencyReport}).
+    Each node is a mapping with `name` and either `children` or leaf keys
+    (see evaluator.TreeNode.leaf_from_dict). Explicit child weights win
+    when every child of a node has one; otherwise the node needs an entry
+    in `matrices` (a single child gets weight 1). Any node with CR >= 0.1
+    rejects the tree. Returns (WeightTree, {node: ConsistencyReport}).
     """
     from lidscore.evaluator import TreeNode, WeightTree
 
@@ -215,7 +200,7 @@ def weight_tree(hierarchy: dict, matrices: dict, force: bool = False):
                 )
             report = consistency(matrix)
             reports[name] = report
-            if not report.passed and not force:
+            if not report.passed:
                 raise ValidationError(
                     f"node '{name}' rejected: CR = {report.cr:.4f} >= {CR_LIMIT}"
                 )

@@ -21,7 +21,8 @@ from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
                           default_catalog)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
-from lidscore.storms import DEFAULT_MIN_EVENT_MM, IdfParams
+from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams,
+                             design_storm_suite)
 
 SCHEMA_VERSION = 1
 
@@ -180,7 +181,6 @@ def load_config(path) -> ProjectConfig:
             from_node=str(ln.get("from", "")),
             to_node=str(ln.get("to", "")),
             lag_s=ln.get("lag_s", 0),
-            capacity_lps=ln.get("capacity_lps"),
         )
         if link:
             links.append(link)
@@ -322,6 +322,11 @@ def load_config(path) -> ProjectConfig:
                 idf=idf,
                 tail_min=float(storms_raw.get("tail_min", 60)),
             )
+            # building the suite applies the storm generator's own checks
+            # (depth, peak ratio, step) at load time
+            errors.guard("storms", design_storm_suite, storms.depths_mm,
+                         storms.duration_min, storms.peak_ratio, idf,
+                         storms.step_s)
 
     # --- sizing ------------------------------------------------------
     sizing = None
@@ -352,6 +357,10 @@ def load_config(path) -> ProjectConfig:
                            f"rainfall file not found: {target.rainfall_csv}")
         psi_override = sizing_raw.get("psi")
         area_override = sizing_raw.get("area_ha")
+        if psi_override is not None and not 0.0 < float(psi_override) <= 1.0:
+            errors.add("sizing.psi", f"must be in (0, 1], got {psi_override}")
+        if area_override is not None and not float(area_override) > 0.0:
+            errors.add("sizing.area_ha", f"must be positive, got {area_override}")
         sizing = SizingSettings(
             existing_facilities=facilities,
             target=target,

@@ -22,6 +22,11 @@ POLARITIES = ("benefit", "cost")
 SOURCES = ("simulated", "facility_derived", "direct")
 TRANSFORMS = ("encoded", "reciprocal")
 
+# Indicators whose all-zero column normalizes to uniform shares (1/M each,
+# with a warning) instead of failing: a zero peak delay across every
+# scenario is a legitimate result, not a configuration error.
+UNIFORM_IF_ZERO = frozenset({"peak_delay"})
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -68,17 +73,6 @@ class TreeNode:
             source=spec.get("source", "simulated"),
             transform=spec.get("transform", "encoded"),
         )
-
-    @classmethod
-    def from_dict(cls, spec: dict, weight: float = 1.0) -> "TreeNode":
-        children_spec = spec.get("children") or []
-        if not children_spec:
-            return cls.leaf_from_dict(spec, weight)
-        children = tuple(
-            cls.from_dict(child, float(child.get("weight", 1.0)))
-            for child in children_spec
-        )
-        return cls(name=spec["name"], weight=weight, children=children)
 
 
 @dataclass(frozen=True)
@@ -200,20 +194,19 @@ class IndicatorTable:
         return cls(scenarios, indicators, values, normalized=normalized)
 
 
-def normalize(table: IndicatorTable, tree: WeightTree | None = None,
-              zero_policy: dict | None = None) -> IndicatorTable:
+def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> IndicatorTable:
     """Column-wise linear normalization I = X / sum(X).
 
     Cost-polarity leaves with the `reciprocal` transform are inverted
     before normalizing (favorability-encoded columns are used as-is).
     Facility-derived columns arrive already reciprocal-encoded, so the
     transform is not applied twice. A column of zeros is an error unless
-    its `zero_policy` is "uniform", in which case every scenario gets 1/M
-    with a warning.
+    its indicator is in UNIFORM_IF_ZERO, in which case every scenario gets
+    1/M with a warning. A negative column sum is an error naming the
+    scenarios with negative entries.
     """
     if table.normalized:
         return table
-    zero_policy = zero_policy or {}
     leaf_by_indicator = {}
     if tree is not None:
         leaf_by_indicator = {leaf.indicator: leaf for leaf in tree.leaves()}
@@ -232,7 +225,7 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None,
             column = 1.0 / column
         total = column.sum()
         if total == 0.0:
-            if zero_policy.get(indicator) == "uniform":
+            if indicator in UNIFORM_IF_ZERO:
                 warnings.warn(
                     f"indicator {indicator!r} is zero everywhere; using uniform shares",
                     stacklevel=2,
@@ -241,7 +234,11 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None,
                 continue
             raise ValidationError(f"indicator {indicator!r} sums to zero")
         if total < 0:
-            raise ValidationError(f"indicator {indicator!r} has a negative column sum")
+            negative = [name for name, v in zip(table.scenarios, column) if v < 0]
+            raise ValidationError(
+                f"indicator {indicator!r} has a negative column sum "
+                f"(negative in {', '.join(negative)})"
+            )
         if np.any(column < 0):
             warnings.warn(f"indicator {indicator!r} has negative entries", stacklevel=2)
         out[:, j] = column / total
@@ -274,10 +271,6 @@ class BenefitReport:
 
     def score(self, node: str, scenario: str) -> float:
         return float(self.node_scores[node][self.scenarios.index(scenario)])
-
-    @property
-    def comprehensive(self) -> np.ndarray:
-        return self.node_scores[self.root_name]
 
     def to_dict(self) -> dict:
         return {
@@ -334,14 +327,6 @@ def rollup(tree: WeightTree, table: IndicatorTable) -> BenefitReport:
         leaf_values=leaf_values,
         root_name=tree.root.name,
     )
-
-
-def comprehensive(report: BenefitReport):
-    """Root scores by scenario plus the ranking (descending)."""
-    scores = {
-        name: float(v) for name, v in zip(report.scenarios, report.comprehensive)
-    }
-    return scores, list(report.ranking), report.tied
 
 
 def facility_indicator_scores(scenarios, catalog: dict, leaves) -> IndicatorTable:

@@ -116,7 +116,6 @@ class Link:
     from_node: str
     to_node: str
     lag_s: float
-    capacity_lps: float | None = None
 
     def __post_init__(self):
         if self.lag_s < 0:

@@ -150,9 +150,6 @@ class Scenario:
     name: str
     placements: tuple
 
-    def kinds(self):
-        return sorted({p.kind for p in self.placements}, key=lambda k: k.value)
-
     def area_by_kind(self) -> dict:
         areas: dict = {}
         for p in self.placements:
@@ -186,6 +183,8 @@ def existing_capacity(facilities, psi: float, area_ha: float):
     total = sum(volumes)
     if total == 0.0:
         return 0.0, 0.0
+    if psi <= 0 or area_ha <= 0:
+        raise ValidationError("existing capacity needs a positive psi and area")
     depth = total / (10.0 * psi * area_ha)
     return total, depth
 
@@ -236,7 +235,6 @@ class LidUnitResult:
     drained_m3: np.ndarray
     infiltration_m3: np.ndarray
     storage_final_m3: float
-    storage_initial_m3: float = 0.0
 
     @property
     def outflow_m3(self) -> np.ndarray:
@@ -244,12 +242,9 @@ class LidUnitResult:
         return self.overflow_m3 + self.drained_m3
 
     @property
-    def storage_delta_m3(self) -> float:
-        return self.storage_final_m3 - self.storage_initial_m3
-
-    @property
     def captured_m3(self) -> float:
-        return self.storage_delta_m3 + float(self.infiltration_m3.sum())
+        """Units start empty, so what stays behind is the final storage."""
+        return self.storage_final_m3 + float(self.infiltration_m3.sum())
 
     def balance_error(self) -> float:
         total_in = float(self.inflow_m3.sum())
@@ -257,18 +252,17 @@ class LidUnitResult:
             return 0.0
         total_out = (float(self.outflow_m3.sum())
                      + float(self.infiltration_m3.sum())
-                     + self.storage_delta_m3)
+                     + self.storage_final_m3)
         return abs(total_in - total_out) / total_in
 
 
 def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
-                      dt_s: float, initial_storage_m3: float = 0.0) -> LidUnitResult:
+                      dt_s: float) -> LidUnitResult:
     """Step one facility through a storm.
 
     `inflow_m3` is run-on volume per step from the treated area and
     `rain_mm_hr` the direct rainfall on the facility itself; both series
-    must share `dt_s`. Units start empty by default (tanks drain between
-    events).
+    must share `dt_s`. Units start empty (tanks drain between events).
     """
     if dt_s <= 0:
         raise ValidationError("dt must be positive")
@@ -285,7 +279,7 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
         spec.layers.underdrain_mm_hr / 3600.0,
         spec.capacity_mm,
         float(dt_s),
-        initial_storage_m3 / area_m2 * 1000.0,
+        0.0,  # initial storage: units start empty
     )
     to_m3 = area_m2 / 1000.0
     return LidUnitResult(
@@ -296,6 +290,5 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
         drained_m3=drained * to_m3,
         infiltration_m3=exfil * to_m3,
         storage_final_m3=v_end * to_m3,
-        storage_initial_m3=float(initial_storage_m3),
     )
 

@@ -1,7 +1,5 @@
 """Goodness-of-fit and event statistics for simulated series."""
 
-import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +42,6 @@ def nse(observed, simulated, *, observed_step_s=None, simulated_step_s=None) -> 
     return FitReport(nse=value, n_points=int(obs.size))
 
 
-def read_observed_csv(path):
-    """Read a measured series: `t_s,value` rows with a header.
-
-    Returns (times_s, values) arrays; timestamps must increase. One file
-    per site and parameter (flow, TSS, COD, ...).
-    """
-    times = []
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "t_s" not in reader.fieldnames \
-                or "value" not in reader.fieldnames:
-            raise ValidationError(f"{path}: expected header 't_s,value'")
-        for row in reader:
-            times.append(float(row["t_s"]))
-            values.append(float(row["value"]))
-    t = np.asarray(times)
-    if t.size and np.any(np.diff(t) <= 0):
-        raise ValidationError(f"{path}: timestamps must be strictly increasing")
-    return t, np.asarray(values)
-
-
 def peak_stats(hydrograph):
     """Peak flow (L/s) and its time (s). Ties break to the earliest step."""
     flows = np.asarray(hydrograph.flows_lps, dtype=float)
@@ -74,12 +50,3 @@ def peak_stats(hydrograph):
     idx = int(np.argmax(flows))
     return float(flows[idx]), idx * float(hydrograph.step_s)
 
-
-def reduction(base: float, scenario: float) -> float:
-    """Percent reduction of `scenario` relative to `base` (may be negative)."""
-    if base <= 0:
-        raise ValidationError("baseline value must be positive")
-    pct = (base - scenario) / base * 100.0
-    if pct < 0:
-        warnings.warn(f"scenario value {scenario} exceeds baseline {base}", stacklevel=2)
-    return pct

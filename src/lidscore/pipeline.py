@@ -30,7 +30,7 @@ import hashlib
 import io
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +42,14 @@ from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, WeightTree,
                                 evaluate_environmental,
                                 facility_indicator_scores, normalize, rollup)
-from lidscore.hydrology import (Hydrograph, route, route_series,
-                                simulate_subcatchment)
+from lidscore.hydrology import (Hydrograph, composite_runoff_coefficient,
+                                route, route_series, simulate_subcatchment)
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
 from lidscore.storms import (RainRecord, atrcr_curve, design_storm_suite,
                              invert_atrcr)
 
 MASS_BALANCE_LIMIT = 0.005
-ZERO_COLUMN_POLICY = {"peak_delay": "uniform"}
 ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.csv
 
 
@@ -109,17 +108,9 @@ class RunManifest:
     sensitivity: dict | None = None   # written to sensitivity.json only
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "package_version": self.package_version,
-            "kernel_backend": self.kernel_backend,
-            "created_utc": self.created_utc,
-            "storms": self.storms,
-            "ranking": self.ranking,
-            "compliance": self.compliance,
-            "versions": dict(sorted(self.versions.items())),
-            "files": dict(sorted(self.files.items())),
-        }
+        out = asdict(self)
+        del out["sensitivity"]
+        return out
 
 
 class _Writer:
@@ -196,8 +187,7 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     if config.sizing.psi is not None:
         psi = config.sizing.psi
     elif land_uses:
-        psi = (sum(lu.runoff_coefficient * lu.area_ha for lu in land_uses)
-               / sum(lu.area_ha for lu in land_uses))
+        psi = composite_runoff_coefficient(land_uses)
     else:
         raise ConfigError("sizing needs land uses or an explicit sizing.psi")
     if config.sizing.area_ha is not None:
@@ -504,7 +494,7 @@ def assemble_indicators(config: ProjectConfig, tree: WeightTree,
             [l.indicator for l in to_normalize],
             np.column_stack([raw_cols[l.indicator] for l in to_normalize]),
         )
-        normalized_part = normalize(raw_table, tree, ZERO_COLUMN_POLICY)
+        normalized_part = normalize(raw_table, tree)
         for indicator in normalized_part.indicators:
             norm_cols[indicator] = normalized_part.column(indicator)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lidscore.errors import ValidationError
-from lidscore.hydrology import Hydrograph, Subcatchment
+from lidscore.hydrology import Subcatchment
 from lidscore.lid import LidKind
 
 DEFAULT_ANTECEDENT_DRY_DAYS = 7.0
@@ -68,17 +68,6 @@ def buildup(spec: PollutantSpec, antecedent_dry_days: float) -> float:
     return spec.buildup_max_kg_ha * t / (spec.half_saturation_days + t)
 
 
-def washoff_step(spec: PollutantSpec, runoff_mm_hr: float, available_kg: float,
-                 dt_s: float) -> float:
-    """Mass removed in one step; never exceeds what is available."""
-    if min(runoff_mm_hr, available_kg, dt_s) < 0:
-        raise ValidationError("washoff inputs must be non-negative")
-    if runoff_mm_hr == 0.0 or available_kg == 0.0:
-        return 0.0
-    rate = spec.washoff_coeff * runoff_mm_hr ** spec.washoff_exponent
-    return available_kg * -np.expm1(-rate * dt_s / 3600.0)
-
-
 def washoff_series(spec: PollutantSpec, runoff_mm_hr, initial_kg: float,
                    dt_s: float) -> np.ndarray:
     """Per-step washoff loads for a whole run (closed-form depletion)."""
@@ -102,22 +91,6 @@ def apply_lid_removal(pollutograph: Pollutograph, treated_fraction: float,
         step_s=pollutograph.step_s,
         loads_kg=pollutograph.loads_kg * (1.0 - treated_fraction * removal_fraction),
     )
-
-
-def event_load(pollutograph: Pollutograph) -> float:
-    """Total event mass (kg)."""
-    return float(pollutograph.loads_kg.sum())
-
-
-def event_mean_concentration(pollutograph: Pollutograph,
-                             hydrograph: Hydrograph) -> float:
-    """Event mass over event runoff volume (mg/L)."""
-    if pollutograph.loads_kg.size != hydrograph.flows_lps.size:
-        raise ValidationError("pollutograph and hydrograph lengths differ")
-    volume = hydrograph.volume_m3
-    if volume == 0.0:
-        return 0.0
-    return event_load(pollutograph) / volume * 1000.0
 
 
 def initial_buildup_kg(sc: Subcatchment, spec: PollutantSpec,

@@ -187,10 +187,6 @@ class Hyetograph:
     def depth_mm(self) -> float:
         return float(self.intensities_mm_hr.sum() * self.step_s / 3600.0)
 
-    @property
-    def duration_min(self) -> float:
-        return len(self.intensities_mm_hr) * self.step_s / 60.0
-
 
 def _chicago_ordinate(t_min: float, peak_min: float, peak_ratio: float, idf: IdfParams) -> float:
     # Instantaneous Chicago intensity: both branches share

@@ -1,8 +1,13 @@
-"""Frozen reference values for the bundled sports-center case study.
+"""Frozen reference values for the bundled sports-center case study, and
+reference implementations that vectorized code is checked against.
 
 Shared by the unit tests and the acceptance suite so every module checks
 against the same numbers.
 """
+
+import numpy as np
+
+from lidscore.errors import ValidationError
 
 # land use: (name, runoff coefficient, area ha, expected event runoff m3
 # at a 26 mm depth)
@@ -136,3 +141,16 @@ def hierarchy_spec(env_source="direct"):
              "children": [leaf(k, v, "direct") for k, v in w["social"].items()]},
         ],
     }
+
+
+def washoff_step(spec, runoff_mm_hr: float, available_kg: float,
+                 dt_s: float) -> float:
+    """Mass one step washes off a surface holding `available_kg`: the
+    step-wise form of quality.washoff_series. Never exceeds what is
+    available."""
+    if min(runoff_mm_hr, available_kg, dt_s) < 0:
+        raise ValidationError("washoff inputs must be non-negative")
+    if runoff_mm_hr == 0.0 or available_kg == 0.0:
+        return 0.0
+    rate = spec.washoff_coeff * runoff_mm_hr ** spec.washoff_exponent
+    return available_kg * -np.expm1(-rate * dt_s / 3600.0)

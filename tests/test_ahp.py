@@ -60,14 +60,12 @@ class TestDeriveWeights:
         assert consistency(m).cr == pytest.approx(0.0, abs=1e-9)
 
     def test_geometric_method_agrees_on_consistent(self):
+        """On a consistent matrix the eigenvector equals the normalized
+        row geometric means."""
         m = matrix_from_weights([0.5, 0.3, 0.2])
-        np.testing.assert_allclose(derive_weights(m, "geometric").weights,
-                                   derive_weights(m).weights, atol=1e-9)
-
-    def test_unknown_method(self):
-        m = matrix_from_weights([0.5, 0.5])
-        with pytest.raises(ValidationError, match="method"):
-            derive_weights(m, "magic")
+        g = np.exp(np.log(m.values).mean(axis=1))
+        np.testing.assert_allclose(derive_weights(m).weights, g / g.sum(),
+                                   atol=1e-9)
 
     def test_scale_invariance_of_construction(self):
         w = np.array([0.55, 0.25, 0.2])
@@ -148,7 +146,6 @@ class TestConsistency:
         rep = consistency(PairwiseMatrix(("a", "b"), np.array([[1.0, 7.0],
                                                                [1 / 7.0, 1.0]])))
         assert rep.cr == 0.0
-        assert rep.always_consistent
 
     def test_random_index_table(self):
         assert RANDOM_INDEX == {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
@@ -244,8 +241,6 @@ class TestWeightTree:
         assert rep.cr >= CR_LIMIT
         with pytest.raises(ValidationError, match="'goal'.*rejected|rejected.*'goal'"):
             weight_tree(hierarchy, {"goal": bad})
-        tree, _ = weight_tree(hierarchy, {"goal": bad}, force=True)
-        assert tree.find("runoff").weight > 0
 
     def test_missing_matrix(self):
         with pytest.raises(ValidationError, match="no pairwise matrix"):

@@ -44,6 +44,26 @@ class TestValidate:
         assert result.exit_code == 2
         assert "unknown subcatchment" in result.output
 
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("sizing", "psi", 0, "sizing.psi: must be in (0, 1], got 0"),
+        ("sizing", "area_ha", 0, "sizing.area_ha: must be positive, got 0"),
+        ("storms", "step_s", 420, "storms: step 420.0 s does not divide"),
+    ])
+    def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
+                                           command, section, key, value, message):
+        """Inputs that used to pass validation and then crash or fail
+        inside `rank` are rejected at load time by both commands."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        raw[section][key] = value
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",
                                       str(tmp_path / "none.yaml")])

@@ -144,6 +144,39 @@ class TestValidationFailures:
         with pytest.raises(ConfigError, match="rainfall_csv"):
             load_config(rewrite(sample_dir, tmp_path, mutate))
 
+    def test_sizing_overrides_out_of_range(self, sample_dir, tmp_path):
+        """psi must be in (0, 1] and area_ha positive; both are reported
+        in one batch."""
+        def mutate(raw):
+            raw["sizing"]["psi"] = 1.7
+            raw["sizing"]["area_ha"] = 0
+
+        with pytest.raises(ConfigError) as err:
+            load_config(rewrite(sample_dir, tmp_path, mutate))
+        assert err.value.errors == ["sizing.psi: must be in (0, 1], got 1.7",
+                                    "sizing.area_ha: must be positive, got 0"]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("step_s", 420, "step 420.0 s does not divide duration 90.0 min"),
+        ("peak_ratio", 1.0, "peak ratio must be in (0, 1)"),
+        ("depths_mm", [16, 0], "storm depth must be positive"),
+    ])
+    def test_storm_generator_rules_checked_at_load(self, sample_dir, tmp_path,
+                                                   key, value, message):
+        def mutate(raw):
+            raw["storms"][key] = value
+
+        with pytest.raises(ConfigError) as err:
+            load_config(rewrite(sample_dir, tmp_path, mutate))
+        assert err.value.errors == [f"storms: {message}"]
+
+    def test_unread_link_capacity_still_loads(self, sample_dir, tmp_path):
+        def mutate(raw):
+            raw["catchment"]["links"][0]["capacity_lps"] = None
+
+        config = load_config(rewrite(sample_dir, tmp_path, mutate))
+        assert config.links[0].lag_s == 120
+
 
 class TestMatrixDrivenHierarchy:
     def test_matrices_replace_missing_weights(self, sample_dir, tmp_path):

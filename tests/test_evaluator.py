@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import reference
+from lidscore.ahp import weight_tree
 from lidscore.errors import ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, TreeNode,
-                                WeightTree, comprehensive,
                                 evaluate_environmental,
                                 facility_indicator_scores, normalize,
                                 rank_scenarios, rollup)
@@ -22,7 +22,7 @@ from lidscore.pipeline import _persist_table, _Writer
 
 
 def reference_tree():
-    return WeightTree(TreeNode.from_dict(reference.hierarchy_spec()))
+    return weight_tree(reference.hierarchy_spec(), {})[0]
 
 
 def reference_tables():
@@ -88,16 +88,26 @@ class TestNormalize:
     def test_zero_column_uniform_policy(self):
         t = IndicatorTable(["a", "b"], ["peak_delay"], np.zeros((2, 1)))
         with pytest.warns(UserWarning, match="uniform"):
-            out = normalize(t, zero_policy={"peak_delay": "uniform"})
+            out = normalize(t)
         np.testing.assert_allclose(out.values[:, 0], 0.5)
+
+    def test_negative_column_sum_names_scenarios(self):
+        """Peaks that LID makes earlier give negative delays; the error
+        names every scenario with a negative entry."""
+        t = IndicatorTable(["s1", "s2", "s3"], ["peak_delay"],
+                           np.array([[-3.0], [1.0], [-0.5]]))
+        with pytest.raises(ValidationError,
+                           match=r"'peak_delay' has a negative column sum "
+                                 r"\(negative in s1, s3\)"):
+            normalize(t)
 
     def test_reciprocal_cost_transform(self):
         """Raw direct cost columns flip to 1/x before Eq-3 normalization."""
-        tree = WeightTree(TreeNode.from_dict({
+        tree = weight_tree({
             "name": "goal", "children": [
                 {"name": "cost", "weight": 1.0, "indicator": "cost",
                  "polarity": "cost", "transform": "reciprocal",
-                 "source": "direct"}]}))
+                 "source": "direct"}]}, {})[0]
         t = IndicatorTable(["a", "b"], ["cost"], np.array([[2.0], [4.0]]))
         out = normalize(t, tree)
         np.testing.assert_allclose(out.values[:, 0], [2 / 3, 1 / 3])
@@ -133,9 +143,10 @@ class TestRollup:
                                        atol=1e-3, err_msg=node)
 
     def test_single_leaf_tree_is_identity(self):
-        tree = WeightTree(TreeNode.from_dict({
+        tree = weight_tree({
             "name": "goal", "children": [
-                {"name": "x", "weight": 1.0, "indicator": "x", "source": "direct"}]}))
+                {"name": "x", "weight": 1.0, "indicator": "x",
+                 "source": "direct"}]}, {})[0]
         t = IndicatorTable(["a", "b"], ["x"], np.array([[0.25], [0.75]]),
                            normalized=True)
         report = rollup(tree, t)
@@ -167,10 +178,10 @@ class TestRollup:
             assert float(np.sum(scores)) == pytest.approx(1.0, abs=1e-9), node
 
     def test_rollup_linearity(self):
-        tree = WeightTree(TreeNode.from_dict({
+        tree = weight_tree({
             "name": "goal", "children": [
                 {"name": "x", "weight": 0.6, "indicator": "x", "source": "direct"},
-                {"name": "y", "weight": 0.4, "indicator": "y", "source": "direct"}]}))
+                {"name": "y", "weight": 0.4, "indicator": "y", "source": "direct"}]}, {})[0]
         a = np.array([[0.3, 0.6], [0.7, 0.4]])
         b = np.array([[0.5, 0.2], [0.5, 0.8]])
         ta = IndicatorTable(["s1", "s2"], ["x", "y"], a, normalized=True)
@@ -186,12 +197,13 @@ class TestRollup:
 class TestComprehensive:
     def test_published_ranking(self):
         tree, table = full_normalized_table()
-        scores, ranking, tied = comprehensive(rollup(tree, table))
-        assert ranking == reference.EXPECTED_RANKING
-        assert not tied
+        report = rollup(tree, table)
+        assert report.ranking == reference.EXPECTED_RANKING
+        assert not report.tied
         for name, expected in zip(reference.SCENARIOS,
                                   reference.EXPECTED_BENEFITS["comprehensive"]):
-            assert scores[name] == pytest.approx(expected, abs=1e-3)
+            assert report.score(tree.root.name, name) == pytest.approx(
+                expected, abs=1e-3)
 
     def test_identical_scenarios_tie(self):
         names = ["a", "b", "c"]
@@ -244,11 +256,11 @@ class TestFacilityScores:
                          polarity="cost", transform="reciprocal")
         table = facility_indicator_scores(scenarios, catalog, [leaf])
         np.testing.assert_allclose(table.values[:, 0], [0.5, 0.25])
-        tree = WeightTree(TreeNode.from_dict({
+        tree = weight_tree({
             "name": "goal", "children": [
                 {"name": "construction_cost", "weight": 1.0,
                  "indicator": "construction_cost", "polarity": "cost",
-                 "transform": "reciprocal", "source": "facility_derived"}]}))
+                 "transform": "reciprocal", "source": "facility_derived"}]}, {})[0]
         out = normalize(table, tree)
         # reciprocal applies once, in facility scoring; plain Eq-3 here
         np.testing.assert_allclose(out.values[:, 0], [2 / 3, 1 / 3])
@@ -279,16 +291,21 @@ class TestEvaluateEnvironmental:
         np.testing.assert_allclose(table.values, 0.0, atol=1e-12)
 
     def test_hand_reduction(self):
-        """Volumes (100, 200) vs (80, 160) over two storms -> 20%."""
+        """Volumes (100, 200) vs (80, 160) over two storms -> 20%, and vs
+        (110, 220) -> -10%."""
         base = [self.summary("a", 100.0, 40.0, 600.0),
                 self.summary("b", 200.0, 90.0, 600.0)]
         scen = [self.summary("a", 80.0, 30.0, 720.0),
                 self.summary("b", 160.0, 72.0, 840.0)]
-        table = evaluate_environmental(base, {"s1": scen}, ["TSS"])
+        worse = [self.summary("a", 110.0, 40.0, 600.0),
+                 self.summary("b", 220.0, 90.0, 600.0)]
+        table = evaluate_environmental(base, {"s1": scen, "s2": worse}, ["TSS"])
         assert table.column("runoff_reduction")[0] == pytest.approx(20.0)
         assert table.column("peak_reduction")[0] == pytest.approx(22.5)
         # delays of 2 and 4 minutes average to 3
         assert table.column("peak_delay")[0] == pytest.approx(3.0)
+        # a scenario that adds runoff has a negative reduction
+        assert table.column("runoff_reduction")[1] == pytest.approx(-10.0)
 
     def test_zero_baseline_volume_errors(self):
         base = [self.summary("a", 0.0, 10.0, 0.0)]

