@@ -106,6 +106,17 @@ class _Collector:
             self.add(section, exc)
             return None
 
+    def number(self, section: str, value, optional: bool = False):
+        """`float(value)`, or None after recording a batch entry when the
+        value is not a number. An optional value may also be None."""
+        if optional and value is None:
+            return None
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            self.add(section, f"expected a number, got {value!r}")
+            return None
+
 
 def load_config(path) -> ProjectConfig:
     """Parse and fully validate a project file. Raises ConfigError listing
@@ -220,7 +231,9 @@ def load_config(path) -> ProjectConfig:
         )
         if spec:
             pollutants.append(spec)
-    antecedent = float(raw.get("antecedent_dry_days", DEFAULT_ANTECEDENT_DRY_DAYS))
+    antecedent = errors.number(
+        "antecedent_dry_days",
+        raw.get("antecedent_dry_days", DEFAULT_ANTECEDENT_DRY_DAYS))
 
     # --- LID catalog ------------------------------------------------------
     catalog = default_catalog()
@@ -311,43 +324,46 @@ def load_config(path) -> ProjectConfig:
                            a=idf_raw.get("a", 0), b_min=idf_raw.get("b_min", 0),
                            n=idf_raw.get("n", 1))
         if idf:
-            depths = tuple(float(d) for d in storms_raw.get("depths_mm") or ())
+            depths = tuple(errors.number("storms.depths_mm", d)
+                           for d in storms_raw.get("depths_mm") or ())
             if not depths:
                 errors.add("storms.depths_mm", "at least one storm depth required")
-            storms = StormSettings(
-                depths_mm=depths,
-                duration_min=float(storms_raw.get("duration_min", 90)),
-                peak_ratio=float(storms_raw.get("peak_ratio", 0.5)),
-                step_s=float(storms_raw.get("step_s", 60)),
-                idf=idf,
-                tail_min=float(storms_raw.get("tail_min", 60)),
-            )
-            # building the suite applies the storm generator's own checks
-            # (depth, peak ratio, step) at load time
-            errors.guard("storms", design_storm_suite, storms.depths_mm,
-                         storms.duration_min, storms.peak_ratio, idf,
-                         storms.step_s)
+            settings = {key: errors.number(f"storms.{key}",
+                                           storms_raw.get(key, default))
+                        for key, default in (("duration_min", 90),
+                                             ("peak_ratio", 0.5),
+                                             ("step_s", 60), ("tail_min", 60))}
+            if None not in depths and None not in settings.values():
+                storms = StormSettings(depths_mm=depths, idf=idf, **settings)
+                # building the suite applies the storm generator's own
+                # checks (depth, peak ratio, step) at load time
+                errors.guard("storms", design_storm_suite, storms.depths_mm,
+                             storms.duration_min, storms.peak_ratio, idf,
+                             storms.step_s)
 
     # --- sizing ------------------------------------------------------
     sizing = None
     sizing_raw = raw.get("sizing")
     if sizing_raw:
-        facilities = tuple(
-            (str(f.get("label", f"facility{i}")), float(f.get("volume_m3", 0)))
-            for i, f in enumerate(sizing_raw.get("existing_facilities") or [])
-        )
-        for label, volume in facilities:
-            if volume < 0:
+        facilities = []
+        for i, f in enumerate(sizing_raw.get("existing_facilities") or []):
+            label = str(f.get("label", f"facility{i}"))
+            volume = errors.number(f"sizing.existing_facilities[{label}]",
+                                   f.get("volume_m3", 0))
+            facilities.append((label, volume))
+            if volume is not None and volume < 0:
                 errors.add("sizing.existing_facilities",
                            f"{label}: negative volume")
         target_raw = sizing_raw.get("target") or {}
         csv_path = target_raw.get("rainfall_csv")
         target = SizingTarget(
-            depth_mm=target_raw.get("depth_mm"),
-            atrcr=target_raw.get("atrcr"),
+            depth_mm=errors.number("sizing.target.depth_mm",
+                                   target_raw.get("depth_mm"), optional=True),
+            atrcr=errors.number("sizing.target.atrcr", target_raw.get("atrcr"),
+                                optional=True),
             rainfall_csv=base_dir / csv_path if csv_path else None,
         )
-        if target.depth_mm is None and target.atrcr is None:
+        if target_raw.get("depth_mm") is None and target_raw.get("atrcr") is None:
             errors.add("sizing.target", "need either depth_mm or atrcr")
         if target.atrcr is not None:
             if target.rainfall_csv is None:
@@ -357,16 +373,20 @@ def load_config(path) -> ProjectConfig:
                            f"rainfall file not found: {target.rainfall_csv}")
         psi_override = sizing_raw.get("psi")
         area_override = sizing_raw.get("area_ha")
-        if psi_override is not None and not 0.0 < float(psi_override) <= 1.0:
+        psi = errors.number("sizing.psi", psi_override, optional=True)
+        area = errors.number("sizing.area_ha", area_override, optional=True)
+        if psi is not None and not 0.0 < psi <= 1.0:
             errors.add("sizing.psi", f"must be in (0, 1], got {psi_override}")
-        if area_override is not None and not float(area_override) > 0.0:
+        if area is not None and not area > 0.0:
             errors.add("sizing.area_ha", f"must be positive, got {area_override}")
         sizing = SizingSettings(
-            existing_facilities=facilities,
+            existing_facilities=tuple(facilities),
             target=target,
-            min_event_mm=float(sizing_raw.get("min_event_mm", DEFAULT_MIN_EVENT_MM)),
-            psi=float(psi_override) if psi_override is not None else None,
-            area_ha=float(area_override) if area_override is not None else None,
+            min_event_mm=errors.number(
+                "sizing.min_event_mm",
+                sizing_raw.get("min_event_mm", DEFAULT_MIN_EVENT_MM)),
+            psi=psi,
+            area_ha=area,
         )
 
     # --- hierarchy and matrices ------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from lidscore import pipeline
+from lidscore import hydrology, pipeline
 from lidscore.cli import main
 
 DATA_FILES = ("rainfall.csv", "environmental_indicators.csv",
@@ -63,6 +63,19 @@ class TestValidate:
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_non_numeric_values_exit_2(self, runner, sample_dir, tmp_path):
+        """Every value that is not a number is listed in one batch."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        raw["sizing"]["psi"] = "abc"
+        raw["storms"]["duration_min"] = "ninety"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "error: sizing.psi: expected a number, got 'abc'" in result.output
+        assert ("error: storms.duration_min: expected a number, got 'ninety'"
+                in result.output)
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",
@@ -170,6 +183,18 @@ class TestSimulateEvaluateRank:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "tss_reduction" in result.output
+
+    def test_substep_limit_exits_3(self, runner, sample_dir, tmp_path):
+        """A step past the runoff kernel's substep limit (reached here by
+        shrinking the substep budget) stops the run with its location."""
+        with mock.patch.object(hydrology, "MAX_SUBSTEP_DEPTH_MM", 1e-4):
+            result = runner.invoke(main, [
+                "simulate", "--config", str(sample_dir / "sports_center.yaml"),
+                "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "error: subcatchment " in result.output
+        assert "surface: step " in result.output
+        assert "more than 3600" in result.output
 
 
 class TestReport:

@@ -205,6 +205,16 @@ class TestSimulateSubcatchment:
         with pytest.raises(ValidationError, match="land-use areas"):
             make_subcatchment(land_uses=(LandUse("a", 0.5, 0.4),))
 
+    def test_step_beyond_substep_limit_is_named(self):
+        """800 mm in one hour-long step asks for 4,000 substeps of 0.2 mm,
+        more than the kernel allows; the error says where."""
+        sc = make_subcatchment(impervious_fraction=1.0)
+        storm = flat_storm(800.0, 1, 2, step_s=3600)
+        with pytest.raises(ValidationError, match=(
+                r"subcatchment test, impervious surface: "
+                r"step 0 \(t = 0 s\) needs 4000 substeps, more than 3600")):
+            simulate_subcatchment(sc, storm)
+
 
 class TestResample:
     def test_identity(self):
