@@ -42,11 +42,6 @@ def _common(fn):
     def wrapper(config_path, out_dir, **kwargs):
         try:
             config = load_config(config_path)
-        except ConfigError as exc:
-            for line in exc.errors:
-                click.echo(f"error: {line}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        try:
             fn(config, Path(out_dir) if out_dir else config.output_dir, **kwargs)
         except ConfigError as exc:
             for line in exc.errors:

@@ -117,6 +117,27 @@ class _Collector:
             self.add(section, f"expected a number, got {value!r}")
             return None
 
+    def sequence(self, section: str, value) -> list:
+        """The entries of a list-valued section: [] when it is absent or
+        empty, and [] after recording a batch entry when it is not a list."""
+        if not value:
+            return []
+        if isinstance(value, list):
+            return value
+        self.add(section, f"expected a list, got {value!r}")
+        return []
+
+    def mapping(self, section: str, value) -> dict | None:
+        """A mapping-valued section or list entry: {} when it is absent or
+        empty, and None after recording a batch entry when it is not a
+        mapping."""
+        if not value:
+            return {}
+        if isinstance(value, dict):
+            return value
+        self.add(section, f"expected a mapping, got {value!r}")
+        return None
+
 
 def load_config(path) -> ProjectConfig:
     """Parse and fully validate a project file. Raises ConfigError listing
@@ -146,11 +167,17 @@ def load_config(path) -> ProjectConfig:
     subcatchments: dict = {}
     links: list = []
     outfalls: list = []
-    catchment = raw.get("catchment") or {}
-    for i, sub in enumerate(catchment.get("subcatchments") or []):
+    catchment = errors.mapping("catchment", raw.get("catchment")) or {}
+    for i, sub in enumerate(errors.sequence("catchment.subcatchments",
+                                            catchment.get("subcatchments"))):
+        if (sub := errors.mapping(f"catchment.subcatchments[{i}]", sub)) is None:
+            continue
         section = f"catchment.subcatchments[{sub.get('id', i)}]"
         land_uses = []
-        for lu in sub.get("land_uses") or []:
+        for j, lu in enumerate(errors.sequence(section + ".land_uses",
+                                               sub.get("land_uses"))):
+            if (lu := errors.mapping(f"{section}.land_uses[{j}]", lu)) is None:
+                continue
             parsed = errors.guard(
                 section + ".land_uses", LandUse,
                 name=lu.get("name", "?"),
@@ -160,14 +187,17 @@ def load_config(path) -> ProjectConfig:
             )
             if parsed:
                 land_uses.append(parsed)
-        horton_raw = {**DEFAULT_HORTON, **(sub.get("horton") or {})}
-        horton = errors.guard(section + ".horton", HortonParams, **horton_raw)
+        horton_raw = errors.mapping(section + ".horton", sub.get("horton"))
+        if horton_raw is None:
+            continue
+        horton = errors.guard(section + ".horton", HortonParams,
+                              **{**DEFAULT_HORTON, **horton_raw})
         if horton is None:
             continue
-        kwargs = {}
-        for opt in ("depression_storage_mm", "manning_n"):
-            if opt in sub:
-                kwargs[opt] = dict(sub[opt])
+        kwargs = {opt: errors.mapping(f"{section}.{opt}", sub[opt])
+                  for opt in ("depression_storage_mm", "manning_n") if opt in sub}
+        if None in kwargs.values():
+            continue
         sc = errors.guard(
             section, Subcatchment,
             id=str(sub.get("id", f"sub{i}")),
@@ -184,7 +214,9 @@ def load_config(path) -> ProjectConfig:
             if sc.id in subcatchments:
                 errors.add(section, f"duplicate subcatchment id {sc.id!r}")
             subcatchments[sc.id] = sc
-    for i, ln in enumerate(catchment.get("links") or []):
+    for i, ln in enumerate(errors.sequence("catchment.links", catchment.get("links"))):
+        if (ln := errors.mapping(f"catchment.links[{i}]", ln)) is None:
+            continue
         section = f"catchment.links[{ln.get('id', i)}]"
         link = errors.guard(
             section, Link,
@@ -195,7 +227,8 @@ def load_config(path) -> ProjectConfig:
         )
         if link:
             links.append(link)
-    outfalls = [str(o) for o in catchment.get("outfalls") or []]
+    outfalls = [str(o) for o in errors.sequence("catchment.outfalls",
+                                                 catchment.get("outfalls"))]
 
     # network integrity: outlets reach declared outfalls, no cycles
     if subcatchments:
@@ -217,7 +250,9 @@ def load_config(path) -> ProjectConfig:
 
     # --- pollutants ------------------------------------------------------
     pollutants = []
-    for i, p in enumerate(raw.get("pollutants") or []):
+    for i, p in enumerate(errors.sequence("pollutants", raw.get("pollutants"))):
+        if (p := errors.mapping(f"pollutants[{i}]", p)) is None:
+            continue
         section = f"pollutants[{p.get('name', i)}]"
         spec = errors.guard(
             section, PollutantSpec,
@@ -226,8 +261,11 @@ def load_config(path) -> ProjectConfig:
             half_saturation_days=p.get("half_saturation_days", 0),
             washoff_coeff=p.get("washoff_coeff", 0),
             washoff_exponent=p.get("washoff_exponent", 1.0),
-            lid_removal=dict(p.get("lid_removal") or {}),
-            surface_class_factors=dict(p.get("surface_class_factors") or {}),
+            lid_removal=errors.mapping(section + ".lid_removal",
+                                       p.get("lid_removal")) or {},
+            surface_class_factors=errors.mapping(
+                section + ".surface_class_factors",
+                p.get("surface_class_factors")) or {},
         )
         if spec:
             pollutants.append(spec)
@@ -237,15 +275,18 @@ def load_config(path) -> ProjectConfig:
 
     # --- LID catalog ------------------------------------------------------
     catalog = default_catalog()
-    for key, entry in (raw.get("lid_catalog") or {}).items():
+    catalog_raw = errors.mapping("lid_catalog", raw.get("lid_catalog")) or {}
+    for key, entry in catalog_raw.items():
         section = f"lid_catalog.{key}"
         kind = errors.guard(section, LidKind.parse, key)
-        if kind is None:
+        if kind is None or (entry := errors.mapping(section, entry)) is None:
             continue
         base = catalog[kind]
         layers = base.layers
         if "layers" in entry:
-            layers = errors.guard(section + ".layers", LidLayers, **entry["layers"])
+            layers = errors.mapping(section + ".layers", entry["layers"])
+            if layers is not None:
+                layers = errors.guard(section + ".layers", LidLayers, **layers)
             if layers is None:
                 continue
         spec = errors.guard(
@@ -254,7 +295,9 @@ def load_config(path) -> ProjectConfig:
             unit_capacity_m3_m2=entry.get("unit_capacity_m3_m2",
                                           base.unit_capacity_m3_m2),
             layers=layers,
-            favorability=dict(entry.get("favorability") or base.favorability),
+            favorability=dict(errors.mapping(section + ".favorability",
+                                             entry.get("favorability"))
+                              or base.favorability),
             unit_cost_weight=entry.get("unit_cost_weight", base.unit_cost_weight),
         )
         if spec:
@@ -263,15 +306,20 @@ def load_config(path) -> ProjectConfig:
     # --- scenarios ------------------------------------------------------
     scenarios = []
     seen_names = set()
-    for i, sc_raw in enumerate(raw.get("scenarios") or []):
+    for i, sc_raw in enumerate(errors.sequence("scenarios", raw.get("scenarios"))):
+        if (sc_raw := errors.mapping(f"scenarios[{i}]", sc_raw)) is None:
+            continue
         sc_name = str(sc_raw.get("name", f"scenario{i}"))
         section = f"scenarios[{sc_name}]"
         if sc_name in seen_names:
             errors.add(section, "duplicate scenario name")
         seen_names.add(sc_name)
         placements = []
-        for j, pl in enumerate(sc_raw.get("placements") or []):
+        for j, pl in enumerate(errors.sequence(section + ".placements",
+                                               sc_raw.get("placements"))):
             psec = f"{section}.placements[{j}]"
+            if (pl := errors.mapping(psec, pl)) is None:
+                continue
             kind = errors.guard(psec, LidKind.parse, pl.get("kind"))
             if kind is None:
                 continue
@@ -314,18 +362,19 @@ def load_config(path) -> ProjectConfig:
                 )
 
     # --- storms ------------------------------------------------------
-    storms_raw = raw.get("storms") or {}
+    storms_raw = errors.mapping("storms", raw.get("storms")) or {}
     idf_raw = storms_raw.get("idf")
     storms = None
     if idf_raw is None:
         errors.add("storms.idf", "IDF constants are required (a, b_min, n)")
-    else:
+    elif (idf_raw := errors.mapping("storms.idf", idf_raw)) is not None:
         idf = errors.guard("storms.idf", IdfParams,
                            a=idf_raw.get("a", 0), b_min=idf_raw.get("b_min", 0),
                            n=idf_raw.get("n", 1))
         if idf:
             depths = tuple(errors.number("storms.depths_mm", d)
-                           for d in storms_raw.get("depths_mm") or ())
+                           for d in errors.sequence("storms.depths_mm",
+                                                    storms_raw.get("depths_mm")))
             if not depths:
                 errors.add("storms.depths_mm", "at least one storm depth required")
             settings = {key: errors.number(f"storms.{key}",
@@ -343,10 +392,13 @@ def load_config(path) -> ProjectConfig:
 
     # --- sizing ------------------------------------------------------
     sizing = None
-    sizing_raw = raw.get("sizing")
+    sizing_raw = errors.mapping("sizing", raw.get("sizing"))
     if sizing_raw:
         facilities = []
-        for i, f in enumerate(sizing_raw.get("existing_facilities") or []):
+        for i, f in enumerate(errors.sequence("sizing.existing_facilities",
+                                              sizing_raw.get("existing_facilities"))):
+            if (f := errors.mapping(f"sizing.existing_facilities[{i}]", f)) is None:
+                continue
             label = str(f.get("label", f"facility{i}"))
             volume = errors.number(f"sizing.existing_facilities[{label}]",
                                    f.get("volume_m3", 0))
@@ -354,7 +406,7 @@ def load_config(path) -> ProjectConfig:
             if volume is not None and volume < 0:
                 errors.add("sizing.existing_facilities",
                            f"{label}: negative volume")
-        target_raw = sizing_raw.get("target") or {}
+        target_raw = errors.mapping("sizing.target", sizing_raw.get("target")) or {}
         csv_path = target_raw.get("rainfall_csv")
         target = SizingTarget(
             depth_mm=errors.number("sizing.target.depth_mm",
@@ -390,13 +442,14 @@ def load_config(path) -> ProjectConfig:
         )
 
     # --- hierarchy and matrices ------------------------------------------
-    hierarchy = raw.get("hierarchy")
-    if not hierarchy:
+    hierarchy = errors.mapping("hierarchy", raw.get("hierarchy"))
+    if hierarchy == {}:
         errors.add("hierarchy", "missing indicator hierarchy")
-        hierarchy = {"name": "comprehensive", "children": []}
     matrices: dict = {}
-    for node, m_raw in (raw.get("matrices") or {}).items():
+    for node, m_raw in (errors.mapping("matrices", raw.get("matrices")) or {}).items():
         section = f"matrices.{node}"
+        if (m_raw := errors.mapping(section, m_raw)) is None:
+            continue
         if "csv" in m_raw:
             matrices[node] = errors.guard(
                 section, ahp.PairwiseMatrix.from_csv, base_dir / m_raw["csv"]
@@ -404,13 +457,17 @@ def load_config(path) -> ProjectConfig:
         else:
             matrices[node] = errors.guard(
                 section, ahp.PairwiseMatrix.from_rows,
-                tuple(m_raw.get("labels") or ()), m_raw.get("rows") or [],
+                tuple(errors.sequence(section + ".labels", m_raw.get("labels"))),
+                errors.sequence(section + ".rows", m_raw.get("rows")),
             )
     matrices = {k: v for k, v in matrices.items() if v is not None}
 
     direct_tables = []
-    for i, entry in enumerate(raw.get("direct_tables") or []):
+    for i, entry in enumerate(errors.sequence("direct_tables",
+                                              raw.get("direct_tables"))):
         section = f"direct_tables[{i}]"
+        if (entry := errors.mapping(section, entry)) is None:
+            continue
         file_name = entry.get("file")
         if not file_name:
             errors.add(section, "missing file")

@@ -89,13 +89,7 @@ class WeightTree:
             seen.add(leaf.indicator)
 
     def leaves(self):
-        def walk(node):
-            if node.is_leaf:
-                yield node
-            for child in node.children:
-                yield from walk(child)
-
-        yield from walk(self.root)
+        return (node for node in self.nodes() if node.is_leaf)
 
     def nodes(self):
         def walk(node):
@@ -183,7 +177,7 @@ class IndicatorTable:
         return self.values[:, j]
 
     @classmethod
-    def from_csv(cls, path, normalized: bool = False) -> "IndicatorTable":
+    def from_csv(cls, path) -> "IndicatorTable":
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
         if not rows or rows[0][0] != "scenario":
@@ -191,7 +185,7 @@ class IndicatorTable:
         indicators = rows[0][1:]
         scenarios = [row[0] for row in rows[1:]]
         values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        return cls(scenarios, indicators, values, normalized=normalized)
+        return cls(scenarios, indicators, values)
 
 
 def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> IndicatorTable:

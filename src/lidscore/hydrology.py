@@ -168,39 +168,13 @@ class WaterBalance:
     infiltration_m3: float
     surface_storage_m3: float
     lid_captured_m3: float
-    evaporation_m3: float = 0.0
 
     def closure_error(self) -> float:
         if self.rainfall_m3 == 0.0:
             return 0.0
         out = (self.runoff_m3 + self.infiltration_m3 + self.surface_storage_m3
-               + self.lid_captured_m3 + self.evaporation_m3)
+               + self.lid_captured_m3)
         return abs(self.rainfall_m3 - out) / self.rainfall_m3
-
-
-def resample_intensities(storm: Hyetograph, dt_s: float) -> np.ndarray:
-    """Storm intensities (mm/hr) on a `dt_s` grid.
-
-    The storm step must divide the simulation step or vice versa; mass is
-    preserved either way.
-    """
-    src = float(storm.step_s)
-    if abs(src - dt_s) < 1e-9:
-        return np.asarray(storm.intensities_mm_hr, dtype=float)
-    if src > dt_s:
-        ratio = src / dt_s
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError(
-                f"simulation step {dt_s} s does not divide storm step {src} s"
-            )
-        return np.repeat(storm.intensities_mm_hr, int(round(ratio)))
-    ratio = dt_s / src
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValidationError(
-            f"storm step {src} s does not divide simulation step {dt_s} s"
-        )
-    r = int(round(ratio))
-    return np.asarray(storm.intensities_mm_hr, dtype=float).reshape(-1, r).mean(axis=1)
 
 
 def _manning_coefficient(sc: Subcatchment, area_m2: float, surface: str) -> float:
@@ -222,9 +196,9 @@ class SubcatchmentDetail:
 
 def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
                           placements=(), catalog: dict | None = None, *,
-                          sim_step_s: float | None = None,
                           tail_min: float = 0.0):
-    """Run one subcatchment through one storm.
+    """Run one subcatchment through one storm, stepping at the storm's own
+    step (`storm.step_s`) and continuing `tail_min` dry minutes after it.
 
     Returns (Hydrograph at the subcatchment outlet, WaterBalance,
     SubcatchmentDetail). LID placements intercept their
@@ -233,8 +207,8 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     naming the subcatchment, surface and step, when a step needs more
     substeps than the runoff kernel allows.
     """
-    dt = float(sim_step_s if sim_step_s is not None else storm.step_s)
-    intensity_mm_hr = resample_intensities(storm, dt)
+    dt = float(storm.step_s)
+    intensity_mm_hr = storm.intensities_mm_hr
     if tail_min:
         intensity_mm_hr = np.concatenate(
             [intensity_mm_hr, np.zeros(int(round(tail_min * 60.0 / dt)))]

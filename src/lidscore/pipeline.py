@@ -242,7 +242,7 @@ def simulate_run(config: ProjectConfig, storm, label: str,
         else:
             hydro, balance, detail = simulate_subcatchment(
                 sc, storm, placements, config.catalog,
-                sim_step_s=dt, tail_min=config.storms.tail_min,
+                tail_min=config.storms.tail_min,
             )
             closure = balance.closure_error()
             if closure > MASS_BALANCE_LIMIT:
@@ -399,22 +399,22 @@ def _persist_runs(writer: _Writer, runs: dict) -> None:
             )
 
 
-def _load_direct_tables(config: ProjectConfig):
-    raw_tables = []
-    normalized_tables = []
-    order = [sc.name for sc in config.scenarios]
-    for entry in config.direct_tables:
-        table = IndicatorTable.from_csv(entry.path, normalized=entry.normalized)
+def _direct_columns(config: ProjectConfig, order: list) -> dict:
+    """indicator -> (column in `order` scenario order, already normalized)
+    over every direct table. Raw tables are read first, then pre-normalized
+    ones, each in file order; the last table providing an indicator wins."""
+    columns: dict = {}
+    for entry in sorted(config.direct_tables, key=lambda e: e.normalized):
+        table = IndicatorTable.from_csv(entry.path)
         if sorted(table.scenarios) != sorted(order):
             raise ConfigError(
                 f"{entry.path}: scenarios {table.scenarios} do not match "
                 f"config scenarios {order}"
             )
-        idx = [table.scenarios.index(name) for name in order]
-        table = IndicatorTable(order, list(table.indicators),
-                               table.values[idx, :], normalized=entry.normalized)
-        (normalized_tables if entry.normalized else raw_tables).append(table)
-    return raw_tables, normalized_tables
+        values = table.values[[table.scenarios.index(name) for name in order], :]
+        for j, indicator in enumerate(table.indicators):
+            columns[indicator] = (values[:, j], entry.normalized)
+    return columns
 
 
 def assemble_indicators(config: ProjectConfig, tree: WeightTree,
@@ -422,13 +422,14 @@ def assemble_indicators(config: ProjectConfig, tree: WeightTree,
     """Build the normalized leaf table feeding the roll-up.
 
     Returns (normalized table, simulated raw environmental table or None).
-    Raw columns (simulated, facility-derived, raw direct files) pass
-    through linear normalization; pre-normalized direct files are used
-    verbatim.
+    Each leaf takes one column from its source: the simulated
+    environmental table, the facility-derived scores, or the direct
+    tables (see `_direct_columns`). The raw columns are normalized
+    together; pre-normalized direct columns are used verbatim.
     """
     leaves = list(tree.leaves())
     scenario_names = [sc.name for sc in config.scenarios]
-    raw_parts = []
+    columns: dict = {}   # indicator -> (column, already normalized)
     simulated_table = None
 
     sim_leaves = [l for l in leaves if l.source == "simulated"]
@@ -448,63 +449,37 @@ def assemble_indicators(config: ProjectConfig, tree: WeightTree,
                    if l.indicator not in simulated_table.indicators]
         if missing:
             raise ConfigError(f"simulation provides no indicators {missing}")
-        raw_parts.append(IndicatorTable(
-            simulated_table.scenarios,
-            [l.indicator for l in sim_leaves],
-            np.column_stack([simulated_table.column(l.indicator) for l in sim_leaves]),
-        ))
+        for leaf in sim_leaves:
+            columns[leaf.indicator] = (simulated_table.column(leaf.indicator), False)
 
     fac_leaves = [l for l in leaves if l.source == "facility_derived"]
     if fac_leaves:
-        raw_parts.append(
-            facility_indicator_scores(config.scenarios, config.catalog, fac_leaves)
-        )
+        scores = facility_indicator_scores(config.scenarios, config.catalog, fac_leaves)
+        for leaf in fac_leaves:
+            columns[leaf.indicator] = (scores.column(leaf.indicator), False)
 
-    raw_direct, pre_normalized = _load_direct_tables(config)
-    direct_leaves = [l for l in leaves if l.source == "direct"]
-    direct_columns: dict = {}
-    for table in raw_direct:
-        for indicator in table.indicators:
-            direct_columns[indicator] = (table, False)
-    for table in pre_normalized:
-        for indicator in table.indicators:
-            direct_columns[indicator] = (table, True)
-
-    raw_cols: dict = {}
-    norm_cols: dict = {}
-    for part in raw_parts:
-        for indicator in part.indicators:
-            raw_cols[indicator] = part.column(indicator)
-    for leaf in direct_leaves:
-        if leaf.indicator not in direct_columns:
+    direct = _direct_columns(config, scenario_names)
+    for leaf in leaves:
+        if leaf.source != "direct":
+            continue
+        if leaf.indicator not in direct:
             raise ConfigError(
                 f"leaf {leaf.name!r}: no direct table provides "
                 f"{leaf.indicator!r}"
             )
-        table, already = direct_columns[leaf.indicator]
-        if already:
-            norm_cols[leaf.indicator] = table.column(leaf.indicator)
-        else:
-            raw_cols[leaf.indicator] = table.column(leaf.indicator)
+        columns[leaf.indicator] = direct[leaf.indicator]
 
-    to_normalize = [l for l in leaves if l.indicator in raw_cols]
-    if to_normalize:
-        raw_table = IndicatorTable(
-            scenario_names,
-            [l.indicator for l in to_normalize],
-            np.column_stack([raw_cols[l.indicator] for l in to_normalize]),
-        )
-        normalized_part = normalize(raw_table, tree)
-        for indicator in normalized_part.indicators:
-            norm_cols[indicator] = normalized_part.column(indicator)
-
-    missing = [l.indicator for l in leaves if l.indicator not in norm_cols]
-    if missing:
-        raise ConfigError(f"no values for hierarchy leaves {missing}")
+    raw = [l.indicator for l in leaves if not columns[l.indicator][1]]
+    if raw:
+        normalized = normalize(IndicatorTable(
+            scenario_names, raw, np.column_stack([columns[i][0] for i in raw]),
+        ), tree)
+        for indicator in raw:
+            columns[indicator] = (normalized.column(indicator), True)
+    indicators = [l.indicator for l in leaves]
     table = IndicatorTable(
-        scenario_names,
-        [l.indicator for l in leaves],
-        np.column_stack([norm_cols[l.indicator] for l in leaves]),
+        scenario_names, indicators,
+        np.column_stack([columns[i][0] for i in indicators]),
         normalized=True,
     )
     return table, simulated_table

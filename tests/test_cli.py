@@ -77,6 +77,37 @@ class TestValidate:
         assert ("error: storms.duration_min: expected a number, got 'ninety'"
                 in result.output)
 
+    @pytest.mark.parametrize("keys,value,message", [
+        (("storms", "depths_mm"), 26, "storms.depths_mm: expected a list, got 26"),
+        (("catchment", "subcatchments"), 5,
+         "catchment.subcatchments: expected a list, got 5"),
+        (("catchment", "outfalls"), "OUT_A",
+         "catchment.outfalls: expected a list, got 'OUT_A'"),
+        (("scenarios",), "oops", "scenarios: expected a list, got 'oops'"),
+        (("scenarios", 0, "placements"), 3,
+         "scenarios[scenario_1].placements: expected a list, got 3"),
+        (("pollutants", 0), "TSS", "pollutants[0]: expected a mapping, got 'TSS'"),
+        (("storms",), [1], "storms: expected a mapping, got [1]"),
+        (("storms", "idf"), [1], "storms.idf: expected a mapping, got [1]"),
+        (("hierarchy",), [1], "hierarchy: expected a mapping, got [1]"),
+        (("sizing", "existing_facilities"), 5,
+         "sizing.existing_facilities: expected a list, got 5"),
+    ])
+    def test_misshapen_sections_exit_2(self, runner, sample_dir, tmp_path,
+                                       keys, value, message):
+        """A section or list entry of the wrong shape is a listed error,
+        not a traceback."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        owner = raw
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert f"error: {message}\n" in result.output
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",
                                       str(tmp_path / "none.yaml")])

@@ -14,9 +14,8 @@ import reference
 from lidscore.errors import ConfigError, ValidationError
 from lidscore.hydrology import (HortonParams, Hydrograph, LandUse, Link,
                                 Subcatchment, composite_runoff_coefficient,
-                                horton_rate, resample_intensities, route,
-                                route_series, runoff_volume,
-                                simulate_subcatchment)
+                                horton_rate, route, route_series,
+                                runoff_volume, simulate_subcatchment)
 from lidscore.lid import LidKind, LidPlacement, default_catalog
 from lidscore.storms import Hyetograph, IdfParams, chicago_hyetograph
 
@@ -214,29 +213,6 @@ class TestSimulateSubcatchment:
                 r"subcatchment test, impervious surface: "
                 r"step 0 \(t = 0 s\) needs 4000 substeps, more than 3600")):
             simulate_subcatchment(sc, storm)
-
-
-class TestResample:
-    def test_identity(self):
-        storm = flat_storm(12.0, 3, 6)
-        np.testing.assert_array_equal(resample_intensities(storm, 60),
-                                      storm.intensities_mm_hr)
-
-    def test_refine_repeats(self):
-        storm = flat_storm(12.0, 1, 2, step_s=120)
-        out = resample_intensities(storm, 60)
-        np.testing.assert_array_equal(out, [12.0, 12.0, 0.0, 0.0])
-
-    def test_coarsen_averages(self):
-        storm = Hyetograph(step_s=30, intensities_mm_hr=np.array([10.0, 20.0]),
-                           total_depth_mm=0.25, peak_ratio=0.5)
-        out = resample_intensities(storm, 60)
-        np.testing.assert_array_equal(out, [15.0])
-
-    def test_incompatible_steps(self):
-        storm = flat_storm(12.0, 3, 6)
-        with pytest.raises(ValidationError, match="divide"):
-            resample_intensities(storm, 45)
 
 
 def hydro(site, flows, step=60):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 import lidscore.pipeline
-from lidscore.config import load_config
+from lidscore.config import DirectTable
 from lidscore.errors import ValidationError
 from lidscore.evaluator import StormSummary
 from lidscore.hydrology import Hydrograph
@@ -204,6 +204,37 @@ class TestWeightSensitivity:
     def test_unknown_node(self, published_weighted):
         with pytest.raises(ValidationError, match="no node"):
             weight_sensitivity(*published_weighted, "nonexistent", 0.05)
+
+
+class TestDirectTables:
+    """Each direct leaf takes one column: a pre-normalized table wins over
+    a raw one, and rows follow the config's scenario order."""
+
+    def test_pre_normalized_column_wins_over_raw(self, published_config,
+                                                 published_weighted, tmp_path):
+        tree, table = published_weighted
+        raw = tmp_path / "raw_landscape.csv"
+        raw.write_text("scenario,landscape\n" + "".join(
+            f"{sc.name},{k + 1}\n" for k, sc in enumerate(published_config.scenarios)))
+        # listed last, so file order alone would pick it
+        config = dataclasses.replace(published_config, direct_tables=[
+            *published_config.direct_tables, DirectTable(raw, normalized=False)])
+        got, _ = assemble_indicators(config, tree, None)
+        np.testing.assert_array_equal(got.values, table.values)
+
+    def test_shuffled_rows_follow_config_order(self, published_config,
+                                               published_weighted, tmp_path):
+        tree, table = published_weighted
+        shuffled = []
+        for entry in published_config.direct_tables:
+            header, *rows = entry.path.read_text().splitlines()
+            path = tmp_path / entry.path.name
+            path.write_text("\n".join([header, *rows[1:], rows[0]]) + "\n")
+            shuffled.append(dataclasses.replace(entry, path=path))
+        config = dataclasses.replace(published_config, direct_tables=shuffled)
+        got, _ = assemble_indicators(config, tree, None)
+        assert got.scenarios == table.scenarios
+        np.testing.assert_array_equal(got.values, table.values)
 
 
 class TestReportRendering:
