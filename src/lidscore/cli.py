@@ -140,6 +140,11 @@ def evaluate(config, out_dir):
         click.echo(f"wrote {out_dir / rel}")
 
 
+def _warn_if_tied(manifest) -> None:
+    if manifest.tied:
+        click.echo("warning: ranking has tied comprehensive scores")
+
+
 @main.command()
 @click.option("--sensitivity", "sensitivity_node", default=None,
               help="Hierarchy node whose weight to perturb.")
@@ -158,6 +163,7 @@ def rank(config, out_dir, sensitivity_node, delta):
         click.echo("ranking: " + " > ".join(manifest.ranking))
     else:
         click.echo("ranking: (no scenarios)")
+    _warn_if_tied(manifest)
     for name, ok in manifest.compliance.items():
         if not ok:
             click.echo(f"warning: {name} does not meet the required control volume")
@@ -180,6 +186,7 @@ def report(config, out_dir, fmt):
     click.echo(f"wrote {len(manifest.files)} files under {out_dir}")
     if manifest.ranking:
         click.echo("ranking: " + " > ".join(manifest.ranking))
+    _warn_if_tied(manifest)
 
 
 if __name__ == "__main__":

@@ -139,6 +139,24 @@ class _Collector:
         return None
 
 
+def _check_node_shapes(errors: _Collector, section: str, node: dict) -> None:
+    """Record a batch entry for every node at or below the hierarchy node
+    `node` that `ahp.weight_tree` cannot read: no name, `children` that is
+    not a list, a child that is not a mapping, a weight that is not a
+    number."""
+    if "name" not in node:
+        errors.add(section, "missing name")
+    for i, child in enumerate(errors.sequence(section + ".children",
+                                              node.get("children"))):
+        child_section = f"{section}.children[{i}]"
+        if not isinstance(child, dict):
+            errors.add(child_section, f"expected a mapping, got {child!r}")
+            continue
+        if "weight" in child:
+            errors.number(child_section + ".weight", child["weight"])
+        _check_node_shapes(errors, child_section, child)
+
+
 def load_config(path) -> ProjectConfig:
     """Parse and fully validate a project file. Raises ConfigError listing
     every problem found."""
@@ -445,6 +463,8 @@ def load_config(path) -> ProjectConfig:
     hierarchy = errors.mapping("hierarchy", raw.get("hierarchy"))
     if hierarchy == {}:
         errors.add("hierarchy", "missing indicator hierarchy")
+    elif hierarchy is not None:
+        _check_node_shapes(errors, "hierarchy", hierarchy)
     matrices: dict = {}
     for node, m_raw in (errors.mapping("matrices", raw.get("matrices")) or {}).items():
         section = f"matrices.{node}"

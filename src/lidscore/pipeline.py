@@ -11,12 +11,23 @@ reuses that result instead of simulating it again (the runs are
 deterministic, so the reused result is bit-identical).
 
 `_Writer` is the only code that formats, hashes and writes result files.
-Each file is built in memory, hashed from those bytes and written once, so
-the manifest lists every file a run writes. Hydrographs and pollutographs
-go through its column-block series writer (`write_series`): one C-level
-`%`-format join per block of rows, each time column formatted once per
-writer, bytes equal to a `csv.writer` row of `repr` strings per step. The
-CLI subcommands call the same `_persist_*` stage functions as
+Each file is built in memory, hashed from those bytes and written without
+being read back, so the manifest lists every file a run writes.
+Hydrographs and pollutographs go through its column-block series writer
+(`write_series`): one C-level `%`-format join per block of rows, each time
+column formatted once per writer, bytes equal to a `csv.writer` row of
+`repr` strings per step.
+
+`_persist_runs` writes the series outfall by outfall with one series cache
+per (storm, outfall), keyed on the exact inputs of the text: its kind, the
+step, and the flow and load array bytes. A series whose bytes repeat
+another run label's there, as a scenario's do at an outfall fed only by
+placement-free subcatchments, is formatted, encoded and hashed once; those
+bytes and that digest then go to every path that repeats them, so every
+file is still written and listed. A cache per (storm, outfall) rather than
+per writer keeps only that outfall's texts in memory.
+
+The CLI subcommands call the same `_persist_*` stage functions as
 `run_pipeline`, so each file comes from exactly one function. Rerunning an
 identical config byte-reproduces every file; only the manifest carries a
 timestamp.
@@ -106,10 +117,11 @@ class RunManifest:
     files: dict = field(default_factory=dict)
     versions: dict = field(default_factory=dict)
     sensitivity: dict | None = None   # written to sensitivity.json only
+    tied: bool = False                # written to benefit_report.json only
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        del out["sensitivity"]
+        del out["sensitivity"], out["tied"]
         return out
 
 
@@ -126,13 +138,17 @@ class _Writer:
 
     def record(self, text: str, *parts) -> Path:
         data = text.encode("utf-8")
+        return self.put(data, hashlib.sha256(data).hexdigest(), *parts)
+
+    def put(self, data: bytes, digest: str, *parts) -> Path:
+        """Write `data`, whose SHA-256 is `digest`, and list the file."""
         path = self.out_dir.joinpath(*parts)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
         except OSError as exc:
             raise LidscoreError(f"cannot write {path}: {exc.strerror or exc}") from None
-        self.files[str(path.relative_to(self.out_dir))] = hashlib.sha256(data).hexdigest()
+        self.files[str(path.relative_to(self.out_dir))] = digest
         return path
 
     def write_json(self, obj, *parts) -> Path:
@@ -146,25 +162,42 @@ class _Writer:
         writer.writerows(rows)
         return self.record(buf.getvalue(), *parts)
 
-    def write_series(self, header, blocks, *parts) -> Path:
-        """Numeric CSV, byte-equal to `write_rows` with `repr` of every
-        value, formatted a block of rows at a time. `blocks` holds
-        (row format, columns) pairs in file order; the columns are lists
-        of Python numbers or preformatted strings, and `%r` of a Python
-        float is its repr."""
-        text = [",".join(header), "\r\n"]
-        for fmt, columns in blocks:
-            text.append("".join(map(fmt.__mod__, zip(*columns))))
-        return self.record("".join(text), *parts)
+    def write_series(self, header, blocks, key, cache: dict | None,
+                     *parts) -> Path:
+        """Numeric CSV of `_series_text(header, blocks())`. `key` holds
+        the exact inputs of that text, so equal keys mean equal bytes.
+        `cache` keeps (bytes, SHA-256) per key: a key met before is written
+        without calling `blocks`, formatting or hashing again."""
+        if cache is None:
+            cache = {}
+        entry = cache.get(key)
+        if entry is None:
+            data = _series_text(header, blocks()).encode("utf-8")
+            entry = cache[key] = (data, hashlib.sha256(data).hexdigest())
+        return self.put(*entry, *parts)
 
     def time_column(self, n: int, step_s) -> list:
-        """repr of `k * step_s` for k < n, formatted once per writer."""
-        key = (n, step_s)
+        """repr of `k * step_s` for k < n, formatted once per writer. The
+        key holds `repr(step_s)`: 60 and 60.0 are equal but give "60" and
+        "60.0"."""
+        key = (n, repr(step_s))
         column = self._time_columns.get(key)
         if column is None:
             column = list(map(repr, (np.arange(n) * step_s).tolist()))
             self._time_columns[key] = column
         return column
+
+
+def _series_text(header, blocks) -> str:
+    """Numeric CSV text, byte-equal to `_Writer.write_rows` with `repr` of
+    every value, formatted a block of rows at a time. `blocks` holds
+    (row format, columns) pairs in file order; the columns are lists of
+    Python numbers or preformatted strings, and `%r` of a Python float is
+    its repr."""
+    text = [",".join(header), "\r\n"]
+    for fmt, columns in blocks:
+        text.append("".join(map(fmt.__mod__, zip(*columns))))
+    return "".join(text)
 
 
 def storm_label(depth_mm: float) -> str:
@@ -342,50 +375,74 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
     return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
 
 
-def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts) -> Path:
-    """`t_s,flow_Lps` rows, t at step start."""
+def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts,
+                        cache: dict | None = None) -> Path:
+    """`t_s,flow_Lps` rows, t at step start. `cache` as in
+    `_Writer.write_series`."""
     flows = hydro.flows_lps
-    times = writer.time_column(flows.size, hydro.step_s)
-    return writer.write_series(["t_s", "flow_Lps"],
-                               [("%s,%r\r\n", (times, flows.tolist()))], *parts)
+
+    def blocks():
+        times = writer.time_column(flows.size, hydro.step_s)
+        return [("%s,%r\r\n", (times, flows.tolist()))]
+
+    key = ("h", repr(hydro.step_s), flows.tobytes())
+    return writer.write_series(["t_s", "flow_Lps"], blocks, key, cache, *parts)
 
 
 def _persist_pollutograph(writer: _Writer, hydro: Hydrograph, loads_kg,
-                          *parts) -> Path:
+                          *parts, cache: dict | None = None) -> Path:
     """`t_s,load_kg,conc_mg_L` rows; the concentration is blank where there
-    is no flow to define it (no flow, or past the end of the hydrograph)."""
+    is no flow to define it (no flow, or past the end of the hydrograph).
+    The concentration depends on the flows, so the cache key holds them."""
     loads = np.asarray(loads_kg, dtype=float)
-    n = loads.size
-    flows = np.zeros(n)
-    overlap = min(n, hydro.flows_lps.size)
-    flows[:overlap] = hydro.flows_lps[:overlap]
-    wet = flows > 0
-    conc = np.zeros(n)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.divide(loads * 1e6, flows * hydro.step_s, out=conc, where=wet)
-    times = writer.time_column(n, hydro.step_s)
-    loads, conc = loads.tolist(), conc.tolist()
-    # contiguous runs of wet or dry steps, each written with its row format
-    bounds = [0, *(np.flatnonzero(wet[1:] != wet[:-1]) + 1).tolist(), n]
-    blocks = [
-        ("%s,%r,%r\r\n", (times[a:b], loads[a:b], conc[a:b])) if wet[a]
-        else ("%s,%r,\r\n", (times[a:b], loads[a:b]))
-        for a, b in zip(bounds, bounds[1:]) if a < b
-    ]
-    return writer.write_series(["t_s", "load_kg", "conc_mg_L"], blocks, *parts)
+
+    def blocks():
+        n = loads.size
+        flows = np.zeros(n)
+        overlap = min(n, hydro.flows_lps.size)
+        flows[:overlap] = hydro.flows_lps[:overlap]
+        wet = flows > 0
+        conc = np.zeros(n)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.divide(loads * 1e6, flows * hydro.step_s, out=conc, where=wet)
+        times = writer.time_column(n, hydro.step_s)
+        load_list, conc_list = loads.tolist(), conc.tolist()
+        # contiguous runs of wet or dry steps, each written with its row format
+        bounds = [0, *(np.flatnonzero(wet[1:] != wet[:-1]) + 1).tolist(), n]
+        return [
+            ("%s,%r,%r\r\n", (times[a:b], load_list[a:b], conc_list[a:b])) if wet[a]
+            else ("%s,%r,\r\n", (times[a:b], load_list[a:b]))
+            for a, b in zip(bounds, bounds[1:]) if a < b
+        ]
+
+    key = ("q", repr(hydro.step_s), hydro.flows_lps.tobytes(), loads.tobytes())
+    return writer.write_series(["t_s", "load_kg", "conc_mg_L"], blocks, key,
+                               cache, *parts)
 
 
 def _persist_runs(writer: _Writer, runs: dict) -> None:
+    """Every run's outfall series and water balances under results/.
+
+    The series go storm by storm and outfall by outfall, each label in
+    turn, with one series cache per (storm, outfall): a series whose bytes
+    repeat another label's there, as a scenario's do at an outfall fed
+    only by placement-free subcatchments, is formatted and hashed once and
+    written to each path. Every run of a storm routes to the same
+    outfalls."""
+    for storm_runs in zip(*runs.values()):
+        for outfall in storm_runs[0].outfall_hydrographs:
+            cache: dict = {}
+            for label, run in zip(runs, storm_runs):
+                base = ("results", label, run.storm)
+                hydro = run.outfall_hydrographs[outfall]
+                _persist_hydrograph(writer, hydro, *base, f"hydro_{outfall}.csv",
+                                    cache=cache)
+                for pollutant, series in run.outfall_load_series.get(outfall, {}).items():
+                    _persist_pollutograph(writer, hydro, series, *base,
+                                          f"quality_{outfall}_{pollutant}.csv",
+                                          cache=cache)
     for label, storm_runs in runs.items():
         for run in storm_runs:
-            base = ("results", label, run.storm)
-            for outfall, hydro in run.outfall_hydrographs.items():
-                _persist_hydrograph(writer, hydro, *base, f"hydro_{outfall}.csv")
-            for outfall, by_pollutant in run.outfall_load_series.items():
-                for pollutant, series in by_pollutant.items():
-                    _persist_pollutograph(writer, run.outfall_hydrographs[outfall],
-                                          series, *base,
-                                          f"quality_{outfall}_{pollutant}.csv")
             rows = [
                 [sc_id, repr(float(b.rainfall_m3)), repr(float(b.runoff_m3)),
                  repr(float(b.infiltration_m3)), repr(float(b.surface_storage_m3)),
@@ -395,7 +452,7 @@ def _persist_runs(writer: _Writer, runs: dict) -> None:
             writer.write_rows(
                 ["subcatchment", "rainfall_m3", "runoff_m3", "infiltration_m3",
                  "surface_storage_m3", "lid_captured_m3", "closure_error"],
-                rows, *base, "water_balance.csv",
+                rows, "results", label, run.storm, "water_balance.csv",
             )
 
 
@@ -613,6 +670,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
         versions={"lidscore": lidscore.__version__, "numpy": np.__version__,
                   "python": platform.python_version()},
         sensitivity=outcome,
+        tied=report is not None and report.tied,
     )
     # written after the snapshot above, so the manifest does not list itself
     writer.write_json(manifest.to_dict(), "manifest.json")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -92,6 +93,13 @@ class TestValidate:
         (("hierarchy",), [1], "hierarchy: expected a mapping, got [1]"),
         (("sizing", "existing_facilities"), 5,
          "sizing.existing_facilities: expected a list, got 5"),
+        (("hierarchy", "children", 0), 5,
+         "hierarchy.children[0]: expected a mapping, got 5"),
+        (("hierarchy", "children", 0, "children"), 7,
+         "hierarchy.children[0].children: expected a list, got 7"),
+        (("hierarchy", "children", 0, "children", 0, "children", 0, "weight"),
+         "abc", "hierarchy.children[0].children[0].children[0].weight: "
+                "expected a number, got 'abc'"),
     ])
     def test_misshapen_sections_exit_2(self, runner, sample_dir, tmp_path,
                                        keys, value, message):
@@ -189,6 +197,37 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 3
         assert "no node" in result.output
 
+    def test_tied_ranking_is_reported(self, runner, sample_dir, tmp_path):
+        """Two scenarios with equal indicator rows tie on the comprehensive
+        score; rank and report say so, and manifest.json does not change
+        shape."""
+        path = copy_project(sample_dir, tmp_path, "published_tables.yaml")
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "untied")])
+        assert result.exit_code == 0, result.output
+        assert "tied" not in result.output
+
+        raw = yaml.safe_load(path.read_text())
+        for entry in raw["direct_tables"]:
+            # a copied row would break the column sums of a normalized table
+            entry["normalized"] = False
+            table = tmp_path / entry["file"]
+            header, *lines = table.read_text().splitlines()
+            rows = dict(line.split(",", 1) for line in lines)
+            rows["scenario_2"] = rows["scenario_1"]
+            table.write_text("\n".join([header] + [f"{k},{v}" for k, v in rows.items()])
+                             + "\n")
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        for command in ("rank", "report"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(path),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert "warning: ranking has tied comprehensive scores" in result.output
+            assert "scenario_1 > scenario_2" in result.output
+            assert "tied" not in json.loads((out / "manifest.json").read_text())
+            assert json.loads((out / "benefit_report.json").read_text())["tied"]
+
     def test_out_under_a_regular_file_exits_3(self, runner, sample_dir, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -250,17 +289,20 @@ def hashes_on_disk(out_dir):
 
 @pytest.fixture(scope="module")
 def sports_rank(sample_dir, tmp_path_factory):
-    """Output directory of `rank --sensitivity` on the bundled project and
-    the number of times it ran simulate_all."""
+    """Output directory of `rank --sensitivity` on the bundled project, the
+    number of times it ran simulate_all and the number of series texts it
+    formatted."""
     out = tmp_path_factory.mktemp("rank")
     with mock.patch.object(pipeline, "simulate_all",
-                           wraps=pipeline.simulate_all) as simulate_all:
+                           wraps=pipeline.simulate_all) as simulate_all, \
+            mock.patch.object(pipeline, "_series_text",
+                              wraps=pipeline._series_text) as series_text:
         result = CliRunner().invoke(main, [
             "rank", "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(out), "--sensitivity", "environmental",
             "--delta", "0.05"])
     assert result.exit_code == 0, result.output
-    return out, simulate_all.call_count
+    return out, simulate_all.call_count, series_text.call_count
 
 
 class TestSingleWriter:
@@ -268,10 +310,31 @@ class TestSingleWriter:
         assert sports_rank[1] == 1
 
     def test_rank_manifest_lists_every_file(self, sports_rank):
-        out, _ = sports_rank
+        out = sports_rank[0]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "sensitivity.json" in manifest["files"]
         assert manifest["files"] == hashes_on_disk(out)
+
+    def test_each_series_formatted_once(self, sports_rank, sports_config):
+        """Series files repeat across run labels (a scenario outfall fed
+        only by placement-free subcatchments repeats the baseline's), but
+        each distinct (storm, outfall, bytes) is formatted once."""
+        out, _, formatted = sports_rank
+        outfall_of = {}
+        for outfall in sports_config.outfalls:
+            outfall_of[f"hydro_{outfall}.csv"] = outfall
+            for pollutant in sports_config.pollutants:
+                outfall_of[f"quality_{outfall}_{pollutant.name}.csv"] = outfall
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        series = {}
+        for rel, digest in files.items():
+            path = Path(rel)
+            if path.name in outfall_of:
+                series[rel] = (path.parent.name, outfall_of[path.name], digest)
+        assert len(series) > len(set(series.values()))   # there are repeats
+        assert formatted == len(set(series.values()))
+        for rel, digest in files.items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
     def test_report_manifest_lists_every_file(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [

@@ -5,6 +5,7 @@ import dataclasses
 import filecmp
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -20,8 +21,9 @@ from lidscore.errors import ValidationError
 from lidscore.evaluator import StormSummary
 from lidscore.hydrology import Hydrograph
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (_persist_hydrograph, _persist_pollutograph,
-                               _Writer, assemble_indicators, build_storms,
+from lidscore.pipeline import (StormRun, _persist_hydrograph,
+                               _persist_pollutograph, _persist_runs, _Writer,
+                               assemble_indicators, build_storms,
                                compute_sizing, run_pipeline, simulate_all,
                                simulate_run, weight_sensitivity)
 
@@ -313,6 +315,7 @@ series_values = st.lists(
               st.floats(0.0, 1e16, allow_nan=False, allow_infinity=False)),
     max_size=30,
 )
+STEPS = [1.0, 60, 60.0, 90.0, 300.0]
 
 
 class TestSeriesWriterBytes:
@@ -320,7 +323,7 @@ class TestSeriesWriterBytes:
 
     @settings(max_examples=200, deadline=None)
     @given(flows=series_values, loads=series_values,
-           step_s=st.sampled_from([1.0, 60, 60.0, 90.0, 300.0]))
+           step_s=st.sampled_from(STEPS))
     @example(flows=[], loads=[], step_s=60.0)                         # empty
     @example(flows=[0.0] * 5, loads=[1e-3] * 5, step_s=60.0)         # no flow
     @example(flows=[2.0, 3.0], loads=[1e-3, 2e-3, 4e-3, 0.0], step_s=60.0)
@@ -339,6 +342,72 @@ class TestSeriesWriterBytes:
         # length reuses it and still matches
         path = _persist_pollutograph(writer, hydro, loads_kg[::-1], "q2.csv")
         assert path.read_bytes() == reference_pollutograph(hydro, loads_kg[::-1])
+
+
+def series_variant(draw, values) -> list:
+    """`values` again, one ulp up at one entry, with its zeros negated, or
+    a fresh draw: a second series equal, nearly equal or unrelated."""
+    kind = draw(st.sampled_from(["same", "ulp", "negative zero", "fresh"]))
+    values = list(values)
+    if kind == "ulp" and values:
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = math.nextafter(values[i], math.inf)
+    elif kind == "negative zero":
+        values = [-v if v == 0.0 else v for v in values]
+    elif kind == "fresh":
+        values = draw(series_values)
+    return values
+
+
+@st.composite
+def series_pairs(draw) -> list:
+    """Two runs' series at one outfall under one storm, each (flows,
+    [loads per pollutant], step_s); the second is derived from the first."""
+    flows = draw(series_values)
+    loads = draw(st.lists(series_values, max_size=2))
+    step_s = draw(st.sampled_from(STEPS))
+    second = (series_variant(draw, flows),
+              [series_variant(draw, series) for series in loads],
+              draw(st.sampled_from([step_s, step_s, *STEPS])))
+    return [(flows, loads, step_s), second]
+
+
+class TestSeriesCache:
+    """`_persist_runs` formats the series of one (storm, outfall) once per
+    distinct bytes; series that differ in any byte stay separate files."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=series_pairs())
+    @example(pair=[([1.0, 2.0], [[1e-3, 2e-3]], 60.0),                # one ulp
+                   ([1.0, math.nextafter(2.0, math.inf)], [[1e-3, 2e-3]], 60.0)])
+    @example(pair=[([0.0, 1.0], [[0.0, 1e-3]], 60.0),                 # signed zero
+                   ([-0.0, 1.0], [[-0.0, 1e-3]], 60.0)])
+    @example(pair=[([1.0, 2.0], [[1e-3]], 60),                        # 60 == 60.0
+                   ([1.0, 2.0], [[1e-3]], 60.0)])
+    @example(pair=[([1.0, 2.0], [[1e-3]], 60.0),                      # other step
+                   ([1.0, 2.0], [[1e-3]], 90.0)])
+    @example(pair=[([1.0, 2.0], [[1e-3, 2e-3]], 60.0),                # equal loads,
+                   ([2.0, 1.0], [[1e-3, 2e-3]], 60.0)])               # other flows
+    @example(pair=[([1.0, 2.0], [], 60.0), ([1.0, 2.0], [], 60.0)])   # no pollutants
+    def test_distinct_series_never_merged(self, tmp_path_factory, pair):
+        runs = {}
+        for i, (flows, loads, step_s) in enumerate(pair):
+            hydro = Hydrograph(site="o", step_s=step_s,
+                               flows_lps=np.array(flows, dtype=float))
+            by_pollutant = {f"p{j}": np.array(series, dtype=float)
+                            for j, series in enumerate(loads)}
+            runs[f"run{i}"] = [StormRun(f"run{i}", "s", {"o": hydro},
+                                        {"o": by_pollutant} if loads else {},
+                                        {}, None)]
+        out = tmp_path_factory.mktemp("group")
+        _persist_runs(_Writer(out), runs)
+        for label, [run] in runs.items():
+            hydro = run.outfall_hydrographs["o"]
+            base = out / "results" / label / "s"
+            assert (base / "hydro_o.csv").read_bytes() == reference_hydrograph(hydro)
+            for pollutant, series in run.outfall_load_series.get("o", {}).items():
+                assert ((base / f"quality_o_{pollutant}.csv").read_bytes()
+                        == reference_pollutograph(hydro, series))
 
 
 def assert_same_run(a, b):
