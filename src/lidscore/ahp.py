@@ -112,20 +112,19 @@ class ConsistencyReport:
         return self.cr < CR_LIMIT
 
 
-def _principal_eigenvector(m: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000):
+def _principal_eigenvector(m: np.ndarray):
+    """Power iteration to a residual below 1e-12, at most 10,000 steps."""
     n = m.shape[0]
     v = np.full(n, 1.0 / n)
-    lam = float(n)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         mv = m @ v
         lam = float(mv.sum())
-        v_next = mv / lam
         residual = float(np.max(np.abs(mv - lam * v)))
-        v = v_next
-        if residual < tol:
+        v = mv / lam
+        if residual < 1e-12:
             return v, lam
     raise ValidationError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in 10000 iterations "
         f"(residual {residual:.3e})"
     )
 

@@ -19,7 +19,7 @@ from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
-                          default_catalog)
+                          default_catalog, placement_problems)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
 from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams,
                              design_storm_suite)
@@ -138,6 +138,14 @@ class _Collector:
         self.add(section, f"expected a mapping, got {value!r}")
         return None
 
+    def entries(self, section: str, value):
+        """(index, mapping) for each entry of a list-valued section,
+        recording a batch entry for the section or any entry of the wrong
+        shape (see `sequence` and `mapping`)."""
+        for i, entry in enumerate(self.sequence(section, value)):
+            if (entry := self.mapping(f"{section}[{i}]", entry)) is not None:
+                yield i, entry
+
 
 def _check_node_shapes(errors: _Collector, section: str, node: dict) -> None:
     """Record a batch entry for every node at or below the hierarchy node
@@ -186,16 +194,11 @@ def load_config(path) -> ProjectConfig:
     links: list = []
     outfalls: list = []
     catchment = errors.mapping("catchment", raw.get("catchment")) or {}
-    for i, sub in enumerate(errors.sequence("catchment.subcatchments",
-                                            catchment.get("subcatchments"))):
-        if (sub := errors.mapping(f"catchment.subcatchments[{i}]", sub)) is None:
-            continue
+    for i, sub in errors.entries("catchment.subcatchments",
+                                 catchment.get("subcatchments")):
         section = f"catchment.subcatchments[{sub.get('id', i)}]"
         land_uses = []
-        for j, lu in enumerate(errors.sequence(section + ".land_uses",
-                                               sub.get("land_uses"))):
-            if (lu := errors.mapping(f"{section}.land_uses[{j}]", lu)) is None:
-                continue
+        for _, lu in errors.entries(section + ".land_uses", sub.get("land_uses")):
             parsed = errors.guard(
                 section + ".land_uses", LandUse,
                 name=lu.get("name", "?"),
@@ -232,9 +235,7 @@ def load_config(path) -> ProjectConfig:
             if sc.id in subcatchments:
                 errors.add(section, f"duplicate subcatchment id {sc.id!r}")
             subcatchments[sc.id] = sc
-    for i, ln in enumerate(errors.sequence("catchment.links", catchment.get("links"))):
-        if (ln := errors.mapping(f"catchment.links[{i}]", ln)) is None:
-            continue
+    for i, ln in errors.entries("catchment.links", catchment.get("links")):
         section = f"catchment.links[{ln.get('id', i)}]"
         link = errors.guard(
             section, Link,
@@ -268,9 +269,7 @@ def load_config(path) -> ProjectConfig:
 
     # --- pollutants ------------------------------------------------------
     pollutants = []
-    for i, p in enumerate(errors.sequence("pollutants", raw.get("pollutants"))):
-        if (p := errors.mapping(f"pollutants[{i}]", p)) is None:
-            continue
+    for i, p in errors.entries("pollutants", raw.get("pollutants")):
         section = f"pollutants[{p.get('name', i)}]"
         spec = errors.guard(
             section, PollutantSpec,
@@ -324,20 +323,16 @@ def load_config(path) -> ProjectConfig:
     # --- scenarios ------------------------------------------------------
     scenarios = []
     seen_names = set()
-    for i, sc_raw in enumerate(errors.sequence("scenarios", raw.get("scenarios"))):
-        if (sc_raw := errors.mapping(f"scenarios[{i}]", sc_raw)) is None:
-            continue
+    for i, sc_raw in errors.entries("scenarios", raw.get("scenarios")):
         sc_name = str(sc_raw.get("name", f"scenario{i}"))
         section = f"scenarios[{sc_name}]"
         if sc_name in seen_names:
             errors.add(section, "duplicate scenario name")
         seen_names.add(sc_name)
         placements = []
-        for j, pl in enumerate(errors.sequence(section + ".placements",
-                                               sc_raw.get("placements"))):
+        for j, pl in errors.entries(section + ".placements",
+                                    sc_raw.get("placements")):
             psec = f"{section}.placements[{j}]"
-            if (pl := errors.mapping(psec, pl)) is None:
-                continue
             kind = errors.guard(psec, LidKind.parse, pl.get("kind"))
             if kind is None:
                 continue
@@ -357,27 +352,11 @@ def load_config(path) -> ProjectConfig:
             )
             if placement:
                 placements.append(placement)
-        scenario = Scenario(name=sc_name, placements=tuple(placements))
-        scenarios.append(scenario)
-        # per-host constraints
-        by_host: dict = {}
-        for p in placements:
-            by_host.setdefault(p.subcatchment, []).append(p)
-        for host_id, host_placements in by_host.items():
-            host = subcatchments[host_id]
-            area = sum(p.area_ha for p in host_placements)
-            if area > host.area_ha + 1e-9:
-                errors.add(
-                    section,
-                    f"LID area {area:.3f} ha exceeds subcatchment "
-                    f"{host_id} area {host.area_ha} ha",
-                )
-            treated = sum(p.treated_fraction for p in host_placements)
-            if treated > 1.0 + 1e-9:
-                errors.add(
-                    section,
-                    f"treated fractions in {host_id} sum to {treated:.3f} (> 1)",
-                )
+        scenarios.append(Scenario(name=sc_name, placements=tuple(placements)))
+        for host_id in dict.fromkeys(p.subcatchment for p in placements):
+            hosted = [p for p in placements if p.subcatchment == host_id]
+            for problem in placement_problems(subcatchments[host_id], hosted):
+                errors.add(section, problem)
 
     # --- storms ------------------------------------------------------
     storms_raw = errors.mapping("storms", raw.get("storms")) or {}
@@ -413,10 +392,8 @@ def load_config(path) -> ProjectConfig:
     sizing_raw = errors.mapping("sizing", raw.get("sizing"))
     if sizing_raw:
         facilities = []
-        for i, f in enumerate(errors.sequence("sizing.existing_facilities",
-                                              sizing_raw.get("existing_facilities"))):
-            if (f := errors.mapping(f"sizing.existing_facilities[{i}]", f)) is None:
-                continue
+        for i, f in errors.entries("sizing.existing_facilities",
+                                   sizing_raw.get("existing_facilities")):
             label = str(f.get("label", f"facility{i}"))
             volume = errors.number(f"sizing.existing_facilities[{label}]",
                                    f.get("volume_m3", 0))
@@ -483,11 +460,8 @@ def load_config(path) -> ProjectConfig:
     matrices = {k: v for k, v in matrices.items() if v is not None}
 
     direct_tables = []
-    for i, entry in enumerate(errors.sequence("direct_tables",
-                                              raw.get("direct_tables"))):
+    for i, entry in errors.entries("direct_tables", raw.get("direct_tables")):
         section = f"direct_tables[{i}]"
-        if (entry := errors.mapping(section, entry)) is None:
-            continue
         file_name = entry.get("file")
         if not file_name:
             errors.add(section, "missing file")

@@ -109,7 +109,8 @@ class WeightTree:
         """Copy of the tree with one node's weight changed and its siblings
         rescaled so they still sum to 1."""
         if not 0.0 <= new_weight <= 1.0:
-            raise ValidationError(f"new weight {new_weight} outside [0, 1]")
+            raise ValidationError(
+                f"perturbed weight {new_weight:.4f} for {name!r} outside [0, 1]")
 
         def walk(node: TreeNode) -> TreeNode:
             if any(c.name == name for c in node.children):
@@ -192,9 +193,9 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> Indicato
     """Column-wise linear normalization I = X / sum(X).
 
     Cost-polarity leaves with the `reciprocal` transform are inverted
-    before normalizing (favorability-encoded columns are used as-is).
-    Facility-derived columns arrive already reciprocal-encoded, so the
-    transform is not applied twice. A column of zeros is an error unless
+    before normalizing (favorability-encoded columns are used as-is); a
+    non-positive entry there is an error naming its scenarios. A column
+    of zeros is an error unless
     its indicator is in UNIFORM_IF_ZERO, in which case every scenario gets
     1/M with a warning. A negative column sum is an error naming the
     scenarios with negative entries.
@@ -210,11 +211,12 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> Indicato
         column = table.values[:, j].astype(float)
         leaf = leaf_by_indicator.get(indicator)
         if (leaf is not None and leaf.polarity == "cost"
-                and leaf.transform == "reciprocal"
-                and leaf.source != "facility_derived"):
+                and leaf.transform == "reciprocal"):
             if np.any(column <= 0):
+                bad = [name for name, v in zip(table.scenarios, column) if v <= 0]
                 raise ValidationError(
-                    f"indicator {indicator!r}: reciprocal transform needs positive values"
+                    f"indicator {indicator!r}: reciprocal transform needs positive "
+                    f"values (not positive in {', '.join(bad)})"
                 )
             column = 1.0 / column
         total = column.sum()
@@ -280,12 +282,12 @@ class BenefitReport:
         }
 
 
-def rank_scenarios(scenarios, scores, tol: float = 1e-12):
-    """Names ordered by descending score; ties keep name order and set the
-    tie flag."""
+def rank_scenarios(scenarios, scores):
+    """Names ordered by descending score; ties (scores within 1e-12) keep
+    name order and set the tie flag."""
     order = sorted(range(len(scenarios)), key=lambda i: (-scores[i], scenarios[i]))
     tied = any(
-        abs(scores[order[i]] - scores[order[i + 1]]) <= tol
+        abs(scores[order[i]] - scores[order[i + 1]]) <= 1e-12
         for i in range(len(order) - 1)
     )
     return [scenarios[i] for i in order], tied
@@ -327,9 +329,9 @@ def facility_indicator_scores(scenarios, catalog: dict, leaves) -> IndicatorTabl
     """Raw economic/social indicator values derived from facility areas.
 
     Benefit leaves (mode A) score sum(area_f * favorability_f(indicator));
-    cost leaves with the reciprocal transform (mode B) score
-    1 / sum(area_f * unit_cost_weight_f), so cheaper scenarios score higher
-    after normalization.
+    cost leaves with the reciprocal transform (mode B) score their cost
+    basis sum(area_f * unit_cost_weight_f), which `normalize` inverts, so
+    cheaper scenarios score higher after normalization.
     """
     scenarios = list(scenarios)
     leaves = list(leaves)
@@ -338,15 +340,8 @@ def facility_indicator_scores(scenarios, catalog: dict, leaves) -> IndicatorTabl
         areas = scenario.area_by_kind()
         for j, leaf in enumerate(leaves):
             if leaf.polarity == "cost" and leaf.transform == "reciprocal":
-                weighted = sum(
-                    area * catalog[kind].unit_cost_weight
-                    for kind, area in areas.items()
-                )
-                if weighted <= 0:
-                    raise ValidationError(
-                        f"scenario {scenario.name!r}: zero facility cost basis"
-                    )
-                values[i, j] = 1.0 / weighted
+                values[i, j] = sum(area * catalog[kind].unit_cost_weight
+                                   for kind, area in areas.items())
             else:
                 total = 0.0
                 for kind, area in areas.items():

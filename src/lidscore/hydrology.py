@@ -17,7 +17,8 @@ import numpy as np
 
 from lidscore import kernels
 from lidscore.errors import ConfigError, ValidationError
-from lidscore.lid import LidSpec, M2_PER_HA, simulate_lid_unit
+from lidscore.lid import (LidSpec, M2_PER_HA, placement_problems,
+                          simulate_lid_unit)
 from lidscore.storms import Hyetograph
 
 # Substep budget: a step is cut into substeps that together move at most
@@ -217,20 +218,13 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     intensity_mmps = intensity_mm_hr / 3600.0
 
     placements = list(placements)
-    lid_area_m2 = sum(p.area_m2 for p in placements)
-    if lid_area_m2 > sc.area_m2 + 1e-9:
-        raise ConfigError(
-            f"{sc.id}: LID area {lid_area_m2 / M2_PER_HA:.3f} ha exceeds "
-            f"subcatchment area {sc.area_ha} ha"
-        )
-    treated_total = sum(p.treated_fraction for p in placements)
-    if treated_total > 1.0 + 1e-9:
-        raise ConfigError(
-            f"{sc.id}: treated fractions sum to {treated_total:.3f} (> 1)"
-        )
+    if problems := placement_problems(sc, placements):
+        raise ConfigError(problems)
     if placements and catalog is None:
         raise ConfigError(f"{sc.id}: placements given without a LID catalog")
 
+    lid_area_m2 = sum(p.area_m2 for p in placements)
+    treated_total = sum(p.treated_fraction for p in placements)
     area_rest = sc.area_m2 - lid_area_m2
     area_imp = area_rest * sc.impervious_fraction
     area_perv = area_rest - area_imp

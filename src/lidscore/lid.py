@@ -161,6 +161,21 @@ class Scenario:
         return sum(p.area_ha for p in self.placements)
 
 
+def placement_problems(host, placements) -> list:
+    """What the placements in one host subcatchment (an object with `id`
+    and `area_ha`) break: their LID area may not exceed the host's area and
+    their treated fractions may not sum past 1. Empty when they fit."""
+    problems = []
+    area = sum(p.area_ha for p in placements)
+    if area > host.area_ha + 1e-9:
+        problems.append(f"LID area {area:.3f} ha exceeds subcatchment "
+                        f"{host.id} area {host.area_ha} ha")
+    treated = sum(p.treated_fraction for p in placements)
+    if treated > 1.0 + 1e-9:
+        problems.append(f"treated fractions in {host.id} sum to {treated:.3f} (> 1)")
+    return problems
+
+
 def control_capacity(scenario: Scenario, catalog: dict) -> float:
     """Total static runoff control volume of a scenario (m3)."""
     total = 0.0
@@ -228,8 +243,6 @@ def area_proportions(scenario: Scenario) -> dict:
 class LidUnitResult:
     """Per-step water balance of one facility (all volumes in m3)."""
 
-    step_s: float
-    area_m2: float
     inflow_m3: np.ndarray
     overflow_m3: np.ndarray
     drained_m3: np.ndarray
@@ -283,8 +296,6 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
     )
     to_m3 = area_m2 / 1000.0
     return LidUnitResult(
-        step_s=float(dt_s),
-        area_m2=float(area_m2),
         inflow_m3=total_in_mm * to_m3,
         overflow_m3=overflow * to_m3,
         drained_m3=drained * to_m3,

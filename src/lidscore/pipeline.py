@@ -49,7 +49,7 @@ import numpy as np
 import lidscore
 from lidscore import kernels
 from lidscore.config import ProjectConfig
-from lidscore.errors import ConfigError, LidscoreError, ValidationError
+from lidscore.errors import ConfigError, LidscoreError
 from lidscore.evaluator import (IndicatorTable, StormSummary, WeightTree,
                                 evaluate_environmental,
                                 facility_indicator_scores, normalize, rollup)
@@ -68,7 +68,6 @@ ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.
 class StormRun:
     """One run label (baseline or scenario) under one storm."""
 
-    label: str
     storm: str
     outfall_hydrographs: dict
     outfall_load_series: dict   # outfall -> pollutant -> np.ndarray
@@ -87,8 +86,12 @@ class SizingSummary:
     capacities_m3: dict
     atrcr_points: dict | None = None
 
-    def compliant(self, scenario: str) -> bool:
-        return self.capacities_m3[scenario] >= self.required_m3
+    @property
+    def compliance(self) -> dict:
+        """Scenario name -> whether its capacity meets the required volume,
+        in name order."""
+        return {name: capacity >= self.required_m3
+                for name, capacity in sorted(self.capacities_m3.items())}
 
     def to_dict(self) -> dict:
         return {
@@ -99,9 +102,7 @@ class SizingSummary:
             "existing_capacity_depth_mm": self.existing_depth_mm,
             "required_volume_m3": self.required_m3,
             "scenario_capacity_m3": dict(sorted(self.capacities_m3.items())),
-            "compliance": {
-                name: self.compliant(name) for name in sorted(self.capacities_m3)
-            },
+            "compliance": self.compliance,
         }
 
 
@@ -162,14 +163,11 @@ class _Writer:
         writer.writerows(rows)
         return self.record(buf.getvalue(), *parts)
 
-    def write_series(self, header, blocks, key, cache: dict | None,
-                     *parts) -> Path:
+    def write_series(self, header, blocks, key, cache: dict, *parts) -> Path:
         """Numeric CSV of `_series_text(header, blocks())`. `key` holds
         the exact inputs of that text, so equal keys mean equal bytes.
         `cache` keeps (bytes, SHA-256) per key: a key met before is written
         without calling `blocks`, formatting or hashing again."""
-        if cache is None:
-            cache = {}
         entry = cache.get(key)
         if entry is None:
             data = _series_text(header, blocks()).encode("utf-8")
@@ -206,8 +204,6 @@ def storm_label(depth_mm: float) -> str:
 
 def build_storms(config: ProjectConfig):
     s = config.storms
-    if s is None:
-        raise ConfigError("no storm settings in config")
     suite = design_storm_suite(s.depths_mm, s.duration_min, s.peak_ratio,
                                s.idf, s.step_s)
     return {storm_label(d): storm for d, storm in zip(s.depths_mm, suite)}
@@ -315,7 +311,7 @@ def simulate_run(config: ProjectConfig, storm, label: str,
     }
     summary = StormSummary.from_outfalls(storm_name, outfall_hydro, load_totals)
     return StormRun(
-        label=label, storm=storm_name,
+        storm=storm_name,
         outfall_hydrographs=outfall_hydro,
         outfall_load_series=outfall_load_series,
         balances=balances, summary=summary,
@@ -376,7 +372,7 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
 
 
 def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts,
-                        cache: dict | None = None) -> Path:
+                        cache: dict) -> Path:
     """`t_s,flow_Lps` rows, t at step start. `cache` as in
     `_Writer.write_series`."""
     flows = hydro.flows_lps
@@ -390,7 +386,7 @@ def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts,
 
 
 def _persist_pollutograph(writer: _Writer, hydro: Hydrograph, loads_kg,
-                          *parts, cache: dict | None = None) -> Path:
+                          *parts, cache: dict) -> Path:
     """`t_s,load_kg,conc_mg_L` rows; the concentration is blank where there
     is no flow to define it (no flow, or past the end of the hydrograph).
     The concentration depends on the flows, so the cache key holds them."""
@@ -652,12 +648,6 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
         render_tables(writer, config, tree, sizing, report,
                       simulated_table, table, render)
 
-    compliance = {}
-    if sizing is not None:
-        compliance = {
-            name: sizing.compliant(name) for name in sorted(sizing.capacities_m3)
-        }
-
     manifest = RunManifest(
         config_hash=config.config_hash,
         package_version=lidscore.__version__,
@@ -665,7 +655,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         storms=list(storms),
         ranking=ranking,
-        compliance=compliance,
+        compliance=sizing.compliance if sizing is not None else {},
         files=dict(writer.files),
         versions={"lidscore": lidscore.__version__, "numpy": np.__version__,
                   "python": platform.python_version()},
@@ -689,10 +679,6 @@ def weight_sensitivity(tree: WeightTree, table: IndicatorTable, node: str,
                 "base_ranking": list(base_report.ranking), "perturbations": {}}
     for sign in (+1.0, -1.0):
         w = base_weight + sign * delta
-        if not 0.0 <= w <= 1.0:
-            raise ValidationError(
-                f"perturbed weight {w:.4f} for {node!r} outside [0, 1]"
-            )
         report = rollup(tree.reweighted(node, w), table)
         outcomes["perturbations"][f"{sign * delta:+g}"] = {
             "weight": w,

@@ -51,7 +51,6 @@ class PollutantSpec:
 class Pollutograph:
     site: str
     pollutant: str
-    step_s: float
     loads_kg: np.ndarray
 
     def __post_init__(self):
@@ -88,7 +87,6 @@ def apply_lid_removal(pollutograph: Pollutograph, treated_fraction: float,
     return Pollutograph(
         site=pollutograph.site,
         pollutant=pollutograph.pollutant,
-        step_s=pollutograph.step_s,
         loads_kg=pollutograph.loads_kg * (1.0 - treated_fraction * removal_fraction),
     )
 
@@ -126,7 +124,7 @@ def simulate_quality(sc: Subcatchment, pre_lid_runoff_m3, spec: PollutantSpec,
         q_mm_hr = runoff_m3 / area_m2 * 1000.0 * 3600.0 / dt_s
         initial = initial_buildup_kg(sc, spec, antecedent_dry_days, lid_area_ha)
         loads = washoff_series(spec, q_mm_hr, initial, dt_s)
-    result = Pollutograph(site=sc.id, pollutant=spec.name, step_s=dt_s, loads_kg=loads)
+    result = Pollutograph(site=sc.id, pollutant=spec.name, loads_kg=loads)
     for p in placements:
         result = apply_lid_removal(result, p.treated_fraction, spec.removal_for(p.kind))
     return result

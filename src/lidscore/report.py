@@ -62,8 +62,8 @@ def render_tables(writer, config, tree, sizing, benefit_report,
         rows = [
             [name, f"{sizing.capacities_m3[name]:.0f}",
              f"{sizing.required_m3:.0f}",
-             "yes" if sizing.compliant(name) else "no"]
-            for name in sorted(sizing.capacities_m3)
+             "yes" if compliant else "no"]
+            for name, compliant in sizing.compliance.items()
         ]
         paths.append(_emit(writer, "capacity_compliance", fmt,
                            ["scenario", "capacity_m3", "required_m3", "compliant"],

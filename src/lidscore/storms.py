@@ -99,41 +99,39 @@ def segment_events(readings, dry_gap_hr: float = 6.0) -> RainRecord:
     return RainRecord(tuple(sorted(merged.items())))
 
 
-def atrcr_curve(record: RainRecord, depths, min_event_mm: float = DEFAULT_MIN_EVENT_MM) -> dict:
-    """Annual-total-runoff-control-rate at each capture depth.
+def _capture_rate(record: RainRecord, min_event_mm: float):
+    """(largest event depth, ATRCR function) over the record's events
+    deeper than `min_event_mm`.
 
-    ATRCR(h) = sum(min(P_i, h)) / sum(P_i) over the record's events: the
-    fraction of total rainfall volume captured when every event is retained
-    up to depth h. Monotone non-decreasing and concave in h.
+    ATRCR(h) = sum(min(P_i, h)) / sum(P_i): the fraction of total rainfall
+    volume captured when every event is retained up to depth h. Monotone
+    non-decreasing and concave in h.
     """
     event_depths = record.depths(min_event_mm)
     if event_depths.size == 0:
         raise ValidationError("no rainfall events")
+    total = float(event_depths.sum())
+    return (float(event_depths.max()),
+            lambda h: float(np.minimum(event_depths, h).sum() / total))
+
+
+def atrcr_curve(record: RainRecord, depths, min_event_mm: float = DEFAULT_MIN_EVENT_MM) -> dict:
+    """Annual-total-runoff-control-rate at each capture depth."""
+    _, rate = _capture_rate(record, min_event_mm)
     queried = np.asarray(depths, dtype=float)
     if np.any(queried < 0):
         raise ValidationError("capture depths must be non-negative")
-    total = float(event_depths.sum())
-    return {
-        float(h): float(np.minimum(event_depths, h).sum() / total) for h in queried
-    }
+    return {float(h): rate(h) for h in queried}
 
 
 def invert_atrcr(record: RainRecord, target: float,
-                 min_event_mm: float = DEFAULT_MIN_EVENT_MM,
-                 tol_mm: float = 0.01) -> float:
-    """Smallest capture depth whose ATRCR reaches `target` (bisection)."""
+                 min_event_mm: float = DEFAULT_MIN_EVENT_MM) -> float:
+    """Smallest capture depth whose ATRCR reaches `target`, bisected to
+    within 0.01 mm."""
     if not 0.0 < target < 1.0:
         raise ValidationError(f"target ATRCR must be in (0, 1), got {target}")
-    event_depths = record.depths(min_event_mm)
-    if event_depths.size == 0:
-        raise ValidationError("no rainfall events")
-    total = float(event_depths.sum())
-
-    def rate(h: float) -> float:
-        return float(np.minimum(event_depths, h).sum() / total)
-
-    lo, hi = 0.0, float(event_depths.max())
-    while hi - lo > tol_mm:
+    lo, (hi, rate) = 0.0, _capture_rate(record, min_event_mm)
+    while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
         if rate(mid) >= target:
             hi = mid
@@ -172,7 +170,6 @@ class Hyetograph:
     step_s: float
     intensities_mm_hr: np.ndarray
     total_depth_mm: float
-    peak_ratio: float
 
     def __post_init__(self):
         self.intensities_mm_hr = np.asarray(self.intensities_mm_hr, dtype=float)
@@ -228,7 +225,6 @@ def chicago_hyetograph(depth_mm: float, duration_min: float, peak_ratio: float,
         step_s=float(step_s),
         intensities_mm_hr=intensities,
         total_depth_mm=float(depth_mm),
-        peak_ratio=float(peak_ratio),
     )
 
 

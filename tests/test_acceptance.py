@@ -159,7 +159,7 @@ def test_criterion_6_hydrology_properties(sports_config):
                                                  "pervious": 0.0})
         storm = Hyetograph(step_s=60,
                            intensities_mm_hr=np.array([60.0] * 5 + [0.0] * 55),
-                           total_depth_mm=5.0, peak_ratio=0.5)
+                           total_depth_mm=5.0)
         _, balance, _ = simulate_subcatchment(sc, storm)
         coef = (100 * math.sqrt(0.01) / (10_000 * 0.15)) * 1000 ** (-2 / 3)
         d = run_mm = 0.0

@@ -245,8 +245,8 @@ class TestFacilityScores:
         assert table.values[1, 0] == pytest.approx(3 * table.values[0, 0])
 
     def test_mode_b_reciprocal_cost(self):
-        """Unit costs 1 with areas 2 and 4 ha: scores 0.5 and 0.25, which
-        normalize to 2/3 and 1/3."""
+        """Unit costs 1 with areas 2 and 4 ha: cost bases 2 and 4, whose
+        reciprocals normalize to 2/3 and 1/3."""
         catalog = self.catalog()
         scenarios = [
             Scenario("cheap", (LidPlacement("s", LidKind.STORAGE_TANK, 2.0, 0.1),)),
@@ -255,14 +255,14 @@ class TestFacilityScores:
         leaf = self.leaf(name="construction_cost", indicator="construction_cost",
                          polarity="cost", transform="reciprocal")
         table = facility_indicator_scores(scenarios, catalog, [leaf])
-        np.testing.assert_allclose(table.values[:, 0], [0.5, 0.25])
+        np.testing.assert_allclose(table.values[:, 0], [2.0, 4.0])
         tree = weight_tree({
             "name": "goal", "children": [
                 {"name": "construction_cost", "weight": 1.0,
                  "indicator": "construction_cost", "polarity": "cost",
                  "transform": "reciprocal", "source": "facility_derived"}]}, {})[0]
         out = normalize(table, tree)
-        # reciprocal applies once, in facility scoring; plain Eq-3 here
+        # the reciprocal applies once, in normalize
         np.testing.assert_allclose(out.values[:, 0], [2 / 3, 1 / 3])
 
     def test_missing_favorability_errors(self):

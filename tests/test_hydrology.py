@@ -34,8 +34,7 @@ def make_subcatchment(**overrides):
 def flat_storm(mm_hr, wet_steps, total_steps, step_s=60):
     series = np.array([mm_hr] * wet_steps + [0.0] * (total_steps - wet_steps))
     return Hyetograph(step_s=step_s, intensities_mm_hr=series,
-                      total_depth_mm=mm_hr * wet_steps * step_s / 3600.0,
-                      peak_ratio=0.5)
+                      total_depth_mm=mm_hr * wet_steps * step_s / 3600.0)
 
 
 class TestHorton:
@@ -282,7 +281,7 @@ class TestHydrographExport:
         from lidscore.pipeline import _persist_hydrograph, _Writer
 
         h = hydro("a", [0.0, 12.5, 3.0])
-        path = _persist_hydrograph(_Writer(tmp_path), h, "h.csv")
+        path = _persist_hydrograph(_Writer(tmp_path), h, "h.csv", cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps"
         assert lines[1] == "0,0.0"

@@ -76,7 +76,7 @@ def test_hand_case_matches_oracle(monkeypatch):
                       depression_storage_mm={"impervious": 0.0, "pervious": 0.0})
     storm = Hyetograph(step_s=60,
                        intensities_mm_hr=np.array([60.0] * 5 + [0.0] * 55),
-                       total_depth_mm=5.0, peak_ratio=0.5)
+                       total_depth_mm=5.0)
     calls = _recorded_calls(monkeypatch, simulate_subcatchment, sc, storm)
     assert len(calls) == 1
     assert _gate_failures(calls[0], FINE_MM) == []

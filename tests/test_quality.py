@@ -82,7 +82,7 @@ class TestWashoff:
 
 class TestLidRemoval:
     def make(self, loads):
-        return Pollutograph(site="s", pollutant="TSS", step_s=60,
+        return Pollutograph(site="s", pollutant="TSS",
                             loads_kg=np.asarray(loads, float))
 
     def test_zero_removal_is_identity(self):
@@ -148,9 +148,10 @@ class TestPollutographExport:
 
         flows = np.array([0.0, 500.0, 250.0])
         h = Hydrograph(site="s", step_s=60, flows_lps=flows)
-        p = Pollutograph(site="s", pollutant="TSS", step_s=60,
+        p = Pollutograph(site="s", pollutant="TSS",
                          loads_kg=np.array([0.0, 0.03, 0.015]))
-        path = _persist_pollutograph(_Writer(tmp_path), h, p.loads_kg, "poll.csv")
+        path = _persist_pollutograph(_Writer(tmp_path), h, p.loads_kg, "poll.csv",
+                                     cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,load_kg,conc_mg_L"
         assert lines[1].endswith(",0.0,")          # no flow, no concentration

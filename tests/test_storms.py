@@ -213,9 +213,9 @@ class TestHyetographInvariants:
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="integrate"):
             Hyetograph(step_s=60, intensities_mm_hr=np.array([10.0, 10.0]),
-                       total_depth_mm=5.0, peak_ratio=0.5)
+                       total_depth_mm=5.0)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             Hyetograph(step_s=60, intensities_mm_hr=np.array([-1.0]),
-                       total_depth_mm=0.0, peak_ratio=0.5)
+                       total_depth_mm=0.0)
