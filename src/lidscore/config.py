@@ -117,6 +117,16 @@ class _Collector:
             self.add(section, f"expected a number, got {value!r}")
             return None
 
+    def path_name(self, section: str, value) -> str:
+        """`str(value)` for a name that becomes part of a result path,
+        after recording a batch entry when it is not one plain path
+        component."""
+        name = str(value)
+        if name in (".", "..") or "/" in name or "\\" in name:
+            self.add(section, f"{name!r} must be a plain file name "
+                              f"(no '/' or '\\', not '.' or '..')")
+        return name
+
     def sequence(self, section: str, value) -> list:
         """The entries of a list-valued section: [] when it is absent or
         empty, and [] after recording a batch entry when it is not a list."""
@@ -149,11 +159,14 @@ class _Collector:
 
 def _check_node_shapes(errors: _Collector, section: str, node: dict) -> None:
     """Record a batch entry for every node at or below the hierarchy node
-    `node` that `ahp.weight_tree` cannot read: no name, `children` that is
-    not a list, a child that is not a mapping, a weight that is not a
-    number."""
+    `node` that `ahp.weight_tree` cannot read: no name, a `name` or
+    `indicator` that is a list or mapping, `children` that is not a list, a
+    child that is not a mapping, a weight that is not a number."""
     if "name" not in node:
         errors.add(section, "missing name")
+    for key in ("name", "indicator"):
+        if isinstance(node.get(key), (list, dict)):
+            errors.add(f"{section}.{key}", f"expected a scalar, got {node[key]!r}")
     for i, child in enumerate(errors.sequence(section + ".children",
                                               node.get("children"))):
         child_section = f"{section}.children[{i}]"
@@ -228,7 +241,7 @@ def load_config(path) -> ProjectConfig:
             slope=sub.get("slope", 0),
             horton=horton,
             land_uses=tuple(land_uses),
-            outlet=str(sub.get("outlet", "")),
+            outlet=errors.path_name(section + ".outlet", sub.get("outlet", "")),
             **kwargs,
         )
         if sc:
@@ -241,7 +254,7 @@ def load_config(path) -> ProjectConfig:
             section, Link,
             id=str(ln.get("id", f"link{i}")),
             from_node=str(ln.get("from", "")),
-            to_node=str(ln.get("to", "")),
+            to_node=errors.path_name(section + ".to", ln.get("to", "")),
             lag_s=ln.get("lag_s", 0),
         )
         if link:
@@ -273,7 +286,7 @@ def load_config(path) -> ProjectConfig:
         section = f"pollutants[{p.get('name', i)}]"
         spec = errors.guard(
             section, PollutantSpec,
-            name=str(p.get("name", f"pollutant{i}")),
+            name=errors.path_name(section + ".name", p.get("name", f"pollutant{i}")),
             buildup_max_kg_ha=p.get("buildup_max_kg_ha", 0),
             half_saturation_days=p.get("half_saturation_days", 0),
             washoff_coeff=p.get("washoff_coeff", 0),
@@ -324,8 +337,11 @@ def load_config(path) -> ProjectConfig:
     scenarios = []
     seen_names = set()
     for i, sc_raw in errors.entries("scenarios", raw.get("scenarios")):
-        sc_name = str(sc_raw.get("name", f"scenario{i}"))
+        sc_name = errors.path_name(f"scenarios[{i}].name",
+                                   sc_raw.get("name", f"scenario{i}"))
         section = f"scenarios[{sc_name}]"
+        if sc_name == "baseline":
+            errors.add(section, "'baseline' is reserved for the run without LID")
         if sc_name in seen_names:
             errors.add(section, "duplicate scenario name")
         seen_names.add(sc_name)

@@ -194,10 +194,9 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> Indicato
 
     Cost-polarity leaves with the `reciprocal` transform are inverted
     before normalizing (favorability-encoded columns are used as-is); a
-    non-positive entry there is an error naming its scenarios. A column
-    of zeros is an error unless
-    its indicator is in UNIFORM_IF_ZERO, in which case every scenario gets
-    1/M with a warning. A negative column sum is an error naming the
+    non-positive entry there is an error naming its scenarios. A column of
+    zeros is an error unless its indicator is in UNIFORM_IF_ZERO, in which
+    case every scenario gets 1/M with a warning. A negative column sum is an error naming the
     scenarios with negative entries.
     """
     if table.normalized:

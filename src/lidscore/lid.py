@@ -135,8 +135,8 @@ class LidPlacement:
     treated_fraction: float
 
     def __post_init__(self):
-        if self.area_ha < 0:
-            raise ValidationError("placement area must be non-negative")
+        if not self.area_ha > 0:
+            raise ValidationError("placement area must be positive")
         if not 0.0 <= self.treated_fraction <= 1.0:
             raise ValidationError("treated fraction must be in [0, 1]")
 

@@ -130,7 +130,8 @@ def invert_atrcr(record: RainRecord, target: float,
     within 0.01 mm."""
     if not 0.0 < target < 1.0:
         raise ValidationError(f"target ATRCR must be in (0, 1), got {target}")
-    lo, (hi, rate) = 0.0, _capture_rate(record, min_event_mm)
+    hi, rate = _capture_rate(record, min_event_mm)
+    lo = 0.0
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
         if rate(mid) >= target:

@@ -50,14 +50,20 @@ class TestValidate:
         ("sizing", "psi", 0, "sizing.psi: must be in (0, 1], got 0"),
         ("sizing", "area_ha", 0, "sizing.area_ha: must be positive, got 0"),
         ("storms", "step_s", 420, "storms: step 420.0 s does not divide"),
+        (("scenarios", 0, "placements", 0), "area_ha", 0,
+         "scenarios[scenario_1].placements[0]: placement area must be positive"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
         """Inputs that used to pass validation and then crash or fail
-        inside `rank` are rejected at load time by both commands."""
+        inside `rank` are rejected at load time by both commands. `section`
+        is a top-level key or a path of keys."""
         path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
         raw = yaml.safe_load(path.read_text())
-        raw[section][key] = value
+        owner = raw
+        for part in section if isinstance(section, tuple) else (section,):
+            owner = owner[part]
+        owner[key] = value
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         result = runner.invoke(main, [command, "--config", str(path),
                                       "--out", str(tmp_path / "out")])
@@ -100,6 +106,12 @@ class TestValidate:
         (("hierarchy", "children", 0, "children", 0, "children", 0, "weight"),
          "abc", "hierarchy.children[0].children[0].children[0].weight: "
                 "expected a number, got 'abc'"),
+        (("hierarchy", "children", 0, "children", 0, "children", 0, "name"),
+         [1], "hierarchy.children[0].children[0].children[0].name: "
+              "expected a scalar, got [1]"),
+        (("hierarchy", "children", 0, "children", 0, "children", 0, "indicator"),
+         {"a": 1}, "hierarchy.children[0].children[0].children[0].indicator: "
+                   "expected a scalar, got {'a': 1}"),
     ])
     def test_misshapen_sections_exit_2(self, runner, sample_dir, tmp_path,
                                        keys, value, message):
@@ -115,6 +127,40 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert f"error: {message}\n" in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("keys,value,message", [
+        (("scenarios", 0, "name"), "baseline",
+         "scenarios[baseline]: 'baseline' is reserved for the run without LID"),
+        (("scenarios", 0, "name"), "../../escape_dir",
+         "scenarios[0].name: '../../escape_dir' must be a plain file name"),
+        (("scenarios", 0, "name"), "..", "scenarios[0].name: '..' must be"),
+        (("pollutants", 0, "name"), "a\\b",
+         "pollutants[a\\b].name: 'a\\\\b' must be a plain file name"),
+        (("catchment", "subcatchments", 0, "outlet"), ".",
+         "catchment.subcatchments[A].outlet: '.' must be"),
+        (("catchment", "links", 0, "to"), "up/OUT_A",
+         "catchment.links[LA].to: 'up/OUT_A' must be"),
+    ])
+    def test_names_in_result_paths_exit_2(self, runner, sample_dir, tmp_path,
+                                          command, keys, value, message):
+        """Scenario, pollutant and outfall names become result paths, so a
+        name that would leave its directory, or a scenario that would
+        overwrite the baseline's results, is rejected before anything is
+        written."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        owner = raw
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        out = tmp_path / "nest" / "out"
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
+        assert not (tmp_path / "nest").exists()
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",
@@ -265,6 +311,26 @@ class TestSimulateEvaluateRank:
         assert "error: subcatchment " in result.output
         assert "surface: step " in result.output
         assert "more than 3600" in result.output
+
+    @pytest.mark.parametrize("project,options,budget_mm,message", [
+        ("sports_center.yaml", [], 1e-4, "[stage: simulation] subcatchment "),
+        ("published_tables.yaml",
+         ["--sensitivity", "environmental", "--delta", "0.9"], None,
+         "[stage: sensitivity] perturbed weight 1.5080 for 'environmental' "
+         "outside [0, 1]"),
+    ])
+    def test_failing_stage_is_named(self, runner, sample_dir, tmp_path,
+                                    project, options, budget_mm, message):
+        """A runtime failure inside `rank` names the stage it stopped in:
+        a step past the substep limit (a shrunken substep budget) in
+        simulation, a weight pushed past 1 in sensitivity."""
+        budget_mm = budget_mm or hydrology.MAX_SUBSTEP_DEPTH_MM
+        with mock.patch.object(hydrology, "MAX_SUBSTEP_DEPTH_MM", budget_mm):
+            result = runner.invoke(main, [
+                "rank", "--config", str(sample_dir / project),
+                "--out", str(tmp_path / "out"), *options])
+        assert result.exit_code == 3
+        assert f"error: {message}" in result.output
 
 
 class TestReport:

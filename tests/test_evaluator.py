@@ -264,6 +264,11 @@ class TestFacilityScores:
         out = normalize(table, tree)
         # the reciprocal applies once, in normalize
         np.testing.assert_allclose(out.values[:, 0], [2 / 3, 1 / 3])
+        # a scenario without facilities has no cost basis to invert
+        table = facility_indicator_scores(scenarios + [Scenario("none", ())],
+                                          catalog, [leaf])
+        with pytest.raises(ValidationError, match=r"not positive in none\)"):
+            normalize(table, tree)
 
     def test_missing_favorability_errors(self):
         scenarios = [Scenario("s", (LidPlacement("s", LidKind.BIO_RETENTION,
