@@ -29,6 +29,19 @@ def copy_project(sample_dir, tmp_path, name):
     return tmp_path / name
 
 
+def edited_project(sample_dir, tmp_path, keys, value):
+    """A copy of the bundled project with the entry at the key path `keys`
+    set to `value`."""
+    path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+    raw = yaml.safe_load(path.read_text())
+    owner = raw
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = value
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    return path
+
+
 class TestValidate:
     def test_valid_project(self, runner, sample_dir):
         result = runner.invoke(main, ["validate", "--config",
@@ -52,19 +65,26 @@ class TestValidate:
         ("storms", "step_s", 420, "storms: step 420.0 s does not divide"),
         (("scenarios", 0, "placements", 0), "area_ha", 0,
          "scenarios[scenario_1].placements[0]: placement area must be positive"),
+        # names that become result paths
+        (("scenarios", 0), "name", "baseline",
+         "scenarios[baseline]: 'baseline' is reserved for the run without LID"),
+        (("scenarios", 0), "name", "../../escape_dir",
+         "scenarios[0].name: '../../escape_dir' must be a plain file name"),
+        (("scenarios", 0), "name", "..", "scenarios[0].name: '..' must be"),
+        (("pollutants", 0), "name", "a\\b",
+         "pollutants[a\\b].name: 'a\\\\b' must be a plain file name"),
+        (("catchment", "subcatchments", 0), "outlet", ".",
+         "catchment.subcatchments[A].outlet: '.' must be"),
+        (("catchment", "links", 0), "to", "up/OUT_A",
+         "catchment.links[LA].to: 'up/OUT_A' must be"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
-        """Inputs that used to pass validation and then crash or fail
-        inside `rank` are rejected at load time by both commands. `section`
-        is a top-level key or a path of keys."""
-        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
-        raw = yaml.safe_load(path.read_text())
-        owner = raw
-        for part in section if isinstance(section, tuple) else (section,):
-            owner = owner[part]
-        owner[key] = value
-        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        """Inputs that used to pass validation and then crash, fail or write
+        outside `--out` inside `rank` are rejected at load time by both
+        commands. `section` is a top-level key or a path of keys."""
+        keys = (*(section if isinstance(section, tuple) else (section,)), key)
+        path = edited_project(sample_dir, tmp_path, keys, value)
         result = runner.invoke(main, [command, "--config", str(path),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
@@ -117,50 +137,10 @@ class TestValidate:
                                        keys, value, message):
         """A section or list entry of the wrong shape is a listed error,
         not a traceback."""
-        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
-        raw = yaml.safe_load(path.read_text())
-        owner = raw
-        for key in keys[:-1]:
-            owner = owner[key]
-        owner[keys[-1]] = value
-        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        path = edited_project(sample_dir, tmp_path, keys, value)
         result = runner.invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert f"error: {message}\n" in result.output
-
-    @pytest.mark.parametrize("command", ["validate", "rank"])
-    @pytest.mark.parametrize("keys,value,message", [
-        (("scenarios", 0, "name"), "baseline",
-         "scenarios[baseline]: 'baseline' is reserved for the run without LID"),
-        (("scenarios", 0, "name"), "../../escape_dir",
-         "scenarios[0].name: '../../escape_dir' must be a plain file name"),
-        (("scenarios", 0, "name"), "..", "scenarios[0].name: '..' must be"),
-        (("pollutants", 0, "name"), "a\\b",
-         "pollutants[a\\b].name: 'a\\\\b' must be a plain file name"),
-        (("catchment", "subcatchments", 0, "outlet"), ".",
-         "catchment.subcatchments[A].outlet: '.' must be"),
-        (("catchment", "links", 0, "to"), "up/OUT_A",
-         "catchment.links[LA].to: 'up/OUT_A' must be"),
-    ])
-    def test_names_in_result_paths_exit_2(self, runner, sample_dir, tmp_path,
-                                          command, keys, value, message):
-        """Scenario, pollutant and outfall names become result paths, so a
-        name that would leave its directory, or a scenario that would
-        overwrite the baseline's results, is rejected before anything is
-        written."""
-        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
-        raw = yaml.safe_load(path.read_text())
-        owner = raw
-        for key in keys[:-1]:
-            owner = owner[key]
-        owner[keys[-1]] = value
-        path.write_text(yaml.safe_dump(raw, sort_keys=False))
-        out = tmp_path / "nest" / "out"
-        result = runner.invoke(main, [command, "--config", str(path),
-                                      "--out", str(out)])
-        assert result.exit_code == 2
-        assert f"error: {message}" in result.output
-        assert not (tmp_path / "nest").exists()
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",
