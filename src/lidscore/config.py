@@ -28,6 +28,11 @@ SCHEMA_VERSION = 1
 
 DEFAULT_HORTON = {"f0_mm_hr": 76.2, "fc_mm_hr": 3.81, "decay_per_hr": 4.14}
 
+# PyYAML's libyaml binding parses a project several times faster than the
+# pure-Python parser. Both loaders share PyYAML's resolver and constructor,
+# so they build equal trees; only the wording of syntax errors differs.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass(frozen=True)
 class StormSettings:
@@ -119,10 +124,12 @@ class _Collector:
 
     def path_name(self, section: str, value) -> str:
         """`str(value)` for a name that becomes part of a result path,
-        after recording a batch entry when it is not one plain path
-        component."""
+        after recording a batch entry when it is not one plain, non-empty
+        path component."""
         name = str(value)
-        if name in (".", "..") or "/" in name or "\\" in name:
+        if not name:
+            self.add(section, "missing or empty")
+        elif name in (".", "..") or "/" in name or "\\" in name:
             self.add(section, f"{name!r} must be a plain file name "
                               f"(no '/' or '\\', not '.' or '..')")
         return name
@@ -186,7 +193,7 @@ def load_config(path) -> ProjectConfig:
         raise ConfigError(f"config file not found: {path}")
     raw_bytes = path.read_bytes()
     try:
-        raw = yaml.safe_load(raw_bytes)
+        raw = yaml.load(raw_bytes, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(raw, dict):
@@ -267,8 +274,7 @@ def load_config(path) -> ProjectConfig:
         try:
             paths = _downstream_paths(links)
             for sc in subcatchments.values():
-                if not sc.outlet:
-                    errors.add(f"catchment.subcatchments[{sc.id}]", "missing outlet")
+                if not sc.outlet:   # recorded by path_name
                     continue
                 terminal, _ = paths.get(sc.outlet, (sc.outlet, 0.0))
                 if outfalls and terminal not in outfalls:
@@ -283,10 +289,13 @@ def load_config(path) -> ProjectConfig:
     # --- pollutants ------------------------------------------------------
     pollutants = []
     for i, p in errors.entries("pollutants", raw.get("pollutants")):
-        section = f"pollutants[{p.get('name', i)}]"
+        section = f"pollutants[{p.get('name') or i}]"
+        p_name = errors.path_name(section + ".name", p.get("name", f"pollutant{i}"))
+        if p_name in {spec.name for spec in pollutants}:
+            errors.add(section, "duplicate pollutant name")
         spec = errors.guard(
             section, PollutantSpec,
-            name=errors.path_name(section + ".name", p.get("name", f"pollutant{i}")),
+            name=p_name,
             buildup_max_kg_ha=p.get("buildup_max_kg_ha", 0),
             half_saturation_days=p.get("half_saturation_days", 0),
             washoff_coeff=p.get("washoff_coeff", 0),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,18 +54,21 @@ class RainRecord:
 
     @classmethod
     def from_csv(cls, path) -> "RainRecord":
-        """Read `date,depth_mm` rows (ISO-8601 dates, header required)."""
-        events = []
+        """Read `date,depth_mm` rows (ISO-8601 dates, header required; other
+        columns are ignored and blank lines skipped). Rows stream from one
+        `csv.reader` through an `itemgetter` of the two columns, so no row
+        is kept after it is parsed."""
+        fromisoformat = _dt.date.fromisoformat
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "date" not in reader.fieldnames \
-                    or "depth_mm" not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or "date" not in header or "depth_mm" not in header:
                 raise ValidationError(f"{path}: expected header 'date,depth_mm'")
-            for row in reader:
-                events.append(
-                    (_dt.date.fromisoformat(row["date"].strip()), float(row["depth_mm"]))
-                )
-        return cls(tuple(events))
+            # a repeated column name reads its last column, as csv.DictReader does
+            index = {name: i for i, name in enumerate(header)}
+            columns = itemgetter(index["date"], index["depth_mm"])
+            return cls(tuple((fromisoformat(date.strip()), float(depth))
+                             for date, depth in map(columns, filter(None, reader))))
 
 
 def segment_events(readings, dry_gap_hr: float = 6.0) -> RainRecord:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from lidscore import hydrology, pipeline
+from lidscore import config, hydrology, pipeline
 from lidscore.cli import main
 
 DATA_FILES = ("rainfall.csv", "environmental_indicators.csv",
@@ -71,6 +72,8 @@ class TestValidate:
         (("scenarios", 0), "name", "../../escape_dir",
          "scenarios[0].name: '../../escape_dir' must be a plain file name"),
         (("scenarios", 0), "name", "..", "scenarios[0].name: '..' must be"),
+        (("scenarios", 0), "name", "", "scenarios[0].name: missing or empty"),
+        (("pollutants", 0), "name", "", "pollutants[0].name: missing or empty"),
         (("pollutants", 0), "name", "a\\b",
          "pollutants[a\\b].name: 'a\\\\b' must be a plain file name"),
         (("catchment", "subcatchments", 0), "outlet", ".",
@@ -90,6 +93,33 @@ class TestValidate:
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_duplicate_pollutant_name_exit_2(self, runner, sample_dir, tmp_path,
+                                             command):
+        """A second pollutant named like the first is rejected, as a second
+        scenario of the same name is."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        raw["pollutants"].append(dict(raw["pollutants"][0], washoff_coeff=0.01))
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error: pollutants[TSS]: duplicate pollutant name\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_outlet_and_to_named(self, runner, sample_dir, tmp_path):
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        del raw["catchment"]["subcatchments"][0]["outlet"]
+        del raw["catchment"]["links"][0]["to"]
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "error: catchment.subcatchments[A].outlet: missing or empty\n" \
+            in result.output
+        assert "error: catchment.links[LA].to: missing or empty\n" in result.output
 
     def test_non_numeric_values_exit_2(self, runner, sample_dir, tmp_path):
         """Every value that is not a number is listed in one batch."""
@@ -402,3 +432,44 @@ class TestSingleWriter:
         assert written
         ranked = hashes_on_disk(sports_rank[0])
         assert {path: ranked.get(path) for path in written} == written
+
+
+# the loader `load_config` uses, and PyYAML's pure-Python one
+LOADERS = [pytest.param(config._YAML_LOADER, id="default"),
+           pytest.param(yaml.SafeLoader, id="pure-python")]
+
+
+class TestYamlLoaders:
+    """`load_config` parses with libyaml when PyYAML has it; the
+    pure-Python loader must give the same project and the same files."""
+
+    def test_pure_python_loader_loads_equal_config(self, monkeypatch, sample_dir,
+                                                   sports_config):
+        monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+        assert config.load_config(sample_dir / "sports_center.yaml") == sports_config
+
+    def test_pure_python_loader_ranks_equal_files(self, monkeypatch, runner,
+                                                  sample_dir, sports_rank, tmp_path):
+        monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+        result = runner.invoke(main, [
+            "rank", "--config", str(sample_dir / "sports_center.yaml"),
+            "--out", str(tmp_path), "--sensitivity", "environmental",
+            "--delta", "0.05"])
+        assert result.exit_code == 0, result.output
+        assert hashes_on_disk(tmp_path) == hashes_on_disk(sports_rank[0])
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_malformed_yaml_names_file_and_line(self, monkeypatch, runner,
+                                                sample_dir, tmp_path, loader):
+        """The error names the file and the line of the unclosed mapping;
+        the rest is the parser's wording, which differs between loaders."""
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        text = path.read_text()
+        assert text.splitlines()[87].endswith("{id: LA, from: JA, to: OUT_A, lag_s: 120}")
+        path.write_text(text.replace("{id: LA, from: JA, to: OUT_A, lag_s: 120}",
+                                     "{id: LA, from: JA, to: OUT_A, lag_s: 120"))
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert f"error: {path}: not valid YAML" in result.output
+        assert re.search(r"\bline 88\b", result.output)

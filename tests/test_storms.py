@@ -1,5 +1,6 @@
 """Tests for capture-depth statistics and Chicago design storms."""
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -103,6 +104,54 @@ class TestRainRecord:
         path.write_text("when,mm\n2023-01-02,5.5\n")
         with pytest.raises(ValidationError, match="header"):
             RainRecord.from_csv(path)
+
+
+def dict_reader_events(path) -> tuple:
+    """The events of a rain record read row by row with `csv.DictReader`."""
+    with open(path, newline="") as fh:
+        return tuple((dt.date.fromisoformat(row["date"].strip()),
+                      float(row["depth_mm"])) for row in csv.DictReader(fh))
+
+
+class TestRainRecordCsv:
+    """`RainRecord.from_csv` reads what a row-by-row `csv.DictReader` reads."""
+
+    def test_bundled_record(self, sample_dir):
+        path = sample_dir / "rainfall.csv"
+        events = RainRecord.from_csv(path).events
+        assert len(events) == 56
+        assert events == dict_reader_events(path)
+
+    @pytest.mark.parametrize("text", [
+        # reordered columns
+        "depth_mm,date\r\n5.5,2023-01-02\r\n12.0,2023-02-03\r\n",
+        # extra columns, quoted fields and a blank line
+        'station,date,note,depth_mm\nS1,2023-01-02,"wet, cold",5.5\n\n'
+        'S1,2023-02-03,,12.0\n',
+        # dates and depths with surrounding spaces
+        "date,depth_mm\n 2023-01-02 ,5.5\n\t2023-02-03, 12.0 \n",
+        # a repeated column name reads its last column
+        "date,depth_mm,depth_mm\n2023-01-02,1.0,5.5\n2023-02-03,2.0,12.0\n",
+        # header only
+        "date,depth_mm\n",
+    ])
+    def test_layouts_match_dict_reader(self, tmp_path, text):
+        path = tmp_path / "rain.csv"
+        path.write_bytes(text.encode())
+        events = RainRecord.from_csv(path).events
+        assert events == dict_reader_events(path)
+        if events:
+            assert events == ((dt.date(2023, 1, 2), 5.5),
+                              (dt.date(2023, 2, 3), 12.0))
+
+    @pytest.mark.parametrize("text", ["", "date\n2023-01-02\n",
+                                      "\ndate,depth_mm\n2023-01-02,5.5\n"])
+    def test_missing_header_message(self, tmp_path, text):
+        path = tmp_path / "rain.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            RainRecord.from_csv(path)
+        assert str(err.value) == f"{path}: expected header 'date,depth_mm'"
 
 
 class TestSegmentEvents:
