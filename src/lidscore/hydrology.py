@@ -2,10 +2,11 @@
 
 Each subcatchment is an impervious and a pervious nonlinear reservoir
 (Manning-type outflow, Horton infiltration on the pervious part) stepped
-with midpoint (second-order Runge-Kutta) substeps; see lidscore.kernels
-for the inner loop. Conduits are abstracted to pure translation lags,
-which preserves volumes and peak timing, the only things the downstream
-indicators need.
+with midpoint (second-order Runge-Kutta) steps, each cut into as many
+substeps as an embedded error estimate asks for; see lidscore.kernels for
+the inner loop and its tolerance. Conduits are abstracted to pure
+translation lags, which preserves volumes and peak timing, the only
+things the downstream indicators need.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ from lidscore.errors import ConfigError, ValidationError
 from lidscore.lid import (LidSpec, M2_PER_HA, placement_problems,
                           simulate_lid_unit)
 from lidscore.storms import Hyetograph
-
-# Substep budget: a step is cut into substeps that together move at most
-# this much depth each (rain + infiltration capacity + outflow). At this
-# budget the midpoint kernel keeps event volumes within 0.1% and peaks
-# within 1% of a fine-budget Euler oracle (tests/test_oracle.py), and a
-# step only reaches the kernel's substep limit beyond 720 mm of movement.
-MAX_SUBSTEP_DEPTH_MM = 0.2
-
 
 @dataclass(frozen=True)
 class HortonParams:
@@ -189,10 +182,14 @@ def _manning_coefficient(sc: Subcatchment, area_m2: float, surface: str) -> floa
 
 @dataclass
 class SubcatchmentDetail:
-    """Per-step internals of one subcatchment run, for quality coupling."""
+    """Per-step internals of one subcatchment run, for quality coupling,
+    and the runoff kernel's substep counts over both surfaces: the total
+    and the largest count of any one step."""
 
     pre_lid_runoff_m3: np.ndarray
     lid_results: list
+    substeps: int
+    max_substeps: int
 
 
 def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
@@ -229,14 +226,17 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     area_imp = area_rest * sc.impervious_fraction
     area_perv = area_rest - area_imp
 
+    # horton_rate at each step's midpoint, in mm/s
+    horton = sc.horton
     t_mid_hr = (np.arange(n) + 0.5) * dt / 3600.0
-    fcap_mmps = np.array(
-        [horton_rate(sc.horton, t) for t in t_mid_hr]) / 3600.0
+    fcap_mmps = (horton.fc_mm_hr + (horton.f0_mm_hr - horton.fc_mm_hr)
+                 * np.exp(-horton.decay_per_hr * t_mid_hr)) / 3600.0
     zeros = np.zeros(n)
 
     runoff_m3 = np.zeros(n)
     infiltration_m3 = 0.0
     ponded_m3 = 0.0
+    substeps = max_substeps = 0
     for area, fcap, surface in (
         (area_imp, zeros, "impervious"),
         (area_perv, fcap_mmps, "pervious"),
@@ -245,9 +245,9 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
             continue
         coef = _manning_coefficient(sc, area, surface)
         try:
-            r_mm, f_mm, d_end = kernels.step_subarea(
+            r_mm, f_mm, d_end, n_sub, most = kernels.step_subarea(
                 intensity_mmps, fcap, coef, sc.depression_storage_mm[surface],
-                dt, MAX_SUBSTEP_DEPTH_MM, 0.0,
+                dt, 0.0,
             )
         except ValidationError as exc:
             raise ValidationError(
@@ -255,6 +255,8 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
         runoff_m3 += r_mm * area / 1000.0
         infiltration_m3 += float(f_mm.sum()) * area / 1000.0
         ponded_m3 += d_end * area / 1000.0
+        substeps += n_sub
+        max_substeps = max(max_substeps, most)
 
     outlet_m3 = runoff_m3 * (1.0 - treated_total)
     lid_results = []
@@ -278,7 +280,9 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
         surface_storage_m3=ponded_m3,
         lid_captured_m3=lid_captured_m3,
     )
-    detail = SubcatchmentDetail(pre_lid_runoff_m3=runoff_m3, lid_results=lid_results)
+    detail = SubcatchmentDetail(pre_lid_runoff_m3=runoff_m3,
+                                lid_results=lid_results, substeps=substeps,
+                                max_substeps=max_substeps)
     return hydrograph, balance, detail
 
 

@@ -57,7 +57,8 @@ class RainRecord:
         """Read `date,depth_mm` rows (ISO-8601 dates, header required; other
         columns are ignored and blank lines skipped). Rows stream from one
         `csv.reader` through an `itemgetter` of the two columns, so no row
-        is kept after it is parsed."""
+        is kept after it is parsed. A row that does not parse raises
+        ValidationError naming the file, line and column."""
         fromisoformat = _dt.date.fromisoformat
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -67,8 +68,36 @@ class RainRecord:
             # a repeated column name reads its last column, as csv.DictReader does
             index = {name: i for i, name in enumerate(header)}
             columns = itemgetter(index["date"], index["depth_mm"])
-            return cls(tuple((fromisoformat(date.strip()), float(depth))
-                             for date, depth in map(columns, filter(None, reader))))
+            try:
+                events = tuple((fromisoformat(date.strip()), float(depth))
+                               for date, depth in map(columns, filter(None, reader)))
+            except (IndexError, ValueError) as exc:
+                raise ValidationError(
+                    _first_bad_row(path, index) or f"{path}: {exc}") from exc
+        return cls(events)
+
+
+def _first_bad_row(path, index: dict) -> str | None:
+    """Name the first row of a rain record whose date or depth does not
+    parse: file, line, column and why. Read again only after the streamed
+    read failed."""
+    parsers = (("date", lambda text: _dt.date.fromisoformat(text.strip()),
+                "an ISO-8601 date"),
+               ("depth_mm", float, "a number"))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):
+            for name, parse, kind in parsers:
+                col = index[name]
+                where = f"{path}: line {reader.line_num}, column {col + 1} ({name})"
+                if col >= len(row) or not row[col].strip():
+                    return f"{where}: missing value"
+                try:
+                    parse(row[col])
+                except ValueError:
+                    return f"{where}: {row[col].strip()!r} is not {kind}"
+    return None
 
 
 def segment_events(readings, dry_gap_hr: float = 6.0) -> RainRecord:

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from lidscore import config, hydrology, pipeline
+from lidscore import config, kernels, pipeline
 from lidscore.cli import main
 
 DATA_FILES = ("rainfall.csv", "environmental_indicators.csv",
@@ -310,35 +310,55 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 3
         assert "tss_reduction" in result.output
 
-    def test_substep_limit_exits_3(self, runner, sample_dir, tmp_path):
+    def test_substep_limit_exits_3(self, runner, sample_dir, tmp_path,
+                                   monkeypatch):
         """A step past the runoff kernel's substep limit (reached here by
-        shrinking the substep budget) stops the run with its location."""
-        with mock.patch.object(hydrology, "MAX_SUBSTEP_DEPTH_MM", 1e-4):
-            result = runner.invoke(main, [
-                "simulate", "--config", str(sample_dir / "sports_center.yaml"),
-                "--out", str(tmp_path / "out")])
+        shrinking the kernel's tolerance to an absolute 1e-7 mm) stops the
+        run with its location."""
+        monkeypatch.setattr(kernels, "TOL_REL", 0.0)
+        monkeypatch.setattr(kernels, "TOL_ABS_MM", 1e-7)
+        result = runner.invoke(main, [
+            "simulate", "--config", str(sample_dir / "sports_center.yaml"),
+            "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "error: subcatchment " in result.output
         assert "surface: step " in result.output
         assert "more than 3600" in result.output
 
-    @pytest.mark.parametrize("project,options,budget_mm,message", [
-        ("sports_center.yaml", [], 1e-4, "[stage: simulation] subcatchment "),
+    def test_bad_rain_record_row_exits_3(self, runner, sample_dir, tmp_path):
+        """A rain-record row without a depth stops `rank` in the sizing
+        stage with the file, line and column, not with a traceback."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        rain = tmp_path / "rainfall.csv"
+        lines = rain.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0]
+        rain.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert (f"error: [stage: sizing] {rain}: line 4, column 2 (depth_mm): "
+                "missing value") in result.output
+
+    @pytest.mark.parametrize("project,options,tol_abs_mm,message", [
+        ("sports_center.yaml", [], 1e-7, "[stage: simulation] subcatchment "),
         ("published_tables.yaml",
          ["--sensitivity", "environmental", "--delta", "0.9"], None,
          "[stage: sensitivity] perturbed weight 1.5080 for 'environmental' "
          "outside [0, 1]"),
     ])
     def test_failing_stage_is_named(self, runner, sample_dir, tmp_path,
-                                    project, options, budget_mm, message):
+                                    monkeypatch, project, options, tol_abs_mm,
+                                    message):
         """A runtime failure inside `rank` names the stage it stopped in:
-        a step past the substep limit (a shrunken substep budget) in
-        simulation, a weight pushed past 1 in sensitivity."""
-        budget_mm = budget_mm or hydrology.MAX_SUBSTEP_DEPTH_MM
-        with mock.patch.object(hydrology, "MAX_SUBSTEP_DEPTH_MM", budget_mm):
-            result = runner.invoke(main, [
-                "rank", "--config", str(sample_dir / project),
-                "--out", str(tmp_path / "out"), *options])
+        a step past the substep limit (the kernel's tolerance shrunk to an
+        absolute `tol_abs_mm`) in simulation, a weight pushed past 1 in
+        sensitivity."""
+        if tol_abs_mm is not None:
+            monkeypatch.setattr(kernels, "TOL_REL", 0.0)
+            monkeypatch.setattr(kernels, "TOL_ABS_MM", tol_abs_mm)
+        result = runner.invoke(main, [
+            "rank", "--config", str(sample_dir / project),
+            "--out", str(tmp_path / "out"), *options])
         assert result.exit_code == 3
         assert f"error: {message}" in result.output
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
+from lidscore import kernels
 from lidscore.errors import ConfigError, ValidationError
 from lidscore.hydrology import (HortonParams, Hydrograph, LandUse, Link,
                                 Subcatchment, composite_runoff_coefficient,
@@ -203,14 +204,43 @@ class TestSimulateSubcatchment:
         with pytest.raises(ValidationError, match="land-use areas"):
             make_subcatchment(land_uses=(LandUse("a", 0.5, 0.4),))
 
-    def test_step_beyond_substep_limit_is_named(self):
-        """800 mm in one hour-long step asks for 4,000 substeps of 0.2 mm,
-        more than the kernel allows; the error says where."""
+    @pytest.mark.parametrize("step_s", [30, 60, 300])
+    def test_capacity_series_is_horton_rate(self, monkeypatch, step_s):
+        """The pervious capacity series the kernel gets, built in one NumPy
+        expression, is `horton_rate` at every step's midpoint (in mm/s)
+        within a relative 1e-15; the impervious surface gets zeros."""
+        calls = []
+        step = kernels.step_subarea
+
+        def record(*call):
+            calls.append(call)
+            return step(*call)
+
+        monkeypatch.setattr(kernels, "step_subarea", record)
+        storm = flat_storm(20.0, 30 * 60 // step_s, 240 * 60 // step_s,
+                           step_s=step_s)
+        simulate_subcatchment(make_subcatchment(), storm, tail_min=60)
+        (impervious, pervious) = [call[1] for call in calls]
+        expected = np.array([horton_rate(HORTON, (k + 0.5) * step_s / 3600.0)
+                             for k in range(pervious.size)]) / 3600.0
+        assert pervious.size == 300 * 60 // step_s
+        np.testing.assert_allclose(pervious, expected, rtol=1e-15, atol=0.0)
+        assert not impervious.any()
+
+    def test_step_beyond_substep_limit_is_named(self, monkeypatch):
+        """With the kernel's tolerance shrunk to an absolute 2**-10 mm, 10
+        mm in one 600 s step asks for 4,131 substeps, more than the kernel
+        allows; the error says where. The trial's half-step depth is
+        300 s * 1/60 mm/s = 5 mm, 3.5 mm above depression storage, so its
+        Euler and midpoint end depths differ by
+        600 s * 3.5**(5/3) / 1200 mm/s = 4.034 mm, 4,130.8 tolerances."""
+        monkeypatch.setattr(kernels, "TOL_REL", 0.0)
+        monkeypatch.setattr(kernels, "TOL_ABS_MM", 2.0**-10)
         sc = make_subcatchment(impervious_fraction=1.0)
-        storm = flat_storm(800.0, 1, 2, step_s=3600)
+        storm = flat_storm(60.0, 1, 2, step_s=600)
         with pytest.raises(ValidationError, match=(
-                r"subcatchment test, impervious surface: "
-                r"step 0 \(t = 0 s\) needs 4000 substeps, more than 3600")):
+                r"^subcatchment test, impervious surface: "
+                r"step 0 \(t = 0 s\) needs 4131 substeps, more than 3600$")):
             simulate_subcatchment(sc, storm)
 
 

@@ -144,6 +144,24 @@ class TestRainRecordCsv:
             assert events == ((dt.date(2023, 1, 2), 5.5),
                               (dt.date(2023, 2, 3), 12.0))
 
+    @pytest.mark.parametrize("row,message", [
+        ("2023-02-03", "line 4, column 3 (depth_mm): missing value"),
+        ("2023-02-03,S1,n/a", "line 4, column 3 (depth_mm): 'n/a' is not "
+                              "a number"),
+        ("2023-13-03,S1,12.0", "line 4, column 1 (date): '2023-13-03' is not "
+                               "an ISO-8601 date"),
+    ])
+    def test_bad_row_named(self, tmp_path, row, message):
+        """A row without a depth, with a depth that is not a number or with
+        an invalid date is named by file, line and column (the blank line
+        counts as a line)."""
+        path = tmp_path / "rain.csv"
+        path.write_text(f"date,station,depth_mm\n2023-01-02,S1,5.5\n\n{row}\n"
+                        "2023-03-04,S1,1.0\n")
+        with pytest.raises(ValidationError) as err:
+            RainRecord.from_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("text", ["", "date\n2023-01-02\n",
                                       "\ndate,depth_mm\n2023-01-02,5.5\n"])
     def test_missing_header_message(self, tmp_path, text):
