@@ -7,13 +7,13 @@ CR = CI / RI rule, rejecting matrices at CR >= 0.1.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from lidscore.errors import ValidationError
+from lidscore.inputs import read_cell, read_rows
 
 # Random consistency index by matrix order (Saaty's constants).
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24,
@@ -47,17 +47,19 @@ class PairwiseMatrix:
         return len(self.labels)
 
     @classmethod
-    def from_rows(cls, labels, rows) -> "PairwiseMatrix":
-        """Build from row lists; None/blank lower-triangle entries are
-        filled from the reciprocal of the upper triangle."""
+    def from_rows(cls, labels, rows, where=None) -> "PairwiseMatrix":
+        """Build from row lists of numbers or fractions ("1/3"). Upper-triangle
+        entries are required; a blank diagonal entry reads 1 and a blank lower
+        one the reciprocal. `where[i]` names row i in errors."""
         n = len(labels)
+        where = where or [f"row {i + 1} ({label})" for i, label in enumerate(labels)]
         m = np.ones((n, n))
         for i in range(n):
+            row = rows[i] if i < len(rows) else ()
             for j in range(n):
-                entry = rows[i][j] if j < len(rows[i]) else None
-                if entry is None or (isinstance(entry, str) and not entry.strip()):
-                    continue
-                m[i, j] = _parse_entry(entry)
+                m[i, j] = read_cell(where[i], row, j, labels[j], _parse_entry,
+                                    "a number or a fraction",
+                                    blank=None if j > i else 1.0)
         for i in range(n):
             for j in range(i + 1, n):
                 m[j, i] = 1.0 / m[i, j]
@@ -65,18 +67,15 @@ class PairwiseMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "PairwiseMatrix":
-        """Read a matrix file: a header of labels, then one row per label.
-        The upper triangle is sufficient; entries may be fractions ("1/3")."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            table = [row for row in reader if row and any(c.strip() for c in row)]
-        if not table:
-            raise ValidationError(f"{path}: empty matrix file")
-        labels = [c.strip() for c in table[0] if c.strip()]
-        rows = [row[: len(labels)] for row in table[1:]]
-        if len(rows) != len(labels):
-            raise ValidationError(f"{path}: expected {len(labels)} rows, got {len(rows)}")
-        return cls.from_rows(labels, rows)
+        """Read a matrix file through `inputs.read_rows`: a header of
+        labels, then one row per label (see `from_rows`)."""
+        (_, header), *rows = list(read_rows(path)) or [(0, ())]
+        labels = [c.strip() for c in header if c.strip()]
+        if not labels or len(rows) != len(labels):
+            raise ValidationError(f"{path}: expected a header of labels and one row "
+                                  f"per label, got {len(labels)} labels, {len(rows)} rows")
+        return cls.from_rows(labels, [row for _, row in rows],
+                             [f"{path}: line {line}" for line, _ in rows])
 
 
 def _parse_entry(entry) -> float:

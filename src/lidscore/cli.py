@@ -79,11 +79,11 @@ def storm(config, out_dir):
 def atrcr(config, out_dir):
     """Capture-depth statistics from the configured rainfall record."""
     from lidscore.pipeline import ATRCR_GRID_MM, _persist_atrcr_curve, _Writer
-    from lidscore.storms import RainRecord, atrcr_curve, invert_atrcr
+    from lidscore.storms import atrcr_curve, invert_atrcr
 
-    if config.sizing is None or config.sizing.target.rainfall_csv is None:
+    if config.sizing is None or config.sizing.target.record is None:
         raise ConfigError("config has no sizing.target.rainfall_csv")
-    record = RainRecord.from_csv(config.sizing.target.rainfall_csv)
+    record = config.sizing.target.record
     min_event = config.sizing.min_event_mm
     path = _persist_atrcr_curve(_Writer(out_dir),
                                 atrcr_curve(record, ATRCR_GRID_MM, min_event))

@@ -16,12 +16,13 @@ import yaml
 
 from lidscore import ahp
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
+from lidscore.evaluator import IndicatorTable
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
                           default_catalog, placement_problems)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
-from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams,
+from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams, RainRecord,
                              design_storm_suite)
 
 SCHEMA_VERSION = 1
@@ -49,6 +50,7 @@ class SizingTarget:
     depth_mm: float | None = None
     atrcr: float | None = None
     rainfall_csv: Path | None = None
+    record: RainRecord | None = None    # read from rainfall_csv at load
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,6 @@ class SizingSettings:
     min_event_mm: float = DEFAULT_MIN_EVENT_MM
     psi: float | None = None        # overrides the land-use composite
     area_ha: float | None = None    # overrides the summed subcatchment area
-
-
-@dataclass(frozen=True)
-class DirectTable:
-    path: Path
-    normalized: bool
 
 
 @dataclass
@@ -83,7 +79,7 @@ class ProjectConfig:
     sizing: SizingSettings | None
     hierarchy_spec: dict
     matrices: dict = field(default_factory=dict)
-    direct_tables: list = field(default_factory=list)
+    direct_tables: list = field(default_factory=list)   # of IndicatorTable
 
     def weight_tree(self):
         """Resolve the hierarchy to a WeightTree, deriving weights from
@@ -427,22 +423,21 @@ def load_config(path) -> ProjectConfig:
                 errors.add("sizing.existing_facilities",
                            f"{label}: negative volume")
         target_raw = errors.mapping("sizing.target", sizing_raw.get("target")) or {}
-        csv_path = target_raw.get("rainfall_csv")
+        csv_name = target_raw.get("rainfall_csv")
+        csv_path = base_dir / str(csv_name) if csv_name else None
         target = SizingTarget(
             depth_mm=errors.number("sizing.target.depth_mm",
                                    target_raw.get("depth_mm"), optional=True),
             atrcr=errors.number("sizing.target.atrcr", target_raw.get("atrcr"),
                                 optional=True),
-            rainfall_csv=base_dir / csv_path if csv_path else None,
+            rainfall_csv=csv_path,
+            record=csv_path and errors.guard("sizing.target.rainfall_csv",
+                                             RainRecord.from_csv, csv_path),
         )
         if target_raw.get("depth_mm") is None and target_raw.get("atrcr") is None:
             errors.add("sizing.target", "need either depth_mm or atrcr")
-        if target.atrcr is not None:
-            if target.rainfall_csv is None:
-                errors.add("sizing.target", "atrcr target needs rainfall_csv")
-            elif not target.rainfall_csv.exists():
-                errors.add("sizing.target",
-                           f"rainfall file not found: {target.rainfall_csv}")
+        if target.atrcr is not None and csv_path is None:
+            errors.add("sizing.target", "atrcr target needs rainfall_csv")
         psi_override = sizing_raw.get("psi")
         area_override = sizing_raw.get("area_ha")
         psi = errors.number("sizing.psi", psi_override, optional=True)
@@ -474,7 +469,7 @@ def load_config(path) -> ProjectConfig:
             continue
         if "csv" in m_raw:
             matrices[node] = errors.guard(
-                section, ahp.PairwiseMatrix.from_csv, base_dir / m_raw["csv"]
+                section, ahp.PairwiseMatrix.from_csv, base_dir / str(m_raw["csv"])
             )
         else:
             matrices[node] = errors.guard(
@@ -485,19 +480,23 @@ def load_config(path) -> ProjectConfig:
     matrices = {k: v for k, v in matrices.items() if v is not None}
 
     direct_tables = []
+    names = [sc.name for sc in scenarios]
     for i, entry in errors.entries("direct_tables", raw.get("direct_tables")):
         section = f"direct_tables[{i}]"
         file_name = entry.get("file")
         if not file_name:
             errors.add(section, "missing file")
             continue
-        table_path = base_dir / file_name
-        if not table_path.exists():
-            errors.add(section, f"file not found: {table_path}")
+        table_path = base_dir / str(file_name)
+        table = errors.guard(section, IndicatorTable.from_csv, table_path)
+        if table is None:
             continue
-        direct_tables.append(
-            DirectTable(path=table_path, normalized=bool(entry.get("normalized")))
-        )
+        # a project without scenarios ranks nothing, so no table row is used
+        if names and sorted(table.scenarios) != sorted(names):
+            errors.add(section, f"{table_path}: scenarios {table.scenarios} do "
+                                f"not match config scenarios {names}")
+        table.normalized = bool(entry.get("normalized"))
+        direct_tables.append(table)
 
     if errors.errors:
         raise ConfigError(errors.errors)

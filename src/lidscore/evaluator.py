@@ -8,7 +8,6 @@ comprehensive benefit used for ranking.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from lidscore.errors import ValidationError
 from lidscore.hydrology import Hydrograph
+from lidscore.inputs import read_cell, read_rows
 from lidscore.metrics import peak_stats
 
 POLARITIES = ("benefit", "cost")
@@ -177,16 +177,30 @@ class IndicatorTable:
             raise ValidationError(f"no indicator column {indicator!r}") from None
         return self.values[:, j]
 
+    def __eq__(self, other):
+        return (isinstance(other, IndicatorTable) and np.array_equal(self.values, other.values)
+                and (self.scenarios, self.indicators, self.normalized)
+                == (other.scenarios, other.indicators, other.normalized))
+
     @classmethod
     def from_csv(cls, path) -> "IndicatorTable":
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        if not rows or rows[0][0] != "scenario":
+        """Read a `scenario,<indicator>,...` header and a row per scenario
+        through `inputs.read_cell`; every value must be a finite number."""
+        rows = read_rows(path)
+        _, header = next(rows, (0, [""]))
+        if header[0] != "scenario":
             raise ValidationError(f"{path}: expected a 'scenario' header column")
-        indicators = rows[0][1:]
-        scenarios = [row[0] for row in rows[1:]]
-        values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        return cls(scenarios, indicators, values)
+        scenarios, values = [], []
+        for line, row in rows:
+            where = f"{path}: line {line}"
+            if len(row) > len(header):
+                raise ValidationError(f"{where}, column {len(header) + 1}: "
+                                      f"more cells than the header has columns")
+            scenarios.append(read_cell(where, row, 0, "scenario", str))
+            values.append([read_cell(where, row, j, name)
+                           for j, name in enumerate(header[1:], 1)])
+        return cls(scenarios, header[1:],
+                   np.array(values).reshape(len(values), len(header) - 1))
 
 
 def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> IndicatorTable:

@@ -142,6 +142,11 @@ def step_subarea(intensity_mmps, fcap_mmps, q_coef, dstore_mm, dt_s, d0_mm):
         # many substeps does not add up in the closure
         d = d_start + rain - f_acc - r_acc
         if d < 0.0:
+            # the substeps took a rounding more than there was: give it back
+            if r_acc >= -d:
+                r_acc += d
+            else:
+                f_acc += d
             d = 0.0
         excess = d - dstore_mm
         q = q_coef * excess**power if excess > 0.0 else 0.0

@@ -57,8 +57,7 @@ from lidscore.hydrology import (Hydrograph, composite_runoff_coefficient,
                                 route, route_series, simulate_subcatchment)
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
-from lidscore.storms import (RainRecord, atrcr_curve, design_storm_suite,
-                             invert_atrcr)
+from lidscore.storms import atrcr_curve, design_storm_suite, invert_atrcr
 
 MASS_BALANCE_LIMIT = 0.005
 ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.csv
@@ -247,9 +246,9 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     if target.depth_mm is not None:
         depth = float(target.depth_mm)
     else:
-        record = RainRecord.from_csv(target.rainfall_csv)
-        depth = invert_atrcr(record, target.atrcr, config.sizing.min_event_mm)
-        atrcr_points = atrcr_curve(record, ATRCR_GRID_MM, config.sizing.min_event_mm)
+        depth = invert_atrcr(target.record, target.atrcr, config.sizing.min_event_mm)
+        atrcr_points = atrcr_curve(target.record, ATRCR_GRID_MM,
+                                   config.sizing.min_event_mm)
     existing_m3, existing_depth = existing_capacity(
         config.sizing.existing_facilities, psi, area_ha
     )
@@ -471,19 +470,13 @@ def _persist_runs(writer: _Writer, runs: dict) -> None:
 
 def _direct_columns(config: ProjectConfig, order: list) -> dict:
     """indicator -> (column in `order` scenario order, already normalized)
-    over every direct table. Raw tables are read first, then pre-normalized
+    over every direct table. Raw tables come first, then pre-normalized
     ones, each in file order; the last table providing an indicator wins."""
     columns: dict = {}
-    for entry in sorted(config.direct_tables, key=lambda e: e.normalized):
-        table = IndicatorTable.from_csv(entry.path)
-        if sorted(table.scenarios) != sorted(order):
-            raise ConfigError(
-                f"{entry.path}: scenarios {table.scenarios} do not match "
-                f"config scenarios {order}"
-            )
+    for table in sorted(config.direct_tables, key=lambda t: t.normalized):
         values = table.values[[table.scenarios.index(name) for name in order], :]
         for j, indicator in enumerate(table.indicators):
-            columns[indicator] = (values[:, j], entry.normalized)
+            columns[indicator] = (values[:, j], table.normalized)
     return columns
 
 

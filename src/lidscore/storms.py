@@ -8,14 +8,14 @@ and rescaled to an exact event depth).
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from lidscore.errors import ValidationError
+from lidscore.inputs import read_cell, read_rows
 
 # Events at or below this depth are excluded from ATRCR statistics unless
 # the caller overrides the filter (small events are usually not counted in
@@ -54,50 +54,29 @@ class RainRecord:
 
     @classmethod
     def from_csv(cls, path) -> "RainRecord":
-        """Read `date,depth_mm` rows (ISO-8601 dates, header required; other
-        columns are ignored and blank lines skipped). Rows stream from one
-        `csv.reader` through an `itemgetter` of the two columns, so no row
-        is kept after it is parsed. A row that does not parse raises
-        ValidationError naming the file, line and column."""
+        """`date,depth_mm` rows streamed from `inputs.read_rows`: a header on
+        line 1, ISO-8601 dates, finite depths; other columns are ignored."""
+        rows = read_rows(path)
+        line, header = next(rows, (0, ()))
+        if line != 1 or "date" not in header or "depth_mm" not in header:
+            raise ValidationError(f"{path}: expected header 'date,depth_mm'")
+        # a repeated column name reads its last column, as csv.DictReader does
+        index = {name: i for i, name in enumerate(header)}
+        date, depth = index["date"], index["depth_mm"]
         fromisoformat = _dt.date.fromisoformat
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or "date" not in header or "depth_mm" not in header:
-                raise ValidationError(f"{path}: expected header 'date,depth_mm'")
-            # a repeated column name reads its last column, as csv.DictReader does
-            index = {name: i for i, name in enumerate(header)}
-            columns = itemgetter(index["date"], index["depth_mm"])
-            try:
-                events = tuple((fromisoformat(date.strip()), float(depth))
-                               for date, depth in map(columns, filter(None, reader)))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(
-                    _first_bad_row(path, index) or f"{path}: {exc}") from exc
-        return cls(events)
-
-
-def _first_bad_row(path, index: dict) -> str | None:
-    """Name the first row of a rain record whose date or depth does not
-    parse: file, line, column and why. Read again only after the streamed
-    read failed."""
-    parsers = (("date", lambda text: _dt.date.fromisoformat(text.strip()),
-                "an ISO-8601 date"),
-               ("depth_mm", float, "a number"))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in filter(None, reader):
-            for name, parse, kind in parsers:
-                col = index[name]
-                where = f"{path}: line {reader.line_num}, column {col + 1} ({name})"
-                if col >= len(row) or not row[col].strip():
-                    return f"{where}: missing value"
-                try:
-                    parse(row[col])
-                except ValueError:
-                    return f"{where}: {row[col].strip()!r} is not {kind}"
-    return None
+        events = []
+        for line, row in rows:
+            try:    # the common case; read_cell names what a row gets wrong
+                event = (fromisoformat(row[date].strip()), float(row[depth]))
+            except (IndexError, ValueError):
+                event = (None, math.nan)
+            if not math.isfinite(event[1]):
+                where = f"{path}: line {line}"
+                event = (read_cell(where, row, date, "date", fromisoformat,
+                                   "an ISO-8601 date"),
+                         read_cell(where, row, depth, "depth_mm"))
+            events.append(event)
+        return cls(tuple(events))
 
 
 def segment_events(readings, dry_gap_hr: float = 6.0) -> RainRecord:

@@ -110,6 +110,29 @@ class TestMatrixValidation:
         assert m.values[1, 0] == pytest.approx(0.5)
         assert m.values[2, 0] == pytest.approx(1 / 6)
 
+    def test_from_rows_requires_upper_triangle(self):
+        """A missing or blank upper-triangle judgment is an error naming its
+        row and column; it never reads as 1."""
+        for rows in ([[1, 3], [None, 1, 2], [None, None, 1]],
+                     [[1, 3, " "], [None, 1, 2], [None, None, 1]]):
+            with pytest.raises(ValidationError) as err:
+                PairwiseMatrix.from_rows(("a", "b", "c"), rows)
+            assert str(err.value) == "row 1 (a), column 3 (c): missing value"
+
+    @pytest.mark.parametrize("entry", ["one", "1/0", "1/x", [1]])
+    def test_entry_not_a_number_raises(self, entry):
+        with pytest.raises(ValidationError, match="is not a number or a fraction"):
+            PairwiseMatrix.from_rows(("a", "b"), [[1, entry], [None, 1]])
+
+    def test_from_csv_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,c\n1,2,6\n,1,\n,,1\n")
+        with pytest.raises(ValidationError) as err:
+            PairwiseMatrix.from_csv(path)
+        assert str(err.value) == f"{path}: line 3, column 3 (c): missing value"
+        with pytest.raises(ValidationError, match="cannot read"):
+            PairwiseMatrix.from_csv(tmp_path / "missing.csv")
+
     def test_from_csv_with_fractions(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b,c\n1,2,6\n,1,4\n,,1\n")

@@ -80,19 +80,97 @@ class TestValidate:
          "catchment.subcatchments[A].outlet: '.' must be"),
         (("catchment", "links", 0), "to", "up/OUT_A",
          "catchment.links[LA].to: 'up/OUT_A' must be"),
+        # pairwise matrices: a judgment that is not a number, a matrix file
+        # that does not exist, a blank upper-triangle judgment
+        ((), "matrices", {"comprehensive": {
+            "labels": ["environmental", "economic", "social"],
+            "rows": [["one", 1.0, 2.0], [None, 1, 2], [None, None, 1]]}},
+         "matrices.comprehensive: row 1 (environmental), column 1 "
+         "(environmental): 'one' is not a number or a fraction"),
+        ((), "matrices", {"comprehensive": {"csv": "nope.csv"}},
+         "matrices.comprehensive: <dir>/nope.csv: cannot read: "
+         "No such file or directory"),
+        # a file name that YAML reads as a number names a file too
+        (("direct_tables", 0), "file", 5,
+         "direct_tables[0]: <dir>/5: cannot read: No such file or directory"),
+        ((), "matrices", {"comprehensive": {
+            "labels": ["environmental", "economic", "social"],
+            "rows": [[1, 3], [None, 1, 2], [None, None, 1]]}},
+         "matrices.comprehensive: row 1 (environmental), column 3 (social): "
+         "missing value"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
         """Inputs that used to pass validation and then crash, fail or write
         outside `--out` inside `rank` are rejected at load time by both
-        commands. `section` is a top-level key or a path of keys."""
+        commands. `section` is a top-level key or a path of keys; `<dir>`
+        in `message` is the project's directory."""
         keys = (*(section if isinstance(section, tuple) else (section,)), key)
         path = edited_project(sample_dir, tmp_path, keys, value)
         result = runner.invoke(main, [command, "--config", str(path),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert f"error: {message}" in result.output
+        assert f"error: {message.replace('<dir>', str(tmp_path))}" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("data,line,column,value,message", [
+        ("econ_social_indicators.csv", 3, 3, "n/a",
+         "line 3, column 3 (maintenance_cost): 'n/a' is not a number"),
+        ("econ_social_indicators.csv", 3, 3, None,
+         "line 3, column 3 (maintenance_cost): missing value"),
+        ("econ_social_indicators.csv", 3, 10, "0.2",
+         "line 3, column 10: more cells than the header has columns"),
+        ("econ_social_indicators.csv", 3, 3, "nan",
+         "line 3, column 3 (maintenance_cost): 'nan' is not finite"),
+        ("econ_social_indicators.csv", 5, 9, "inf",
+         "line 5, column 9 (ecological): 'inf' is not finite"),
+        ("rainfall.csv", 4, 2, "nan", "line 4, column 2 (depth_mm): 'nan' is not finite"),
+        ("matrix.csv", 2, 3, "", "line 2, column 3 (social): missing value"),
+    ])
+    def test_bad_input_file_cell_exits_2(self, runner, sample_dir, tmp_path,
+                                         command, data, line, column, value,
+                                         message):
+        """A cell of a project input file that is not a finite number, is
+        blank where a value is required, or lies beyond the header (column 10
+        of an 8-indicator table) is named by file, line and column at load
+        time. `value` None cuts the row before `column`. The matrix file is a
+        consistent comparison of the bundled project's top-level weights."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        for child in raw["hierarchy"]["children"]:
+            child.pop("weight")
+        raw["matrices"] = {"comprehensive": {"csv": "matrix.csv"}}
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        (tmp_path / "matrix.csv").write_text(
+            "environmental,economic,social\n"
+            "1,0.608/0.272,0.608/0.120\n,1,0.272/0.120\n,,1\n")
+        table = tmp_path / data
+        lines = table.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column - 1:] = [] if value is None else [value, *cells[column:]]
+        lines[line - 1] = ",".join(cells)
+        table.write_text("\n".join(lines) + "\n")
+        section = {"rainfall.csv": "sizing.target.rainfall_csv",
+                   "matrix.csv": "matrices.comprehensive"}.get(data, "direct_tables[0]")
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {section}: {table}: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_depth_target_reads_its_rainfall_csv(self, runner, sample_dir, tmp_path):
+        """A `rainfall_csv` set next to a `depth_mm` target is read at load
+        too (`lidscore atrcr` uses it), so a missing file fails `validate`;
+        removing the key loads the project again."""
+        target = {"depth_mm": 26, "rainfall_csv": "gone.csv"}
+        path = edited_project(sample_dir, tmp_path, ("sizing", "target"), target)
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert (f"error: sizing.target.rainfall_csv: {tmp_path / 'gone.csv'}: "
+                "cannot read: No such file or directory\n") in result.output
+        edited_project(sample_dir, tmp_path, ("sizing", "target"), {"depth_mm": 26})
+        assert runner.invoke(main, ["validate", "--config", str(path)]).exit_code == 0
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
     def test_duplicate_pollutant_name_exit_2(self, runner, sample_dir, tmp_path,
@@ -325,19 +403,22 @@ class TestSimulateEvaluateRank:
         assert "surface: step " in result.output
         assert "more than 3600" in result.output
 
-    def test_bad_rain_record_row_exits_3(self, runner, sample_dir, tmp_path):
-        """A rain-record row without a depth stops `rank` in the sizing
-        stage with the file, line and column, not with a traceback."""
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_bad_rain_record_row_exits_2(self, runner, sample_dir, tmp_path,
+                                         command):
+        """A rain-record row without a depth fails at load time with the
+        file, line and column, before `rank` writes anything."""
         path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
         rain = tmp_path / "rainfall.csv"
         lines = rain.read_text().splitlines()
         lines[3] = lines[3].split(",")[0]
         rain.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(main, ["rank", "--config", str(path),
+        result = runner.invoke(main, [command, "--config", str(path),
                                       "--out", str(tmp_path / "out")])
-        assert result.exit_code == 3
-        assert (f"error: [stage: sizing] {rain}: line 4, column 2 (depth_mm): "
-                "missing value") in result.output
+        assert result.exit_code == 2
+        assert (f"error: sizing.target.rainfall_csv: {rain}: line 4, column 2 "
+                "(depth_mm): missing value\n") in result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("project,options,tol_abs_mm,message", [
         ("sports_center.yaml", [], 1e-7, "[stage: simulation] subcatchment "),
@@ -452,6 +533,54 @@ class TestSingleWriter:
         assert written
         ranked = hashes_on_disk(sports_rank[0])
         assert {path: ranked.get(path) for path in written} == written
+
+    def test_rank_reads_no_input_file_after_load(self, sports_rank, sample_dir,
+                                                  tmp_path):
+        """`load_config` reads every CSV input; a run of the loaded project
+        writes the same files after they are deleted."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        loaded = config.load_config(path)
+        for data in DATA_FILES:
+            (tmp_path / data).unlink()
+        manifest = pipeline.run_pipeline(loaded, tmp_path / "out",
+                                         sensitivity=("environmental", 0.05))
+        assert manifest.files == hashes_on_disk(sports_rank[0])
+
+    def test_second_rank_into_same_out_writes_same_files(self, sports_rank,
+                                                         runner, sample_dir,
+                                                         tmp_path):
+        manifests = []
+        for _ in range(2):
+            result = runner.invoke(main, [
+                "rank", "--config", str(sample_dir / "sports_center.yaml"),
+                "--out", str(tmp_path), "--sensitivity", "environmental",
+                "--delta", "0.05"])
+            assert result.exit_code == 0, result.output
+            manifests.append(json.loads((tmp_path / "manifest.json").read_text()))
+        assert manifests[0]["files"] == manifests[1]["files"]
+        assert manifests[1]["files"] == hashes_on_disk(tmp_path)
+        assert hashes_on_disk(tmp_path) == hashes_on_disk(sports_rank[0])
+
+    def test_reordered_yaml_keys_write_same_files(self, sports_rank, runner,
+                                                  sample_dir, tmp_path):
+        """Every mapping of the project in reverse key order changes only
+        `manifest.json`, whose `config_hash` hashes the raw bytes."""
+        def reverse_keys(node):
+            if isinstance(node, dict):
+                return {key: reverse_keys(node[key]) for key in reversed(node)}
+            if isinstance(node, list):
+                return [reverse_keys(item) for item in node]
+            return node
+
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        path.write_text(yaml.safe_dump(reverse_keys(raw), sort_keys=False))
+        assert list(yaml.safe_load(path.read_text())) == list(reversed(raw))
+        result = runner.invoke(main, [
+            "rank", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--sensitivity", "environmental", "--delta", "0.05"])
+        assert result.exit_code == 0, result.output
+        assert hashes_on_disk(tmp_path / "out") == hashes_on_disk(sports_rank[0])
 
 
 # the loader `load_config` uses, and PyYAML's pure-Python one

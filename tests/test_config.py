@@ -137,6 +137,17 @@ class TestValidationFailures:
         with pytest.raises(ConfigError, match="nope.csv"):
             load_config(rewrite(sample_dir, tmp_path, mutate))
 
+    def test_direct_table_scenarios_checked_at_load(self, sample_dir, tmp_path):
+        path = rewrite(sample_dir, tmp_path,
+                       lambda raw: raw["scenarios"][0].update(name="renamed"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.errors == [
+            f"direct_tables[0]: {tmp_path / 'econ_social_indicators.csv'}: "
+            f"scenarios {['scenario_' + str(i) for i in range(1, 6)]} do not "
+            f"match config scenarios "
+            f"{['renamed'] + ['scenario_' + str(i) for i in range(2, 6)]}"]
+
     def test_atrcr_target_needs_rainfall(self, sample_dir, tmp_path):
         def mutate(raw):
             del raw["sizing"]["target"]["rainfall_csv"]

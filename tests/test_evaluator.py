@@ -354,3 +354,17 @@ class TestIndicatorTableCsv:
         path.write_text("name,a\ns1,1\n")
         with pytest.raises(ValidationError, match="scenario"):
             IndicatorTable.from_csv(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("s2,2,x", "line 3, column 3 (b): 'x' is not a number"),
+        ("s2,2", "line 3, column 3 (b): missing value"),
+        ("s2,2,NaN", "line 3, column 3 (b): 'NaN' is not finite"),
+        ("s2,2,3,4", "line 3, column 4: more cells than the header has columns"),
+        (",2,3", "line 3, column 1 (scenario): missing value"),
+    ])
+    def test_bad_cell_named(self, tmp_path, row, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"scenario,a,b\ns1,1,2\n{row}\n")
+        with pytest.raises(ValidationError) as err:
+            IndicatorTable.from_csv(path)
+        assert str(err.value) == f"{path}: {message}"

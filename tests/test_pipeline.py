@@ -16,9 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 import lidscore.pipeline
-from lidscore.config import DirectTable
 from lidscore.errors import ValidationError
-from lidscore.evaluator import StormSummary
+from lidscore.evaluator import IndicatorTable, StormSummary
 from lidscore.hydrology import Hydrograph
 from lidscore.lid import LidKind, LidPlacement, Scenario
 from lidscore.pipeline import (StormRun, _persist_hydrograph,
@@ -220,19 +219,19 @@ class TestDirectTables:
             f"{sc.name},{k + 1}\n" for k, sc in enumerate(published_config.scenarios)))
         # listed last, so file order alone would pick it
         config = dataclasses.replace(published_config, direct_tables=[
-            *published_config.direct_tables, DirectTable(raw, normalized=False)])
+            *published_config.direct_tables, IndicatorTable.from_csv(raw)])
         got, _ = assemble_indicators(config, tree, None)
         np.testing.assert_array_equal(got.values, table.values)
 
     def test_shuffled_rows_follow_config_order(self, published_config,
-                                               published_weighted, tmp_path):
+                                               published_weighted):
         tree, table = published_weighted
         shuffled = []
-        for entry in published_config.direct_tables:
-            header, *rows = entry.path.read_text().splitlines()
-            path = tmp_path / entry.path.name
-            path.write_text("\n".join([header, *rows[1:], rows[0]]) + "\n")
-            shuffled.append(dataclasses.replace(entry, path=path))
+        for direct in published_config.direct_tables:
+            order = [*range(1, len(direct.scenarios)), 0]
+            shuffled.append(dataclasses.replace(
+                direct, scenarios=[direct.scenarios[i] for i in order],
+                values=direct.values[order]))
         config = dataclasses.replace(published_config, direct_tables=shuffled)
         got, _ = assemble_indicators(config, tree, None)
         assert got.scenarios == table.scenarios

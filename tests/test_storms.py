@@ -150,11 +150,14 @@ class TestRainRecordCsv:
                               "a number"),
         ("2023-13-03,S1,12.0", "line 4, column 1 (date): '2023-13-03' is not "
                                "an ISO-8601 date"),
+        ("2023-02-03,S1,nan", "line 4, column 3 (depth_mm): 'nan' is not finite"),
+        ("2023-02-03,S1,-inf", "line 4, column 3 (depth_mm): '-inf' is not "
+                               "finite"),
     ])
     def test_bad_row_named(self, tmp_path, row, message):
-        """A row without a depth, with a depth that is not a number or with
-        an invalid date is named by file, line and column (the blank line
-        counts as a line)."""
+        """A row without a depth, with a depth that is not a finite number
+        or with an invalid date is named by file, line and column (the blank
+        line counts as a line)."""
         path = tmp_path / "rain.csv"
         path.write_text(f"date,station,depth_mm\n2023-01-02,S1,5.5\n\n{row}\n"
                         "2023-03-04,S1,1.0\n")
