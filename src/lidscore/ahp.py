@@ -89,6 +89,7 @@ def _parse_entry(entry) -> float:
 class WeightVector:
     labels: tuple
     weights: np.ndarray
+    lambda_max: float | None = None   # of the matrix the weights come from
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -130,17 +131,21 @@ def _principal_eigenvector(m: np.ndarray):
 
 def derive_weights(matrix: PairwiseMatrix) -> WeightVector:
     """Priority weights of a pairwise matrix: its normalized principal
-    eigenvector."""
-    w, _ = _principal_eigenvector(matrix.values)
-    return WeightVector(matrix.labels, w)
+    eigenvector, with the principal eigenvalue it was solved with."""
+    w, lam = _principal_eigenvector(matrix.values)
+    return WeightVector(matrix.labels, w, lam)
 
 
 def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
     """Consistency screen: lambda_max, CI = (lambda_max - n)/(n - 1), CR = CI/RI."""
-    n = matrix.order
-    if n < 2:
+    if matrix.order < 2:
         return ConsistencyReport(1.0, 0.0, 0.0, 0.0)
-    _, lam = _principal_eigenvector(matrix.values)
+    return _screen(matrix.order, _principal_eigenvector(matrix.values)[1])
+
+
+def _screen(n: int, lam: float) -> ConsistencyReport:
+    """`consistency` of an order-n (n >= 2) matrix whose principal
+    eigenvalue is `lam`."""
     ci = (lam - n) / (n - 1)
     if n == 2:
         # 2x2 reciprocal matrices cannot be inconsistent
@@ -196,13 +201,13 @@ def weight_tree(hierarchy: dict, matrices: dict):
                 raise ValidationError(
                     f"matrix labels for '{name}' do not match children {expected}"
                 )
-            report = consistency(matrix)
-            reports[name] = report
+            vector = derive_weights(matrix)   # one eigen-solve per matrix
+            report = reports[name] = _screen(matrix.order, vector.lambda_max)
             if not report.passed:
                 raise ValidationError(
                     f"node '{name}' rejected: CR = {report.cr:.4f} >= {CR_LIMIT}"
                 )
-            weights = derive_weights(matrix).weights
+            weights = vector.weights
         children = tuple(
             build(child, float(w)) for child, w in zip(children_spec, weights)
         )

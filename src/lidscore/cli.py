@@ -116,12 +116,11 @@ def simulate(config, out_dir):
 @main.command()
 @_common
 def weights(config, out_dir):
-    """Resolve the indicator hierarchy weights (values or matrices)."""
+    """Write the hierarchy weights resolved at load (values or matrices)."""
     from lidscore.pipeline import _persist_weights, _Writer
 
-    tree, reports = config.weight_tree()
-    path = _persist_weights(_Writer(out_dir), tree, reports)
-    for node, r in sorted(reports.items()):
+    path = _persist_weights(_Writer(out_dir), config.tree, config.consistency)
+    for node, r in sorted(config.consistency.items()):
         click.echo(f"{node}: lambda_max {r.lambda_max:.4f}, CR {r.cr:.4f} "
                    f"({'ok' if r.passed else 'REJECTED'})")
     click.echo(f"wrote {path}")
@@ -133,9 +132,8 @@ def evaluate(config, out_dir):
     """Build the indicator tables (simulating where the hierarchy asks)."""
     from lidscore.pipeline import _persist_indicators, _Writer, simulate_if_needed
 
-    tree, _ = config.weight_tree()
     writer = _Writer(out_dir)
-    _persist_indicators(writer, config, tree, simulate_if_needed(config, tree))
+    _persist_indicators(writer, config, simulate_if_needed(config))
     for rel in writer.files:
         click.echo(f"wrote {out_dir / rel}")
 

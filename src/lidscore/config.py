@@ -15,8 +15,10 @@ from pathlib import Path
 import yaml
 
 from lidscore import ahp
-from lidscore.errors import ConfigError, LidscoreError, ValidationError
-from lidscore.evaluator import IndicatorTable
+from lidscore.errors import ConfigError, ValidationError
+from lidscore.evaluator import (IndicatorTable, WeightTree,
+                                environmental_indicators,
+                                facility_indicator_scores)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
@@ -80,6 +82,8 @@ class ProjectConfig:
     hierarchy_spec: dict
     matrices: dict = field(default_factory=dict)
     direct_tables: list = field(default_factory=list)   # of IndicatorTable
+    tree: WeightTree | None = None   # both resolved once, by load_config
+    consistency: dict = field(default_factory=dict)   # node -> ConsistencyReport
 
     def weight_tree(self):
         """Resolve the hierarchy to a WeightTree, deriving weights from
@@ -446,6 +450,10 @@ def load_config(path) -> ProjectConfig:
             errors.add("sizing.psi", f"must be in (0, 1], got {psi_override}")
         if area is not None and not area > 0.0:
             errors.add("sizing.area_ha", f"must be positive, got {area_override}")
+        if psi_override is None and not any(sc.land_uses for sc in subcatchments.values()):
+            errors.add("sizing", "needs land uses or an explicit sizing.psi")
+        if area_override is None and not subcatchments:
+            errors.add("sizing", "needs subcatchments or an explicit sizing.area_ha")
         sizing = SizingSettings(
             existing_facilities=tuple(facilities),
             target=target,
@@ -519,9 +527,28 @@ def load_config(path) -> ProjectConfig:
         matrices=matrices,
         direct_tables=direct_tables,
     )
-    # resolving the tree exercises weight/matrix/CR validation eagerly
-    try:
-        config.weight_tree()
-    except (ConfigError, LidscoreError) as exc:
-        raise ConfigError([str(exc)]) from exc
+    # resolving the tree applies the weight, matrix and CR rules; a project
+    # without scenarios ranks nothing, so its leaves need no source
+    config.tree, config.consistency = config.weight_tree()
+    if scenarios:
+        _check_leaf_sources(errors, config)
+    if errors.errors:
+        raise ConfigError(errors.errors)
     return config
+
+
+def _check_leaf_sources(errors: _Collector, config: ProjectConfig) -> None:
+    """Record a batch entry for every leaf of `config.tree` that its source
+    cannot fill for the project's scenarios."""
+    simulated = environmental_indicators([p.name for p in config.pollutants])
+    direct = {i for table in config.direct_tables for i in table.indicators}
+    for leaf in config.tree.leaves():
+        section = f"hierarchy: leaf {leaf.name!r}"
+        if leaf.source == "simulated" and leaf.indicator not in simulated:
+            errors.add(section, f"the simulation does not produce {leaf.indicator!r} "
+                                f"(it produces {', '.join(simulated)})")
+        elif leaf.source == "direct" and leaf.indicator not in direct:
+            errors.add(section, f"no direct table provides {leaf.indicator!r}")
+        elif leaf.source == "facility_derived":
+            errors.guard(section, facility_indicator_scores,
+                         config.scenarios, config.catalog, [leaf])

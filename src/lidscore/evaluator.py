@@ -403,6 +403,12 @@ class StormSummary:
                    peak_time_s=peak_time, loads_kg=total_loads)
 
 
+def environmental_indicators(pollutants) -> list:
+    """The columns of `evaluate_environmental` for these pollutant names."""
+    return (["runoff_reduction", "peak_reduction", "peak_delay"]
+            + [f"{p.lower()}_reduction" for p in pollutants])
+
+
 def evaluate_environmental(baseline, by_scenario: dict, pollutants) -> IndicatorTable:
     """Environmental indicators per scenario, averaged over the storm suite.
 
@@ -414,9 +420,7 @@ def evaluate_environmental(baseline, by_scenario: dict, pollutants) -> Indicator
     baseline = list(baseline)
     if not baseline:
         raise ValidationError("no baseline storm results")
-    indicators = ["runoff_reduction", "peak_reduction", "peak_delay"] + [
-        f"{p.lower()}_reduction" for p in pollutants
-    ]
+    indicators = environmental_indicators(pollutants)
     names = list(by_scenario)
     values = np.zeros((len(names), len(indicators)))
     for i, name in enumerate(names):

@@ -2,8 +2,9 @@
 
 Stages: sizing check -> design storms -> baseline and scenario simulations
 (skipped entirely when every hierarchy leaf is direct-injected) ->
-indicator tables -> weighting -> normalization -> roll-up -> ranking ->
-capacity compliance flags -> optional weight sensitivity.
+indicator tables -> normalization -> roll-up -> ranking -> capacity
+compliance flags -> optional weight sensitivity. The weighted hierarchy
+(`config.tree`) is resolved once, by `load_config`.
 
 Within one `simulate_all` call each storm keeps the baseline result of
 every subcatchment; a scenario that places nothing in a subcatchment
@@ -228,19 +229,15 @@ def build_storms(config: ProjectConfig):
 def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     if config.sizing is None:
         return None
-    land_uses = [lu for sc in config.subcatchments.values() for lu in sc.land_uses]
-    if config.sizing.psi is not None:
-        psi = config.sizing.psi
-    elif land_uses:
-        psi = composite_runoff_coefficient(land_uses)
-    else:
-        raise ConfigError("sizing needs land uses or an explicit sizing.psi")
-    if config.sizing.area_ha is not None:
-        area_ha = config.sizing.area_ha
-    elif config.subcatchments:
-        area_ha = sum(sc.area_ha for sc in config.subcatchments.values())
-    else:
-        raise ConfigError("sizing needs subcatchments or an explicit sizing.area_ha")
+    # load_config has checked that the project has the source of each value
+    # that is not set explicitly
+    subcatchments = config.subcatchments.values()
+    psi = config.sizing.psi
+    if psi is None:
+        psi = composite_runoff_coefficient([lu for sc in subcatchments for lu in sc.land_uses])
+    area_ha = config.sizing.area_ha
+    if area_ha is None:
+        area_ha = sum(sc.area_ha for sc in subcatchments)
     target = config.sizing.target
     atrcr_points = None
     if target.depth_mm is not None:
@@ -480,25 +477,23 @@ def _direct_columns(config: ProjectConfig, order: list) -> dict:
     return columns
 
 
-def assemble_indicators(config: ProjectConfig, tree: WeightTree,
-                        runs: dict | None) -> tuple:
-    """Build the normalized leaf table feeding the roll-up.
+def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:
+    """Build the normalized leaf table of `config.tree` feeding the roll-up.
 
     Returns (normalized table, simulated raw environmental table or None).
     Each leaf takes one column from its source: the simulated
     environmental table, the facility-derived scores, or the direct
-    tables (see `_direct_columns`). The raw columns are normalized
-    together; pre-normalized direct columns are used verbatim.
+    tables (see `_direct_columns`), each checked by `load_config`. The raw
+    columns are normalized together; pre-normalized direct columns are used
+    verbatim.
     """
-    leaves = list(tree.leaves())
+    leaves = list(config.tree.leaves())
     scenario_names = [sc.name for sc in config.scenarios]
     columns: dict = {}   # indicator -> (column, already normalized)
     simulated_table = None
 
     sim_leaves = [l for l in leaves if l.source == "simulated"]
     if sim_leaves:
-        if runs is None:
-            raise ConfigError("hierarchy has simulated leaves but nothing was simulated")
         by_scenario = {
             name: [r.summary for r in storm_runs]
             for name, storm_runs in runs.items() if name != "baseline"
@@ -508,10 +503,6 @@ def assemble_indicators(config: ProjectConfig, tree: WeightTree,
             by_scenario,
             [p.name for p in config.pollutants],
         )
-        missing = [l.indicator for l in sim_leaves
-                   if l.indicator not in simulated_table.indicators]
-        if missing:
-            raise ConfigError(f"simulation provides no indicators {missing}")
         for leaf in sim_leaves:
             columns[leaf.indicator] = (simulated_table.column(leaf.indicator), False)
 
@@ -523,20 +514,14 @@ def assemble_indicators(config: ProjectConfig, tree: WeightTree,
 
     direct = _direct_columns(config, scenario_names)
     for leaf in leaves:
-        if leaf.source != "direct":
-            continue
-        if leaf.indicator not in direct:
-            raise ConfigError(
-                f"leaf {leaf.name!r}: no direct table provides "
-                f"{leaf.indicator!r}"
-            )
-        columns[leaf.indicator] = direct[leaf.indicator]
+        if leaf.source == "direct":
+            columns[leaf.indicator] = direct[leaf.indicator]
 
     raw = [l.indicator for l in leaves if not columns[l.indicator][1]]
     if raw:
         normalized = normalize(IndicatorTable(
             scenario_names, raw, np.column_stack([columns[i][0] for i in raw]),
-        ), tree)
+        ), config.tree)
         for indicator in raw:
             columns[indicator] = (normalized.column(indicator), True)
     indicators = [l.indicator for l in leaves]
@@ -567,23 +552,23 @@ class _Stage:
         return False
 
 
-def simulate_if_needed(config: ProjectConfig, tree: WeightTree,
+def simulate_if_needed(config: ProjectConfig,
                        storms: dict | None = None) -> dict | None:
     """Simulate when a hierarchy leaf is simulated or there is no scenario
     to evaluate (a baseline-only run); None otherwise. Storms are built
     here unless given."""
-    if config.scenarios and not any(l.source == "simulated" for l in tree.leaves()):
+    if config.scenarios and not any(l.source == "simulated" for l in config.tree.leaves()):
         return None
     with _Stage("simulation"):
         return simulate_all(config, storms if storms is not None else build_storms(config))
 
 
 def _persist_indicators(writer: _Writer, config: ProjectConfig,
-                        tree: WeightTree, runs: dict | None) -> tuple:
+                        runs: dict | None) -> tuple:
     """Assemble the indicator tables and write them under indicators/.
     Returns (normalized table, simulated raw table or None)."""
     with _Stage("indicator assembly"):
-        table, simulated_table = assemble_indicators(config, tree, runs)
+        table, simulated_table = assemble_indicators(config, runs)
     if simulated_table is not None:
         _persist_table(writer, simulated_table,
                        "indicators", "simulated_environmental.csv")
@@ -603,8 +588,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     if sensitivity is not None and not config.scenarios:
         raise ConfigError("a sensitivity analysis needs scenarios to rank")
     writer = _Writer(Path(out_dir) if out_dir else config.output_dir)
-    with _Stage("weighting"):
-        tree, consistency_reports = config.weight_tree()
+    tree = config.tree
 
     with _Stage("sizing"):
         sizing = compute_sizing(config)
@@ -612,13 +596,13 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
         writer.write_json(sizing.to_dict(), "sizing.json")
         if sizing.atrcr_points is not None:
             _persist_atrcr_curve(writer, sizing.atrcr_points)
-    _persist_weights(writer, tree, consistency_reports)
+    _persist_weights(writer, tree, config.consistency)
 
     with _Stage("design storms"):
         storms = build_storms(config)
     _persist_storms(writer, storms)
 
-    runs = simulate_if_needed(config, tree, storms)
+    runs = simulate_if_needed(config, storms)
     if runs is not None:
         _persist_runs(writer, runs)
 
@@ -628,7 +612,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     simulated_table = None
     outcome = None
     if config.scenarios:
-        table, simulated_table = _persist_indicators(writer, config, tree, runs)
+        table, simulated_table = _persist_indicators(writer, config, runs)
         with _Stage("benefit roll-up"):
             report = rollup(tree, table)
         ranking = list(report.ranking)
@@ -655,8 +639,8 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     if render:
         from lidscore.report import render_tables
 
-        render_tables(writer, config, tree, sizing, report,
-                      simulated_table, table, render)
+        render_tables(writer, config, sizing, report, simulated_table, table,
+                      render)
 
     manifest = RunManifest(
         config_hash=config.config_hash,

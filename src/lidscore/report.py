@@ -36,7 +36,7 @@ def _emit(writer, name: str, fmt: str, header, rows):
     raise ValidationError(f"unknown report format {fmt!r}")
 
 
-def render_tables(writer, config, tree, sizing, benefit_report,
+def render_tables(writer, config, sizing, benefit_report,
                   simulated_table, normalized_table, fmt: str) -> list:
     """Write the human-facing summary tables; returns the emitted paths."""
     paths = []
@@ -89,7 +89,7 @@ def render_tables(writer, config, tree, sizing, benefit_report,
         for child in node.children:
             walk(child, depth + 1)
 
-    walk(tree.root, 0)
+    walk(config.tree.root, 0)
     paths.append(_emit(writer, "weights", fmt, ["indicator", "weight"], rows))
 
     if simulated_table is not None:
@@ -112,7 +112,8 @@ def render_tables(writer, config, tree, sizing, benefit_report,
                            ["scenario"] + list(normalized_table.indicators), rows))
 
     if benefit_report is not None:
-        top = [c.name for c in tree.root.children] + [tree.root.name]
+        root = config.tree.root
+        top = [c.name for c in root.children] + [root.name]
         rows = []
         for name in benefit_report.scenarios:
             row = [name] + [f"{benefit_report.score(node, name):.3f}" for node in top]

@@ -30,15 +30,17 @@ def copy_project(sample_dir, tmp_path, name):
     return tmp_path / name
 
 
-def edited_project(sample_dir, tmp_path, keys, value):
-    """A copy of the bundled project with the entry at the key path `keys`
-    set to `value`."""
-    path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+def edited_project(sample_dir, tmp_path, keys, value, name="sports_center.yaml",
+                   more=()):
+    """A copy of a bundled project with the entry at the key path `keys`
+    set to `value`, and likewise for each (keys, value) pair in `more`."""
+    path = copy_project(sample_dir, tmp_path, name)
     raw = yaml.safe_load(path.read_text())
-    owner = raw
-    for key in keys[:-1]:
-        owner = owner[key]
-    owner[keys[-1]] = value
+    for keys, value in ((keys, value), *more):
+        owner = raw
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
     path.write_text(yaml.safe_dump(raw, sort_keys=False))
     return path
 
@@ -98,6 +100,21 @@ class TestValidate:
             "rows": [[1, 3], [None, 1, 2], [None, None, 1]]}},
          "matrices.comprehensive: row 1 (environmental), column 3 (social): "
          "missing value"),
+        # hierarchy leaves that their source cannot fill: a simulated
+        # indicator the simulation does not produce, a direct one no table
+        # provides, a facility-derived one without favorability scores
+        (("hierarchy", "children", 0, "children", 1, "children", 0),
+         "indicator", "zn_reduction",
+         "hierarchy: leaf 'tss_reduction': the simulation does not produce "
+         "'zn_reduction' (it produces runoff_reduction, peak_reduction, "
+         "peak_delay, tss_reduction, cod_reduction, tn_reduction, tp_reduction)"),
+        (("hierarchy", "children", 2, "children", 2), "indicator", "biodiversity",
+         "hierarchy: leaf 'ecological': no direct table provides 'biodiversity'"),
+        (("hierarchy", "children", 2, "children"), 2,
+         {"name": "ecological", "weight": 0.230, "source": "facility_derived",
+          "indicator": "shade"},
+         "hierarchy: leaf 'ecological': bio_retention: no favorability score "
+         "for 'shade'"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -157,6 +174,27 @@ class TestValidate:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"error: {section}: {table}: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("keys,more,message", [
+        (("catchment", "subcatchments", 0, "land_uses"), (),
+         "sizing: needs land uses or an explicit sizing.psi"),
+        (("catchment", "subcatchments"),
+         ((("scenarios",), []), (("sizing", "psi"), 0.5)),
+         "sizing: needs subcatchments or an explicit sizing.area_ha"),
+    ])
+    def test_sizing_without_its_inputs_exits_2(self, runner, sample_dir, tmp_path,
+                                               command, keys, more, message):
+        """The published project's sizing step, left without the land uses
+        or subcatchments (`keys` set to []) that its runoff coefficient or
+        area would come from, fails at load time."""
+        path = edited_project(sample_dir, tmp_path, keys, [],
+                              "published_tables.yaml", more)
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"error: {message}\n" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_depth_target_reads_its_rainfall_csv(self, runner, sample_dir, tmp_path):

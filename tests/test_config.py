@@ -1,11 +1,16 @@
 """Tests for project-file loading and batched validation."""
 
+import json
 import shutil
+from collections import Counter
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
-from lidscore.config import load_config
+from lidscore import ahp
+from lidscore.cli import main
+from lidscore.config import ProjectConfig, load_config
 from lidscore.errors import ConfigError
 
 
@@ -35,7 +40,7 @@ class TestValidProjects:
         assert published_config.sizing.target.depth_mm == 26
 
     def test_weight_tree_resolves(self, sports_config):
-        tree, reports = sports_config.weight_tree()
+        tree, reports = sports_config.tree, sports_config.consistency
         assert tree.find("environmental").weight == pytest.approx(0.608)
         assert reports == {}  # explicit weights, no matrices involved
         leaves = [l.indicator for l in tree.leaves()]
@@ -204,7 +209,7 @@ class TestMatrixDrivenHierarchy:
             }
 
         config = load_config(rewrite(sample_dir, tmp_path, mutate))
-        tree, reports = config.weight_tree()
+        tree, reports = config.tree, config.consistency
         assert tree.find("environmental").weight == pytest.approx(0.608, abs=1e-6)
         assert reports["comprehensive"].cr == pytest.approx(0.0, abs=1e-9)
 
@@ -221,3 +226,56 @@ class TestMatrixDrivenHierarchy:
 
         with pytest.raises(ConfigError, match="CR"):
             load_config(rewrite(sample_dir, tmp_path, mutate))
+
+    def test_rank_resolves_the_hierarchy_once(self, sample_dir, tmp_path,
+                                              monkeypatch):
+        """One `rank` of a project with three matrices resolves the
+        hierarchy once and solves each matrix's eigenproblem once. The
+        weights and consistency reports it writes equal those of separate
+        `derive_weights` and `consistency` calls, bit for bit."""
+        matrices = {
+            "comprehensive": [[1, 2, 5], [None, 1, 3], [None, None, 1]],
+            "environmental": [[1, "7/3"], [None, 1]],
+            "water_quality": [[1, 2, 3, 5], [None, 1, 2, 3], [None, None, 1, 2],
+                              [None, None, None, 1]],
+        }
+
+        def mutate(raw):
+            raw["matrices"] = {}
+            nodes = [raw["hierarchy"], *raw["hierarchy"]["children"],
+                     *raw["hierarchy"]["children"][0]["children"]]
+            for node in nodes:
+                if node["name"] in matrices:
+                    for child in node["children"]:
+                        child.pop("weight")
+                    raw["matrices"][node["name"]] = {
+                        "labels": [c["name"] for c in node["children"]],
+                        "rows": matrices[node["name"]]}
+
+        path = rewrite(sample_dir, tmp_path, mutate)
+        calls = Counter()
+        for owner, name in ((ProjectConfig, "weight_tree"),
+                            (ahp, "derive_weights"),
+                            (ahp, "_principal_eigenvector")):
+            def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        result = CliRunner().invoke(main, ["rank", "--config", str(path),
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert calls == {"weight_tree": 1, "derive_weights": 3,
+                         "_principal_eigenvector": 3}
+
+        monkeypatch.undo()
+        config = load_config(path)
+        written = json.loads((tmp_path / "out" / "weights.json").read_text())
+        for node, matrix in config.matrices.items():
+            report = ahp.consistency(matrix)
+            assert written["consistency"][node] == {
+                "lambda_max": report.lambda_max, "ci": report.ci,
+                "ri": report.ri, "cr": report.cr, "passed": report.passed}
+            children = config.tree.find(node).children
+            assert [c.weight for c in children] \
+                == ahp.derive_weights(matrix).weights.tolist()
+        assert written["tree"] == config.tree.to_dict()

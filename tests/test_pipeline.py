@@ -180,9 +180,8 @@ class TestPipelineShapes:
 @pytest.fixture(scope="module")
 def published_weighted(published_config):
     """(weighted tree, normalized leaf table) of the published project."""
-    tree, _ = published_config.weight_tree()
-    table, _ = assemble_indicators(published_config, tree, None)
-    return tree, table
+    table, _ = assemble_indicators(published_config, None)
+    return published_config.tree, table
 
 
 class TestWeightSensitivity:
@@ -213,19 +212,19 @@ class TestDirectTables:
 
     def test_pre_normalized_column_wins_over_raw(self, published_config,
                                                  published_weighted, tmp_path):
-        tree, table = published_weighted
+        _, table = published_weighted
         raw = tmp_path / "raw_landscape.csv"
         raw.write_text("scenario,landscape\n" + "".join(
             f"{sc.name},{k + 1}\n" for k, sc in enumerate(published_config.scenarios)))
         # listed last, so file order alone would pick it
         config = dataclasses.replace(published_config, direct_tables=[
             *published_config.direct_tables, IndicatorTable.from_csv(raw)])
-        got, _ = assemble_indicators(config, tree, None)
+        got, _ = assemble_indicators(config, None)
         np.testing.assert_array_equal(got.values, table.values)
 
     def test_shuffled_rows_follow_config_order(self, published_config,
                                                published_weighted):
-        tree, table = published_weighted
+        _, table = published_weighted
         shuffled = []
         for direct in published_config.direct_tables:
             order = [*range(1, len(direct.scenarios)), 0]
@@ -233,7 +232,7 @@ class TestDirectTables:
                 direct, scenarios=[direct.scenarios[i] for i in order],
                 values=direct.values[order]))
         config = dataclasses.replace(published_config, direct_tables=shuffled)
-        got, _ = assemble_indicators(config, tree, None)
+        got, _ = assemble_indicators(config, None)
         assert got.scenarios == table.scenarios
         np.testing.assert_array_equal(got.values, table.values)
 
