@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Every subcommand takes `--config <file>` and `--out <dir>`; exit codes are
-0 on success, 2 on validation failure, 3 on runtime failure.
+0 on success, 2 on validation failure, 3 on runtime failure. A subcommand
+that fails writes nothing: it computes every result before the first write.
 
     lidscore validate --config project.yaml
     lidscore storm    --config project.yaml --out results
@@ -85,11 +86,11 @@ def atrcr(config, out_dir):
         raise ConfigError("config has no sizing.target.rainfall_csv")
     record = config.sizing.target.record
     min_event = config.sizing.min_event_mm
-    path = _persist_atrcr_curve(_Writer(out_dir),
-                                atrcr_curve(record, ATRCR_GRID_MM, min_event))
+    points = atrcr_curve(record, ATRCR_GRID_MM, min_event)
     target = config.sizing.target.atrcr
-    if target is not None:
-        depth = invert_atrcr(record, target, min_event)
+    depth = invert_atrcr(record, target, min_event) if target is not None else None
+    path = _persist_atrcr_curve(_Writer(out_dir), points)
+    if depth is not None:
         click.echo(f"ATRCR {target:.0%} is reached at a capture depth of "
                    f"{depth:.2f} mm")
     click.echo(f"wrote {path}")
@@ -130,10 +131,14 @@ def weights(config, out_dir):
 @_common
 def evaluate(config, out_dir):
     """Build the indicator tables (simulating where the hierarchy asks)."""
-    from lidscore.pipeline import _persist_indicators, _Writer, simulate_if_needed
+    from lidscore.pipeline import (_persist_indicators, _Stage, _Writer,
+                                   assemble_indicators, simulate_if_needed)
 
+    runs = simulate_if_needed(config)
+    with _Stage("indicator assembly"):
+        tables = assemble_indicators(config, runs)
     writer = _Writer(out_dir)
-    _persist_indicators(writer, config, simulate_if_needed(config))
+    _persist_indicators(writer, *tables)
     for rel in writer.files:
         click.echo(f"wrote {out_dir / rel}")
 

@@ -442,6 +442,13 @@ def load_config(path) -> ProjectConfig:
             errors.add("sizing.target", "need either depth_mm or atrcr")
         if target.atrcr is not None and csv_path is None:
             errors.add("sizing.target", "atrcr target needs rainfall_csv")
+        if target.atrcr is not None and not 0.0 < target.atrcr < 1.0:
+            errors.add("sizing.target.atrcr", f"must be in (0, 1), got {target_raw['atrcr']}")
+        min_event = errors.number("sizing.min_event_mm",
+                                  sizing_raw.get("min_event_mm", DEFAULT_MIN_EVENT_MM))
+        if target.record and min_event is not None and not target.record.depths(min_event).size:
+            errors.add("sizing.min_event_mm",
+                       f"the rainfall record has no event deeper than {min_event:g} mm")
         psi_override = sizing_raw.get("psi")
         area_override = sizing_raw.get("area_ha")
         psi = errors.number("sizing.psi", psi_override, optional=True)
@@ -457,9 +464,7 @@ def load_config(path) -> ProjectConfig:
         sizing = SizingSettings(
             existing_facilities=tuple(facilities),
             target=target,
-            min_event_mm=errors.number(
-                "sizing.min_event_mm",
-                sizing_raw.get("min_event_mm", DEFAULT_MIN_EVENT_MM)),
+            min_event_mm=min_event,
             psi=psi,
             area_ha=area,
         )

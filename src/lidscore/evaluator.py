@@ -52,6 +52,9 @@ class TreeNode:
                 raise ValidationError(f"leaf {self.name}: bad source {self.source}")
             if self.transform not in TRANSFORMS:
                 raise ValidationError(f"leaf {self.name}: bad transform {self.transform}")
+            if self.transform == "reciprocal" and self.polarity != "cost":
+                raise ValidationError(f"leaf {self.name}: the reciprocal transform "
+                                      f"applies only to cost leaves")
         else:
             child_sum = sum(c.weight for c in self.children)
             if abs(child_sum - 1.0) > 1e-6:
@@ -223,8 +226,7 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> Indicato
     for j, indicator in enumerate(table.indicators):
         column = table.values[:, j].astype(float)
         leaf = leaf_by_indicator.get(indicator)
-        if (leaf is not None and leaf.polarity == "cost"
-                and leaf.transform == "reciprocal"):
+        if leaf is not None and leaf.transform == "reciprocal":
             if np.any(column <= 0):
                 bad = [name for name, v in zip(table.scenarios, column) if v <= 0]
                 raise ValidationError(
@@ -352,7 +354,7 @@ def facility_indicator_scores(scenarios, catalog: dict, leaves) -> IndicatorTabl
     for i, scenario in enumerate(scenarios):
         areas = scenario.area_by_kind()
         for j, leaf in enumerate(leaves):
-            if leaf.polarity == "cost" and leaf.transform == "reciprocal":
+            if leaf.transform == "reciprocal":
                 values[i, j] = sum(area * catalog[kind].unit_cost_weight
                                    for kind, area in areas.items())
             else:

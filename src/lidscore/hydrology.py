@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lidscore import kernels
-from lidscore.errors import ConfigError, ValidationError
+from lidscore.errors import ValidationError
 from lidscore.lid import (LidSpec, M2_PER_HA, placement_problems,
                           simulate_lid_unit)
 from lidscore.storms import Hyetograph
@@ -187,7 +187,6 @@ class SubcatchmentDetail:
     and the largest count of any one step."""
 
     pre_lid_runoff_m3: np.ndarray
-    lid_results: list
     substeps: int
     max_substeps: int
 
@@ -202,8 +201,9 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     SubcatchmentDetail). LID placements intercept their
     `treated_fraction` of the runoff generated on the remaining area plus
     the rain falling on the facility itself. Raises ValidationError,
-    naming the subcatchment, surface and step, when a step needs more
-    substeps than the runoff kernel allows.
+    naming the subcatchment, when the placements do not fit it or come
+    without a catalog, or when a step needs more substeps than the runoff
+    kernel allows (naming the surface and step too).
     """
     dt = float(storm.step_s)
     intensity_mm_hr = storm.intensities_mm_hr
@@ -216,9 +216,9 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
 
     placements = list(placements)
     if problems := placement_problems(sc, placements):
-        raise ConfigError(problems)
+        raise ValidationError("; ".join(problems))
     if placements and catalog is None:
-        raise ConfigError(f"{sc.id}: placements given without a LID catalog")
+        raise ValidationError(f"{sc.id}: placements given without a LID catalog")
 
     lid_area_m2 = sum(p.area_m2 for p in placements)
     treated_total = sum(p.treated_fraction for p in placements)
@@ -259,14 +259,12 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
         max_substeps = max(max_substeps, most)
 
     outlet_m3 = runoff_m3 * (1.0 - treated_total)
-    lid_results = []
     lid_captured_m3 = 0.0
     for p in placements:
         spec: LidSpec = catalog[p.kind]
         result = simulate_lid_unit(
             spec, p.area_m2, runoff_m3 * p.treated_fraction, intensity_mm_hr, dt
         )
-        lid_results.append(result)
         outlet_m3 = outlet_m3 + result.outflow_m3
         lid_captured_m3 += result.captured_m3
 
@@ -280,8 +278,7 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
         surface_storage_m3=ponded_m3,
         lid_captured_m3=lid_captured_m3,
     )
-    detail = SubcatchmentDetail(pre_lid_runoff_m3=runoff_m3,
-                                lid_results=lid_results, substeps=substeps,
+    detail = SubcatchmentDetail(pre_lid_runoff_m3=runoff_m3, substeps=substeps,
                                 max_substeps=max_substeps)
     return hydrograph, balance, detail
 

@@ -4,7 +4,8 @@ Stages: sizing check -> design storms -> baseline and scenario simulations
 (skipped entirely when every hierarchy leaf is direct-injected) ->
 indicator tables -> normalization -> roll-up -> ranking -> capacity
 compliance flags -> optional weight sensitivity. The weighted hierarchy
-(`config.tree`) is resolved once, by `load_config`.
+(`config.tree`) is resolved once, by `load_config`. Every stage runs before
+the first result file is written, so a run that fails writes nothing.
 
 Within one `simulate_all` call each storm keeps the baseline result of
 every subcatchment; a scenario that places nothing in a subcatchment
@@ -28,10 +29,9 @@ bytes and that digest then go to every path that repeats them, so every
 file is still written and listed. A cache per (storm, outfall) rather than
 per writer keeps only that outfall's texts in memory.
 
-The CLI subcommands call the same `_persist_*` stage functions as
-`run_pipeline`, so each file comes from exactly one function. Rerunning an
-identical config byte-reproduces every file; only the manifest carries a
-timestamp.
+The CLI subcommands call the same `_persist_*` functions as `run_pipeline`,
+so each file comes from exactly one function. Rerunning an identical
+config byte-reproduces every file; only the manifest carries a timestamp.
 """
 
 from __future__ import annotations
@@ -543,12 +543,8 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, LidscoreError) \
-                and not getattr(exc, "_staged", False):
-            exc._staged = True
+        if isinstance(exc, LidscoreError):
             exc.args = (f"[stage: {self.name}] {exc}",)
-            if isinstance(exc, ConfigError):
-                exc.errors = [f"[stage: {self.name}] {e}" for e in exc.errors]
         return False
 
 
@@ -563,59 +559,55 @@ def simulate_if_needed(config: ProjectConfig,
         return simulate_all(config, storms if storms is not None else build_storms(config))
 
 
-def _persist_indicators(writer: _Writer, config: ProjectConfig,
-                        runs: dict | None) -> tuple:
-    """Assemble the indicator tables and write them under indicators/.
-    Returns (normalized table, simulated raw table or None)."""
-    with _Stage("indicator assembly"):
-        table, simulated_table = assemble_indicators(config, runs)
+def _persist_indicators(writer: _Writer, table: IndicatorTable,
+                        simulated_table: IndicatorTable | None) -> None:
+    """indicators/: the simulated raw environmental table, when there is
+    one, and the normalized leaf table."""
     if simulated_table is not None:
         _persist_table(writer, simulated_table,
                        "indicators", "simulated_environmental.csv")
     _persist_table(writer, table, "indicators", "normalized.csv")
-    return table, simulated_table
 
 
 def run_pipeline(config: ProjectConfig, out_dir=None,
                  render: str | None = None,
                  sensitivity: tuple | None = None) -> RunManifest:
-    """Execute every stage the config asks for and persist the results.
+    """Execute every stage the config asks for, then persist the results.
 
     `render` additionally writes the summary tables in the given format
     ("markdown", "csv" or "json"). `sensitivity` = (node, delta)
     additionally writes `weight_sensitivity` to sensitivity.json. Errors
-    abort the run and name the failing stage."""
+    abort the run before its first write and name the failing stage."""
     if sensitivity is not None and not config.scenarios:
         raise ConfigError("a sensitivity analysis needs scenarios to rank")
-    writer = _Writer(Path(out_dir) if out_dir else config.output_dir)
     tree = config.tree
 
     with _Stage("sizing"):
         sizing = compute_sizing(config)
+    with _Stage("design storms"):
+        storms = build_storms(config)
+    runs = simulate_if_needed(config, storms)
+    report = table = simulated_table = outcome = None
+    if config.scenarios:
+        with _Stage("indicator assembly"):
+            table, simulated_table = assemble_indicators(config, runs)
+        with _Stage("benefit roll-up"):
+            report = rollup(tree, table)
+        if sensitivity is not None:
+            with _Stage("sensitivity"):
+                outcome = weight_sensitivity(tree, table, *sensitivity)
+
+    writer = _Writer(Path(out_dir) if out_dir else config.output_dir)
     if sizing is not None:
         writer.write_json(sizing.to_dict(), "sizing.json")
         if sizing.atrcr_points is not None:
             _persist_atrcr_curve(writer, sizing.atrcr_points)
     _persist_weights(writer, tree, config.consistency)
-
-    with _Stage("design storms"):
-        storms = build_storms(config)
     _persist_storms(writer, storms)
-
-    runs = simulate_if_needed(config, storms)
     if runs is not None:
         _persist_runs(writer, runs)
-
-    ranking: list = []
-    report = None
-    table = None
-    simulated_table = None
-    outcome = None
-    if config.scenarios:
-        table, simulated_table = _persist_indicators(writer, config, runs)
-        with _Stage("benefit roll-up"):
-            report = rollup(tree, table)
-        ranking = list(report.ranking)
+    if report is not None:
+        _persist_indicators(writer, table, simulated_table)
         writer.write_json(report.to_dict(), "benefit_report.json")
         top_nodes = [c.name for c in tree.root.children] + [tree.root.name]
         rows = [
@@ -631,11 +623,8 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
             ],
             "ranking.csv",
         )
-        if sensitivity is not None:
-            with _Stage("sensitivity"):
-                outcome = weight_sensitivity(tree, table, *sensitivity)
-            writer.write_json(outcome, "sensitivity.json")
-
+    if outcome is not None:
+        writer.write_json(outcome, "sensitivity.json")
     if render:
         from lidscore.report import render_tables
 
@@ -648,7 +637,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
         kernel_backend=kernels.BACKEND,
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         storms=list(storms),
-        ranking=ranking,
+        ranking=list(report.ranking) if report is not None else [],
         compliance=sizing.compliance if sizing is not None else {},
         files=dict(writer.files),
         versions={"lidscore": lidscore.__version__, "numpy": np.__version__,

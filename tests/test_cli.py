@@ -115,6 +115,16 @@ class TestValidate:
           "indicator": "shade"},
          "hierarchy: leaf 'ecological': bio_retention: no favorability score "
          "for 'shade'"),
+        # a sizing target the rainfall record cannot reach, a benefit leaf
+        # with the cost-only reciprocal transform
+        (("sizing", "target"), "atrcr", 1.5,
+         "sizing.target.atrcr: must be in (0, 1), got 1.5"),
+        ("sizing", "min_event_mm", 100000,
+         "sizing.min_event_mm: the rainfall record has no event deeper than "
+         "100000 mm"),
+        (("hierarchy", "children", 2, "children", 1), "transform", "reciprocal",
+         "hierarchy: leaf landscape: the reciprocal transform applies only to "
+         "cost leaves"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -458,28 +468,50 @@ class TestSimulateEvaluateRank:
                 "(depth_mm): missing value\n") in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("project,options,tol_abs_mm,message", [
-        ("sports_center.yaml", [], 1e-7, "[stage: simulation] subcatchment "),
+    @pytest.mark.parametrize("project,options,tol_abs_mm,ecological,message", [
+        ("sports_center.yaml", [], 1e-7, None, "[stage: simulation] subcatchment "),
+        ("sports_center.yaml", ["--sensitivity", "nosuch"], None, None,
+         "[stage: sensitivity] no node named 'nosuch'"),
         ("published_tables.yaml",
-         ["--sensitivity", "environmental", "--delta", "0.9"], None,
+         ["--sensitivity", "environmental", "--delta", "0.9"], None, None,
          "[stage: sensitivity] perturbed weight 1.5080 for 'environmental' "
          "outside [0, 1]"),
+        ("sports_center.yaml", [], None, (False, 0.0),
+         "[stage: indicator assembly] indicator 'ecological' sums to zero"),
+        ("sports_center.yaml", [], None, (True, 1.05),
+         "[stage: benefit roll-up] normalized column 'ecological' sums to 1.0500"),
     ])
     def test_failing_stage_is_named(self, runner, sample_dir, tmp_path,
                                     monkeypatch, project, options, tol_abs_mm,
-                                    message):
-        """A runtime failure inside `rank` names the stage it stopped in:
-        a step past the substep limit (the kernel's tolerance shrunk to an
-        absolute `tol_abs_mm`) in simulation, a weight pushed past 1 in
-        sensitivity."""
+                                    ecological, message):
+        """A runtime failure inside `rank` names the stage it stopped in
+        and leaves `--out` unwritten: a step past the substep limit (the
+        kernel's tolerance shrunk to an absolute `tol_abs_mm`) in
+        simulation, an unknown node or a weight pushed past 1 in
+        sensitivity. `ecological` = (normalized, scale) sets the direct
+        table's `normalized` flag and scales its `ecological` column: raw
+        zeros fail indicator assembly, a pre-normalized column summing to
+        1.05 fails the roll-up."""
         if tol_abs_mm is not None:
             monkeypatch.setattr(kernels, "TOL_REL", 0.0)
             monkeypatch.setattr(kernels, "TOL_ABS_MM", tol_abs_mm)
+        path = sample_dir / project
+        if ecological is not None:
+            normalized, scale = ecological
+            path = edited_project(sample_dir, tmp_path,
+                                  ("direct_tables", 0, "normalized"), normalized)
+            table = tmp_path / "econ_social_indicators.csv"
+            rows = [line.split(",") for line in table.read_text().splitlines()]
+            j = rows[0].index("ecological")
+            for row in rows[1:]:
+                row[j] = repr(float(row[j]) * scale)
+            table.write_text("".join(",".join(row) + "\n" for row in rows))
         result = runner.invoke(main, [
-            "rank", "--config", str(sample_dir / project),
-            "--out", str(tmp_path / "out"), *options])
+            "rank", "--config", str(path), "--out", str(tmp_path / "out"),
+            *options])
         assert result.exit_code == 3
         assert f"error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestReport:

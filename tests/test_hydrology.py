@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from lidscore import kernels
-from lidscore.errors import ConfigError, ValidationError
+from lidscore.errors import ValidationError
 from lidscore.hydrology import (HortonParams, Hydrograph, LandUse, Link,
                                 Subcatchment, composite_runoff_coefficient,
                                 horton_rate, route, route_series,
@@ -167,11 +167,14 @@ class TestSimulateSubcatchment:
         storm = chicago_hyetograph(26, 90, 0.5, IdfParams(20, 10, 0.75), 60)
         placements = [LidPlacement("test", LidKind.BIO_RETENTION, 0.05, 0.4),
                       LidPlacement("test", LidKind.STORAGE_TANK, 0.01, 0.3)]
-        _, balance, detail = simulate_subcatchment(
+        _, balance, _ = simulate_subcatchment(
             sc, storm, placements, default_catalog(), tail_min=60)
         assert balance.closure_error() <= 0.005
         assert balance.lid_captured_m3 > 0
-        assert len(detail.lid_results) == 2
+        # both units capture: the second adds to what the first holds alone
+        _, first_only, _ = simulate_subcatchment(
+            sc, storm, placements[:1], default_catalog(), tail_min=60)
+        assert balance.lid_captured_m3 > first_only.lid_captured_m3
 
     def test_more_imperviousness_never_reduces_runoff(self):
         storm = chicago_hyetograph(26, 90, 0.5, IdfParams(20, 10, 0.75), 60)
@@ -197,8 +200,14 @@ class TestSimulateSubcatchment:
         sc = make_subcatchment()
         storm = flat_storm(10.0, 5, 10)
         placements = [LidPlacement("test", LidKind.SUNKEN_GREEN, 1.5, 0.2)]
-        with pytest.raises(ConfigError, match="exceeds"):
+        with pytest.raises(ValidationError, match="exceeds subcatchment test"):
             simulate_subcatchment(sc, storm, placements, default_catalog())
+
+    def test_placements_without_catalog(self):
+        placements = [LidPlacement("test", LidKind.SUNKEN_GREEN, 0.1, 0.2)]
+        with pytest.raises(ValidationError, match="test: placements given without"):
+            simulate_subcatchment(make_subcatchment(), flat_storm(10.0, 5, 10),
+                                  placements)
 
     def test_land_use_area_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="land-use areas"):
