@@ -7,6 +7,7 @@ CR = CI / RI rule, rejecting matrices at CR >= 0.1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +21,11 @@ RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24,
                 7: 1.32, 8: 1.41, 9: 1.45}
 
 CR_LIMIT = 0.1
+
+# An explicit lower-triangle judgment a_ji is accepted when a_ij * a_ji is 1
+# within this; it is then stored as 1 / a_ij. Rounded reciprocals such as
+# 0.3333 against 3 are off by 1e-4.
+RECIPROCAL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -50,19 +56,26 @@ class PairwiseMatrix:
     def from_rows(cls, labels, rows, where=None) -> "PairwiseMatrix":
         """Build from row lists of numbers or fractions ("1/3"). Upper-triangle
         entries are required; a blank diagonal entry reads 1 and a blank lower
-        one the reciprocal. `where[i]` names row i in errors."""
+        one the reciprocal. An explicit lower entry a_ji must be the
+        reciprocal of a_ij within RECIPROCAL_TOL and is stored as 1 / a_ij.
+        `where[i]` names row i in errors."""
         n = len(labels)
         where = where or [f"row {i + 1} ({label})" for i, label in enumerate(labels)]
         m = np.ones((n, n))
         for i in range(n):
             row = rows[i] if i < len(rows) else ()
             for j in range(n):
+                # NaN marks a blank lower entry, which no cell can parse to
+                blank = None if j > i else 1.0 if j == i else math.nan
                 m[i, j] = read_cell(where[i], row, j, labels[j], _parse_entry,
-                                    "a number or a fraction",
-                                    blank=None if j > i else 1.0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[j, i] = 1.0 / m[i, j]
+                                    "a number or a fraction", blank=blank)
+                if j < i:
+                    if abs(m[i, j] * m[j, i] - 1.0) > RECIPROCAL_TOL:   # False for NaN
+                        raise ValidationError(
+                            f"{where[i]}, column {j + 1} ({labels[j]}): {m[i, j]:g} is not "
+                            f"the reciprocal of {m[j, i]:g} in {where[j]}, column {i + 1} "
+                            f"({labels[i]})")
+                    m[i, j] = 1.0 / m[j, i]
         return cls(tuple(labels), m)
 
     @classmethod

@@ -12,13 +12,14 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from lidscore import ahp
 from lidscore.errors import ConfigError, ValidationError
 from lidscore.evaluator import (IndicatorTable, WeightTree,
                                 environmental_indicators,
-                                facility_indicator_scores)
+                                facility_indicator_scores, normalize)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
@@ -81,9 +82,9 @@ class ProjectConfig:
     sizing: SizingSettings | None
     hierarchy_spec: dict
     matrices: dict = field(default_factory=dict)
-    direct_tables: list = field(default_factory=list)   # of IndicatorTable
-    tree: WeightTree | None = None   # both resolved once, by load_config
+    tree: WeightTree | None = None   # these three are built once, by load_config
     consistency: dict = field(default_factory=dict)   # node -> ConsistencyReport
+    fixed_columns: IndicatorTable | None = None   # see _fixed_columns
 
     def weight_tree(self):
         """Resolve the hierarchy to a WeightTree, deriving weights from
@@ -492,7 +493,7 @@ def load_config(path) -> ProjectConfig:
             )
     matrices = {k: v for k, v in matrices.items() if v is not None}
 
-    direct_tables = []
+    provided: dict = {}   # indicator -> [(path, table, normalized)] in file order
     names = [sc.name for sc in scenarios]
     for i, entry in errors.entries("direct_tables", raw.get("direct_tables")):
         section = f"direct_tables[{i}]"
@@ -508,8 +509,9 @@ def load_config(path) -> ProjectConfig:
         if names and sorted(table.scenarios) != sorted(names):
             errors.add(section, f"{table_path}: scenarios {table.scenarios} do "
                                 f"not match config scenarios {names}")
-        table.normalized = bool(entry.get("normalized"))
-        direct_tables.append(table)
+        for indicator in table.indicators:
+            provided.setdefault(indicator, []).append(
+                (table_path, table, bool(entry.get("normalized"))))
 
     if errors.errors:
         raise ConfigError(errors.errors)
@@ -530,30 +532,50 @@ def load_config(path) -> ProjectConfig:
         sizing=sizing,
         hierarchy_spec=hierarchy,
         matrices=matrices,
-        direct_tables=direct_tables,
     )
     # resolving the tree applies the weight, matrix and CR rules; a project
     # without scenarios ranks nothing, so its leaves need no source
     config.tree, config.consistency = config.weight_tree()
     if scenarios:
-        _check_leaf_sources(errors, config)
+        config.fixed_columns = _fixed_columns(errors, config, provided)
     if errors.errors:
         raise ConfigError(errors.errors)
     return config
 
 
-def _check_leaf_sources(errors: _Collector, config: ProjectConfig) -> None:
-    """Record a batch entry for every leaf of `config.tree` that its source
-    cannot fill for the project's scenarios."""
+def _fixed_columns(errors: _Collector, config: ProjectConfig,
+                   provided: dict) -> IndicatorTable:
+    """The normalized column, in scenario order, of each leaf of `config.tree`
+    that the simulation does not fill: its facility scores or the one
+    column of its indicator that the direct tables `provided`, through
+    `evaluator.normalize`. Records a batch entry for every leaf that its
+    source cannot fill."""
+    names = [sc.name for sc in config.scenarios]
     simulated = environmental_indicators([p.name for p in config.pollutants])
-    direct = {i for table in config.direct_tables for i in table.indicators}
+    columns = {}
     for leaf in config.tree.leaves():
         section = f"hierarchy: leaf {leaf.name!r}"
-        if leaf.source == "simulated" and leaf.indicator not in simulated:
-            errors.add(section, f"the simulation does not produce {leaf.indicator!r} "
-                                f"(it produces {', '.join(simulated)})")
-        elif leaf.source == "direct" and leaf.indicator not in direct:
-            errors.add(section, f"no direct table provides {leaf.indicator!r}")
-        elif leaf.source == "facility_derived":
-            errors.guard(section, facility_indicator_scores,
-                         config.scenarios, config.catalog, [leaf])
+        sources = provided.get(leaf.indicator, [])
+        if leaf.source == "simulated":
+            if leaf.indicator not in simulated:
+                errors.add(section, f"the simulation does not produce {leaf.indicator!r} "
+                                    f"(it produces {', '.join(simulated)})")
+            continue
+        if leaf.source == "facility_derived":
+            table = errors.guard(section, facility_indicator_scores,
+                                 config.scenarios, config.catalog, [leaf])
+        elif len(sources) == 1:
+            _, direct, normalized = sources[0]
+            rows = [direct.scenarios.index(name) for name in names]
+            table = IndicatorTable(names, [leaf.indicator], direct.column(
+                leaf.indicator)[rows, None], normalized=normalized)
+        else:
+            errors.add(section, f"more than one direct table provides {leaf.indicator!r}: "
+                                f"{', '.join(str(path) for path, _, _ in sources)}"
+                       if sources else f"no direct table provides {leaf.indicator!r}")
+            continue
+        table = table and errors.guard(section, normalize, table, config.tree)
+        if table:
+            columns[leaf.indicator] = table.values[:, 0]
+    values = np.reshape(list(columns.values()), (len(columns), len(names))).T
+    return IndicatorTable(names, list(columns), values, normalized=True)

@@ -206,6 +206,16 @@ class IndicatorTable:
                    np.array(values).reshape(len(values), len(header) - 1))
 
 
+def check_normalized(table: IndicatorTable) -> None:
+    """Raise ValidationError naming the first column of `table` that does
+    not sum to 1 within 5e-3, the rounding of a published normalized
+    table."""
+    for j, indicator in enumerate(table.indicators):
+        total = float(table.values[:, j].sum())
+        if abs(total - 1.0) > 5e-3:
+            raise ValidationError(f"normalized column {indicator!r} sums to {total:.4f}")
+
+
 def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> IndicatorTable:
     """Column-wise linear normalization I = X / sum(X).
 
@@ -214,9 +224,11 @@ def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> Indicato
     non-positive entry there is an error naming its scenarios. A column of
     zeros is an error unless its indicator is in UNIFORM_IF_ZERO, in which
     case every scenario gets 1/M with a warning. A negative column sum is an error naming the
-    scenarios with negative entries.
+    scenarios with negative entries. A table marked normalized is
+    returned as it is, after `check_normalized`.
     """
     if table.normalized:
+        check_normalized(table)
         return table
     leaf_by_indicator = {}
     if tree is not None:
@@ -269,12 +281,7 @@ class BenefitReport:
     tied: bool = False
 
     def __post_init__(self):
-        for j, indicator in enumerate(self.leaf_values.indicators):
-            total = float(self.leaf_values.values[:, j].sum())
-            if abs(total - 1.0) > 5e-3:
-                raise ValidationError(
-                    f"normalized column {indicator!r} sums to {total:.4f}"
-                )
+        check_normalized(self.leaf_values)
         if not self.ranking:
             self.ranking, self.tied = rank_scenarios(
                 self.scenarios, self.node_scores[self.root_name]

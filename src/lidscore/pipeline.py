@@ -4,8 +4,10 @@ Stages: sizing check -> design storms -> baseline and scenario simulations
 (skipped entirely when every hierarchy leaf is direct-injected) ->
 indicator tables -> normalization -> roll-up -> ranking -> capacity
 compliance flags -> optional weight sensitivity. The weighted hierarchy
-(`config.tree`) is resolved once, by `load_config`. Every stage runs before
-the first result file is written, so a run that fails writes nothing.
+(`config.tree`) and the normalized column of every leaf that is not
+simulated (`config.fixed_columns`) are built once, by `load_config`. Every
+stage runs before the first result file is written, so a run that fails
+writes nothing.
 
 Within one `simulate_all` call each storm keeps the baseline result of
 every subcatchment; a scenario that places nothing in a subcatchment
@@ -50,10 +52,9 @@ import numpy as np
 import lidscore
 from lidscore import kernels
 from lidscore.config import ProjectConfig
-from lidscore.errors import ConfigError, LidscoreError
+from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, WeightTree,
-                                evaluate_environmental,
-                                facility_indicator_scores, normalize, rollup)
+                                evaluate_environmental, normalize, rollup)
 from lidscore.hydrology import (Hydrograph, composite_runoff_coefficient,
                                 route, route_series, simulate_subcatchment)
 from lidscore.lid import control_capacity, existing_capacity, required_volume
@@ -465,35 +466,21 @@ def _persist_runs(writer: _Writer, runs: dict) -> None:
             )
 
 
-def _direct_columns(config: ProjectConfig, order: list) -> dict:
-    """indicator -> (column in `order` scenario order, already normalized)
-    over every direct table. Raw tables come first, then pre-normalized
-    ones, each in file order; the last table providing an indicator wins."""
-    columns: dict = {}
-    for table in sorted(config.direct_tables, key=lambda t: t.normalized):
-        values = table.values[[table.scenarios.index(name) for name in order], :]
-        for j, indicator in enumerate(table.indicators):
-            columns[indicator] = (values[:, j], table.normalized)
-    return columns
-
-
 def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:
     """Build the normalized leaf table of `config.tree` feeding the roll-up.
 
     Returns (normalized table, simulated raw environmental table or None).
-    Each leaf takes one column from its source: the simulated
-    environmental table, the facility-derived scores, or the direct
-    tables (see `_direct_columns`), each checked by `load_config`. The raw
-    columns are normalized together; pre-normalized direct columns are used
-    verbatim.
+    The simulated leaves' columns are normalized here; every other leaf's
+    normalized column was built by `load_config` (`config.fixed_columns`).
     """
+    if not config.scenarios:
+        raise ValidationError("indicator table needs at least one scenario")
     leaves = list(config.tree.leaves())
-    scenario_names = [sc.name for sc in config.scenarios]
-    columns: dict = {}   # indicator -> (column, already normalized)
+    fixed = config.fixed_columns
+    columns = dict(zip(fixed.indicators, fixed.values.T))
     simulated_table = None
-
-    sim_leaves = [l for l in leaves if l.source == "simulated"]
-    if sim_leaves:
+    simulated = [l.indicator for l in leaves if l.source == "simulated"]
+    if simulated:
         by_scenario = {
             name: [r.summary for r in storm_runs]
             for name, storm_runs in runs.items() if name != "baseline"
@@ -503,34 +490,15 @@ def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:
             by_scenario,
             [p.name for p in config.pollutants],
         )
-        for leaf in sim_leaves:
-            columns[leaf.indicator] = (simulated_table.column(leaf.indicator), False)
-
-    fac_leaves = [l for l in leaves if l.source == "facility_derived"]
-    if fac_leaves:
-        scores = facility_indicator_scores(config.scenarios, config.catalog, fac_leaves)
-        for leaf in fac_leaves:
-            columns[leaf.indicator] = (scores.column(leaf.indicator), False)
-
-    direct = _direct_columns(config, scenario_names)
-    for leaf in leaves:
-        if leaf.source == "direct":
-            columns[leaf.indicator] = direct[leaf.indicator]
-
-    raw = [l.indicator for l in leaves if not columns[l.indicator][1]]
-    if raw:
         normalized = normalize(IndicatorTable(
-            scenario_names, raw, np.column_stack([columns[i][0] for i in raw]),
+            fixed.scenarios, simulated,
+            np.column_stack([simulated_table.column(i) for i in simulated]),
         ), config.tree)
-        for indicator in raw:
-            columns[indicator] = (normalized.column(indicator), True)
+        columns.update((i, normalized.column(i)) for i in simulated)
     indicators = [l.indicator for l in leaves]
-    table = IndicatorTable(
-        scenario_names, indicators,
-        np.column_stack([columns[i][0] for i in indicators]),
-        normalized=True,
-    )
-    return table, simulated_table
+    values = np.column_stack([columns[i] for i in indicators])
+    return (IndicatorTable(fixed.scenarios, indicators, values, normalized=True),
+            simulated_table)
 
 
 class _Stage:
@@ -577,10 +545,14 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     `render` additionally writes the summary tables in the given format
     ("markdown", "csv" or "json"). `sensitivity` = (node, delta)
     additionally writes `weight_sensitivity` to sensitivity.json. Errors
-    abort the run before its first write and name the failing stage."""
-    if sensitivity is not None and not config.scenarios:
-        raise ConfigError("a sensitivity analysis needs scenarios to rank")
+    abort the run before its first write and name the failing stage; a
+    `sensitivity` request that cannot run fails before the first stage."""
     tree = config.tree
+    if sensitivity is not None:
+        if not config.scenarios:
+            raise ConfigError("a sensitivity analysis needs scenarios to rank")
+        with _Stage("sensitivity"):
+            _perturbations(tree, *sensitivity)
 
     with _Stage("sizing"):
         sizing = compute_sizing(config)
@@ -657,15 +629,25 @@ def weight_sensitivity(tree: WeightTree, table: IndicatorTable, node: str,
     normalized leaf table of `tree`; the leaf set does not change under
     re-weighting, so it applies to every perturbed tree."""
     base_report = rollup(tree, table)
-    base_weight = tree.find(node).weight
-    outcomes = {"node": node, "base_weight": base_weight,
+    outcomes = {"node": node, "base_weight": tree.find(node).weight,
                 "base_ranking": list(base_report.ranking), "perturbations": {}}
-    for sign in (+1.0, -1.0):
-        w = base_weight + sign * delta
-        report = rollup(tree.reweighted(node, w), table)
-        outcomes["perturbations"][f"{sign * delta:+g}"] = {
+    for key, (w, perturbed) in _perturbations(tree, node, delta).items():
+        report = rollup(perturbed, table)
+        outcomes["perturbations"][key] = {
             "weight": w,
             "ranking": list(report.ranking),
             "top_changed": report.ranking[0] != base_report.ranking[0],
         }
     return outcomes
+
+
+def _perturbations(tree: WeightTree, node: str, delta: float) -> dict:
+    """{"+delta": (weight, tree), "-delta": (weight, tree)}: `node`'s weight
+    moved by +delta and by -delta, and `tree` reweighted to it. Raises
+    ValidationError for a node `tree.reweighted` cannot perturb so."""
+    base_weight = tree.find(node).weight
+    perturbed = {}
+    for sign in (+1.0, -1.0):
+        w = base_weight + sign * delta
+        perturbed[f"{sign * delta:+g}"] = (w, tree.reweighted(node, w))
+    return perturbed

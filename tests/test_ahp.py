@@ -110,6 +110,16 @@ class TestMatrixValidation:
         assert m.values[1, 0] == pytest.approx(0.5)
         assert m.values[2, 0] == pytest.approx(1 / 6)
 
+    def test_from_rows_rejects_contradictory_lower_entry(self):
+        """An explicit lower-triangle judgment must be the reciprocal of its
+        mirror within 1e-3; a rounded one is stored as the exact reciprocal."""
+        with pytest.raises(ValidationError) as err:
+            PairwiseMatrix.from_rows(("a", "b"), [[1, 3], [5, 1]])
+        assert str(err.value) == ("row 2 (b), column 1 (a): 5 is not the "
+                                  "reciprocal of 3 in row 1 (a), column 2 (b)")
+        m = PairwiseMatrix.from_rows(("a", "b"), [[1, 3], [0.3333, 1]])
+        assert m.values[1, 0] == 1 / 3
+
     def test_from_rows_requires_upper_triangle(self):
         """A missing or blank upper-triangle judgment is an error naming its
         row and column; it never reads as 1."""

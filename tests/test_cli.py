@@ -100,6 +100,13 @@ class TestValidate:
             "rows": [[1, 3], [None, 1, 2], [None, None, 1]]}},
          "matrices.comprehensive: row 1 (environmental), column 3 (social): "
          "missing value"),
+        # a lower-triangle judgment that contradicts its mirror
+        ((), "matrices", {"comprehensive": {
+            "labels": ["environmental", "economic", "social"],
+            "rows": [[1, 3, 5], [0.5, 1, 2], [None, None, 1]]}},
+         "matrices.comprehensive: row 2 (economic), column 1 (environmental): "
+         "0.5 is not the reciprocal of 3 in row 1 (environmental), column 2 "
+         "(economic)"),
         # hierarchy leaves that their source cannot fill: a simulated
         # indicator the simulation does not produce, a direct one no table
         # provides, a facility-derived one without favorability scores
@@ -419,23 +426,6 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 3
         assert f"error: cannot write {blocker / 'out'}" in result.output
 
-    def test_runtime_failure_exits_3(self, runner, sample_dir, tmp_path):
-        """A raw direct column of zeros breaks normalization at run time."""
-        path = copy_project(sample_dir, tmp_path, "published_tables.yaml")
-        env = tmp_path / "environmental_indicators.csv"
-        lines = env.read_text().splitlines()
-        header = lines[0].split(",")
-        zeroed = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            cells[header.index("tss_reduction")] = "0"
-            zeroed.append(",".join(cells))
-        env.write_text("\n".join([lines[0]] + zeroed) + "\n")
-        result = runner.invoke(main, ["rank", "--config", str(path),
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 3
-        assert "tss_reduction" in result.output
-
     def test_substep_limit_exits_3(self, runner, sample_dir, tmp_path,
                                    monkeypatch):
         """A step past the runoff kernel's substep limit (reached here by
@@ -468,49 +458,72 @@ class TestSimulateEvaluateRank:
                 "(depth_mm): missing value\n") in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("project,options,tol_abs_mm,ecological,message", [
-        ("sports_center.yaml", [], 1e-7, None, "[stage: simulation] subcatchment "),
-        ("sports_center.yaml", ["--sensitivity", "nosuch"], None, None,
+    @pytest.mark.parametrize("options,tol_abs_mm,message", [
+        ([], 1e-7, "[stage: simulation] subcatchment "),
+        (["--sensitivity", "nosuch"], None,
          "[stage: sensitivity] no node named 'nosuch'"),
-        ("published_tables.yaml",
-         ["--sensitivity", "environmental", "--delta", "0.9"], None, None,
+        (["--sensitivity", "comprehensive"], None,
+         "[stage: sensitivity] perturbed weight 1.0500 for 'comprehensive' "
+         "outside [0, 1]"),
+        (["--sensitivity", "environmental", "--delta", "0.9"], None,
          "[stage: sensitivity] perturbed weight 1.5080 for 'environmental' "
          "outside [0, 1]"),
-        ("sports_center.yaml", [], None, (False, 0.0),
-         "[stage: indicator assembly] indicator 'ecological' sums to zero"),
-        ("sports_center.yaml", [], None, (True, 1.05),
-         "[stage: benefit roll-up] normalized column 'ecological' sums to 1.0500"),
     ])
     def test_failing_stage_is_named(self, runner, sample_dir, tmp_path,
-                                    monkeypatch, project, options, tol_abs_mm,
-                                    ecological, message):
+                                    monkeypatch, options, tol_abs_mm, message):
         """A runtime failure inside `rank` names the stage it stopped in
         and leaves `--out` unwritten: a step past the substep limit (the
         kernel's tolerance shrunk to an absolute `tol_abs_mm`) in
-        simulation, an unknown node or a weight pushed past 1 in
-        sensitivity. `ecological` = (normalized, scale) sets the direct
-        table's `normalized` flag and scales its `ecological` column: raw
-        zeros fail indicator assembly, a pre-normalized column summing to
-        1.05 fails the roll-up."""
+        simulation; an unknown node, the root or a weight pushed past 1 in
+        sensitivity. A sensitivity request is checked before the first
+        stage, so those runs simulate nothing."""
         if tol_abs_mm is not None:
             monkeypatch.setattr(kernels, "TOL_REL", 0.0)
             monkeypatch.setattr(kernels, "TOL_ABS_MM", tol_abs_mm)
-        path = sample_dir / project
-        if ecological is not None:
-            normalized, scale = ecological
-            path = edited_project(sample_dir, tmp_path,
-                                  ("direct_tables", 0, "normalized"), normalized)
-            table = tmp_path / "econ_social_indicators.csv"
-            rows = [line.split(",") for line in table.read_text().splitlines()]
-            j = rows[0].index("ecological")
-            for row in rows[1:]:
-                row[j] = repr(float(row[j]) * scale)
-            table.write_text("".join(",".join(row) + "\n" for row in rows))
-        result = runner.invoke(main, [
-            "rank", "--config", str(path), "--out", str(tmp_path / "out"),
-            *options])
+        with mock.patch.object(pipeline, "simulate_all",
+                               wraps=pipeline.simulate_all) as simulate_all:
+            result = runner.invoke(main, [
+                "rank", "--config", str(sample_dir / "sports_center.yaml"),
+                "--out", str(tmp_path / "out"), *options])
         assert result.exit_code == 3
         assert f"error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
+        assert simulate_all.called == (tol_abs_mm is not None)
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("normalized,scale,extra,message", [
+        (False, 0.0, None, "indicator 'ecological' sums to zero"),
+        (True, 1.05, None, "normalized column 'ecological' sums to 1.0500"),
+        (True, 1.0, "extra.csv", "more than one direct table provides "
+                                 "'ecological': <dir>/econ_social_indicators.csv, "
+                                 "<dir>/extra.csv"),
+    ])
+    def test_leaf_column_errors_exit_2(self, runner, sample_dir, tmp_path,
+                                       command, normalized, scale, extra,
+                                       message):
+        """The bundled direct table, with its `normalized` flag set and its
+        `ecological` column scaled by `scale`, fails at load time when the
+        column cannot fill its leaf: raw zeros, a pre-normalized column
+        summing to 1.05, or a second table (`extra`) providing the same
+        indicator. `<dir>` in `message` is the project's directory."""
+        tables = [{"file": "econ_social_indicators.csv", "normalized": normalized}]
+        if extra is not None:
+            (tmp_path / extra).write_text(
+                "scenario,ecological\n" + "".join(f"scenario_{k},{k}\n"
+                                                  for k in range(1, 6)))
+            tables.append({"file": extra})
+        path = edited_project(sample_dir, tmp_path, ("direct_tables",), tables)
+        table = tmp_path / "econ_social_indicators.csv"
+        rows = [line.split(",") for line in table.read_text().splitlines()]
+        j = rows[0].index("ecological")
+        for row in rows[1:]:
+            row[j] = repr(float(row[j]) * scale)
+        table.write_text("".join(",".join(row) + "\n" for row in rows))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"error: hierarchy: leaf 'ecological': "
+                f"{message.replace('<dir>', str(tmp_path))}\n") in result.output
         assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,8 @@
 integrates the same reservoir with a fixed depth budget per substep fine
 enough that its own error is a small part of the gates. Gates: event
 runoff volume within max(0.1%, 1e-5 mm) and peak step runoff within 1% of
-the oracle.
+the oracle. A dry recession is also checked against its closed-form
+solution, under the same volume gate.
 """
 
 import math
@@ -68,6 +69,25 @@ def _recorded_calls(monkeypatch, fn, *args, **kwargs):
 @pytest.mark.parametrize("case", list(subarea_cases()))
 def test_kernel_cases_match_oracle(case):
     assert _gate_failures(case, FINE_MM) == []
+
+
+@pytest.mark.parametrize("dt", [60.0, 300.0, 900.0])
+@pytest.mark.parametrize("depth_mm", [0.5, 5.0, 40.0])
+@pytest.mark.parametrize("coef", [8e-5, 1e-3, 1.25e-2])
+def test_recession_matches_closed_form(coef, depth_mm, dt):
+    """With no rain and no infiltration the depth y above depression
+    storage follows dy/dt = -coef * y^(5/3), whose exact solution is
+    y(t) = (y0^(-2/3) + (2/3) * coef * t)^(-3/2). Over a 3 h recession
+    the runoff to every step end, and the end depth, are within the volume
+    gate of the exact drained volume y0 - y(t)."""
+    dstore = 1.5
+    n = int(10800 / dt)
+    runoff, _, end_mm, _, _ = kernels.step_subarea(np.zeros(n), np.zeros(n), coef,
+                                                   dstore, dt, dstore + depth_mm)
+    exact = (depth_mm ** (-2 / 3) + (2 / 3) * coef * dt * np.arange(1, n + 1)) ** -1.5
+    gate = VOLUME_RTOL * (depth_mm - exact[-1])
+    assert np.max(np.abs(np.cumsum(runoff) - (depth_mm - exact))) <= gate
+    assert abs(end_mm - dstore - exact[-1]) <= gate
 
 
 def _hand_case(monkeypatch):

@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 import lidscore.pipeline
-from lidscore.errors import ValidationError
-from lidscore.evaluator import IndicatorTable, StormSummary
+from lidscore.config import load_config
+from lidscore.errors import ConfigError, ValidationError
+from lidscore.evaluator import StormSummary
 from lidscore.hydrology import Hydrograph
 from lidscore.lid import LidKind, LidPlacement, Scenario
 from lidscore.pipeline import (StormRun, _persist_hydrograph,
@@ -25,6 +26,7 @@ from lidscore.pipeline import (StormRun, _persist_hydrograph,
                                assemble_indicators, build_storms,
                                compute_sizing, run_pipeline, simulate_all,
                                simulate_run, weight_sensitivity)
+from test_config import rewrite
 
 
 def compare_trees(a: Path, b: Path, skip=("manifest.json",)):
@@ -207,32 +209,32 @@ class TestWeightSensitivity:
 
 
 class TestDirectTables:
-    """Each direct leaf takes one column: a pre-normalized table wins over
-    a raw one, and rows follow the config's scenario order."""
+    """Each direct leaf takes the one table column that provides it, in the
+    config's scenario order."""
 
-    def test_pre_normalized_column_wins_over_raw(self, published_config,
-                                                 published_weighted, tmp_path):
-        _, table = published_weighted
-        raw = tmp_path / "raw_landscape.csv"
-        raw.write_text("scenario,landscape\n" + "".join(
-            f"{sc.name},{k + 1}\n" for k, sc in enumerate(published_config.scenarios)))
-        # listed last, so file order alone would pick it
-        config = dataclasses.replace(published_config, direct_tables=[
-            *published_config.direct_tables, IndicatorTable.from_csv(raw)])
-        got, _ = assemble_indicators(config, None)
-        np.testing.assert_array_equal(got.values, table.values)
+    def test_leaf_two_tables_provide_is_rejected(self, sample_dir, tmp_path):
+        """A raw table providing `landscape` listed after the pre-normalized
+        one that provides it too is an error naming both files; no kind or
+        place in the list wins."""
+        (tmp_path / "raw_landscape.csv").write_text("scenario,landscape\n" + "".join(
+            f"scenario_{k},{k}\n" for k in range(1, 6)))
+        path = rewrite(sample_dir, tmp_path, lambda raw: raw["direct_tables"].append(
+            {"file": "raw_landscape.csv"}), "published_tables.yaml")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.errors == [
+            f"hierarchy: leaf 'landscape': more than one direct table provides "
+            f"'landscape': {tmp_path / 'econ_social_indicators.csv'}, "
+            f"{tmp_path / 'raw_landscape.csv'}"]
 
-    def test_shuffled_rows_follow_config_order(self, published_config,
+    def test_shuffled_rows_follow_config_order(self, sample_dir, tmp_path,
                                                published_weighted):
         _, table = published_weighted
-        shuffled = []
-        for direct in published_config.direct_tables:
-            order = [*range(1, len(direct.scenarios)), 0]
-            shuffled.append(dataclasses.replace(
-                direct, scenarios=[direct.scenarios[i] for i in order],
-                values=direct.values[order]))
-        config = dataclasses.replace(published_config, direct_tables=shuffled)
-        got, _ = assemble_indicators(config, None)
+        path = rewrite(sample_dir, tmp_path, lambda raw: None, "published_tables.yaml")
+        for name in ("environmental_indicators.csv", "econ_social_indicators.csv"):
+            header, first, *rest = (tmp_path / name).read_text().splitlines()
+            (tmp_path / name).write_text("\n".join([header, *rest, first]) + "\n")
+        got, _ = assemble_indicators(load_config(path), None)
         assert got.scenarios == table.scenarios
         np.testing.assert_array_equal(got.values, table.values)
 
