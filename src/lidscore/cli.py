@@ -134,7 +134,8 @@ def evaluate(config, out_dir):
     from lidscore.pipeline import (_persist_indicators, _Stage, _Writer,
                                    assemble_indicators, simulate_if_needed)
 
-    runs = simulate_if_needed(config)
+    # without scenarios assemble_indicators fails at once: simulate nothing
+    runs = simulate_if_needed(config) if config.scenarios else None
     with _Stage("indicator assembly"):
         tables = assemble_indicators(config, runs)
     writer = _Writer(out_dir)

@@ -188,11 +188,17 @@ class IndicatorTable:
     @classmethod
     def from_csv(cls, path) -> "IndicatorTable":
         """Read a `scenario,<indicator>,...` header and a row per scenario
-        through `inputs.read_cell`; every value must be a finite number."""
+        through `inputs.read_cell`; every value must be a finite number and
+        no indicator may head two columns."""
         rows = read_rows(path)
-        _, header = next(rows, (0, [""]))
+        header_line, header = next(rows, (0, [""]))
         if header[0] != "scenario":
             raise ValidationError(f"{path}: expected a 'scenario' header column")
+        for j, name in enumerate(header[1:], 1):
+            if name in header[1:j]:
+                raise ValidationError(
+                    f"{path}: line {header_line}, column {j + 1}: indicator "
+                    f"{name!r} already heads column {header.index(name, 1) + 1}")
         scenarios, values = [], []
         for line, row in rows:
             where = f"{path}: line {line}"

@@ -14,22 +14,22 @@ every subcatchment; a scenario that places nothing in a subcatchment
 reuses that result instead of simulating it again (the runs are
 deterministic, so the reused result is bit-identical).
 
-`_Writer` is the only code that formats, hashes and writes result files.
-Each file is built in memory, hashed from those bytes and written without
+`_Writer` is the only code that hashes and writes result files. Each
+file is built in memory, hashed from those bytes and written without
 being read back, so the manifest lists every file a run writes.
-Hydrographs and pollutographs go through its column-block series writer
-(`write_series`): one f-string comprehension per block of rows, each time
-column formatted once per writer, bytes equal to a `csv.writer` row of
-`repr` strings per step.
 
-`_persist_runs` writes the series outfall by outfall with one series cache
-per (storm, outfall), keyed on the exact inputs of the text: its kind, the
-step, and the flow and load array bytes. A series whose bytes repeat
-another run label's there, as a scenario's do at an outfall fed only by
-placement-free subcatchments, is formatted, encoded and hashed once; those
-bytes and that digest then go to every path that repeats them, so every
-file is still written and listed. A cache per (storm, outfall) rather than
-per writer keeps only that outfall's texts in memory.
+Each run writes one `outfall_<outfall>.csv` per outfall and storm: the
+flow and every pollutant's load and concentration, one row per step, the
+time column formatted once per writer. The text is built a column at a
+time (`repr` of every float) and equals a `csv.writer` row of those
+strings per step. `_persist_runs` keeps one cache per (storm, outfall),
+keyed on the exact inputs of the text: the step and the bytes of every
+series. A file whose bytes repeat another run label's there, as a
+scenario's do at an outfall fed only by placement-free subcatchments, is
+formatted, encoded and hashed once; those bytes and that digest then go
+to every path that repeats them, so every file is still written and
+listed. A cache per (storm, outfall) rather than per writer keeps only
+that outfall's texts in memory.
 
 The CLI subcommands call the same `_persist_*` functions as `run_pipeline`,
 so each file comes from exactly one function. Rerunning an identical
@@ -164,14 +164,14 @@ class _Writer:
         writer.writerows(rows)
         return self.record(buf.getvalue(), *parts)
 
-    def write_series(self, header, blocks, key, cache: dict, *parts) -> Path:
-        """Numeric CSV of `_series_text(header, blocks())`. `key` holds
-        the exact inputs of that text, so equal keys mean equal bytes.
-        `cache` keeps (bytes, SHA-256) per key: a key met before is written
-        without calling `blocks`, formatting or hashing again."""
+    def write_series(self, text, key, cache: dict, *parts) -> Path:
+        """Numeric CSV of `text()`. `key` holds the exact inputs of that
+        text, so equal keys mean equal bytes. `cache` keeps (bytes,
+        SHA-256) per key: a key met before is written without calling
+        `text`, encoding or hashing again."""
         entry = cache.get(key)
         if entry is None:
-            data = _series_text(header, blocks()).encode("utf-8")
+            data = text().encode("utf-8")
             entry = cache[key] = (data, hashlib.sha256(data).hexdigest())
         return self.put(*entry, *parts)
 
@@ -187,33 +187,14 @@ class _Writer:
         return column
 
 
-def _series_text(header, blocks) -> str:
-    """Numeric CSV text, byte-equal to `_Writer.write_rows` with `repr` of
-    every value, formatted a block of rows at a time. `blocks` holds
-    (row builder, columns) pairs in file order: the builder is one of the
-    `_rows_*` functions below and the columns are its arguments."""
-    text = [",".join(header), "\r\n"]
-    for rows, columns in blocks:
-        text += rows(*columns)
-    return "".join(text)
-
-
-# Row builders of `_series_text`: the first column holds preformatted
-# strings, the others Python floats, whose `!r` is their repr. An f-string
-# comprehension formats a row faster than `%`-formatting it.
-def _rows_1(times, values) -> list:
-    """`t,v` rows."""
-    return [f"{t},{v!r}\r\n" for t, v in zip(times, values)]
-
-
-def _rows_1_blank(times, values) -> list:
-    """`t,v,` rows: a blank last column."""
-    return [f"{t},{v!r},\r\n" for t, v in zip(times, values)]
-
-
-def _rows_2(times, values, more) -> list:
-    """`t,v,w` rows."""
-    return [f"{t},{v!r},{w!r}\r\n" for t, v, w in zip(times, values, more)]
+def _cells(values: np.ndarray, n: int, blank=None) -> list:
+    """`repr` of each float of `values`, "" where the mask `blank` is true,
+    then "" up to `n` cells."""
+    cells = list(map(repr, values.tolist()))
+    if blank is not None:
+        for i in np.flatnonzero(blank).tolist():
+            cells[i] = ""
+    return cells + [""] * (n - len(cells))
 
 
 def storm_label(depth_mm: float) -> str:
@@ -385,56 +366,48 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
     return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
 
 
-def _persist_hydrograph(writer: _Writer, hydro: Hydrograph, *parts,
-                        cache: dict) -> Path:
-    """`t_s,flow_Lps` rows, t at step start. `cache` as in
-    `_Writer.write_series`."""
+def _persist_outfall(writer: _Writer, hydro: Hydrograph, loads: dict,
+                     *parts, cache: dict) -> Path:
+    """`t_s,flow_Lps`, then `<p>_load_kg,<p>_conc_mg_L` for each pollutant
+    `p` of `loads` (pollutant -> load series, in column order); t at step
+    start. `cache` as in `_Writer.write_series`. The concentration depends
+    on the flows, so the key holds every series."""
+    loads = {p: np.asarray(series, dtype=float) for p, series in loads.items()}
+    key = (repr(hydro.step_s), hydro.flows_lps.tobytes(),
+           *[(p, series.tobytes()) for p, series in loads.items()])
+    return writer.write_series(lambda: _outfall_text(writer, hydro, loads),
+                               key, cache, *parts)
+
+
+def _outfall_text(writer: _Writer, hydro: Hydrograph, loads: dict) -> str:
+    """The text of `_persist_outfall`. Rows run to the longest series. A
+    flow or load cell past the end of its own series is blank, and so is a
+    concentration where there is no load, or no flow to define it (no
+    flow, or past the end of the hydrograph)."""
     flows = hydro.flows_lps
-
-    def blocks():
-        times = writer.time_column(flows.size, hydro.step_s)
-        return [(_rows_1, (times, flows.tolist()))]
-
-    key = ("h", repr(hydro.step_s), flows.tobytes())
-    return writer.write_series(["t_s", "flow_Lps"], blocks, key, cache, *parts)
-
-
-def _persist_pollutograph(writer: _Writer, hydro: Hydrograph, loads_kg,
-                          *parts, cache: dict) -> Path:
-    """`t_s,load_kg,conc_mg_L` rows; the concentration is blank where there
-    is no flow to define it (no flow, or past the end of the hydrograph).
-    The concentration depends on the flows, so the cache key holds them."""
-    loads = np.asarray(loads_kg, dtype=float)
-
-    def blocks():
-        n = loads.size
-        flows = np.zeros(n)
-        overlap = min(n, hydro.flows_lps.size)
-        flows[:overlap] = hydro.flows_lps[:overlap]
-        wet = flows > 0
-        conc = np.zeros(n)
+    n = max([flows.size, *(series.size for series in loads.values())])
+    header = ["t_s", "flow_Lps"]
+    columns = [writer.time_column(n, hydro.step_s), _cells(flows, n)]
+    padded = np.zeros(n)
+    padded[:flows.size] = flows
+    for pollutant, series in loads.items():
+        wet = padded[:series.size] > 0
+        conc = np.zeros(series.size)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            np.divide(loads * 1e6, flows * hydro.step_s, out=conc, where=wet)
-        times = writer.time_column(n, hydro.step_s)
-        load_list, conc_list = loads.tolist(), conc.tolist()
-        # contiguous runs of wet or dry steps, each written by its row builder
-        bounds = [0, *(np.flatnonzero(wet[1:] != wet[:-1]) + 1).tolist(), n]
-        return [
-            (_rows_2, (times[a:b], load_list[a:b], conc_list[a:b])) if wet[a]
-            else (_rows_1_blank, (times[a:b], load_list[a:b]))
-            for a, b in zip(bounds, bounds[1:]) if a < b
-        ]
-
-    key = ("q", repr(hydro.step_s), hydro.flows_lps.tobytes(), loads.tobytes())
-    return writer.write_series(["t_s", "load_kg", "conc_mg_L"], blocks, key,
-                               cache, *parts)
+            np.divide(series * 1e6, padded[:series.size] * hydro.step_s,
+                      out=conc, where=wet)
+        header += [f"{pollutant}_load_kg", f"{pollutant}_conc_mg_L"]
+        columns += [_cells(series, n), _cells(conc, n, blank=~wet)]
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)   # a pollutant name may need quoting
+    return buf.getvalue() + "\r\n".join([*map(",".join, zip(*columns)), ""])
 
 
 def _persist_runs(writer: _Writer, runs: dict) -> None:
     """Every run's outfall series and water balances under results/.
 
-    The series go storm by storm and outfall by outfall, each label in
-    turn, with one series cache per (storm, outfall): a series whose bytes
+    The outfall files go storm by storm and outfall by outfall, each
+    label in turn, with one cache per (storm, outfall): a file whose bytes
     repeat another label's there, as a scenario's do at an outfall fed
     only by placement-free subcatchments, is formatted and hashed once and
     written to each path. Every run of a storm routes to the same
@@ -443,14 +416,10 @@ def _persist_runs(writer: _Writer, runs: dict) -> None:
         for outfall in storm_runs[0].outfall_hydrographs:
             cache: dict = {}
             for label, run in zip(runs, storm_runs):
-                base = ("results", label, run.storm)
-                hydro = run.outfall_hydrographs[outfall]
-                _persist_hydrograph(writer, hydro, *base, f"hydro_{outfall}.csv",
-                                    cache=cache)
-                for pollutant, series in run.outfall_load_series.get(outfall, {}).items():
-                    _persist_pollutograph(writer, hydro, series, *base,
-                                          f"quality_{outfall}_{pollutant}.csv",
-                                          cache=cache)
+                _persist_outfall(writer, run.outfall_hydrographs[outfall],
+                                 run.outfall_load_series.get(outfall, {}),
+                                 "results", label, run.storm,
+                                 f"outfall_{outfall}.csv", cache=cache)
     for label, storm_runs in runs.items():
         for run in storm_runs:
             rows = [
@@ -472,6 +441,7 @@ def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:
     Returns (normalized table, simulated raw environmental table or None).
     The simulated leaves' columns are normalized here; every other leaf's
     normalized column was built by `load_config` (`config.fixed_columns`).
+    Raises ValidationError when the project has no scenarios.
     """
     if not config.scenarios:
         raise ValidationError("indicator table needs at least one scenario")

@@ -5,6 +5,8 @@ Shared by the unit tests and the acceptance suite so every module checks
 against the same numbers.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -195,3 +197,58 @@ def euler_subarea(intensity_mmps, fcap_mmps, q_coef, dstore_mm, dt_s, d0_mm,
         runoff.append(r_acc)
         infil.append(f_acc)
     return np.array(runoff), np.array(infil), d
+
+
+def reference_csv(header, rows) -> bytes:
+    """A result file built row by row: `csv.writer` over `repr` strings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+# The series files of the earlier layout, one file per series: what
+# `outfall_<outfall>.csv` replaces, kept so its cells can be checked
+# against the text those files held.
+def reference_hydrograph(hydro) -> bytes:
+    """The earlier `hydro_<outfall>.csv`."""
+    return reference_csv(["t_s", "flow_Lps"], [
+        [repr(k * hydro.step_s), repr(float(q))]
+        for k, q in enumerate(hydro.flows_lps)
+    ])
+
+
+def reference_pollutograph(hydro, loads_kg) -> bytes:
+    """The earlier `quality_<outfall>_<pollutant>.csv`."""
+    rows = []
+    for k, load in enumerate(loads_kg):
+        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
+        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
+        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
+    return reference_csv(["t_s", "load_kg", "conc_mg_L"], rows)
+
+
+def reference_outfall(hydro, loads: dict) -> bytes:
+    """`outfall_<outfall>.csv` built row by row from the hydrograph and
+    {pollutant: load series}: rows run to the longest series, a cell past
+    the end of its series is blank, and so is a concentration without
+    flow."""
+    flows = hydro.flows_lps
+    n = max([flows.size, *(len(series) for series in loads.values())])
+    header = ["t_s", "flow_Lps"]
+    for pollutant in loads:
+        header += [f"{pollutant}_load_kg", f"{pollutant}_conc_mg_L"]
+    rows = []
+    for k in range(n):
+        flow = float(flows[k]) if k < flows.size else 0.0
+        row = [repr(k * hydro.step_s), repr(flow) if k < flows.size else ""]
+        for series in loads.values():
+            if k < len(series):
+                load = float(series[k])
+                conc = repr(load * 1e6 / (flow * hydro.step_s)) if flow > 0 else ""
+                row += [repr(load), conc]
+            else:
+                row += ["", ""]
+        rows.append(row)
+    return reference_csv(header, rows)

@@ -362,6 +362,20 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "indicators" / "normalized.csv").exists()
 
+    def test_evaluate_without_scenarios_simulates_nothing(self, runner, sample_dir,
+                                                         tmp_path):
+        """`evaluate` has nothing to evaluate without scenarios: it fails in
+        indicator assembly before any simulation."""
+        path = edited_project(sample_dir, tmp_path, ("scenarios",), [])
+        with mock.patch.object(pipeline, "simulate_all",
+                               side_effect=AssertionError("simulated")):
+            result = runner.invoke(main, ["evaluate", "--config", str(path),
+                                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert ("error: [stage: indicator assembly] indicator table needs at "
+                "least one scenario\n") in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_rank_prints_published_order(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [
             "rank", "--config", str(sample_dir / "published_tables.yaml"),
@@ -527,6 +541,24 @@ class TestSimulateEvaluateRank:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_repeated_table_header_exits_2(self, runner, sample_dir, tmp_path,
+                                           command):
+        """A direct table whose header repeats an indicator is rejected at
+        load, naming the repeated cell."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        table = tmp_path / "econ_social_indicators.csv"
+        lines = table.read_text().splitlines()
+        lines = [lines[0] + ",ecological"] + [line + ",0.2" for line in lines[1:]]
+        table.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"error: direct_tables[0]: {table}: line 1, column 10: indicator "
+                f"'ecological' already heads column 9\n") in result.output
+        assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
     def test_report_formats(self, runner, sample_dir, tmp_path, fmt):
@@ -550,19 +582,19 @@ def hashes_on_disk(out_dir):
 @pytest.fixture(scope="module")
 def sports_rank(sample_dir, tmp_path_factory):
     """Output directory of `rank --sensitivity` on the bundled project, the
-    number of times it ran simulate_all and the number of series texts it
+    number of times it ran simulate_all and the number of outfall files it
     formatted."""
     out = tmp_path_factory.mktemp("rank")
     with mock.patch.object(pipeline, "simulate_all",
                            wraps=pipeline.simulate_all) as simulate_all, \
-            mock.patch.object(pipeline, "_series_text",
-                              wraps=pipeline._series_text) as series_text:
+            mock.patch.object(pipeline, "_outfall_text",
+                              wraps=pipeline._outfall_text) as outfall_text:
         result = CliRunner().invoke(main, [
             "rank", "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(out), "--sensitivity", "environmental",
             "--delta", "0.05"])
     assert result.exit_code == 0, result.output
-    return out, simulate_all.call_count, series_text.call_count
+    return out, simulate_all.call_count, outfall_text.call_count
 
 
 class TestSingleWriter:
@@ -576,15 +608,12 @@ class TestSingleWriter:
         assert manifest["files"] == hashes_on_disk(out)
 
     def test_each_series_formatted_once(self, sports_rank, sports_config):
-        """Series files repeat across run labels (a scenario outfall fed
+        """Outfall files repeat across run labels (a scenario outfall fed
         only by placement-free subcatchments repeats the baseline's), but
         each distinct (storm, outfall, bytes) is formatted once."""
         out, _, formatted = sports_rank
-        outfall_of = {}
-        for outfall in sports_config.outfalls:
-            outfall_of[f"hydro_{outfall}.csv"] = outfall
-            for pollutant in sports_config.pollutants:
-                outfall_of[f"quality_{outfall}_{pollutant.name}.csv"] = outfall
+        outfall_of = {f"outfall_{outfall}.csv": outfall
+                      for outfall in sports_config.outfalls}
         files = json.loads((out / "manifest.json").read_text())["files"]
         series = {}
         for rel, digest in files.items():
@@ -595,6 +624,32 @@ class TestSingleWriter:
         assert formatted == len(set(series.values()))
         for rel, digest in files.items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+
+    def test_one_file_per_outfall(self, runner, sample_dir, tmp_path):
+        """Outfall `OUT` with pollutant `A_TSS` and outfall `OUT_A` with
+        pollutant `TSS` once gave two series the one path
+        `quality_OUT_A_TSS.csv`, and the second overwrote the first. Each
+        outfall now has its own file, holding every pollutant."""
+        outfalls = ["OUT_A", "OUT", "OUT_C", "OUT_D", "OUT_E", "OUT_F"]
+        path = edited_project(sample_dir, tmp_path, ("catchment", "outfalls"), outfalls,
+                              more=[(("catchment", "links", 1, "to"), "OUT"),
+                                    (("pollutants", 1, "name"), "A_TSS"),
+                                    (("hierarchy", "children", 0, "children", 1,
+                                      "children", 1, "name"), "a_tss_reduction")])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["rank", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        expected = sorted([f"outfall_{o}.csv" for o in outfalls] + ["water_balance.csv"])
+        run_dirs = [d for d in (out / "results").glob("*/*") if d.is_dir()]
+        assert len(run_dirs) == 6 * 3
+        for run_dir in run_dirs:
+            assert sorted(p.name for p in run_dir.iterdir()) == expected
+            for outfall in ("OUT", "OUT_A"):
+                header = (run_dir / f"outfall_{outfall}.csv").read_text().splitlines()[0]
+                assert header == ("t_s,flow_Lps" + "".join(
+                    f",{p}_load_kg,{p}_conc_mg_L" for p in ("TSS", "A_TSS", "TN", "TP")))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == hashes_on_disk(out)
 
     def test_report_manifest_lists_every_file(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [

@@ -355,6 +355,14 @@ class TestIndicatorTableCsv:
         with pytest.raises(ValidationError, match="scenario"):
             IndicatorTable.from_csv(path)
 
+    def test_repeated_indicator_named(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("scenario,a,b,a\ns1,1,2,3\n")
+        with pytest.raises(ValidationError) as err:
+            IndicatorTable.from_csv(path)
+        assert str(err.value) == (f"{path}: line 1, column 4: indicator 'a' "
+                                  f"already heads column 2")
+
     @pytest.mark.parametrize("row,message", [
         ("s2,2,x", "line 3, column 3 (b): 'x' is not a number"),
         ("s2,2", "line 3, column 3 (b): missing value"),

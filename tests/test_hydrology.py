@@ -317,10 +317,10 @@ class TestRoute:
 
 class TestHydrographExport:
     def test_csv_format(self, tmp_path):
-        from lidscore.pipeline import _persist_hydrograph, _Writer
+        from lidscore.pipeline import _persist_outfall, _Writer
 
         h = hydro("a", [0.0, 12.5, 3.0])
-        path = _persist_hydrograph(_Writer(tmp_path), h, "h.csv", cache={})
+        path = _persist_outfall(_Writer(tmp_path), h, {}, "h.csv", cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps"
         assert lines[1] == "0,0.0"

@@ -21,11 +21,12 @@ from lidscore.errors import ConfigError, ValidationError
 from lidscore.evaluator import StormSummary
 from lidscore.hydrology import Hydrograph
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (StormRun, _persist_hydrograph,
-                               _persist_pollutograph, _persist_runs, _Writer,
-                               assemble_indicators, build_storms,
+from lidscore.pipeline import (StormRun, _persist_outfall, _persist_runs,
+                               _Writer, assemble_indicators, build_storms,
                                compute_sizing, run_pipeline, simulate_all,
                                simulate_run, weight_sensitivity)
+from reference import (reference_hydrograph, reference_outfall,
+                       reference_pollutograph)
 from test_config import rewrite
 
 
@@ -282,29 +283,28 @@ class TestHeaderOnlyRender:
         assert len(lines) == 1
 
 
-def reference_csv(header, rows) -> bytes:
-    """A series file built row by row: `csv.writer` over `repr` strings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+def csv_columns(data: bytes) -> dict:
+    """{header cell: [cells]} of a CSV file's bytes."""
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
 
 
-def reference_hydrograph(hydro) -> bytes:
-    return reference_csv(["t_s", "flow_Lps"], [
-        [repr(k * hydro.step_s), repr(float(q))]
-        for k, q in enumerate(hydro.flows_lps)
-    ])
-
-
-def reference_pollutograph(hydro, loads_kg) -> bytes:
-    rows = []
-    for k, load in enumerate(loads_kg):
-        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
-        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
-        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
-    return reference_csv(["t_s", "load_kg", "conc_mg_L"], rows)
+def assert_earlier_layout_text(data: bytes, hydro, loads: dict):
+    """The columns of an outfall file's bytes `data` hold, cell for cell
+    and blanks included, the text of the earlier layout's `hydro_` and
+    `quality_` files of the same series, and are blank past their end."""
+    columns = csv_columns(data)
+    pairs = [(reference_hydrograph(hydro), {"t_s": "t_s", "flow_Lps": "flow_Lps"})]
+    pairs += [(reference_pollutograph(hydro, series),
+               {"t_s": "t_s", "load_kg": f"{pollutant}_load_kg",
+                "conc_mg_L": f"{pollutant}_conc_mg_L"})
+              for pollutant, series in loads.items()]
+    for earlier, names in pairs:
+        for old_name, new_cells in csv_columns(earlier).items():
+            new = columns[names[old_name]]
+            assert new[:len(new_cells)] == new_cells
+            if old_name != "t_s":
+                assert set(new[len(new_cells):]) <= {""}
 
 
 # zero, subnormals, extremes and values that need all 17 significant digits
@@ -318,31 +318,52 @@ series_values = st.lists(
 STEPS = [1.0, 60, 60.0, 90.0, 300.0]
 
 
+pollutant_loads = st.lists(series_values, max_size=3).map(
+    lambda series: {f"p{j}": np.array(values, dtype=float)
+                    for j, values in enumerate(series)})
+
+
 class TestSeriesWriterBytes:
-    """The column-block writer gives the bytes of the row-by-row reference."""
+    """The column writer gives the bytes of the row-by-row reference, and
+    each column the text of the earlier one-file-per-series layout."""
 
     @settings(max_examples=200, deadline=None)
-    @given(flows=series_values, loads=series_values,
+    @given(flows=series_values, loads=pollutant_loads,
            step_s=st.sampled_from(STEPS))
-    @example(flows=[], loads=[], step_s=60.0)                         # empty
-    @example(flows=[0.0] * 5, loads=[1e-3] * 5, step_s=60.0)         # no flow
-    @example(flows=[2.0, 3.0], loads=[1e-3, 2e-3, 4e-3, 0.0], step_s=60.0)
-    @example(flows=[0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],               # wet/dry
-             loads=[1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324], step_s=60)
+    @example(flows=[], loads={}, step_s=60.0)                          # empty
+    @example(flows=[], loads={"p0": np.array([])}, step_s=60.0)
+    @example(flows=[0.0] * 5, loads={"p0": np.full(5, 1e-3)}, step_s=60.0)
+    @example(flows=[2.0, 3.0],                                        # long loads
+             loads={"p0": np.array([1e-3, 2e-3, 4e-3, 0.0])}, step_s=60.0)
+    @example(flows=[2.0, 3.0, 1.0, 0.5], loads={"p0": np.array([1e-3]),  # short loads
+                                              "p1": np.array([])}, step_s=60)
+    @example(flows=[0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],                # wet/dry
+             loads={"p0": np.array([1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324]),
+                    "p1": np.array([0.0, 0.2, 0.0, 0.0, 1.0, 2.0])}, step_s=60)
     def test_series_bytes_equal_reference(self, tmp_path_factory, flows, loads,
                                           step_s):
         hydro = Hydrograph(site="o", step_s=step_s, flows_lps=np.array(flows))
-        loads_kg = np.array(loads, dtype=float)
         writer = _Writer(tmp_path_factory.mktemp("series"))
-        path = _persist_hydrograph(writer, hydro, "h.csv", cache={})
-        assert path.read_bytes() == reference_hydrograph(hydro)
-        path = _persist_pollutograph(writer, hydro, loads_kg, "q.csv", cache={})
-        assert path.read_bytes() == reference_pollutograph(hydro, loads_kg)
+        data = _persist_outfall(writer, hydro, loads, "o.csv", cache={}).read_bytes()
+        assert data == reference_outfall(hydro, loads)
+        assert_earlier_layout_text(data, hydro, loads)
         # the time column is cached per writer: a second file of the same
         # length reuses it and still matches
-        path = _persist_pollutograph(writer, hydro, loads_kg[::-1], "q2.csv",
-                                     cache={})
-        assert path.read_bytes() == reference_pollutograph(hydro, loads_kg[::-1])
+        reversed_loads = {p: series[::-1] for p, series in loads.items()}
+        path = _persist_outfall(writer, hydro, reversed_loads, "o2.csv", cache={})
+        assert path.read_bytes() == reference_outfall(hydro, reversed_loads)
+
+    def test_header_quoted_like_csv_writer(self, tmp_path):
+        """A pollutant name may hold `,` and `"`; the header row quotes it
+        as `csv.writer` does, so a CSV reader gets the name back."""
+        hydro = Hydrograph(site="o", step_s=60.0, flows_lps=np.array([1.0, 2.0]))
+        loads = {'a,"b': np.array([1e-3, 2e-3])}
+        data = _persist_outfall(_Writer(tmp_path), hydro, loads, "o.csv",
+                                cache={}).read_bytes()
+        assert data == reference_outfall(hydro, loads)
+        assert list(csv_columns(data)) == ["t_s", "flow_Lps", 'a,"b_load_kg',
+                                           'a,"b_conc_mg_L']
+        assert data.startswith(b't_s,flow_Lps,"a,""b_load_kg","a,""b_conc_mg_L"\r\n')
 
 
 def series_variant(draw, values) -> list:
@@ -403,12 +424,49 @@ class TestSeriesCache:
         out = tmp_path_factory.mktemp("group")
         _persist_runs(_Writer(out), runs)
         for label, [run] in runs.items():
-            hydro = run.outfall_hydrographs["o"]
-            base = out / "results" / label / "s"
-            assert (base / "hydro_o.csv").read_bytes() == reference_hydrograph(hydro)
-            for pollutant, series in run.outfall_load_series.get("o", {}).items():
-                assert ((base / f"quality_o_{pollutant}.csv").read_bytes()
-                        == reference_pollutograph(hydro, series))
+            path = out / "results" / label / "s" / "outfall_o.csv"
+            assert path.read_bytes() == reference_outfall(
+                run.outfall_hydrographs["o"], run.outfall_load_series.get("o", {}))
+
+
+class TestOutfallFiles:
+    """Every outfall file of the bundled run, against the run's arrays."""
+
+    @pytest.fixture(scope="class")
+    def ranked(self, sports_config, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ranked")
+        run_pipeline(sports_config, out)
+        return out
+
+    def test_every_float_round_trips(self, ranked, runs, sports_config):
+        """Each cell is the `repr` of the run's float, bit for bit, and
+        each column holds the text of the earlier layout's file."""
+        pollutants = [p.name for p in sports_config.pollutants]
+        header = ["t_s", "flow_Lps"] + [f"{p}_{unit}" for p in pollutants
+                                        for unit in ("load_kg", "conc_mg_L")]
+        checked = 0
+        for label, storm_runs in runs.items():
+            for run in storm_runs:
+                base = ranked / "results" / label / run.storm
+                assert sorted(p.name for p in base.iterdir()) == sorted(
+                    [f"outfall_{o}.csv" for o in sports_config.outfalls]
+                    + ["water_balance.csv"])
+                for outfall, hydro in run.outfall_hydrographs.items():
+                    data = (base / f"outfall_{outfall}.csv").read_bytes()
+                    loads = run.outfall_load_series[outfall]
+                    assert list(loads) == pollutants
+                    columns = csv_columns(data)
+                    assert list(columns) == header
+                    for name, series in [("flow_Lps", hydro.flows_lps),
+                                         *((f"{p}_load_kg", loads[p]) for p in pollutants)]:
+                        cells = columns[name]
+                        parsed = np.array([float(c) for c in cells[:series.size]])
+                        assert parsed.tobytes() == series.tobytes(), name
+                        assert set(cells[series.size:]) <= {""}
+                    assert_earlier_layout_text(data, hydro, loads)
+                    checked += 1
+        assert checked == (len(runs) * len(sports_config.storms.depths_mm)
+                           * len(sports_config.outfalls))
 
 
 def assert_same_run(a, b):

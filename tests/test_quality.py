@@ -144,16 +144,17 @@ class TestSubcatchmentQuality:
 
 class TestPollutographExport:
     def test_csv_with_concentrations(self, tmp_path):
-        from lidscore.pipeline import _persist_pollutograph, _Writer
+        from lidscore.pipeline import _persist_outfall, _Writer
 
         flows = np.array([0.0, 500.0, 250.0])
         h = Hydrograph(site="s", step_s=60, flows_lps=flows)
         p = Pollutograph(site="s", pollutant="TSS",
-                         loads_kg=np.array([0.0, 0.03, 0.015]))
-        path = _persist_pollutograph(_Writer(tmp_path), h, p.loads_kg, "poll.csv",
-                                     cache={})
+                         loads_kg=np.array([0.0, 0.03, 0.015, 0.01]))
+        path = _persist_outfall(_Writer(tmp_path), h, {"TSS": p.loads_kg},
+                                "poll.csv", cache={})
         lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,load_kg,conc_mg_L"
-        assert lines[1].endswith(",0.0,")          # no flow, no concentration
+        assert lines[0] == "t_s,flow_Lps,TSS_load_kg,TSS_conc_mg_L"
+        assert lines[1] == "0,0.0,0.0,"          # no flow, no concentration
         # 0.03 kg over 500 L/s * 60 s = 1 mg/L
-        assert lines[2].split(",")[2] == "1.0"
+        assert lines[2] == "60,500.0,0.03,1.0"
+        assert lines[4] == "180,,0.01,"          # past the end of the flows
