@@ -123,14 +123,20 @@ class _Collector:
             self.add(section, f"expected a number, got {value!r}")
             return None
 
+    def name(self, section: str, value) -> str:
+        """`str(value)`, after recording a batch entry when it is empty or
+        None (a YAML key with no value)."""
+        name = "" if value is None else str(value)
+        if not name:
+            self.add(section, "missing or empty")
+        return name
+
     def path_name(self, section: str, value) -> str:
         """`str(value)` for a name that becomes part of a result path,
         after recording a batch entry when it is not one plain, non-empty
         path component."""
-        name = str(value)
-        if not name:
-            self.add(section, "missing or empty")
-        elif name in (".", "..") or "/" in name or "\\" in name:
+        name = self.name(section, value)
+        if name in (".", "..") or "/" in name or "\\" in name:
             self.add(section, f"{name!r} must be a plain file name "
                               f"(no '/' or '\\', not '.' or '..')")
         return name
@@ -291,7 +297,8 @@ def load_config(path) -> ProjectConfig:
     pollutants = []
     for i, p in errors.entries("pollutants", raw.get("pollutants")):
         section = f"pollutants[{p.get('name') or i}]"
-        p_name = errors.path_name(section + ".name", p.get("name", f"pollutant{i}"))
+        # a pollutant name only heads result columns, which csv quotes
+        p_name = errors.name(section + ".name", p.get("name", f"pollutant{i}"))
         if p_name in {spec.name for spec in pollutants}:
             errors.add(section, "duplicate pollutant name")
         spec = errors.guard(

@@ -19,17 +19,18 @@ file is built in memory, hashed from those bytes and written without
 being read back, so the manifest lists every file a run writes.
 
 Each run writes one `outfall_<outfall>.csv` per outfall and storm: the
-flow and every pollutant's load and concentration, one row per step, the
-time column formatted once per writer. The text is built a column at a
-time (`repr` of every float) and equals a `csv.writer` row of those
-strings per step. `_persist_runs` keeps one cache per (storm, outfall),
-keyed on the exact inputs of the text: the step and the bytes of every
-series. A file whose bytes repeat another run label's there, as a
-scenario's do at an outfall fed only by placement-free subcatchments, is
-formatted, encoded and hashed once; those bytes and that digest then go
-to every path that repeats them, so every file is still written and
-listed. A cache per (storm, outfall) rather than per writer keeps only
-that outfall's texts in memory.
+flow and every pollutant's load, one row per step, the time column
+formatted once per writer. The text is built a column at a time (`repr`
+of every float) and equals a `csv.writer` row of those strings per step.
+No concentration is written: a reader derives it from the row's own
+cells (see README "Outputs"). `_persist_runs` keeps one cache per
+(storm, outfall), keyed on the exact inputs of the text: the step and
+the bytes of every series. A file whose bytes repeat another run
+label's there, as a scenario's do at an outfall fed only by
+placement-free subcatchments, is formatted, encoded and hashed once;
+those bytes and that digest then go to every path that repeats them, so
+every file is still written and listed. A cache per (storm, outfall)
+rather than per writer keeps only that outfall's texts in memory.
 
 The CLI subcommands call the same `_persist_*` functions as `run_pipeline`,
 so each file comes from exactly one function. Rerunning an identical
@@ -187,14 +188,9 @@ class _Writer:
         return column
 
 
-def _cells(values: np.ndarray, n: int, blank=None) -> list:
-    """`repr` of each float of `values`, "" where the mask `blank` is true,
-    then "" up to `n` cells."""
-    cells = list(map(repr, values.tolist()))
-    if blank is not None:
-        for i in np.flatnonzero(blank).tolist():
-            cells[i] = ""
-    return cells + [""] * (n - len(cells))
+def _cells(values: np.ndarray, n: int) -> list:
+    """`repr` of each float of `values`, then "" up to `n` cells."""
+    return list(map(repr, values.tolist())) + [""] * (n - values.size)
 
 
 def storm_label(depth_mm: float) -> str:
@@ -368,10 +364,10 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
 
 def _persist_outfall(writer: _Writer, hydro: Hydrograph, loads: dict,
                      *parts, cache: dict) -> Path:
-    """`t_s,flow_Lps`, then `<p>_load_kg,<p>_conc_mg_L` for each pollutant
-    `p` of `loads` (pollutant -> load series, in column order); t at step
-    start. `cache` as in `_Writer.write_series`. The concentration depends
-    on the flows, so the key holds every series."""
+    """`t_s,flow_Lps`, then `<p>_load_kg` for each pollutant `p` of `loads`
+    (pollutant -> load series, in column order); t at step start. `cache`
+    as in `_Writer.write_series`: the key holds the step and every series
+    the text is made of."""
     loads = {p: np.asarray(series, dtype=float) for p, series in loads.items()}
     key = (repr(hydro.step_s), hydro.flows_lps.tobytes(),
            *[(p, series.tobytes()) for p, series in loads.items()])
@@ -380,24 +376,13 @@ def _persist_outfall(writer: _Writer, hydro: Hydrograph, loads: dict,
 
 
 def _outfall_text(writer: _Writer, hydro: Hydrograph, loads: dict) -> str:
-    """The text of `_persist_outfall`. Rows run to the longest series. A
-    flow or load cell past the end of its own series is blank, and so is a
-    concentration where there is no load, or no flow to define it (no
-    flow, or past the end of the hydrograph)."""
+    """The text of `_persist_outfall`. Rows run to the longest series; a
+    flow or load cell past the end of its own series is blank."""
     flows = hydro.flows_lps
     n = max([flows.size, *(series.size for series in loads.values())])
-    header = ["t_s", "flow_Lps"]
-    columns = [writer.time_column(n, hydro.step_s), _cells(flows, n)]
-    padded = np.zeros(n)
-    padded[:flows.size] = flows
-    for pollutant, series in loads.items():
-        wet = padded[:series.size] > 0
-        conc = np.zeros(series.size)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            np.divide(series * 1e6, padded[:series.size] * hydro.step_s,
-                      out=conc, where=wet)
-        header += [f"{pollutant}_load_kg", f"{pollutant}_conc_mg_L"]
-        columns += [_cells(series, n), _cells(conc, n, blank=~wet)]
+    header = ["t_s", "flow_Lps", *(f"{p}_load_kg" for p in loads)]
+    columns = [writer.time_column(n, hydro.step_s), _cells(flows, n),
+               *(_cells(series, n) for series in loads.values())]
     buf = io.StringIO()
     csv.writer(buf).writerow(header)   # a pollutant name may need quoting
     return buf.getvalue() + "\r\n".join([*map(",".join, zip(*columns)), ""])

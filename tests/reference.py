@@ -231,24 +231,29 @@ def reference_pollutograph(hydro, loads_kg) -> bytes:
 
 def reference_outfall(hydro, loads: dict) -> bytes:
     """`outfall_<outfall>.csv` built row by row from the hydrograph and
-    {pollutant: load series}: rows run to the longest series, a cell past
-    the end of its series is blank, and so is a concentration without
-    flow."""
+    {pollutant: load series}: rows run to the longest series, and a cell
+    past the end of its series is blank."""
     flows = hydro.flows_lps
     n = max([flows.size, *(len(series) for series in loads.values())])
-    header = ["t_s", "flow_Lps"]
-    for pollutant in loads:
-        header += [f"{pollutant}_load_kg", f"{pollutant}_conc_mg_L"]
+    header = ["t_s", "flow_Lps"] + [f"{pollutant}_load_kg" for pollutant in loads]
     rows = []
     for k in range(n):
-        flow = float(flows[k]) if k < flows.size else 0.0
-        row = [repr(k * hydro.step_s), repr(flow) if k < flows.size else ""]
-        for series in loads.values():
-            if k < len(series):
-                load = float(series[k])
-                conc = repr(load * 1e6 / (flow * hydro.step_s)) if flow > 0 else ""
-                row += [repr(load), conc]
-            else:
-                row += ["", ""]
+        row = [repr(k * hydro.step_s), repr(float(flows[k])) if k < flows.size else ""]
+        row += [repr(float(series[k])) if k < len(series) else ""
+                for series in loads.values()]
         rows.append(row)
     return reference_csv(header, rows)
+
+
+def derived_concentration(flow_cells, load_cells, step_s) -> list:
+    """The concentration (mg/L) a reader of an outfall file derives from
+    its cells: `load * 1e6 / (flow * step_s)` per row, blank where the load
+    or the flow is blank or the flow is not positive. `step_s` is the t_s
+    of the file's second row."""
+    cells = []
+    for flow, load in zip(flow_cells, load_cells):
+        if flow and load and float(flow) > 0:
+            cells.append(repr(float(load) * 1e6 / (float(flow) * step_s)))
+        else:
+            cells.append("")
+    return cells

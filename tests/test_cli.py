@@ -1,6 +1,8 @@
 """Tests for the command-line surface: subcommands, outputs, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -13,6 +15,7 @@ from click.testing import CliRunner
 
 from lidscore import config, kernels, pipeline
 from lidscore.cli import main
+from reference import derived_concentration, reference_pollutograph
 
 DATA_FILES = ("rainfall.csv", "environmental_indicators.csv",
               "econ_social_indicators.csv")
@@ -76,8 +79,7 @@ class TestValidate:
         (("scenarios", 0), "name", "..", "scenarios[0].name: '..' must be"),
         (("scenarios", 0), "name", "", "scenarios[0].name: missing or empty"),
         (("pollutants", 0), "name", "", "pollutants[0].name: missing or empty"),
-        (("pollutants", 0), "name", "a\\b",
-         "pollutants[a\\b].name: 'a\\\\b' must be a plain file name"),
+        (("pollutants", 0), "name", None, "pollutants[0].name: missing or empty"),
         (("catchment", "subcatchments", 0), "outlet", ".",
          "catchment.subcatchments[A].outlet: '.' must be"),
         (("catchment", "links", 0), "to", "up/OUT_A",
@@ -132,6 +134,8 @@ class TestValidate:
         (("hierarchy", "children", 2, "children", 1), "transform", "reciprocal",
          "hierarchy: leaf landscape: the reciprocal transform applies only to "
          "cost leaves"),
+        # a YAML key with no value names nothing
+        (("scenarios", 0), "name", None, "scenarios[0].name: missing or empty"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -241,6 +245,31 @@ class TestValidate:
         assert result.exit_code == 2
         assert "error: pollutants[TSS]: duplicate pollutant name\n" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["T/P", "a\\b"])
+    def test_pollutant_name_need_not_be_a_file_name(self, runner, sample_dir,
+                                                    tmp_path, name):
+        """A pollutant name only heads result columns, which `csv.writer`
+        quotes, so a name with a path separator validates and ranks, and its
+        header cell reads back unchanged."""
+        indicator = f"{name.lower()}_reduction"
+        path = edited_project(sample_dir, tmp_path, ("pollutants", 3, "name"), name,
+                              more=[(("hierarchy", "children", 0, "children", 1,
+                                      "children", 3, "name"), indicator)])
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["rank", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        files = list((out / "results").glob("*/*/outfall_*.csv"))
+        assert len(files) == 6 * 3 * 6
+        for file in files:
+            with file.open(newline="") as f:
+                header = next(csv.reader(f))
+            assert header == ["t_s", "flow_Lps", "TSS_load_kg", "COD_load_kg",
+                              "TN_load_kg", f"{name}_load_kg"]
+        normalized = (out / "indicators" / "normalized.csv").read_text()
+        assert indicator in normalized.splitlines()[0]
 
     def test_missing_outlet_and_to_named(self, runner, sample_dir, tmp_path):
         path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
@@ -647,9 +676,42 @@ class TestSingleWriter:
             for outfall in ("OUT", "OUT_A"):
                 header = (run_dir / f"outfall_{outfall}.csv").read_text().splitlines()[0]
                 assert header == ("t_s,flow_Lps" + "".join(
-                    f",{p}_load_kg,{p}_conc_mg_L" for p in ("TSS", "A_TSS", "TN", "TP")))
+                    f",{p}_load_kg" for p in ("TSS", "A_TSS", "TN", "TP")))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == hashes_on_disk(out)
+
+    def test_concentration_derives_from_cells(self, sports_rank, sports_config):
+        """Each cell of the `<p>_conc_mg_L` column the earlier layout wrote
+        (`reference_pollutograph` of the same series), blanks included,
+        equals bit for bit the concentration derived from the outfall
+        file's own flow and load cells and its second row's t_s."""
+        out = sports_rank[0]
+        runs = pipeline.simulate_all(sports_config, pipeline.build_storms(sports_config))
+        files = checked = 0
+        seen = set()
+        for label, storm_runs in runs.items():
+            for run in storm_runs:
+                for outfall, hydro in run.outfall_hydrographs.items():
+                    path = out / "results" / label / run.storm / f"outfall_{outfall}.csv"
+                    with path.open(newline="") as f:
+                        header, *rows = csv.reader(f)
+                    columns = dict(zip(header, map(list, zip(*rows))))
+                    step_s = float(columns["t_s"][1])
+                    assert step_s == sports_config.storms.step_s
+                    for pollutant, series in run.outfall_load_series[outfall].items():
+                        earlier = reference_pollutograph(hydro, series).decode("utf-8")
+                        conc = [row[2] for row in
+                                list(csv.reader(io.StringIO(earlier, newline="")))[1:]]
+                        derived = derived_concentration(
+                            columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
+                        assert derived[:len(conc)] == conc, (path, pollutant)
+                        assert set(derived[len(conc):]) <= {""}
+                        seen.update(cell == "" for cell in conc)
+                        checked += 1
+                    files += 1
+        assert files == len(list(out.glob("results/*/*/outfall_*.csv"))) == 108
+        assert checked == files * len(sports_config.pollutants)
+        assert seen == {True, False}   # both blank and derived cells occur
 
     def test_report_manifest_lists_every_file(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [

@@ -25,8 +25,8 @@ from lidscore.pipeline import (StormRun, _persist_outfall, _persist_runs,
                                _Writer, assemble_indicators, build_storms,
                                compute_sizing, run_pipeline, simulate_all,
                                simulate_run, weight_sensitivity)
-from reference import (reference_hydrograph, reference_outfall,
-                       reference_pollutograph)
+from reference import (derived_concentration, reference_hydrograph,
+                       reference_outfall, reference_pollutograph)
 from test_config import rewrite
 
 
@@ -292,8 +292,14 @@ def csv_columns(data: bytes) -> dict:
 def assert_earlier_layout_text(data: bytes, hydro, loads: dict):
     """The columns of an outfall file's bytes `data` hold, cell for cell
     and blanks included, the text of the earlier layout's `hydro_` and
-    `quality_` files of the same series, and are blank past their end."""
+    `quality_` files of the same series, and are blank past their end. The
+    earlier concentration column is the one derived from the file's flow
+    and load cells, which the file no longer holds."""
     columns = csv_columns(data)
+    for pollutant in loads:
+        assert f"{pollutant}_conc_mg_L" not in columns
+        columns[f"{pollutant}_conc_mg_L"] = derived_concentration(
+            columns["flow_Lps"], columns[f"{pollutant}_load_kg"], hydro.step_s)
     pairs = [(reference_hydrograph(hydro), {"t_s": "t_s", "flow_Lps": "flow_Lps"})]
     pairs += [(reference_pollutograph(hydro, series),
                {"t_s": "t_s", "load_kg": f"{pollutant}_load_kg",
@@ -361,9 +367,8 @@ class TestSeriesWriterBytes:
         data = _persist_outfall(_Writer(tmp_path), hydro, loads, "o.csv",
                                 cache={}).read_bytes()
         assert data == reference_outfall(hydro, loads)
-        assert list(csv_columns(data)) == ["t_s", "flow_Lps", 'a,"b_load_kg',
-                                           'a,"b_conc_mg_L']
-        assert data.startswith(b't_s,flow_Lps,"a,""b_load_kg","a,""b_conc_mg_L"\r\n')
+        assert list(csv_columns(data)) == ["t_s", "flow_Lps", 'a,"b_load_kg']
+        assert data.startswith(b't_s,flow_Lps,"a,""b_load_kg"\r\n')
 
 
 def series_variant(draw, values) -> list:
@@ -442,8 +447,7 @@ class TestOutfallFiles:
         """Each cell is the `repr` of the run's float, bit for bit, and
         each column holds the text of the earlier layout's file."""
         pollutants = [p.name for p in sports_config.pollutants]
-        header = ["t_s", "flow_Lps"] + [f"{p}_{unit}" for p in pollutants
-                                        for unit in ("load_kg", "conc_mg_L")]
+        header = ["t_s", "flow_Lps"] + [f"{p}_load_kg" for p in pollutants]
         checked = 0
         for label, storm_runs in runs.items():
             for run in storm_runs:

@@ -144,7 +144,10 @@ class TestSubcatchmentQuality:
 
 class TestPollutographExport:
     def test_csv_with_concentrations(self, tmp_path):
+        """The file holds flows and loads; the concentration is derived
+        from a row's cells and is blank without flow."""
         from lidscore.pipeline import _persist_outfall, _Writer
+        from reference import derived_concentration
 
         flows = np.array([0.0, 500.0, 250.0])
         h = Hydrograph(site="s", step_s=60, flows_lps=flows)
@@ -153,8 +156,11 @@ class TestPollutographExport:
         path = _persist_outfall(_Writer(tmp_path), h, {"TSS": p.loads_kg},
                                 "poll.csv", cache={})
         lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,flow_Lps,TSS_load_kg,TSS_conc_mg_L"
-        assert lines[1] == "0,0.0,0.0,"          # no flow, no concentration
-        # 0.03 kg over 500 L/s * 60 s = 1 mg/L
-        assert lines[2] == "60,500.0,0.03,1.0"
-        assert lines[4] == "180,,0.01,"          # past the end of the flows
+        assert lines[0] == "t_s,flow_Lps,TSS_load_kg"
+        assert lines[1] == "0,0.0,0.0"
+        assert lines[2] == "60,500.0,0.03"
+        assert lines[4] == "180,,0.01"           # past the end of the flows
+        rows = [line.split(",") for line in lines[1:]]
+        # 0.03 kg over 500 L/s * 60 s = 1 mg/L; no flow, no concentration
+        assert derived_concentration([r[1] for r in rows], [r[2] for r in rows],
+                                     float(rows[1][0])) == ["", "1.0", "1.0", ""]
