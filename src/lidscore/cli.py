@@ -100,11 +100,11 @@ def atrcr(config, out_dir):
 @_common
 def simulate(config, out_dir):
     """Run baseline and scenario simulations; write hydrographs and loads."""
-    from lidscore.pipeline import _Writer, _persist_runs, build_storms, simulate_all
+    from lidscore.pipeline import _persist_runs, _Stage, _Writer, build_storms, simulate_all
 
-    writer = _Writer(out_dir)
-    runs = simulate_all(config, build_storms(config))
-    _persist_runs(writer, runs)
+    with _Stage("simulation"):
+        runs = simulate_all(config, build_storms(config))
+    _persist_runs(_Writer(out_dir), runs, [p.name for p in config.pollutants])
     for label, storm_runs in runs.items():
         for run in storm_runs:
             worst = max(b.closure_error() for b in run.balances.values())

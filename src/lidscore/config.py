@@ -299,8 +299,13 @@ def load_config(path) -> ProjectConfig:
         section = f"pollutants[{p.get('name') or i}]"
         # a pollutant name only heads result columns, which csv quotes
         p_name = errors.name(section + ".name", p.get("name", f"pollutant{i}"))
-        if p_name in {spec.name for spec in pollutants}:
+        # names equal in lower case would head one `<name>_reduction` column
+        clash = [s.name for s in pollutants if s.name.lower() == p_name.lower()]
+        if p_name in clash:
             errors.add(section, "duplicate pollutant name")
+        elif clash:
+            errors.add(section, f"pollutants {clash[0]!r} and {p_name!r} both give "
+                                f"the indicator '{p_name.lower()}_reduction'")
         spec = errors.guard(
             section, PollutantSpec,
             name=p_name,

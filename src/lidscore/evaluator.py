@@ -397,25 +397,20 @@ class StormSummary:
     loads_kg: dict
 
     @classmethod
-    def from_outfalls(cls, storm: str, hydrographs: dict, loads: dict) -> "StormSummary":
-        """Collapse per-outfall results: volumes and loads sum; the peak is
-        taken on the summed outfall hydrograph."""
+    def from_outfalls(cls, storm: str, hydrographs: dict,
+                      loads_kg: dict) -> "StormSummary":
+        """Collapse per-outfall hydrographs of equal length: volumes sum;
+        the peak is taken on the summed outfall hydrograph. `loads_kg` is
+        the system load of each pollutant."""
         if not hydrographs:
             raise ValidationError("no outfall hydrographs")
         step = next(iter(hydrographs.values())).step_s
-        length = max(h.flows_lps.size for h in hydrographs.values())
-        total = np.zeros(length)
-        for h in hydrographs.values():
-            total[: h.flows_lps.size] += h.flows_lps
+        total = sum(h.flows_lps for h in hydrographs.values())
         system = Hydrograph(site="system", step_s=step, flows_lps=total)
         peak, peak_time = peak_stats(system)
         volume = sum(h.volume_m3 for h in hydrographs.values())
-        total_loads: dict = {}
-        for by_pollutant in loads.values():
-            for pollutant, kg in by_pollutant.items():
-                total_loads[pollutant] = total_loads.get(pollutant, 0.0) + kg
         return cls(storm=storm, volume_m3=volume, peak_lps=peak,
-                   peak_time_s=peak_time, loads_kg=total_loads)
+                   peak_time_s=peak_time, loads_kg=loads_kg)
 
 
 def environmental_indicators(pollutants) -> list:

@@ -310,12 +310,6 @@ def _downstream_paths(links) -> dict:
     return paths
 
 
-def _shift(series: np.ndarray, steps: int, length: int) -> np.ndarray:
-    out = np.zeros(length)
-    out[steps:steps + series.size] = series
-    return out
-
-
 def route(inflows: dict, links) -> dict:
     """Translate subcatchment hydrographs to the outfalls.
 
@@ -338,7 +332,9 @@ def route(inflows: dict, links) -> dict:
 
 
 def route_series(inflows: dict, links, step_s: float) -> dict:
-    """Route bare per-step series (e.g. pollutant loads) like `route`."""
+    """Route bare arrays whose last axis is time (e.g. a node's pollutant
+    loads, one row per pollutant) like `route`; each row is routed as it
+    would be alone. Every inflow has the same leading shape."""
     if not inflows:
         return {}
     paths = _downstream_paths(links)
@@ -346,9 +342,9 @@ def route_series(inflows: dict, links, step_s: float) -> dict:
     for node, series in inflows.items():
         outfall, lag = paths.get(node, (node, 0.0))
         plan.append((outfall, int(round(lag / step_s)), np.asarray(series, dtype=float)))
-    length = max(shift + series.size for _, shift, series in plan)
+    length = max(shift + series.shape[-1] for _, shift, series in plan)
     accum: dict = {}
     for outfall, shift, series in plan:
-        base = accum.setdefault(outfall, np.zeros(length))
-        base += _shift(series, shift, length)
+        base = accum.setdefault(outfall, np.zeros(series.shape[:-1] + (length,)))
+        base[..., shift:shift + series.shape[-1]] += series
     return dict(sorted(accum.items()))

@@ -24,13 +24,14 @@ formatted once per writer. The text is built a column at a time (`repr`
 of every float) and equals a `csv.writer` row of those strings per step.
 No concentration is written: a reader derives it from the row's own
 cells (see README "Outputs"). `_persist_runs` keeps one cache per
-(storm, outfall), keyed on the exact inputs of the text: the step and
-the bytes of every series. A file whose bytes repeat another run
-label's there, as a scenario's do at an outfall fed only by
-placement-free subcatchments, is formatted, encoded and hashed once;
-those bytes and that digest then go to every path that repeats them, so
-every file is still written and listed. A cache per (storm, outfall)
-rather than per writer keeps only that outfall's texts in memory.
+(storm, outfall), keyed on the exact inputs of the text: the step, the
+pollutant names and the bytes of the flows and the load matrix. A file
+whose bytes repeat another run label's there, as a scenario's do at an
+outfall fed only by placement-free subcatchments, is formatted, encoded
+and hashed once; those bytes and that digest then go to every path that
+repeats them, so every file is still written and listed. A cache per
+(storm, outfall) rather than per writer keeps only that outfall's texts
+in memory.
 
 The CLI subcommands call the same `_persist_*` functions as `run_pipeline`,
 so each file comes from exactly one function. Rerunning an identical
@@ -72,7 +73,7 @@ class StormRun:
 
     storm: str
     outfall_hydrographs: dict
-    outfall_load_series: dict   # outfall -> pollutant -> np.ndarray
+    outfall_loads: dict         # outfall -> (pollutant, step) load matrix
     balances: dict              # subcatchment -> WaterBalance
     summary: StormSummary
 
@@ -188,11 +189,6 @@ class _Writer:
         return column
 
 
-def _cells(values: np.ndarray, n: int) -> list:
-    """`repr` of each float of `values`, then "" up to `n` cells."""
-    return list(map(repr, values.tolist())) + [""] * (n - values.size)
-
-
 def storm_label(depth_mm: float) -> str:
     return f"{depth_mm:g}mm"
 
@@ -247,10 +243,12 @@ def simulate_run(config: ProjectConfig, storm, label: str,
     `reuse` maps subcatchment ids to the (Hydrograph, WaterBalance,
     [Pollutograph per pollutant]) of a placement-free run under this same
     storm. A subcatchment without placements takes its entry instead of
-    being simulated again, and a new placement-free run is added to it."""
+    being simulated again, and a new placement-free run is added to it.
+    Each node's loads are one (pollutant, step) matrix, rows in
+    `config.pollutants` order, and all of them are routed in one call."""
     dt = config.storms.step_s
     node_flows: dict = {}
-    node_loads: dict = {p.name: {} for p in config.pollutants}
+    node_loads: dict = {}
     balances: dict = {}
     for sc in config.subcatchments.values():
         placements = []
@@ -280,31 +278,26 @@ def simulate_run(config: ProjectConfig, storm, label: str,
         balances[sc.id] = balance
         flows = node_flows.setdefault(sc.outlet, np.zeros(hydro.flows_lps.size))
         flows += hydro.flows_lps
-        for spec, pollutograph in zip(config.pollutants, pollutographs):
-            loads = node_loads[spec.name].setdefault(
-                sc.outlet, np.zeros(pollutograph.loads_kg.size)
-            )
-            loads += pollutograph.loads_kg
+        loads = node_loads.setdefault(
+            sc.outlet, np.zeros((len(pollutographs), hydro.flows_lps.size)))
+        for row, pollutograph in zip(loads, pollutographs):
+            row += pollutograph.loads_kg
 
     inflows = {
         node: Hydrograph(site=node, step_s=dt, flows_lps=flows)
         for node, flows in node_flows.items()
     }
     outfall_hydro = route(inflows, config.links)
-    outfall_load_series: dict = {}
-    for pollutant, per_node in node_loads.items():
-        routed = route_series(per_node, config.links, dt)
-        for outfall, series in routed.items():
-            outfall_load_series.setdefault(outfall, {})[pollutant] = series
+    outfall_loads = route_series(node_loads, config.links, dt)
     load_totals = {
-        outfall: {p: float(series.sum()) for p, series in sorted(by_p.items())}
-        for outfall, by_p in outfall_load_series.items()
+        spec.name: sum(float(matrix[i].sum()) for matrix in outfall_loads.values())
+        for i, spec in enumerate(config.pollutants)
     }
     summary = StormSummary.from_outfalls(storm_name, outfall_hydro, load_totals)
     return StormRun(
         storm=storm_name,
         outfall_hydrographs=outfall_hydro,
-        outfall_load_series=outfall_load_series,
+        outfall_loads=outfall_loads,
         balances=balances, summary=summary,
     )
 
@@ -362,34 +355,34 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
     return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
 
 
-def _persist_outfall(writer: _Writer, hydro: Hydrograph, loads: dict,
-                     *parts, cache: dict) -> Path:
-    """`t_s,flow_Lps`, then `<p>_load_kg` for each pollutant `p` of `loads`
-    (pollutant -> load series, in column order); t at step start. `cache`
-    as in `_Writer.write_series`: the key holds the step and every series
-    the text is made of."""
-    loads = {p: np.asarray(series, dtype=float) for p, series in loads.items()}
-    key = (repr(hydro.step_s), hydro.flows_lps.tobytes(),
-           *[(p, series.tobytes()) for p, series in loads.items()])
-    return writer.write_series(lambda: _outfall_text(writer, hydro, loads),
+def _persist_outfall(writer: _Writer, hydro: Hydrograph, names: list,
+                     loads: np.ndarray, *parts, cache: dict) -> Path:
+    """`t_s,flow_Lps`, then `<p>_load_kg` for each pollutant `p` of `names`,
+    one per row of the (pollutant, step) matrix `loads`, whose series are
+    as long as the flows; t at step start. `cache` as in
+    `_Writer.write_series`: the key holds the step, the names and every
+    series the text is made of."""
+    key = (repr(hydro.step_s), tuple(names), hydro.flows_lps.tobytes(),
+           loads.tobytes())
+    return writer.write_series(lambda: _outfall_text(writer, hydro, names, loads),
                                key, cache, *parts)
 
 
-def _outfall_text(writer: _Writer, hydro: Hydrograph, loads: dict) -> str:
-    """The text of `_persist_outfall`. Rows run to the longest series; a
-    flow or load cell past the end of its own series is blank."""
+def _outfall_text(writer: _Writer, hydro: Hydrograph, names: list,
+                  loads: np.ndarray) -> str:
+    """The text of `_persist_outfall`: one row per step."""
     flows = hydro.flows_lps
-    n = max([flows.size, *(series.size for series in loads.values())])
-    header = ["t_s", "flow_Lps", *(f"{p}_load_kg" for p in loads)]
-    columns = [writer.time_column(n, hydro.step_s), _cells(flows, n),
-               *(_cells(series, n) for series in loads.values())]
+    header = ["t_s", "flow_Lps", *(f"{p}_load_kg" for p in names)]
+    columns = [writer.time_column(flows.size, hydro.step_s),
+               *(map(repr, series) for series in [flows.tolist(), *loads.tolist()])]
     buf = io.StringIO()
     csv.writer(buf).writerow(header)   # a pollutant name may need quoting
-    return buf.getvalue() + "\r\n".join([*map(",".join, zip(*columns)), ""])
+    return buf.getvalue() + "\r\n".join([*map(",".join, zip(*columns, strict=True)), ""])
 
 
-def _persist_runs(writer: _Writer, runs: dict) -> None:
-    """Every run's outfall series and water balances under results/.
+def _persist_runs(writer: _Writer, runs: dict, pollutants: list) -> None:
+    """Every run's outfall series and water balances under results/;
+    `pollutants` names the rows of each run's load matrices.
 
     The outfall files go storm by storm and outfall by outfall, each
     label in turn, with one cache per (storm, outfall): a file whose bytes
@@ -402,7 +395,7 @@ def _persist_runs(writer: _Writer, runs: dict) -> None:
             cache: dict = {}
             for label, run in zip(runs, storm_runs):
                 _persist_outfall(writer, run.outfall_hydrographs[outfall],
-                                 run.outfall_load_series.get(outfall, {}),
+                                 pollutants, run.outfall_loads[outfall],
                                  "results", label, run.storm,
                                  f"outfall_{outfall}.csv", cache=cache)
     for label, storm_runs in runs.items():
@@ -532,7 +525,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     _persist_weights(writer, tree, config.consistency)
     _persist_storms(writer, storms)
     if runs is not None:
-        _persist_runs(writer, runs)
+        _persist_runs(writer, runs, [p.name for p in config.pollutants])
     if report is not None:
         _persist_indicators(writer, table, simulated_table)
         writer.write_json(report.to_dict(), "benefit_report.json")

@@ -29,9 +29,10 @@ def _emit(writer, name: str, fmt: str, header, rows):
         payload = [dict(zip(header, row)) for row in rows]
         return writer.write_json(payload, "tables", f"{name}.json")
     if fmt == "markdown":
-        lines = ["| " + " | ".join(str(h) for h in header) + " |",
-                 "|" + "---|" * len(header)]
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+        def line(cells):   # `|` escaped: a pollutant name may hold one
+            return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+
+        lines = [line(header), "|" + "---|" * len(header), *map(line, rows)]
         return writer.record("\n".join(lines) + "\n", "tables", f"{name}.md")
     raise ValidationError(f"unknown report format {fmt!r}")
 

@@ -222,38 +222,26 @@ def reference_hydrograph(hydro) -> bytes:
 def reference_pollutograph(hydro, loads_kg) -> bytes:
     """The earlier `quality_<outfall>_<pollutant>.csv`."""
     rows = []
-    for k, load in enumerate(loads_kg):
-        flow = hydro.flows_lps[k] if k < hydro.flows_lps.size else 0.0
+    for k, (load, flow) in enumerate(zip(loads_kg, hydro.flows_lps, strict=True)):
         conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
         rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
     return reference_csv(["t_s", "load_kg", "conc_mg_L"], rows)
 
 
-def reference_outfall(hydro, loads: dict) -> bytes:
-    """`outfall_<outfall>.csv` built row by row from the hydrograph and
-    {pollutant: load series}: rows run to the longest series, and a cell
-    past the end of its series is blank."""
-    flows = hydro.flows_lps
-    n = max([flows.size, *(len(series) for series in loads.values())])
-    header = ["t_s", "flow_Lps"] + [f"{pollutant}_load_kg" for pollutant in loads]
-    rows = []
-    for k in range(n):
-        row = [repr(k * hydro.step_s), repr(float(flows[k])) if k < flows.size else ""]
-        row += [repr(float(series[k])) if k < len(series) else ""
-                for series in loads.values()]
-        rows.append(row)
+def reference_outfall(hydro, names, loads) -> bytes:
+    """`outfall_<outfall>.csv` built row by row from the hydrograph and the
+    (pollutant, step) load matrix `loads`, rows in `names` order: one row
+    per step."""
+    header = ["t_s", "flow_Lps"] + [f"{pollutant}_load_kg" for pollutant in names]
+    rows = [[repr(k * hydro.step_s), repr(float(flow))]
+            + [repr(float(series[k])) for series in loads]
+            for k, flow in enumerate(hydro.flows_lps)]
     return reference_csv(header, rows)
 
 
 def derived_concentration(flow_cells, load_cells, step_s) -> list:
     """The concentration (mg/L) a reader of an outfall file derives from
-    its cells: `load * 1e6 / (flow * step_s)` per row, blank where the load
-    or the flow is blank or the flow is not positive. `step_s` is the t_s
-    of the file's second row."""
-    cells = []
-    for flow, load in zip(flow_cells, load_cells):
-        if flow and load and float(flow) > 0:
-            cells.append(repr(float(load) * 1e6 / (float(flow) * step_s)))
-        else:
-            cells.append("")
-    return cells
+    its cells: `load * 1e6 / (flow * step_s)` per row, blank where the flow
+    is not positive. `step_s` is the t_s of the file's second row."""
+    return [repr(float(load) * 1e6 / (float(flow) * step_s)) if float(flow) > 0 else ""
+            for flow, load in zip(flow_cells, load_cells, strict=True)]

@@ -246,6 +246,22 @@ class TestValidate:
         assert "error: pollutants[TSS]: duplicate pollutant name\n" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_pollutant_names_equal_in_lower_case_exit_2(self, runner, sample_dir,
+                                                        tmp_path, command):
+        """`TSS` and `tss` would both head the indicator column
+        `tss_reduction`, and a leaf would read only the first of the two."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        raw["pollutants"].append(dict(raw["pollutants"][0], name="tss"))
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert ("error: pollutants[tss]: pollutants 'TSS' and 'tss' both give "
+                "the indicator 'tss_reduction'\n") in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["T/P", "a\\b"])
     def test_pollutant_name_need_not_be_a_file_name(self, runner, sample_dir,
                                                     tmp_path, name):
@@ -270,6 +286,23 @@ class TestValidate:
                               "TN_load_kg", f"{name}_load_kg"]
         normalized = (out / "indicators" / "normalized.csv").read_text()
         assert indicator in normalized.splitlines()[0]
+
+    def test_pipe_in_markdown_cell_escaped(self, runner, sample_dir, tmp_path):
+        """A pollutant named `T|P` heads the markdown column `t\\|p_reduction`:
+        every row of the rendered table has as many cells as separators."""
+        path = edited_project(sample_dir, tmp_path, ("pollutants", 3, "name"), "T|P",
+                              more=[(("hierarchy", "children", 0, "children", 1,
+                                      "children", 3, "name"), "t|p_reduction")])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["report", "--config", str(path), "--out",
+                                      str(out), "--format", "markdown"])
+        assert result.exit_code == 0, result.output
+        header, separator, *rows = (
+            out / "tables" / "environmental_indicators.md").read_text().splitlines()
+        assert header.endswith(" | t\\|p_reduction |")
+        columns = separator.count("---")
+        for line in [header, *rows]:
+            assert len(re.split(r"(?<!\\)\|", line)) == columns + 2, line
 
     def test_missing_outlet_and_to_named(self, runner, sample_dir, tmp_path):
         path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
@@ -480,7 +513,7 @@ class TestSimulateEvaluateRank:
             "simulate", "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
-        assert "error: subcatchment " in result.output
+        assert "error: [stage: simulation] subcatchment " in result.output
         assert "surface: step " in result.output
         assert "more than 3600" in result.output
 
@@ -501,24 +534,26 @@ class TestSimulateEvaluateRank:
                 "(depth_mm): missing value\n") in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("options,tol_abs_mm,message", [
-        ([], 1e-7, "[stage: simulation] subcatchment "),
-        (["--sensitivity", "nosuch"], None,
+    @pytest.mark.parametrize("command,options,tol_abs_mm,message", [
+        ("rank", [], 1e-7, "[stage: simulation] subcatchment "),
+        ("simulate", [], 1e-7, "[stage: simulation] subcatchment "),
+        ("rank", ["--sensitivity", "nosuch"], None,
          "[stage: sensitivity] no node named 'nosuch'"),
-        (["--sensitivity", "comprehensive"], None,
+        ("rank", ["--sensitivity", "comprehensive"], None,
          "[stage: sensitivity] perturbed weight 1.0500 for 'comprehensive' "
          "outside [0, 1]"),
-        (["--sensitivity", "environmental", "--delta", "0.9"], None,
+        ("rank", ["--sensitivity", "environmental", "--delta", "0.9"], None,
          "[stage: sensitivity] perturbed weight 1.5080 for 'environmental' "
          "outside [0, 1]"),
     ])
     def test_failing_stage_is_named(self, runner, sample_dir, tmp_path,
-                                    monkeypatch, options, tol_abs_mm, message):
-        """A runtime failure inside `rank` names the stage it stopped in
-        and leaves `--out` unwritten: a step past the substep limit (the
-        kernel's tolerance shrunk to an absolute `tol_abs_mm`) in
-        simulation; an unknown node, the root or a weight pushed past 1 in
-        sensitivity. A sensitivity request is checked before the first
+                                    monkeypatch, command, options, tol_abs_mm,
+                                    message):
+        """A runtime failure inside `rank` or `simulate` names the stage it
+        stopped in and leaves `--out` unwritten: a step past the substep
+        limit (the kernel's tolerance shrunk to an absolute `tol_abs_mm`)
+        in simulation; an unknown node, the root or a weight pushed past 1
+        in sensitivity. A sensitivity request is checked before the first
         stage, so those runs simulate nothing."""
         if tol_abs_mm is not None:
             monkeypatch.setattr(kernels, "TOL_REL", 0.0)
@@ -526,7 +561,7 @@ class TestSimulateEvaluateRank:
         with mock.patch.object(pipeline, "simulate_all",
                                wraps=pipeline.simulate_all) as simulate_all:
             result = runner.invoke(main, [
-                "rank", "--config", str(sample_dir / "sports_center.yaml"),
+                command, "--config", str(sample_dir / "sports_center.yaml"),
                 "--out", str(tmp_path / "out"), *options])
         assert result.exit_code == 3
         assert f"error: {message}" in result.output
@@ -687,6 +722,7 @@ class TestSingleWriter:
         file's own flow and load cells and its second row's t_s."""
         out = sports_rank[0]
         runs = pipeline.simulate_all(sports_config, pipeline.build_storms(sports_config))
+        pollutants = [p.name for p in sports_config.pollutants]
         files = checked = 0
         seen = set()
         for label, storm_runs in runs.items():
@@ -698,14 +734,13 @@ class TestSingleWriter:
                     columns = dict(zip(header, map(list, zip(*rows))))
                     step_s = float(columns["t_s"][1])
                     assert step_s == sports_config.storms.step_s
-                    for pollutant, series in run.outfall_load_series[outfall].items():
+                    for pollutant, series in zip(pollutants, run.outfall_loads[outfall]):
                         earlier = reference_pollutograph(hydro, series).decode("utf-8")
                         conc = [row[2] for row in
                                 list(csv.reader(io.StringIO(earlier, newline="")))[1:]]
                         derived = derived_concentration(
                             columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
-                        assert derived[:len(conc)] == conc, (path, pollutant)
-                        assert set(derived[len(conc):]) <= {""}
+                        assert derived == conc, (path, pollutant)
                         seen.update(cell == "" for cell in conc)
                         checked += 1
                     files += 1

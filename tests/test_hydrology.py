@@ -304,11 +304,28 @@ class TestRoute:
             route({"a": hydro("a", [1.0])}, links)
 
     def test_route_series_matches_route(self):
-        links = [Link("l1", "a", "out", lag_s=180)]
+        """A matrix whose last axis is time routes as each of its rows
+        alone, byte for byte, and a row of flows as `route` routes it."""
+        links = [Link("l1", "a", "out", lag_s=180), Link("l2", "b", "out", lag_s=60)]
         series = np.array([0.0, 5.0, 1.0, 0.0])
         out = route_series({"a": series}, links, 60)
         np.testing.assert_array_equal(out["out"],
                                       [0, 0, 0, 0, 5.0, 1.0, 0.0])
+        inflows = {
+            "a": np.array([series, [1e-3, 0.1, 1 / 3, 5e-324], [0.0, 0.0, 2.5, 1e16]]),
+            "b": np.array([[2.0, 0.0, 0.0, 1.0], [0.3, 0.1, 0.2, 0.0], [1 / 7, 0, 0, 0]]),
+            "c": np.array([[1.0, 2.0, 3.0, 4.0], [0.0] * 4, [5e-324] * 4]),
+        }
+        routed = route_series(inflows, links, 60)
+        assert list(routed) == ["c", "out"]
+        for i in range(3):
+            alone = route_series({node: m[i] for node, m in inflows.items()}, links, 60)
+            for outfall, matrix in routed.items():
+                assert matrix.shape == (3, 7)
+                assert matrix[i].tobytes() == alone[outfall].tobytes()
+        flows = route({node: hydro(node, m[0]) for node, m in inflows.items()}, links)
+        for outfall, matrix in routed.items():
+            assert flows[outfall].flows_lps.tobytes() == matrix[0].tobytes()
 
     def test_negative_flow_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
@@ -320,7 +337,8 @@ class TestHydrographExport:
         from lidscore.pipeline import _persist_outfall, _Writer
 
         h = hydro("a", [0.0, 12.5, 3.0])
-        path = _persist_outfall(_Writer(tmp_path), h, {}, "h.csv", cache={})
+        path = _persist_outfall(_Writer(tmp_path), h, (), np.zeros((0, 3)), "h.csv",
+                                cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps"
         assert lines[1] == "0,0.0"

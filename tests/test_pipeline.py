@@ -289,14 +289,14 @@ def csv_columns(data: bytes) -> dict:
     return {name: [row[j] for row in rows] for j, name in enumerate(header)}
 
 
-def assert_earlier_layout_text(data: bytes, hydro, loads: dict):
+def assert_earlier_layout_text(data: bytes, hydro, names, loads):
     """The columns of an outfall file's bytes `data` hold, cell for cell
     and blanks included, the text of the earlier layout's `hydro_` and
-    `quality_` files of the same series, and are blank past their end. The
-    earlier concentration column is the one derived from the file's flow
-    and load cells, which the file no longer holds."""
+    `quality_` files of the same series (`loads` is the load matrix, rows
+    in `names` order). The earlier concentration column is the one derived
+    from the file's flow and load cells, which the file no longer holds."""
     columns = csv_columns(data)
-    for pollutant in loads:
+    for pollutant in names:
         assert f"{pollutant}_conc_mg_L" not in columns
         columns[f"{pollutant}_conc_mg_L"] = derived_concentration(
             columns["flow_Lps"], columns[f"{pollutant}_load_kg"], hydro.step_s)
@@ -304,29 +304,42 @@ def assert_earlier_layout_text(data: bytes, hydro, loads: dict):
     pairs += [(reference_pollutograph(hydro, series),
                {"t_s": "t_s", "load_kg": f"{pollutant}_load_kg",
                 "conc_mg_L": f"{pollutant}_conc_mg_L"})
-              for pollutant, series in loads.items()]
-    for earlier, names in pairs:
-        for old_name, new_cells in csv_columns(earlier).items():
-            new = columns[names[old_name]]
-            assert new[:len(new_cells)] == new_cells
-            if old_name != "t_s":
-                assert set(new[len(new_cells):]) <= {""}
+              for pollutant, series in zip(names, loads)]
+    for earlier, column_names in pairs:
+        for old_name, old_cells in csv_columns(earlier).items():
+            assert columns[column_names[old_name]] == old_cells
 
 
 # zero, subnormals, extremes and values that need all 17 significant digits
 SPECIAL_VALUES = [0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e16,
                   0.30000000000000004, 1 / 3, 123456.78901234567, 2.0 ** 52 + 1]
-series_values = st.lists(
-    st.one_of(st.sampled_from(SPECIAL_VALUES),
-              st.floats(0.0, 1e16, allow_nan=False, allow_infinity=False)),
-    max_size=30,
-)
+series_floats = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                          st.floats(0.0, 1e16, allow_nan=False, allow_infinity=False))
+series_values = st.lists(series_floats, max_size=30)
 STEPS = [1.0, 60, 60.0, 90.0, 300.0]
 
 
-pollutant_loads = st.lists(series_values, max_size=3).map(
-    lambda series: {f"p{j}": np.array(values, dtype=float)
-                    for j, values in enumerate(series)})
+def same_length(values) -> st.SearchStrategy:
+    """Series as long as `values`."""
+    return st.lists(series_floats, min_size=len(values), max_size=len(values))
+
+
+def load_matrix(loads, n: int) -> np.ndarray:
+    """The (pollutant, step) matrix of the load series `loads`, `n` steps each."""
+    return np.array(loads, dtype=float).reshape(len(loads), n)
+
+
+@st.composite
+def outfall_series(draw, max_pollutants=3) -> tuple:
+    """(flows, load matrix) of one outfall: every load series as long as
+    the flows."""
+    flows = draw(series_values)
+    loads = draw(st.lists(same_length(flows), max_size=max_pollutants))
+    return flows, load_matrix(loads, len(flows))
+
+
+def pollutant_names(loads) -> list:
+    return [f"p{j}" for j in range(len(loads))]
 
 
 class TestSeriesWriterBytes:
@@ -334,46 +347,45 @@ class TestSeriesWriterBytes:
     each column the text of the earlier one-file-per-series layout."""
 
     @settings(max_examples=200, deadline=None)
-    @given(flows=series_values, loads=pollutant_loads,
-           step_s=st.sampled_from(STEPS))
-    @example(flows=[], loads={}, step_s=60.0)                          # empty
-    @example(flows=[], loads={"p0": np.array([])}, step_s=60.0)
-    @example(flows=[0.0] * 5, loads={"p0": np.full(5, 1e-3)}, step_s=60.0)
-    @example(flows=[2.0, 3.0],                                        # long loads
-             loads={"p0": np.array([1e-3, 2e-3, 4e-3, 0.0])}, step_s=60.0)
-    @example(flows=[2.0, 3.0, 1.0, 0.5], loads={"p0": np.array([1e-3]),  # short loads
-                                              "p1": np.array([])}, step_s=60)
-    @example(flows=[0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],                # wet/dry
-             loads={"p0": np.array([1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324]),
-                    "p1": np.array([0.0, 0.2, 0.0, 0.0, 1.0, 2.0])}, step_s=60)
-    def test_series_bytes_equal_reference(self, tmp_path_factory, flows, loads,
-                                          step_s):
+    @given(series=outfall_series(), step_s=st.sampled_from(STEPS))
+    @example(series=([], np.zeros((0, 0))), step_s=60.0)              # empty
+    @example(series=([], np.zeros((1, 0))), step_s=60.0)
+    @example(series=([0.0] * 5, np.full((1, 5), 1e-3)), step_s=60.0)
+    @example(series=([0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],              # wet/dry
+                     np.array([[1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324],
+                               [0.0, 0.2, 0.0, 0.0, 1.0, 2.0]])), step_s=60)
+    def test_series_bytes_equal_reference(self, tmp_path_factory, series, step_s):
+        flows, loads = series
+        names = pollutant_names(loads)
         hydro = Hydrograph(site="o", step_s=step_s, flows_lps=np.array(flows))
         writer = _Writer(tmp_path_factory.mktemp("series"))
-        data = _persist_outfall(writer, hydro, loads, "o.csv", cache={}).read_bytes()
-        assert data == reference_outfall(hydro, loads)
-        assert_earlier_layout_text(data, hydro, loads)
+        data = _persist_outfall(writer, hydro, names, loads, "o.csv",
+                                cache={}).read_bytes()
+        assert data == reference_outfall(hydro, names, loads)
+        assert_earlier_layout_text(data, hydro, names, loads)
         # the time column is cached per writer: a second file of the same
         # length reuses it and still matches
-        reversed_loads = {p: series[::-1] for p, series in loads.items()}
-        path = _persist_outfall(writer, hydro, reversed_loads, "o2.csv", cache={})
-        assert path.read_bytes() == reference_outfall(hydro, reversed_loads)
+        reversed_loads = np.ascontiguousarray(loads[:, ::-1])
+        path = _persist_outfall(writer, hydro, names, reversed_loads, "o2.csv",
+                                cache={})
+        assert path.read_bytes() == reference_outfall(hydro, names, reversed_loads)
 
     def test_header_quoted_like_csv_writer(self, tmp_path):
         """A pollutant name may hold `,` and `"`; the header row quotes it
         as `csv.writer` does, so a CSV reader gets the name back."""
         hydro = Hydrograph(site="o", step_s=60.0, flows_lps=np.array([1.0, 2.0]))
-        loads = {'a,"b': np.array([1e-3, 2e-3])}
-        data = _persist_outfall(_Writer(tmp_path), hydro, loads, "o.csv",
+        names, loads = ['a,"b'], np.array([[1e-3, 2e-3]])
+        data = _persist_outfall(_Writer(tmp_path), hydro, names, loads, "o.csv",
                                 cache={}).read_bytes()
-        assert data == reference_outfall(hydro, loads)
+        assert data == reference_outfall(hydro, names, loads)
         assert list(csv_columns(data)) == ["t_s", "flow_Lps", 'a,"b_load_kg']
         assert data.startswith(b't_s,flow_Lps,"a,""b_load_kg"\r\n')
 
 
 def series_variant(draw, values) -> list:
     """`values` again, one ulp up at one entry, with its zeros negated, or
-    a fresh draw: a second series equal, nearly equal or unrelated."""
+    a fresh draw of the same length: a second series equal, nearly equal
+    or unrelated."""
     kind = draw(st.sampled_from(["same", "ulp", "negative zero", "fresh"]))
     values = list(values)
     if kind == "ulp" and values:
@@ -382,16 +394,17 @@ def series_variant(draw, values) -> list:
     elif kind == "negative zero":
         values = [-v if v == 0.0 else v for v in values]
     elif kind == "fresh":
-        values = draw(series_values)
+        values = draw(same_length(values))
     return values
 
 
 @st.composite
 def series_pairs(draw) -> list:
     """Two runs' series at one outfall under one storm, each (flows,
-    [loads per pollutant], step_s); the second is derived from the first."""
-    flows = draw(series_values)
-    loads = draw(st.lists(series_values, max_size=2))
+    [loads per pollutant], step_s) with every series of the storm's length;
+    the second is derived from the first."""
+    flows, loads = draw(outfall_series(max_pollutants=2))
+    loads = loads.tolist()
     step_s = draw(st.sampled_from(STEPS))
     second = (series_variant(draw, flows),
               [series_variant(draw, series) for series in loads],
@@ -409,10 +422,10 @@ class TestSeriesCache:
                    ([1.0, math.nextafter(2.0, math.inf)], [[1e-3, 2e-3]], 60.0)])
     @example(pair=[([0.0, 1.0], [[0.0, 1e-3]], 60.0),                 # signed zero
                    ([-0.0, 1.0], [[-0.0, 1e-3]], 60.0)])
-    @example(pair=[([1.0, 2.0], [[1e-3]], 60),                        # 60 == 60.0
-                   ([1.0, 2.0], [[1e-3]], 60.0)])
-    @example(pair=[([1.0, 2.0], [[1e-3]], 60.0),                      # other step
-                   ([1.0, 2.0], [[1e-3]], 90.0)])
+    @example(pair=[([1.0, 2.0], [[1e-3, 0.0]], 60),                   # 60 == 60.0
+                   ([1.0, 2.0], [[1e-3, 0.0]], 60.0)])
+    @example(pair=[([1.0, 2.0], [[1e-3, 0.0]], 60.0),                 # other step
+                   ([1.0, 2.0], [[1e-3, 0.0]], 90.0)])
     @example(pair=[([1.0, 2.0], [[1e-3, 2e-3]], 60.0),                # equal loads,
                    ([2.0, 1.0], [[1e-3, 2e-3]], 60.0)])               # other flows
     @example(pair=[([1.0, 2.0], [], 60.0), ([1.0, 2.0], [], 60.0)])   # no pollutants
@@ -421,17 +434,16 @@ class TestSeriesCache:
         for i, (flows, loads, step_s) in enumerate(pair):
             hydro = Hydrograph(site="o", step_s=step_s,
                                flows_lps=np.array(flows, dtype=float))
-            by_pollutant = {f"p{j}": np.array(series, dtype=float)
-                            for j, series in enumerate(loads)}
             runs[f"run{i}"] = [StormRun("s", {"o": hydro},
-                                        {"o": by_pollutant} if loads else {},
+                                        {"o": load_matrix(loads, len(flows))},
                                         {}, None)]
+        names = pollutant_names(pair[0][1])
         out = tmp_path_factory.mktemp("group")
-        _persist_runs(_Writer(out), runs)
+        _persist_runs(_Writer(out), runs, names)
         for label, [run] in runs.items():
             path = out / "results" / label / "s" / "outfall_o.csv"
             assert path.read_bytes() == reference_outfall(
-                run.outfall_hydrographs["o"], run.outfall_load_series.get("o", {}))
+                run.outfall_hydrographs["o"], names, run.outfall_loads["o"])
 
 
 class TestOutfallFiles:
@@ -457,17 +469,14 @@ class TestOutfallFiles:
                     + ["water_balance.csv"])
                 for outfall, hydro in run.outfall_hydrographs.items():
                     data = (base / f"outfall_{outfall}.csv").read_bytes()
-                    loads = run.outfall_load_series[outfall]
-                    assert list(loads) == pollutants
+                    loads = run.outfall_loads[outfall]
+                    assert loads.shape == (len(pollutants), hydro.flows_lps.size)
                     columns = csv_columns(data)
                     assert list(columns) == header
-                    for name, series in [("flow_Lps", hydro.flows_lps),
-                                         *((f"{p}_load_kg", loads[p]) for p in pollutants)]:
-                        cells = columns[name]
-                        parsed = np.array([float(c) for c in cells[:series.size]])
+                    for name, series in zip(header[1:], [hydro.flows_lps, *loads]):
+                        parsed = np.array([float(c) for c in columns[name]])
                         assert parsed.tobytes() == series.tobytes(), name
-                        assert set(cells[series.size:]) <= {""}
-                    assert_earlier_layout_text(data, hydro, loads)
+                    assert_earlier_layout_text(data, hydro, pollutants, loads)
                     checked += 1
         assert checked == (len(runs) * len(sports_config.storms.depths_mm)
                            * len(sports_config.outfalls))
@@ -478,13 +487,29 @@ def assert_same_run(a, b):
     assert list(a.outfall_hydrographs) == list(b.outfall_hydrographs)
     for outfall, hydro in a.outfall_hydrographs.items():
         assert hydro.flows_lps.tobytes() == b.outfall_hydrographs[outfall].flows_lps.tobytes()
-    assert list(a.outfall_load_series) == list(b.outfall_load_series)
-    for outfall, by_pollutant in a.outfall_load_series.items():
-        assert list(by_pollutant) == list(b.outfall_load_series[outfall])
-        for pollutant, series in by_pollutant.items():
-            assert series.tobytes() == b.outfall_load_series[outfall][pollutant].tobytes()
+    assert list(a.outfall_loads) == list(b.outfall_loads)
+    for outfall, loads in a.outfall_loads.items():
+        assert loads.shape == b.outfall_loads[outfall].shape
+        assert loads.tobytes() == b.outfall_loads[outfall].tobytes()
     assert a.balances == b.balances
     assert a.summary == b.summary
+
+
+def test_one_routing_call_per_run(sports_config, monkeypatch):
+    """A run routes the loads of all its pollutants in one `route_series`
+    call (its flows go through `route`)."""
+    calls = []
+    route_series = lidscore.pipeline.route_series
+
+    def counting(inflows, *args):
+        calls.append({node: matrix.shape for node, matrix in inflows.items()})
+        return route_series(inflows, *args)
+
+    monkeypatch.setattr(lidscore.pipeline, "route_series", counting)
+    runs = simulate_all(sports_config, build_storms(sports_config))
+    assert len(calls) == sum(map(len, runs.values())) == 18
+    n_pollutants = len(sports_config.pollutants)
+    assert all(shape[0] == n_pollutants for call in calls for shape in call.values())
 
 
 class TestBaselineReuse:

@@ -149,17 +149,17 @@ class TestPollutographExport:
         from lidscore.pipeline import _persist_outfall, _Writer
         from reference import derived_concentration
 
-        flows = np.array([0.0, 500.0, 250.0])
+        flows = np.array([0.0, 500.0, 250.0, 0.0])
         h = Hydrograph(site="s", step_s=60, flows_lps=flows)
         p = Pollutograph(site="s", pollutant="TSS",
                          loads_kg=np.array([0.0, 0.03, 0.015, 0.01]))
-        path = _persist_outfall(_Writer(tmp_path), h, {"TSS": p.loads_kg},
+        path = _persist_outfall(_Writer(tmp_path), h, ["TSS"], p.loads_kg[None, :],
                                 "poll.csv", cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps,TSS_load_kg"
         assert lines[1] == "0,0.0,0.0"
         assert lines[2] == "60,500.0,0.03"
-        assert lines[4] == "180,,0.01"           # past the end of the flows
+        assert lines[4] == "180,0.0,0.01"
         rows = [line.split(",") for line in lines[1:]]
         # 0.03 kg over 500 L/s * 60 s = 1 mg/L; no flow, no concentration
         assert derived_concentration([r[1] for r in rows], [r[2] for r in rows],
