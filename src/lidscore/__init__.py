@@ -18,8 +18,7 @@ from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
                           default_catalog, existing_capacity, required_volume,
                           simulate_lid_unit)
 from lidscore.metrics import FitReport, nse, peak_stats
-from lidscore.quality import (PollutantSpec, Pollutograph, apply_lid_removal,
-                              buildup)
+from lidscore.quality import PollutantSpec, buildup
 from lidscore.storms import (Hyetograph, IdfParams, RainRecord, atrcr_curve,
                              chicago_hyetograph, design_storm_suite,
                              invert_atrcr, segment_events)

@@ -104,7 +104,7 @@ def simulate(config, out_dir):
 
     with _Stage("simulation"):
         runs = simulate_all(config, build_storms(config))
-    _persist_runs(_Writer(out_dir), runs, [p.name for p in config.pollutants])
+    _persist_runs(_Writer(out_dir), config, runs)
     for label, storm_runs in runs.items():
         for run in storm_runs:
             worst = max(b.closure_error() for b in run.balances.values())

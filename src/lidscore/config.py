@@ -299,13 +299,18 @@ def load_config(path) -> ProjectConfig:
         section = f"pollutants[{p.get('name') or i}]"
         # a pollutant name only heads result columns, which csv quotes
         p_name = errors.name(section + ".name", p.get("name", f"pollutant{i}"))
-        # names equal in lower case would head one `<name>_reduction` column
+        # names equal in lower case would head one `<name>_reduction` column;
+        # a built-in column must not be headed twice either
+        indicator = environmental_indicators([p_name])[-1]
         clash = [s.name for s in pollutants if s.name.lower() == p_name.lower()]
         if p_name in clash:
             errors.add(section, "duplicate pollutant name")
         elif clash:
             errors.add(section, f"pollutants {clash[0]!r} and {p_name!r} both give "
-                                f"the indicator '{p_name.lower()}_reduction'")
+                                f"the indicator '{indicator}'")
+        elif indicator in environmental_indicators([]):
+            errors.add(section, f"pollutant {p_name!r} gives the indicator "
+                                f"'{indicator}', which is built in")
         spec = errors.guard(
             section, PollutantSpec,
             name=p_name,

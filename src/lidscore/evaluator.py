@@ -397,18 +397,19 @@ class StormSummary:
     loads_kg: dict
 
     @classmethod
-    def from_outfalls(cls, storm: str, hydrographs: dict,
-                      loads_kg: dict) -> "StormSummary":
-        """Collapse per-outfall hydrographs of equal length: volumes sum;
-        the peak is taken on the summed outfall hydrograph. `loads_kg` is
-        the system load of each pollutant."""
-        if not hydrographs:
-            raise ValidationError("no outfall hydrographs")
-        step = next(iter(hydrographs.values())).step_s
-        total = sum(h.flows_lps for h in hydrographs.values())
-        system = Hydrograph(site="system", step_s=step, flows_lps=total)
+    def from_outfalls(cls, storm: str, step_s, outfalls: dict,
+                      pollutants) -> "StormSummary":
+        """Collapse one run's outfall matrices of equal length, load rows in
+        `pollutants` order: volumes and loads sum over the outfalls; the
+        peak is taken on the summed outfall flows."""
+        if not outfalls:
+            raise ValidationError("no outfall series")
+        system = Hydrograph(site="system", step_s=step_s,
+                            flows_lps=sum(m[0] for m in outfalls.values()))
         peak, peak_time = peak_stats(system)
-        volume = sum(h.volume_m3 for h in hydrographs.values())
+        volume = sum(float(m[0].sum() * step_s / 1000.0) for m in outfalls.values())
+        loads_kg = {p: sum(float(m[i].sum()) for m in outfalls.values())
+                    for i, p in enumerate(pollutants, 1)}
         return cls(storm=storm, volume_m3=volume, peak_lps=peak,
                    peak_time_s=peak_time, loads_kg=loads_kg)
 

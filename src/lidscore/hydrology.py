@@ -332,9 +332,9 @@ def route(inflows: dict, links) -> dict:
 
 
 def route_series(inflows: dict, links, step_s: float) -> dict:
-    """Route bare arrays whose last axis is time (e.g. a node's pollutant
-    loads, one row per pollutant) like `route`; each row is routed as it
-    would be alone. Every inflow has the same leading shape."""
+    """Route bare arrays whose last axis is time (e.g. a node's flows and
+    loads, one row each) like `route`; each row is routed as it would be
+    alone. Every inflow has the same leading shape."""
     if not inflows:
         return {}
     paths = _downstream_paths(links)

@@ -18,20 +18,22 @@ deterministic, so the reused result is bit-identical).
 file is built in memory, hashed from those bytes and written without
 being read back, so the manifest lists every file a run writes.
 
-Each run writes one `outfall_<outfall>.csv` per outfall and storm: the
-flow and every pollutant's load, one row per step, the time column
-formatted once per writer. The text is built a column at a time (`repr`
-of every float) and equals a `csv.writer` row of those strings per step.
-No concentration is written: a reader derives it from the row's own
-cells (see README "Outputs"). `_persist_runs` keeps one cache per
-(storm, outfall), keyed on the exact inputs of the text: the step, the
-pollutant names and the bytes of the flows and the load matrix. A file
-whose bytes repeat another run label's there, as a scenario's do at an
-outfall fed only by placement-free subcatchments, is formatted, encoded
-and hashed once; those bytes and that digest then go to every path that
-repeats them, so every file is still written and listed. A cache per
-(storm, outfall) rather than per writer keeps only that outfall's texts
-in memory.
+A run carries each node's series as one (1 + pollutant, step) matrix:
+row 0 the flow (L/s), then the loads (kg) in `config.pollutants` order.
+One `route_series` call per run takes them to the outfalls, and the run
+writes one `outfall_<outfall>.csv` per outfall and storm: the rows of
+its matrix as columns, one row per step, the time column formatted once
+per writer. The text is built a column at a time (`repr` of every float)
+and equals a `csv.writer` row of those strings per step. No
+concentration is written: a reader derives it from the row's own cells
+(see README "Outputs"). `_persist_runs` keeps one cache per (storm,
+outfall), keyed on the exact inputs of the text: the step, the pollutant
+names and the bytes of the matrix. A file whose bytes repeat another run
+label's there, as a scenario's do at an outfall fed only by
+placement-free subcatchments, is formatted, encoded and hashed once;
+those bytes and that digest then go to every path that repeats them, so
+every file is still written and listed. A cache per (storm, outfall)
+rather than per writer keeps only that outfall's texts in memory.
 
 The CLI subcommands call the same `_persist_*` functions as `run_pipeline`,
 so each file comes from exactly one function. Rerunning an identical
@@ -57,8 +59,9 @@ from lidscore.config import ProjectConfig
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, WeightTree,
                                 evaluate_environmental, normalize, rollup)
-from lidscore.hydrology import (Hydrograph, composite_runoff_coefficient,
-                                route, route_series, simulate_subcatchment)
+from lidscore.hydrology import (composite_runoff_coefficient, route_series,
+                                simulate_subcatchment)
+from lidscore.hydrology import route  # noqa: F401  uncalled; benchmark spans look it up here
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
 from lidscore.storms import atrcr_curve, design_storm_suite, invert_atrcr
@@ -72,8 +75,7 @@ class StormRun:
     """One run label (baseline or scenario) under one storm."""
 
     storm: str
-    outfall_hydrographs: dict
-    outfall_loads: dict         # outfall -> (pollutant, step) load matrix
+    outfalls: dict              # outfall -> (1 + pollutant, step) matrix
     balances: dict              # subcatchment -> WaterBalance
     summary: StormSummary
 
@@ -238,17 +240,15 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
 def simulate_run(config: ProjectConfig, storm, label: str,
                  storm_name: str, scenario=None,
                  reuse: dict | None = None) -> StormRun:
-    """Simulate every subcatchment, route to the outfalls and summarize.
+    """Simulate every subcatchment, route each node's (1 + pollutant, step)
+    matrix (see the module docstring) in one call and summarize.
 
-    `reuse` maps subcatchment ids to the (Hydrograph, WaterBalance,
-    [Pollutograph per pollutant]) of a placement-free run under this same
-    storm. A subcatchment without placements takes its entry instead of
-    being simulated again, and a new placement-free run is added to it.
-    Each node's loads are one (pollutant, step) matrix, rows in
-    `config.pollutants` order, and all of them are routed in one call."""
+    `reuse` maps subcatchment ids to the (WaterBalance, flows, load
+    matrix) of a placement-free run under this same storm. A subcatchment
+    without placements takes its entry instead of being simulated again,
+    and a new placement-free run is added to it."""
     dt = config.storms.step_s
-    node_flows: dict = {}
-    node_loads: dict = {}
+    node_series: dict = {}
     balances: dict = {}
     for sc in config.subcatchments.values():
         placements = []
@@ -256,7 +256,7 @@ def simulate_run(config: ProjectConfig, storm, label: str,
             placements = [p for p in scenario.placements if p.subcatchment == sc.id]
         shared = reuse is not None and not placements
         if shared and sc.id in reuse:
-            hydro, balance, pollutographs = reuse[sc.id]
+            balance, flows, loads = reuse[sc.id]
         else:
             hydro, balance, detail = simulate_subcatchment(
                 sc, storm, placements, config.catalog,
@@ -268,38 +268,22 @@ def simulate_run(config: ProjectConfig, storm, label: str,
                     f"{label}/{storm_name}/{sc.id}: water balance closure "
                     f"{closure:.2%} exceeds {MASS_BALANCE_LIMIT:.1%}"
                 )
-            pollutographs = [
-                simulate_quality(sc, detail.pre_lid_runoff_m3, spec, dt,
-                                 config.antecedent_dry_days, placements)
-                for spec in config.pollutants
-            ]
+            flows = hydro.flows_lps
+            loads = simulate_quality(sc, detail.pre_lid_runoff_m3, config.pollutants,
+                                     dt, config.antecedent_dry_days, placements)
             if shared:
-                reuse[sc.id] = (hydro, balance, pollutographs)
+                reuse[sc.id] = (balance, flows, loads)
         balances[sc.id] = balance
-        flows = node_flows.setdefault(sc.outlet, np.zeros(hydro.flows_lps.size))
-        flows += hydro.flows_lps
-        loads = node_loads.setdefault(
-            sc.outlet, np.zeros((len(pollutographs), hydro.flows_lps.size)))
-        for row, pollutograph in zip(loads, pollutographs):
-            row += pollutograph.loads_kg
+        series = node_series.setdefault(sc.outlet,
+                                        np.zeros((1 + len(loads), flows.size)))
+        series[0] += flows
+        series[1:] += loads
 
-    inflows = {
-        node: Hydrograph(site=node, step_s=dt, flows_lps=flows)
-        for node, flows in node_flows.items()
-    }
-    outfall_hydro = route(inflows, config.links)
-    outfall_loads = route_series(node_loads, config.links, dt)
-    load_totals = {
-        spec.name: sum(float(matrix[i].sum()) for matrix in outfall_loads.values())
-        for i, spec in enumerate(config.pollutants)
-    }
-    summary = StormSummary.from_outfalls(storm_name, outfall_hydro, load_totals)
-    return StormRun(
-        storm=storm_name,
-        outfall_hydrographs=outfall_hydro,
-        outfall_loads=outfall_loads,
-        balances=balances, summary=summary,
-    )
+    outfalls = route_series(node_series, config.links, dt)
+    summary = StormSummary.from_outfalls(storm_name, dt, outfalls,
+                                         [p.name for p in config.pollutants])
+    return StormRun(storm=storm_name, outfalls=outfalls, balances=balances,
+                    summary=summary)
 
 
 def simulate_all(config: ProjectConfig, storms: dict) -> dict:
@@ -355,34 +339,30 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
     return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
 
 
-def _persist_outfall(writer: _Writer, hydro: Hydrograph, names: list,
-                     loads: np.ndarray, *parts, cache: dict) -> Path:
-    """`t_s,flow_Lps`, then `<p>_load_kg` for each pollutant `p` of `names`,
-    one per row of the (pollutant, step) matrix `loads`, whose series are
-    as long as the flows; t at step start. `cache` as in
-    `_Writer.write_series`: the key holds the step, the names and every
-    series the text is made of."""
-    key = (repr(hydro.step_s), tuple(names), hydro.flows_lps.tobytes(),
-           loads.tobytes())
-    return writer.write_series(lambda: _outfall_text(writer, hydro, names, loads),
+def _persist_outfall(writer: _Writer, step_s, names: list, series: np.ndarray,
+                     *parts, cache: dict) -> Path:
+    """`t_s,flow_Lps`, then `<p>_load_kg` for each pollutant `p` of `names`:
+    the rows of the (1 + pollutant, step) matrix `series` as columns, t at
+    step start. `cache` as in `_Writer.write_series`: the key holds the
+    step, the names and the matrix the text is made of."""
+    key = (repr(step_s), tuple(names), series.tobytes())
+    return writer.write_series(lambda: _outfall_text(writer, step_s, names, series),
                                key, cache, *parts)
 
 
-def _outfall_text(writer: _Writer, hydro: Hydrograph, names: list,
-                  loads: np.ndarray) -> str:
+def _outfall_text(writer: _Writer, step_s, names: list, series: np.ndarray) -> str:
     """The text of `_persist_outfall`: one row per step."""
-    flows = hydro.flows_lps
     header = ["t_s", "flow_Lps", *(f"{p}_load_kg" for p in names)]
-    columns = [writer.time_column(flows.size, hydro.step_s),
-               *(map(repr, series) for series in [flows.tolist(), *loads.tolist()])]
+    columns = [writer.time_column(series.shape[1], step_s),
+               *(map(repr, row) for row in series.tolist())]
     buf = io.StringIO()
     csv.writer(buf).writerow(header)   # a pollutant name may need quoting
     return buf.getvalue() + "\r\n".join([*map(",".join, zip(*columns, strict=True)), ""])
 
 
-def _persist_runs(writer: _Writer, runs: dict, pollutants: list) -> None:
-    """Every run's outfall series and water balances under results/;
-    `pollutants` names the rows of each run's load matrices.
+def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:
+    """Every run of `config` (`simulate_all`): its outfall series and water
+    balances under results/.
 
     The outfall files go storm by storm and outfall by outfall, each
     label in turn, with one cache per (storm, outfall): a file whose bytes
@@ -390,12 +370,12 @@ def _persist_runs(writer: _Writer, runs: dict, pollutants: list) -> None:
     only by placement-free subcatchments, is formatted and hashed once and
     written to each path. Every run of a storm routes to the same
     outfalls."""
+    names = [p.name for p in config.pollutants]
     for storm_runs in zip(*runs.values()):
-        for outfall in storm_runs[0].outfall_hydrographs:
+        for outfall in storm_runs[0].outfalls:
             cache: dict = {}
             for label, run in zip(runs, storm_runs):
-                _persist_outfall(writer, run.outfall_hydrographs[outfall],
-                                 pollutants, run.outfall_loads[outfall],
+                _persist_outfall(writer, config.storms.step_s, names, run.outfalls[outfall],
                                  "results", label, run.storm,
                                  f"outfall_{outfall}.csv", cache=cache)
     for label, storm_runs in runs.items():
@@ -525,7 +505,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     _persist_weights(writer, tree, config.consistency)
     _persist_storms(writer, storms)
     if runs is not None:
-        _persist_runs(writer, runs, [p.name for p in config.pollutants])
+        _persist_runs(writer, config, runs)
     if report is not None:
         _persist_indicators(writer, table, simulated_table)
         writer.write_json(report.to_dict(), "benefit_report.json")

@@ -47,18 +47,6 @@ class PollutantSpec:
         return float(self.surface_class_factors.get(surface_class, 1.0))
 
 
-@dataclass
-class Pollutograph:
-    site: str
-    pollutant: str
-    loads_kg: np.ndarray
-
-    def __post_init__(self):
-        self.loads_kg = np.asarray(self.loads_kg, dtype=float)
-        if np.any(self.loads_kg < 0) or not np.all(np.isfinite(self.loads_kg)):
-            raise ValidationError(f"{self.site}/{self.pollutant}: bad load series")
-
-
 def buildup(spec: PollutantSpec, antecedent_dry_days: float) -> float:
     """Accumulated surface mass after a dry spell (kg/ha)."""
     if antecedent_dry_days < 0:
@@ -75,20 +63,6 @@ def washoff_series(spec: PollutantSpec, runoff_mm_hr, initial_kg: float,
     decay = np.exp(-rates)
     before = initial_kg * np.concatenate([[1.0], np.cumprod(decay[:-1])])
     return before * (1.0 - decay)
-
-
-def apply_lid_removal(pollutograph: Pollutograph, treated_fraction: float,
-                      removal_fraction: float) -> Pollutograph:
-    """Reduce loads on the treated share: out = in * (1 - tf * removal)."""
-    for name, value in (("treated fraction", treated_fraction),
-                        ("removal fraction", removal_fraction)):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{name} outside [0, 1]")
-    return Pollutograph(
-        site=pollutograph.site,
-        pollutant=pollutograph.pollutant,
-        loads_kg=pollutograph.loads_kg * (1.0 - treated_fraction * removal_fraction),
-    )
 
 
 def initial_buildup_kg(sc: Subcatchment, spec: PollutantSpec,
@@ -109,22 +83,28 @@ def initial_buildup_kg(sc: Subcatchment, spec: PollutantSpec,
     return per_ha * max(0.0, sc.area_ha - lid_area_ha)
 
 
-def simulate_quality(sc: Subcatchment, pre_lid_runoff_m3, spec: PollutantSpec,
-                     dt_s: float, antecedent_dry_days: float = DEFAULT_ANTECEDENT_DRY_DAYS,
-                     placements=()) -> Pollutograph:
-    """Washoff driven by the runoff generated on the contributing surfaces,
-    then reduced by each LID placement on its treated share."""
+def simulate_quality(sc: Subcatchment, pre_lid_runoff_m3, specs, dt_s: float,
+                     antecedent_dry_days: float = DEFAULT_ANTECEDENT_DRY_DAYS,
+                     placements=()) -> np.ndarray:
+    """Washoff of every pollutant of `specs`, driven by the runoff generated
+    on the contributing surfaces, then reduced by each LID placement on its
+    treated share: out = in * (1 - treated_fraction * removal), placement
+    by placement. Returns the (pollutant, step) load matrix in kg, rows in
+    `specs` order."""
     placements = list(placements)
     lid_area_ha = sum(p.area_ha for p in placements)
     runoff_m3 = np.asarray(pre_lid_runoff_m3, dtype=float)
     area_m2 = (sc.area_ha - lid_area_ha) * 10_000.0
-    if area_m2 <= 0:
-        loads = np.zeros(runoff_m3.size)
-    else:
+    loads = np.zeros((len(specs), runoff_m3.size))
+    if area_m2 > 0:
         q_mm_hr = runoff_m3 / area_m2 * 1000.0 * 3600.0 / dt_s
-        initial = initial_buildup_kg(sc, spec, antecedent_dry_days, lid_area_ha)
-        loads = washoff_series(spec, q_mm_hr, initial, dt_s)
-    result = Pollutograph(site=sc.id, pollutant=spec.name, loads_kg=loads)
+        # one 1-D call per pollutant: a 2-D power may round on another SIMD path
+        for row, spec in zip(loads, specs):
+            initial = initial_buildup_kg(sc, spec, antecedent_dry_days, lid_area_ha)
+            row[:] = washoff_series(spec, q_mm_hr, initial, dt_s)
     for p in placements:
-        result = apply_lid_removal(result, p.treated_fraction, spec.removal_for(p.kind))
-    return result
+        for row, spec in zip(loads, specs):
+            row *= 1.0 - p.treated_fraction * spec.removal_for(p.kind)
+    if np.any(loads < 0) or not np.all(np.isfinite(loads)):
+        raise ValidationError(f"{sc.id}: bad load series")
+    return loads

@@ -211,31 +211,29 @@ def reference_csv(header, rows) -> bytes:
 # The series files of the earlier layout, one file per series: what
 # `outfall_<outfall>.csv` replaces, kept so its cells can be checked
 # against the text those files held.
-def reference_hydrograph(hydro) -> bytes:
+def reference_hydrograph(step_s, flows) -> bytes:
     """The earlier `hydro_<outfall>.csv`."""
     return reference_csv(["t_s", "flow_Lps"], [
-        [repr(k * hydro.step_s), repr(float(q))]
-        for k, q in enumerate(hydro.flows_lps)
+        [repr(k * step_s), repr(float(q))] for k, q in enumerate(flows)
     ])
 
 
-def reference_pollutograph(hydro, loads_kg) -> bytes:
+def reference_pollutograph(step_s, flows, loads_kg) -> bytes:
     """The earlier `quality_<outfall>_<pollutant>.csv`."""
     rows = []
-    for k, (load, flow) in enumerate(zip(loads_kg, hydro.flows_lps, strict=True)):
-        conc = repr(float(load) * 1e6 / (float(flow) * hydro.step_s)) if flow > 0 else ""
-        rows.append([repr(k * hydro.step_s), repr(float(load)), conc])
+    for k, (load, flow) in enumerate(zip(loads_kg, flows, strict=True)):
+        conc = repr(float(load) * 1e6 / (float(flow) * step_s)) if flow > 0 else ""
+        rows.append([repr(k * step_s), repr(float(load)), conc])
     return reference_csv(["t_s", "load_kg", "conc_mg_L"], rows)
 
 
-def reference_outfall(hydro, names, loads) -> bytes:
-    """`outfall_<outfall>.csv` built row by row from the hydrograph and the
-    (pollutant, step) load matrix `loads`, rows in `names` order: one row
-    per step."""
+def reference_outfall(step_s, names, matrix) -> bytes:
+    """`outfall_<outfall>.csv` built row by row from the (1 + pollutant,
+    step) matrix `matrix`: row 0 the flows, then the loads in `names`
+    order. One row per step."""
     header = ["t_s", "flow_Lps"] + [f"{pollutant}_load_kg" for pollutant in names]
-    rows = [[repr(k * hydro.step_s), repr(float(flow))]
-            + [repr(float(series[k])) for series in loads]
-            for k, flow in enumerate(hydro.flows_lps)]
+    rows = [[repr(k * step_s)] + [repr(float(value)) for value in column]
+            for k, column in enumerate(np.asarray(matrix).T)]
     return reference_csv(header, rows)
 
 

@@ -136,6 +136,10 @@ class TestValidate:
          "cost leaves"),
         # a YAML key with no value names nothing
         (("scenarios", 0), "name", None, "scenarios[0].name: missing or empty"),
+        # a pollutant whose indicator column is a built-in one
+        (("pollutants", 3), "name", "Runoff",
+         "pollutants[Runoff]: pollutant 'Runoff' gives the indicator "
+         "'runoff_reduction', which is built in"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -416,6 +420,20 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 0, result.output
         assert "baseline / 16mm" in result.output
         assert (tmp_path / "results" / "baseline" / "26mm").exists()
+
+    def test_simulate_writes_rank_results(self, runner, sample_dir, tmp_path):
+        """`simulate` and `rank` write the same results/ tree, byte for byte."""
+        trees = []
+        for command in ("simulate", "rank"):
+            out = tmp_path / command
+            result = runner.invoke(main, [
+                command, "--config", str(sample_dir / "sports_center.yaml"),
+                "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in (out / "results").rglob("*") if p.is_file()})
+        assert len(trees[0]) == 6 * 3 * 7
+        assert trees[0] == trees[1]
 
     def test_evaluate_writes_indicators(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [
@@ -727,17 +745,17 @@ class TestSingleWriter:
         seen = set()
         for label, storm_runs in runs.items():
             for run in storm_runs:
-                for outfall, hydro in run.outfall_hydrographs.items():
+                for outfall, (flows, *loads) in run.outfalls.items():
                     path = out / "results" / label / run.storm / f"outfall_{outfall}.csv"
                     with path.open(newline="") as f:
                         header, *rows = csv.reader(f)
                     columns = dict(zip(header, map(list, zip(*rows))))
                     step_s = float(columns["t_s"][1])
                     assert step_s == sports_config.storms.step_s
-                    for pollutant, series in zip(pollutants, run.outfall_loads[outfall]):
-                        earlier = reference_pollutograph(hydro, series).decode("utf-8")
-                        conc = [row[2] for row in
-                                list(csv.reader(io.StringIO(earlier, newline="")))[1:]]
+                    for pollutant, series in zip(pollutants, loads, strict=True):
+                        earlier = reference_pollutograph(step_s, flows, series)
+                        conc = [row[2] for row in list(csv.reader(
+                            io.StringIO(earlier.decode("utf-8"), newline="")))[1:]]
                         derived = derived_concentration(
                             columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
                         assert derived == conc, (path, pollutant)

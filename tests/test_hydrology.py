@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from lidscore import kernels
@@ -336,9 +336,8 @@ class TestHydrographExport:
     def test_csv_format(self, tmp_path):
         from lidscore.pipeline import _persist_outfall, _Writer
 
-        h = hydro("a", [0.0, 12.5, 3.0])
-        path = _persist_outfall(_Writer(tmp_path), h, (), np.zeros((0, 3)), "h.csv",
-                                cache={})
+        path = _persist_outfall(_Writer(tmp_path), 60, (), np.array([[0.0, 12.5, 3.0]]),
+                                "h.csv", cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps"
         assert lines[1] == "0,0.0"
@@ -355,7 +354,53 @@ class TestSubcatchmentSurfaceDicts:
             make_subcatchment(manning_n={"impervious": 0.0, "pervious": 0.15})
 
 
+@st.composite
+def link_networks(draw) -> tuple:
+    """(links, inflows, step_s): an acyclic network in which a node drains
+    by at most one link, to a later node, with lags of whole and
+    fractional steps; and a (rows, step) matrix at each of several inflow
+    nodes, every matrix of the same 1 to 4 rows and of any length."""
+    step_s = draw(st.sampled_from([60, 60.0, 90.0, 300.0]))
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 7)))]
+    lags = st.one_of(st.integers(0, 5).map(float), st.floats(0.0, 5.0))
+    links = [Link(f"l{i}", node, nodes[draw(st.integers(i + 1, len(nodes) - 1))],
+                  lag_s=draw(lags) * step_s)
+             for i, node in enumerate(nodes[:-1]) if draw(st.booleans())]
+    rows = draw(st.integers(1, 4))
+    values = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+    inflows = {}
+    for node in draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True)):
+        n = draw(st.integers(0, 12))
+        inflows[node] = np.array(draw(st.lists(values, min_size=rows * n,
+                                               max_size=rows * n))).reshape(rows, n)
+    return links, inflows, step_s
+
+
 class TestRoutingProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(network=link_networks())
+    def test_route_series_routes_rows_alone(self, network):
+        """Each row keeps its total, is routed byte for byte as it would be
+        alone, and row 0 is what `route` makes of it as flows."""
+        links, inflows, step_s = network
+        routed = route_series(inflows, links, step_s)
+        rows = next(iter(inflows.values())).shape[0]
+        for i in range(rows):
+            alone = route_series({node: m[i] for node, m in inflows.items()},
+                                 links, step_s)
+            assert list(alone) == list(routed)
+            for outfall, matrix in routed.items():
+                assert matrix.shape[0] == rows
+                assert matrix[i].tobytes() == alone[outfall].tobytes()
+            total = sum(float(m[i].sum()) for m in inflows.values())
+            assert sum(float(m[i].sum()) for m in routed.values()) == pytest.approx(
+                total, rel=1e-12, abs=0.0)
+        flows = route({node: hydro(node, m[0], step_s) for node, m in inflows.items()},
+                      links)
+        assert list(flows) == list(routed)
+        for outfall, matrix in routed.items():
+            assert flows[outfall].flows_lps.tobytes() == matrix[0].tobytes()
+
     @given(
         flows=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40),
         lag_steps=st.integers(0, 10),

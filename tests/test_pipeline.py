@@ -15,16 +15,15 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import reference
+import lidscore.hydrology
 import lidscore.pipeline
 from lidscore.config import load_config
 from lidscore.errors import ConfigError, ValidationError
 from lidscore.evaluator import StormSummary
-from lidscore.hydrology import Hydrograph
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (StormRun, _persist_outfall, _persist_runs,
-                               _Writer, assemble_indicators, build_storms,
-                               compute_sizing, run_pipeline, simulate_all,
-                               simulate_run, weight_sensitivity)
+from lidscore.pipeline import (_persist_outfall, _Writer, assemble_indicators,
+                               build_storms, compute_sizing, run_pipeline,
+                               simulate_all, simulate_run, weight_sensitivity)
 from reference import (derived_concentration, reference_hydrograph,
                        reference_outfall, reference_pollutograph)
 from test_config import rewrite
@@ -126,7 +125,7 @@ class TestSportsCenterRun:
 
     def test_outfalls_present(self, runs, sports_config):
         run = runs["baseline"][0]
-        assert sorted(run.outfall_hydrographs) == sorted(sports_config.outfalls)
+        assert sorted(run.outfalls) == sorted(sports_config.outfalls)
 
 
 class TestDeterminism:
@@ -289,19 +288,22 @@ def csv_columns(data: bytes) -> dict:
     return {name: [row[j] for row in rows] for j, name in enumerate(header)}
 
 
-def assert_earlier_layout_text(data: bytes, hydro, names, loads):
+def assert_earlier_layout_text(data: bytes, step_s, names, matrix):
     """The columns of an outfall file's bytes `data` hold, cell for cell
     and blanks included, the text of the earlier layout's `hydro_` and
-    `quality_` files of the same series (`loads` is the load matrix, rows
-    in `names` order). The earlier concentration column is the one derived
-    from the file's flow and load cells, which the file no longer holds."""
+    `quality_` files of the same series (`matrix` is the outfall matrix:
+    flows, then loads in `names` order). The earlier concentration column
+    is the one derived from the file's flow and load cells, which the file
+    no longer holds."""
     columns = csv_columns(data)
     for pollutant in names:
         assert f"{pollutant}_conc_mg_L" not in columns
         columns[f"{pollutant}_conc_mg_L"] = derived_concentration(
-            columns["flow_Lps"], columns[f"{pollutant}_load_kg"], hydro.step_s)
-    pairs = [(reference_hydrograph(hydro), {"t_s": "t_s", "flow_Lps": "flow_Lps"})]
-    pairs += [(reference_pollutograph(hydro, series),
+            columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
+    flows, *loads = matrix
+    pairs = [(reference_hydrograph(step_s, flows),
+              {"t_s": "t_s", "flow_Lps": "flow_Lps"})]
+    pairs += [(reference_pollutograph(step_s, flows, series),
                {"t_s": "t_s", "load_kg": f"{pollutant}_load_kg",
                 "conc_mg_L": f"{pollutant}_conc_mg_L"})
               for pollutant, series in zip(names, loads)]
@@ -324,22 +326,23 @@ def same_length(values) -> st.SearchStrategy:
     return st.lists(series_floats, min_size=len(values), max_size=len(values))
 
 
-def load_matrix(loads, n: int) -> np.ndarray:
-    """The (pollutant, step) matrix of the load series `loads`, `n` steps each."""
-    return np.array(loads, dtype=float).reshape(len(loads), n)
+def outfall_matrix(flows, loads) -> np.ndarray:
+    """The (1 + pollutant, step) outfall matrix of `flows` and the load
+    series `loads`, each as long as `flows`."""
+    return np.array([flows, *loads], dtype=float).reshape(1 + len(loads), len(flows))
 
 
 @st.composite
-def outfall_series(draw, max_pollutants=3) -> tuple:
-    """(flows, load matrix) of one outfall: every load series as long as
-    the flows."""
+def outfall_series(draw, max_pollutants=3) -> np.ndarray:
+    """The matrix of one outfall: flows, then up to `max_pollutants` load
+    series as long as the flows."""
     flows = draw(series_values)
-    loads = draw(st.lists(same_length(flows), max_size=max_pollutants))
-    return flows, load_matrix(loads, len(flows))
+    return outfall_matrix(flows, draw(st.lists(same_length(flows),
+                                               max_size=max_pollutants)))
 
 
-def pollutant_names(loads) -> list:
-    return [f"p{j}" for j in range(len(loads))]
+def pollutant_names(matrix) -> list:
+    return [f"p{j}" for j in range(len(matrix) - 1)]
 
 
 class TestSeriesWriterBytes:
@@ -347,37 +350,35 @@ class TestSeriesWriterBytes:
     each column the text of the earlier one-file-per-series layout."""
 
     @settings(max_examples=200, deadline=None)
-    @given(series=outfall_series(), step_s=st.sampled_from(STEPS))
-    @example(series=([], np.zeros((0, 0))), step_s=60.0)              # empty
-    @example(series=([], np.zeros((1, 0))), step_s=60.0)
-    @example(series=([0.0] * 5, np.full((1, 5), 1e-3)), step_s=60.0)
-    @example(series=([0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],              # wet/dry
-                     np.array([[1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324],
-                               [0.0, 0.2, 0.0, 0.0, 1.0, 2.0]])), step_s=60)
-    def test_series_bytes_equal_reference(self, tmp_path_factory, series, step_s):
-        flows, loads = series
-        names = pollutant_names(loads)
-        hydro = Hydrograph(site="o", step_s=step_s, flows_lps=np.array(flows))
+    @given(matrix=outfall_series(), step_s=st.sampled_from(STEPS))
+    @example(matrix=np.zeros((1, 0)), step_s=60.0)                    # empty
+    @example(matrix=np.zeros((2, 0)), step_s=60.0)
+    @example(matrix=outfall_matrix([0.0] * 5, [[1e-3] * 5]), step_s=60.0)
+    @example(matrix=outfall_matrix([0.0, 1.5, 0.0, 5e-324, 0.0, 1e16],  # wet/dry
+                                   [[1e-300, 0.1, 0.0, 1 / 3, 1e16, 5e-324],
+                                    [0.0, 0.2, 0.0, 0.0, 1.0, 2.0]]), step_s=60)
+    def test_series_bytes_equal_reference(self, tmp_path_factory, matrix, step_s):
+        names = pollutant_names(matrix)
         writer = _Writer(tmp_path_factory.mktemp("series"))
-        data = _persist_outfall(writer, hydro, names, loads, "o.csv",
+        data = _persist_outfall(writer, step_s, names, matrix, "o.csv",
                                 cache={}).read_bytes()
-        assert data == reference_outfall(hydro, names, loads)
-        assert_earlier_layout_text(data, hydro, names, loads)
+        assert data == reference_outfall(step_s, names, matrix)
+        assert_earlier_layout_text(data, step_s, names, matrix)
         # the time column is cached per writer: a second file of the same
         # length reuses it and still matches
-        reversed_loads = np.ascontiguousarray(loads[:, ::-1])
-        path = _persist_outfall(writer, hydro, names, reversed_loads, "o2.csv",
+        reversed_loads = matrix.copy()
+        reversed_loads[1:] = matrix[1:, ::-1]
+        path = _persist_outfall(writer, step_s, names, reversed_loads, "o2.csv",
                                 cache={})
-        assert path.read_bytes() == reference_outfall(hydro, names, reversed_loads)
+        assert path.read_bytes() == reference_outfall(step_s, names, reversed_loads)
 
     def test_header_quoted_like_csv_writer(self, tmp_path):
         """A pollutant name may hold `,` and `"`; the header row quotes it
         as `csv.writer` does, so a CSV reader gets the name back."""
-        hydro = Hydrograph(site="o", step_s=60.0, flows_lps=np.array([1.0, 2.0]))
-        names, loads = ['a,"b'], np.array([[1e-3, 2e-3]])
-        data = _persist_outfall(_Writer(tmp_path), hydro, names, loads, "o.csv",
+        names, matrix = ['a,"b'], np.array([[1.0, 2.0], [1e-3, 2e-3]])
+        data = _persist_outfall(_Writer(tmp_path), 60.0, names, matrix, "o.csv",
                                 cache={}).read_bytes()
-        assert data == reference_outfall(hydro, names, loads)
+        assert data == reference_outfall(60.0, names, matrix)
         assert list(csv_columns(data)) == ["t_s", "flow_Lps", 'a,"b_load_kg']
         assert data.startswith(b't_s,flow_Lps,"a,""b_load_kg"\r\n')
 
@@ -400,50 +401,42 @@ def series_variant(draw, values) -> list:
 
 @st.composite
 def series_pairs(draw) -> list:
-    """Two runs' series at one outfall under one storm, each (flows,
-    [loads per pollutant], step_s) with every series of the storm's length;
-    the second is derived from the first."""
-    flows, loads = draw(outfall_series(max_pollutants=2))
-    loads = loads.tolist()
+    """Two runs' series at one outfall under one storm, each (outfall
+    matrix, step_s); the second is derived from the first."""
+    matrix = draw(outfall_series(max_pollutants=2))
     step_s = draw(st.sampled_from(STEPS))
-    second = (series_variant(draw, flows),
-              [series_variant(draw, series) for series in loads],
-              draw(st.sampled_from([step_s, step_s, *STEPS])))
-    return [(flows, loads, step_s), second]
+    second = np.array([series_variant(draw, row) for row in matrix.tolist()])
+    return [(matrix, step_s),
+            (second.reshape(matrix.shape), draw(st.sampled_from([step_s, step_s, *STEPS])))]
 
 
 class TestSeriesCache:
-    """`_persist_runs` formats the series of one (storm, outfall) once per
-    distinct bytes; series that differ in any byte stay separate files."""
+    """Under one cache, `_persist_outfall` formats a series once per
+    distinct key; series that differ in any byte, or in the text of the
+    step, stay separate files."""
 
     @settings(max_examples=200, deadline=None)
     @given(pair=series_pairs())
-    @example(pair=[([1.0, 2.0], [[1e-3, 2e-3]], 60.0),                # one ulp
-                   ([1.0, math.nextafter(2.0, math.inf)], [[1e-3, 2e-3]], 60.0)])
-    @example(pair=[([0.0, 1.0], [[0.0, 1e-3]], 60.0),                 # signed zero
-                   ([-0.0, 1.0], [[-0.0, 1e-3]], 60.0)])
-    @example(pair=[([1.0, 2.0], [[1e-3, 0.0]], 60),                   # 60 == 60.0
-                   ([1.0, 2.0], [[1e-3, 0.0]], 60.0)])
-    @example(pair=[([1.0, 2.0], [[1e-3, 0.0]], 60.0),                 # other step
-                   ([1.0, 2.0], [[1e-3, 0.0]], 90.0)])
-    @example(pair=[([1.0, 2.0], [[1e-3, 2e-3]], 60.0),                # equal loads,
-                   ([2.0, 1.0], [[1e-3, 2e-3]], 60.0)])               # other flows
-    @example(pair=[([1.0, 2.0], [], 60.0), ([1.0, 2.0], [], 60.0)])   # no pollutants
+    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 2e-3]]), 60.0),        # one ulp
+                   (np.array([[1.0, math.nextafter(2.0, math.inf)], [1e-3, 2e-3]]), 60.0)])
+    @example(pair=[(np.array([[0.0, 1.0], [0.0, 1e-3]]), 60.0),         # signed zero
+                   (np.array([[-0.0, 1.0], [-0.0, 1e-3]]), 60.0)])
+    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 0.0]]), 60),           # 60 == 60.0
+                   (np.array([[1.0, 2.0], [1e-3, 0.0]]), 60.0)])
+    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 0.0]]), 60.0),         # other step
+                   (np.array([[1.0, 2.0], [1e-3, 0.0]]), 90.0)])
+    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 2e-3]]), 60.0),        # equal loads,
+                   (np.array([[2.0, 1.0], [1e-3, 2e-3]]), 60.0)])       # other flows
+    @example(pair=[(np.array([[1.0, 2.0]]), 60.0),                      # no pollutants
+                   (np.array([[1.0, 2.0]]), 60.0)])
     def test_distinct_series_never_merged(self, tmp_path_factory, pair):
-        runs = {}
-        for i, (flows, loads, step_s) in enumerate(pair):
-            hydro = Hydrograph(site="o", step_s=step_s,
-                               flows_lps=np.array(flows, dtype=float))
-            runs[f"run{i}"] = [StormRun("s", {"o": hydro},
-                                        {"o": load_matrix(loads, len(flows))},
-                                        {}, None)]
-        names = pollutant_names(pair[0][1])
-        out = tmp_path_factory.mktemp("group")
-        _persist_runs(_Writer(out), runs, names)
-        for label, [run] in runs.items():
-            path = out / "results" / label / "s" / "outfall_o.csv"
-            assert path.read_bytes() == reference_outfall(
-                run.outfall_hydrographs["o"], names, run.outfall_loads["o"])
+        names = pollutant_names(pair[0][0])
+        writer = _Writer(tmp_path_factory.mktemp("group"))
+        cache: dict = {}
+        for i, (matrix, step_s) in enumerate(pair):
+            path = _persist_outfall(writer, step_s, names, matrix, f"run{i}.csv",
+                                    cache=cache)
+            assert path.read_bytes() == reference_outfall(step_s, names, matrix)
 
 
 class TestOutfallFiles:
@@ -467,37 +460,35 @@ class TestOutfallFiles:
                 assert sorted(p.name for p in base.iterdir()) == sorted(
                     [f"outfall_{o}.csv" for o in sports_config.outfalls]
                     + ["water_balance.csv"])
-                for outfall, hydro in run.outfall_hydrographs.items():
+                for outfall, matrix in run.outfalls.items():
                     data = (base / f"outfall_{outfall}.csv").read_bytes()
-                    loads = run.outfall_loads[outfall]
-                    assert loads.shape == (len(pollutants), hydro.flows_lps.size)
+                    assert matrix.shape[0] == 1 + len(pollutants)
                     columns = csv_columns(data)
                     assert list(columns) == header
-                    for name, series in zip(header[1:], [hydro.flows_lps, *loads]):
+                    for name, series in zip(header[1:], matrix):
                         parsed = np.array([float(c) for c in columns[name]])
                         assert parsed.tobytes() == series.tobytes(), name
-                    assert_earlier_layout_text(data, hydro, pollutants, loads)
+                    assert_earlier_layout_text(data, sports_config.storms.step_s,
+                                               pollutants, matrix)
                     checked += 1
         assert checked == (len(runs) * len(sports_config.storms.depths_mm)
                            * len(sports_config.outfalls))
 
 
 def assert_same_run(a, b):
-    """Two StormRuns with bit-identical series, loads and balances."""
-    assert list(a.outfall_hydrographs) == list(b.outfall_hydrographs)
-    for outfall, hydro in a.outfall_hydrographs.items():
-        assert hydro.flows_lps.tobytes() == b.outfall_hydrographs[outfall].flows_lps.tobytes()
-    assert list(a.outfall_loads) == list(b.outfall_loads)
-    for outfall, loads in a.outfall_loads.items():
-        assert loads.shape == b.outfall_loads[outfall].shape
-        assert loads.tobytes() == b.outfall_loads[outfall].tobytes()
+    """Two StormRuns with bit-identical outfall matrices and balances."""
+    assert list(a.outfalls) == list(b.outfalls)
+    for outfall, matrix in a.outfalls.items():
+        assert matrix.shape == b.outfalls[outfall].shape
+        assert matrix.tobytes() == b.outfalls[outfall].tobytes()
     assert a.balances == b.balances
     assert a.summary == b.summary
 
 
 def test_one_routing_call_per_run(sports_config, monkeypatch):
-    """A run routes the loads of all its pollutants in one `route_series`
-    call (its flows go through `route`)."""
+    """A run routes the flows and loads of every node in one `route_series`
+    call, one (1 + pollutant, step) matrix per node, and never calls
+    `route`."""
     calls = []
     route_series = lidscore.pipeline.route_series
 
@@ -505,11 +496,17 @@ def test_one_routing_call_per_run(sports_config, monkeypatch):
         calls.append({node: matrix.shape for node, matrix in inflows.items()})
         return route_series(inflows, *args)
 
+    def route(*args):
+        raise AssertionError("route called")
+
     monkeypatch.setattr(lidscore.pipeline, "route_series", counting)
+    monkeypatch.setattr(lidscore.pipeline, "route", route)
+    monkeypatch.setattr(lidscore.hydrology, "route", route)
     runs = simulate_all(sports_config, build_storms(sports_config))
     assert len(calls) == sum(map(len, runs.values())) == 18
-    n_pollutants = len(sports_config.pollutants)
-    assert all(shape[0] == n_pollutants for call in calls for shape in call.values())
+    assert len(sports_config.pollutants) == 4
+    assert all(len(shape) == 2 and shape[0] == 5
+               for call in calls for shape in call.values())
 
 
 class TestBaselineReuse:

@@ -8,10 +8,9 @@ import pytest
 from lidscore.errors import ValidationError
 from lidscore.hydrology import HortonParams, Subcatchment, LandUse
 from lidscore.lid import LidKind, LidPlacement
-from lidscore.quality import (PollutantSpec, Pollutograph, apply_lid_removal,
-                              buildup, initial_buildup_kg, simulate_quality,
-                              washoff_series)
-from lidscore.hydrology import Hydrograph
+from lidscore import quality
+from lidscore.quality import (PollutantSpec, buildup, initial_buildup_kg,
+                              simulate_quality, washoff_series)
 from reference import washoff_step
 
 TSS = PollutantSpec(
@@ -81,27 +80,60 @@ class TestWashoff:
 
 
 class TestLidRemoval:
-    def make(self, loads):
-        return Pollutograph(site="s", pollutant="TSS",
-                            loads_kg=np.asarray(loads, float))
+    """`simulate_quality` reduces each pollutant's washoff on every
+    placement's treated share: out = in * (1 - treated_fraction * removal)."""
 
-    def test_zero_removal_is_identity(self):
-        p = self.make([1.0, 2.0])
-        out = apply_lid_removal(p, 0.7, 0.0)
-        np.testing.assert_array_equal(out.loads_kg, p.loads_kg)
+    SITE = Subcatchment(id="s", area_ha=1.0, impervious_fraction=0.5, width_m=100,
+                        slope=0.01, horton=HortonParams(76.2, 3.81, 4.14))
 
-    def test_full_treatment_half_removal(self):
-        out = apply_lid_removal(self.make([2.0, 4.0]), 1.0, 0.5)
-        np.testing.assert_allclose(out.loads_kg, [1.0, 2.0])
+    def loads(self, monkeypatch, washoff, removals, placements):
+        """The load matrix when the washoff of every pollutant is `washoff`:
+        one pollutant per entry of `removals` (its bio-retention removal)."""
+        monkeypatch.setattr(quality, "washoff_series",
+                            lambda *args: np.array(washoff, dtype=float))
+        specs = [PollutantSpec(f"P{j}", 50.0, 10.0, 0.01, 1.5,
+                               lid_removal={"bio_retention": removal})
+                 for j, removal in enumerate(removals)]
+        return simulate_quality(self.SITE, np.ones(len(washoff)), specs, 60.0,
+                                placements=placements)
 
-    def test_partial_treatment(self):
+    def placement(self, treated_fraction):
+        return LidPlacement("s", LidKind.BIO_RETENTION, 0.1, treated_fraction)
+
+    def test_zero_removal_is_identity(self, monkeypatch):
+        out = self.loads(monkeypatch, [1.0, 2.0], [0.0], [self.placement(0.7)])
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
+
+    def test_full_treatment_half_removal(self, monkeypatch):
+        out = self.loads(monkeypatch, [2.0, 4.0], [0.5], [self.placement(1.0)])
+        np.testing.assert_allclose(out, [[1.0, 2.0]])
+
+    def test_partial_treatment(self, monkeypatch):
         """treated 0.6, removal 0.5 on 10 kg -> 7 kg."""
-        out = apply_lid_removal(self.make([10.0]), 0.6, 0.5)
-        assert out.loads_kg[0] == pytest.approx(7.0)
+        out = self.loads(monkeypatch, [10.0], [0.5], [self.placement(0.6)])
+        assert out[0, 0] == pytest.approx(7.0)
+
+    def test_each_row_its_removal_each_placement_in_turn(self, monkeypatch):
+        """Each row takes its own pollutant's removal, and the placements
+        multiply one after the other."""
+        out = self.loads(monkeypatch, [10.0, 20.0], [0.5, 0.0, 1.0],
+                         [self.placement(0.6), self.placement(0.5)])
+        expected = [[v * (1 - 0.6 * r) * (1 - 0.5 * r) for v in (10.0, 20.0)]
+                    for r in (0.5, 0.0, 1.0)]
+        assert out.tolist() == expected
+
+    def test_bad_load_series_raises(self, monkeypatch):
+        with pytest.raises(ValidationError, match="s: bad load series"):
+            self.loads(monkeypatch, [1.0, math.nan], [0.5], [])
+        with pytest.raises(ValidationError, match="s: bad load series"):
+            self.loads(monkeypatch, [1.0, -1.0], [0.5], [])
 
     def test_fraction_validation(self):
         with pytest.raises(ValidationError):
-            apply_lid_removal(self.make([1.0]), 1.2, 0.5)
+            self.placement(1.2)
+        with pytest.raises(ValidationError, match="removal fraction"):
+            PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
+                          lid_removal={"bio_retention": 1.2})
 
 
 class TestSubcatchmentQuality:
@@ -132,14 +164,33 @@ class TestSubcatchmentQuality:
     def test_scenario_load_never_exceeds_baseline(self):
         sc = self.make_sc()
         runoff = np.array([0.0, 5.0, 20.0, 12.0, 3.0, 0.0])  # m3 per step
-        base = simulate_quality(sc, runoff, TSS, 60.0)
+        base = simulate_quality(sc, runoff, [TSS], 60.0)
         placements = [LidPlacement("q", LidKind.BIO_RETENTION, 0.2, 0.5)]
-        scen = simulate_quality(sc, runoff * 0.8, TSS, 60.0,
+        scen = simulate_quality(sc, runoff * 0.8, [TSS], 60.0,
                                 placements=placements)
-        base_kg, scen_kg = base.loads_kg.sum(), scen.loads_kg.sum()
+        base_kg, scen_kg = base.sum(), scen.sum()
         assert scen_kg <= base_kg
         reduction_pct = (base_kg - scen_kg) / base_kg * 100
         assert 0.0 <= reduction_pct <= 100.0
+
+    def test_rows_equal_single_pollutant_runs(self):
+        """A pollutant's row is the matrix one call for it alone gives, byte
+        for byte; a placement covering the whole area washes nothing off."""
+        sc = self.make_sc()
+        runoff = np.array([0.0, 5.0, 20.0, 12.0, 3.0, 0.0])
+        cod = PollutantSpec(name="COD", buildup_max_kg_ha=80.0,
+                            half_saturation_days=5.0, washoff_coeff=0.02,
+                            washoff_exponent=1.2, lid_removal={"bio_retention": 0.4})
+        placements = [LidPlacement("q", LidKind.BIO_RETENTION, 0.2, 0.5)]
+        both = simulate_quality(sc, runoff, [TSS, cod], 60.0, 7.0, placements)
+        assert both.shape == (2, runoff.size)
+        for row, spec in zip(both, [TSS, cod]):
+            alone = simulate_quality(sc, runoff, [spec], 60.0, 7.0, placements)
+            assert row.tobytes() == alone[0].tobytes()
+        covered = [LidPlacement("q", LidKind.BIO_RETENTION, 2.0, 0.5)]
+        assert not simulate_quality(sc, runoff, [TSS, cod], 60.0,
+                                    placements=covered).any()
+        assert simulate_quality(sc, runoff, [], 60.0).shape == (0, runoff.size)
 
 
 class TestPollutographExport:
@@ -150,10 +201,8 @@ class TestPollutographExport:
         from reference import derived_concentration
 
         flows = np.array([0.0, 500.0, 250.0, 0.0])
-        h = Hydrograph(site="s", step_s=60, flows_lps=flows)
-        p = Pollutograph(site="s", pollutant="TSS",
-                         loads_kg=np.array([0.0, 0.03, 0.015, 0.01]))
-        path = _persist_outfall(_Writer(tmp_path), h, ["TSS"], p.loads_kg[None, :],
+        loads = np.array([0.0, 0.03, 0.015, 0.01])
+        path = _persist_outfall(_Writer(tmp_path), 60, ["TSS"], np.array([flows, loads]),
                                 "poll.csv", cache={})
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,flow_Lps,TSS_load_kg"
