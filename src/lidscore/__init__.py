@@ -9,16 +9,14 @@ from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
                                 TreeNode, WeightTree, evaluate_environmental,
                                 facility_indicator_scores, normalize, rollup)
-from lidscore.hydrology import (HortonParams, Hydrograph, LandUse, Link,
-                                Subcatchment, composite_runoff_coefficient,
-                                horton_rate, route, runoff_volume,
-                                simulate_subcatchment)
+from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
+                                composite_runoff_coefficient, horton_rate,
+                                runoff_volume, simulate_subcatchment)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
-                          allocate_areas, area_proportions, control_capacity,
-                          default_catalog, existing_capacity, required_volume,
-                          simulate_lid_unit)
+                          area_proportions, control_capacity, default_catalog,
+                          existing_capacity, required_volume, simulate_lid_unit)
 from lidscore.metrics import FitReport, nse, peak_stats
 from lidscore.quality import PollutantSpec, buildup
 from lidscore.storms import (Hyetograph, IdfParams, RainRecord, atrcr_curve,
                              chicago_hyetograph, design_storm_suite,
-                             invert_atrcr, segment_events)
+                             invert_atrcr)

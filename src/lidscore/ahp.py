@@ -45,8 +45,12 @@ class PairwiseMatrix:
             raise ValidationError("pairwise diagonal must be 1")
         if np.any(np.abs(m * m.T - 1.0) > 1e-9):
             raise ValidationError("matrix is not reciprocal (a_ij * a_ji != 1)")
-        if np.any(m > 9.0 + 1e-9) or np.any(m < 1.0 / 9.0 - 1e-12):
-            warnings.warn("pairwise entries outside the 1/9..9 scale", stacklevel=3)
+        outside = np.argwhere((m > 9.0 + 1e-9) | (m < 1.0 / 9.0 - 1e-12))
+        if outside.size:
+            i, j = outside[0]
+            warnings.warn(f"pairwise matrix ({', '.join(map(str, self.labels))}): row {i + 1} "
+                          f"({self.labels[i]}), column {j + 1} ({self.labels[j]}) is "
+                          f"{m[i, j]:g}, outside the 1/9..9 scale", stacklevel=3)
 
     @property
     def order(self) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from lidscore.errors import ValidationError
-from lidscore.hydrology import Hydrograph
 from lidscore.inputs import read_cell, read_rows
 from lidscore.metrics import peak_stats
 
@@ -404,9 +403,7 @@ class StormSummary:
         peak is taken on the summed outfall flows."""
         if not outfalls:
             raise ValidationError("no outfall series")
-        system = Hydrograph(site="system", step_s=step_s,
-                            flows_lps=sum(m[0] for m in outfalls.values()))
-        peak, peak_time = peak_stats(system)
+        peak, peak_time = peak_stats(sum(m[0] for m in outfalls.values()), step_s)
         volume = sum(float(m[0].sum() * step_s / 1000.0) for m in outfalls.values())
         loads_kg = {p: sum(float(m[i].sum()) for m in outfalls.values())
                     for i, p in enumerate(pollutants, 1)}

@@ -119,24 +119,6 @@ class Link:
             raise ValidationError(f"link {self.id}: negative lag")
 
 
-@dataclass
-class Hydrograph:
-    site: str
-    step_s: float
-    flows_lps: np.ndarray
-
-    def __post_init__(self):
-        self.flows_lps = np.asarray(self.flows_lps, dtype=float)
-        if not np.all(np.isfinite(self.flows_lps)):
-            raise ValidationError(f"{self.site}: non-finite flow")
-        if np.any(self.flows_lps < 0):
-            raise ValidationError(f"{self.site}: negative flow")
-
-    @property
-    def volume_m3(self) -> float:
-        return float(self.flows_lps.sum() * self.step_s / 1000.0)
-
-
 def composite_runoff_coefficient(land_uses) -> float:
     """Area-weighted mean runoff coefficient of a land-use mix."""
     land_uses = list(land_uses)
@@ -197,13 +179,14 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     """Run one subcatchment through one storm, stepping at the storm's own
     step (`storm.step_s`) and continuing `tail_min` dry minutes after it.
 
-    Returns (Hydrograph at the subcatchment outlet, WaterBalance,
+    Returns (flows at the subcatchment outlet in L/s, WaterBalance,
     SubcatchmentDetail). LID placements intercept their
     `treated_fraction` of the runoff generated on the remaining area plus
     the rain falling on the facility itself. Raises ValidationError,
     naming the subcatchment, when the placements do not fit it or come
-    without a catalog, or when a step needs more substeps than the runoff
-    kernel allows (naming the surface and step too).
+    without a catalog, when a step needs more substeps than the runoff
+    kernel allows (naming the surface and step too), or when a flow is
+    not finite or is negative.
     """
     dt = float(storm.step_s)
     intensity_mm_hr = storm.intensities_mm_hr
@@ -269,7 +252,10 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
         lid_captured_m3 += result.captured_m3
 
     flows_lps = outlet_m3 / dt * 1000.0
-    hydrograph = Hydrograph(site=sc.id, step_s=dt, flows_lps=flows_lps)
+    if not np.all(np.isfinite(flows_lps)):
+        raise ValidationError(f"{sc.id}: non-finite flow")
+    if np.any(flows_lps < 0):
+        raise ValidationError(f"{sc.id}: negative flow")
     rainfall_m3 = float(intensity_mm_hr.sum()) * dt / 3600.0 * sc.area_m2 / 1000.0
     balance = WaterBalance(
         rainfall_m3=rainfall_m3,
@@ -280,7 +266,7 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     )
     detail = SubcatchmentDetail(pre_lid_runoff_m3=runoff_m3, substeps=substeps,
                                 max_substeps=max_substeps)
-    return hydrograph, balance, detail
+    return flows_lps, balance, detail
 
 
 def _downstream_paths(links) -> dict:
@@ -310,31 +296,12 @@ def _downstream_paths(links) -> dict:
     return paths
 
 
-def route(inflows: dict, links) -> dict:
-    """Translate subcatchment hydrographs to the outfalls.
-
-    `inflows` maps node ids to Hydrographs; every inflow node must reach a
-    terminal node (an outfall) through the acyclic link network. Returns
-    one summed Hydrograph per outfall. Volume is conserved exactly.
-    """
-    if not inflows:
-        return {}
-    steps = {h.step_s for h in inflows.values()}
-    if len(steps) != 1:
-        raise ValidationError("inflow hydrographs have mixed steps")
-    dt = steps.pop()
-    routed = route_series({node: h.flows_lps for node, h in inflows.items()},
-                          links, dt)
-    return {
-        outfall: Hydrograph(site=outfall, step_s=dt, flows_lps=flows)
-        for outfall, flows in routed.items()
-    }
-
-
 def route_series(inflows: dict, links, step_s: float) -> dict:
-    """Route bare arrays whose last axis is time (e.g. a node's flows and
-    loads, one row each) like `route`; each row is routed as it would be
-    alone. Every inflow has the same leading shape."""
+    """Translate node series to the outfalls: each node's array (last axis
+    time, at `step_s`; e.g. its flows and loads, one row each) is shifted
+    by the summed lags of its path and added into its outfall's. Every
+    inflow has the same leading shape; each row is routed as it would be
+    alone, and volume is conserved."""
     if not inflows:
         return {}
     paths = _downstream_paths(links)

@@ -110,12 +110,13 @@ def step_subarea(intensity_mmps, fcap_mmps, q_coef, dstore_mm, dt_s, d0_mm):
             n_sub = dt_s * q / excess
         if q_mid > 0.0 and dt_s * q_mid > n_sub * excess_mid:
             n_sub = dt_s * q_mid / excess_mid
-        n_sub = math.ceil(n_sub)
-        if n_sub > MAX_SUBSTEPS:
+        if not n_sub <= MAX_SUBSTEPS:   # inf or nan too, from a surface that stiff
             k = len(runoff)
+            needs = math.ceil(n_sub) if math.isfinite(n_sub) else n_sub
             raise ValidationError(
-                f"step {k} (t = {k * dt_s:g} s) needs {n_sub} substeps, "
+                f"step {k} (t = {k * dt_s:g} s) needs {needs} substeps, "
                 f"more than {MAX_SUBSTEPS}")
+        n_sub = math.ceil(n_sub)
         h = dt_s / n_sub
         half_h = 0.5 * h
         rain_h = i * h

@@ -212,25 +212,6 @@ def required_volume(target_depth_mm: float, psi: float, area_ha: float,
     return max(0.0, 10.0 * psi * target_depth_mm * area_ha - existing_m3)
 
 
-def allocate_areas(required_m3: float, shares: dict, catalog: dict) -> dict:
-    """Facility areas (ha) that split a required volume by the given
-    volume shares. Inverts control_capacity: capacity of the result equals
-    `required_m3`."""
-    if required_m3 < 0:
-        raise ValidationError("required volume must be non-negative")
-    total_share = sum(shares.values())
-    if abs(total_share - 1.0) > 1e-6:
-        raise ValidationError(f"volume shares sum to {total_share}, not 1")
-    areas: dict = {}
-    for kind, share in shares.items():
-        kind = LidKind.parse(kind)
-        if kind not in catalog:
-            raise ValidationError(f"no catalog entry for {kind.value}")
-        unit = catalog[kind].unit_capacity_m3_m2
-        areas[kind] = required_m3 * share / unit / M2_PER_HA
-    return areas
-
-
 def area_proportions(scenario: Scenario) -> dict:
     """Share of each facility kind in the scenario's total LID area."""
     total = scenario.total_area_ha

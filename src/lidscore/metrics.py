@@ -42,11 +42,12 @@ def nse(observed, simulated, *, observed_step_s=None, simulated_step_s=None) -> 
     return FitReport(nse=value, n_points=int(obs.size))
 
 
-def peak_stats(hydrograph):
-    """Peak flow (L/s) and its time (s). Ties break to the earliest step."""
-    flows = np.asarray(hydrograph.flows_lps, dtype=float)
+def peak_stats(flows, step_s):
+    """Peak flow (L/s) of `flows` at `step_s` and its time (s). Ties
+    break to the earliest step."""
+    flows = np.asarray(flows, dtype=float)
     if flows.size == 0:
         raise ValidationError("empty hydrograph")
     idx = int(np.argmax(flows))
-    return float(flows[idx]), idx * float(hydrograph.step_s)
+    return float(flows[idx]), idx * float(step_s)
 

@@ -61,13 +61,13 @@ from lidscore.evaluator import (IndicatorTable, StormSummary, WeightTree,
                                 evaluate_environmental, normalize, rollup)
 from lidscore.hydrology import (composite_runoff_coefficient, route_series,
                                 simulate_subcatchment)
-from lidscore.hydrology import route  # noqa: F401  uncalled; benchmark spans look it up here
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
 from lidscore.storms import atrcr_curve, design_storm_suite, invert_atrcr
 
 MASS_BALANCE_LIMIT = 0.005
 ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.csv
+route = route_series  # uncalled; perfbench/spans.py's `hydrology.route` span looks it up
 
 
 @dataclass
@@ -258,7 +258,7 @@ def simulate_run(config: ProjectConfig, storm, label: str,
         if shared and sc.id in reuse:
             balance, flows, loads = reuse[sc.id]
         else:
-            hydro, balance, detail = simulate_subcatchment(
+            flows, balance, detail = simulate_subcatchment(
                 sc, storm, placements, config.catalog,
                 tail_min=config.storms.tail_min,
             )
@@ -268,7 +268,6 @@ def simulate_run(config: ProjectConfig, storm, label: str,
                     f"{label}/{storm_name}/{sc.id}: water balance closure "
                     f"{closure:.2%} exceeds {MASS_BALANCE_LIMIT:.1%}"
                 )
-            flows = hydro.flows_lps
             loads = simulate_quality(sc, detail.pre_lid_runoff_m3, config.pollutants,
                                      dt, config.antecedent_dry_days, placements)
             if shared:

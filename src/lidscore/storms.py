@@ -79,38 +79,6 @@ class RainRecord:
         return cls(tuple(events))
 
 
-def segment_events(readings, dry_gap_hr: float = 6.0) -> RainRecord:
-    """Aggregate continuous gauge readings into discrete events.
-
-    `readings` is a sequence of (datetime, depth_mm) increments; a dry gap
-    of at least `dry_gap_hr` starts a new event. The event date is the day
-    the event began; events beginning on the same day merge so record
-    dates stay strictly increasing.
-    """
-    gap = _dt.timedelta(hours=dry_gap_hr)
-    events = []
-    start = last_wet = None
-    total = 0.0
-    for when, depth in readings:
-        if depth <= 0:
-            continue
-        if last_wet is not None and when - last_wet >= gap:
-            events.append((start.date(), total))
-            start = None
-            total = 0.0
-        if start is None:
-            start = when
-        total += float(depth)
-        last_wet = when
-    if start is not None:
-        events.append((start.date(), total))
-    # same-day events collapse so record dates stay strictly increasing
-    merged: dict = {}
-    for day, depth in events:
-        merged[day] = merged.get(day, 0.0) + depth
-    return RainRecord(tuple(sorted(merged.items())))
-
-
 def _capture_rate(record: RainRecord, min_event_mm: float):
     """(largest event depth, ATRCR function) over the record's events
     deeper than `min_event_mm`.

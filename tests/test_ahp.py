@@ -101,8 +101,20 @@ class TestMatrixValidation:
 
     def test_outside_saaty_scale_warns(self):
         values = np.array([[1.0, 12.0], [1 / 12.0, 1.0]])
-        with pytest.warns(UserWarning, match="scale"):
+        with pytest.warns(UserWarning, match=(
+                r"^pairwise matrix \(a, b\): row 1 \(a\), column 2 \(b\) is 12, "
+                r"outside the 1/9\.\.9 scale$")):
             PairwiseMatrix(("a", "b"), values)
+
+    def test_scale_warning_names_first_entry_below_scale(self):
+        """Entries are searched row by row, so a 1/12 above the diagonal is
+        named before the 12 below it."""
+        values = np.array([[1.0, 2.0, 1 / 12.0], [0.5, 1.0, 3.0],
+                           [12.0, 1 / 3.0, 1.0]])
+        with pytest.warns(UserWarning, match=(
+                r"^pairwise matrix \(x, y, z\): row 1 \(x\), column 3 \(z\) is "
+                r"0\.0833333, outside the 1/9\.\.9 scale$")):
+            PairwiseMatrix(("x", "y", "z"), values)
 
     def test_from_rows_fills_lower_triangle(self):
         m = PairwiseMatrix.from_rows(("a", "b", "c"),

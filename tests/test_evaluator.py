@@ -323,6 +323,29 @@ class TestEvaluateEnvironmental:
             evaluate_environmental(base, {"s1": []}, ["TSS"])
 
 
+class TestStormSummaryFromOutfalls:
+    def test_peak_on_summed_flows(self):
+        """Outfalls peaking at different steps: the system peak is the
+        largest summed flow (9 L/s at 120 s), not either outfall's own."""
+        outfalls = {"o1": np.array([[0.0, 6.0, 5.0, 0.0], [0.1, 0.2, 0.3, 0.0]]),
+                    "o2": np.array([[1.0, 2.0, 4.0, 7.0], [0.0, 0.0, 0.5, 0.5]])}
+        summary = StormSummary.from_outfalls("a", 60, outfalls, ["TSS"])
+        assert (summary.peak_lps, summary.peak_time_s) == (9.0, 120.0)
+
+    def test_volume_and_loads_sum_over_outfalls(self):
+        """Flows that sum to 36 L/s over 60 s steps are 2.16 m3; each load
+        row sums over steps and outfalls."""
+        outfalls = {"o1": np.array([[10.0, 20.0], [1.0, 2.0], [0.5, 0.0]]),
+                    "o2": np.array([[6.0, 0.0], [0.25, 0.0], [0.0, 4.0]])}
+        summary = StormSummary.from_outfalls("a", 60, outfalls, ["TSS", "TN"])
+        assert summary.volume_m3 == pytest.approx(2.16)
+        assert summary.loads_kg == {"TSS": 3.25, "TN": 4.5}
+
+    def test_no_outfalls_rejected(self):
+        with pytest.raises(ValidationError, match="no outfall series"):
+            StormSummary.from_outfalls("a", 60, {}, ["TSS"])
+
+
 class TestBenefitReportSerialization:
     def test_json_round_trip(self, tmp_path):
         tree, table = full_normalized_table()

@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 import reference
 from lidscore import kernels
 from lidscore.errors import ValidationError
-from lidscore.hydrology import (HortonParams, Hydrograph, LandUse, Link,
-                                Subcatchment, composite_runoff_coefficient,
-                                horton_rate, route, route_series,
-                                runoff_volume, simulate_subcatchment)
+from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
+                                composite_runoff_coefficient, horton_rate,
+                                route_series, runoff_volume,
+                                simulate_subcatchment)
 from lidscore.lid import LidKind, LidPlacement, default_catalog
 from lidscore.storms import Hyetograph, IdfParams, chicago_hyetograph
 
@@ -117,8 +117,8 @@ class TestRunoffVolume:
 class TestSimulateSubcatchment:
     def test_zero_rain(self):
         sc = make_subcatchment()
-        hydro, balance, _ = simulate_subcatchment(sc, flat_storm(0.0, 0, 30))
-        assert np.all(hydro.flows_lps == 0.0)
+        flows, balance, _ = simulate_subcatchment(sc, flat_storm(0.0, 0, 30))
+        assert np.all(flows == 0.0)
         assert balance.runoff_m3 == 0.0
         assert balance.infiltration_m3 == 0.0
 
@@ -252,67 +252,114 @@ class TestSimulateSubcatchment:
                 r"step 0 \(t = 0 s\) needs 4131 substeps, more than 3600$")):
             simulate_subcatchment(sc, storm)
 
+    def test_flows_carry_the_outlet_volume(self):
+        """The flows are one L/s value per storm and tail step, and their
+        volume is the balance's runoff, with or without LID."""
+        sc = make_subcatchment()
+        storm = flat_storm(40.0, 10, 20)
+        bio = LidPlacement("test", LidKind.BIO_RETENTION, 0.05, 0.3)
+        for placements in ((), (bio,)):
+            flows, balance, _ = simulate_subcatchment(
+                sc, storm, placements, default_catalog(), tail_min=15)
+            assert flows.shape == (35,) and flows.dtype == np.float64
+            assert flows.sum() * 60 / 1000.0 == pytest.approx(
+                balance.runoff_m3, rel=1e-12)
 
-def hydro(site, flows, step=60):
-    return Hydrograph(site=site, step_s=step, flows_lps=np.asarray(flows, float))
+    def test_overflowing_substep_count_is_named(self):
+        """A subnormal impervious fraction makes the impervious surface so
+        stiff that its substep count overflows to infinity; that is named
+        like any other count over the limit, not an OverflowError."""
+        sc = make_subcatchment(impervious_fraction=2.225073858507203e-309,
+                               width_m=154.0, slope=0.0625,
+                               depression_storage_mm={"impervious": 0.0,
+                                                      "pervious": 2.5})
+        with pytest.raises(ValidationError, match=(
+                r"^subcatchment test, impervious surface: "
+                r"step 0 \(t = 0 s\) needs inf substeps, more than 3600$")):
+            simulate_subcatchment(sc, flat_storm(72.0, 1, 1, step_s=120))
+
+    @pytest.mark.parametrize("value, problem", [(-1.0, "negative"),
+                                                (math.nan, "non-finite")])
+    def test_bad_flow_named(self, monkeypatch, value, problem):
+        """A flow the kernel gets wrong stops the run, naming the
+        subcatchment."""
+        step = kernels.step_subarea
+
+        def broken(*call):
+            runoff_mm, *rest = step(*call)
+            runoff_mm = runoff_mm.copy()
+            runoff_mm[-1] = value
+            return (runoff_mm, *rest)
+
+        monkeypatch.setattr(kernels, "step_subarea", broken)
+        with pytest.raises(ValidationError, match=rf"^test: {problem} flow$"):
+            simulate_subcatchment(make_subcatchment(), flat_storm(10.0, 5, 10))
 
 
 class TestRoute:
     def test_zero_lag_identity(self):
         links = [Link("l1", "a", "out", lag_s=0)]
-        out = route({"a": hydro("a", [1.0, 2.0, 3.0])}, links)
-        np.testing.assert_array_equal(out["out"].flows_lps, [1.0, 2.0, 3.0])
+        out = route_series({"a": np.array([1.0, 2.0, 3.0])}, links, 60)
+        np.testing.assert_array_equal(out["out"], [1.0, 2.0, 3.0])
 
     def test_lag_shifts_peak(self):
         """180 s lag on a 60 s step moves the peak by 3 steps."""
         links = [Link("l1", "a", "out", lag_s=180)]
-        inflow = hydro("a", [0.0, 5.0, 1.0, 0.0])
-        out = route({"a": inflow}, links)
-        assert int(np.argmax(out["out"].flows_lps)) == 4
+        out = route_series({"a": np.array([0.0, 5.0, 1.0, 0.0])}, links, 60)
+        np.testing.assert_array_equal(out["out"], [0, 0, 0, 0, 5.0, 1.0, 0.0])
 
     def test_merge_is_hand_sum(self):
         links = [Link("l1", "a", "out", lag_s=60), Link("l2", "b", "out", lag_s=0)]
-        out = route({"a": hydro("a", [1, 2, 3, 0, 0]),
-                     "b": hydro("b", [5, 4, 3, 2, 1])}, links)
-        np.testing.assert_allclose(out["out"].flows_lps,
-                                   [5.0, 5.0, 5.0, 5.0, 1.0, 0.0])
+        out = route_series({"a": np.array([1.0, 2, 3, 0, 0]),
+                            "b": np.array([5.0, 4, 3, 2, 1])}, links, 60)
+        np.testing.assert_allclose(out["out"], [5.0, 5.0, 5.0, 5.0, 1.0, 0.0])
 
     def test_volume_conserved(self):
         links = [Link("l1", "a", "m", lag_s=120), Link("l2", "m", "out", lag_s=300)]
-        inflow = hydro("a", np.arange(10.0))
-        out = route({"a": inflow}, links)
-        assert sum(h.volume_m3 for h in out.values()) == pytest.approx(
-            inflow.volume_m3, rel=1e-3)
+        inflow = np.arange(10.0)
+        out = route_series({"a": inflow}, links, 60)
+        assert list(out) == ["out"]
+        assert out["out"].sum() == pytest.approx(inflow.sum(), rel=1e-12)
 
     def test_linearity(self):
         links = [Link("l1", "a", "out", lag_s=120)]
         fa = np.array([1.0, 4.0, 2.0])
         fb = np.array([0.5, 0.0, 3.0])
-        out_sum = route({"a": hydro("a", fa + fb)}, links)["out"].flows_lps
-        out_parts = (route({"a": hydro("a", fa)}, links)["out"].flows_lps
-                     + route({"a": hydro("a", fb)}, links)["out"].flows_lps)
+        out_sum = route_series({"a": fa + fb}, links, 60)["out"]
+        out_parts = (route_series({"a": fa}, links, 60)["out"]
+                     + route_series({"a": fb}, links, 60)["out"])
         np.testing.assert_allclose(out_sum, out_parts)
+
+    def test_chained_lags_add(self):
+        """Lags of 120 s and 300 s on a 60 s step shift by 7 steps."""
+        links = [Link("l1", "a", "m", lag_s=120), Link("l2", "m", "out", lag_s=300)]
+        out = route_series({"a": np.array([3.0, 1.0])}, links, 60)
+        np.testing.assert_array_equal(out["out"], [0.0] * 7 + [3.0, 1.0])
+
+    def test_lag_rounds_to_nearest_step(self):
+        """100 s on a 60 s step is 1.67 steps and shifts by 2; 80 s by 1."""
+        links = [Link("l1", "a", "out", lag_s=100), Link("l2", "b", "out2", lag_s=80)]
+        out = route_series({"a": np.array([1.0]), "b": np.array([1.0])}, links, 60)
+        np.testing.assert_array_equal(out["out"], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(out["out2"], [0.0, 1.0, 0.0])
 
     def test_cycle_detected_and_named(self):
         links = [Link("l1", "a", "b", lag_s=0), Link("l2", "b", "a", lag_s=0)]
         with pytest.raises(ValidationError, match="cycle.*a -> b -> a"):
-            route({"a": hydro("a", [1.0])}, links)
+            route_series({"a": np.array([1.0])}, links, 60)
 
     def test_split_outflow_rejected(self):
         links = [Link("l1", "a", "b", lag_s=0), Link("l2", "a", "c", lag_s=0)]
         with pytest.raises(ValidationError, match="more than one outgoing"):
-            route({"a": hydro("a", [1.0])}, links)
+            route_series({"a": np.array([1.0])}, links, 60)
 
-    def test_route_series_matches_route(self):
+    def test_matrix_rows_route_alone(self):
         """A matrix whose last axis is time routes as each of its rows
-        alone, byte for byte, and a row of flows as `route` routes it."""
+        alone, byte for byte."""
         links = [Link("l1", "a", "out", lag_s=180), Link("l2", "b", "out", lag_s=60)]
-        series = np.array([0.0, 5.0, 1.0, 0.0])
-        out = route_series({"a": series}, links, 60)
-        np.testing.assert_array_equal(out["out"],
-                                      [0, 0, 0, 0, 5.0, 1.0, 0.0])
         inflows = {
-            "a": np.array([series, [1e-3, 0.1, 1 / 3, 5e-324], [0.0, 0.0, 2.5, 1e16]]),
+            "a": np.array([[0.0, 5.0, 1.0, 0.0], [1e-3, 0.1, 1 / 3, 5e-324],
+                           [0.0, 0.0, 2.5, 1e16]]),
             "b": np.array([[2.0, 0.0, 0.0, 1.0], [0.3, 0.1, 0.2, 0.0], [1 / 7, 0, 0, 0]]),
             "c": np.array([[1.0, 2.0, 3.0, 4.0], [0.0] * 4, [5e-324] * 4]),
         }
@@ -323,13 +370,6 @@ class TestRoute:
             for outfall, matrix in routed.items():
                 assert matrix.shape == (3, 7)
                 assert matrix[i].tobytes() == alone[outfall].tobytes()
-        flows = route({node: hydro(node, m[0]) for node, m in inflows.items()}, links)
-        for outfall, matrix in routed.items():
-            assert flows[outfall].flows_lps.tobytes() == matrix[0].tobytes()
-
-    def test_negative_flow_rejected(self):
-        with pytest.raises(ValidationError, match="negative"):
-            hydro("a", [-1.0])
 
 
 class TestHydrographExport:
@@ -380,8 +420,8 @@ class TestRoutingProperties:
     @settings(max_examples=300, deadline=None)
     @given(network=link_networks())
     def test_route_series_routes_rows_alone(self, network):
-        """Each row keeps its total, is routed byte for byte as it would be
-        alone, and row 0 is what `route` makes of it as flows."""
+        """Each row keeps its total and is routed byte for byte as it would
+        be alone."""
         links, inflows, step_s = network
         routed = route_series(inflows, links, step_s)
         rows = next(iter(inflows.values())).shape[0]
@@ -395,11 +435,6 @@ class TestRoutingProperties:
             total = sum(float(m[i].sum()) for m in inflows.values())
             assert sum(float(m[i].sum()) for m in routed.values()) == pytest.approx(
                 total, rel=1e-12, abs=0.0)
-        flows = route({node: hydro(node, m[0], step_s) for node, m in inflows.items()},
-                      links)
-        assert list(flows) == list(routed)
-        for outfall, matrix in routed.items():
-            assert flows[outfall].flows_lps.tobytes() == matrix[0].tobytes()
 
     @given(
         flows=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40),
@@ -407,13 +442,13 @@ class TestRoutingProperties:
     )
     def test_translation_conserves_volume(self, flows, lag_steps):
         links = [Link("l", "a", "out", lag_s=lag_steps * 60.0)]
-        inflow = hydro("a", flows)
-        out = route({"a": inflow}, links)["out"]
-        assert out.volume_m3 == pytest.approx(inflow.volume_m3, rel=1e-9, abs=1e-9)
+        inflow = np.array(flows)
+        out = route_series({"a": inflow}, links, 60.0)["out"]
+        assert out.sum() == pytest.approx(inflow.sum(), rel=1e-9, abs=1e-9)
         if max(flows) > 0.0:   # an all-zero series has no peak to shift
-            assert int(np.argmax(out.flows_lps)) == int(np.argmax(inflow.flows_lps)) + lag_steps
+            assert int(np.argmax(out)) == int(np.argmax(inflow)) + lag_steps
 
     def test_inflow_directly_at_outfall(self):
         # a node with no outgoing link is its own outfall
-        out = route({"solo": hydro("solo", [1.0, 2.0])}, [])
-        np.testing.assert_array_equal(out["solo"].flows_lps, [1.0, 2.0])
+        out = route_series({"solo": np.array([1.0, 2.0])}, [], 60)
+        np.testing.assert_array_equal(out["solo"], [1.0, 2.0])

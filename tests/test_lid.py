@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 import reference
 from lidscore.errors import ValidationError
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
-                          allocate_areas, area_proportions, control_capacity,
-                          default_catalog, existing_capacity, required_volume,
-                          simulate_lid_unit)
+                          area_proportions, control_capacity, default_catalog,
+                          existing_capacity, required_volume, simulate_lid_unit)
 
 CATALOG = default_catalog()
 KIND_ORDER = [LidKind.BIO_RETENTION, LidKind.GRASSED_SWALE, LidKind.SUNKEN_GREEN,
@@ -114,44 +113,6 @@ class TestRequiredVolume:
         got = required_volume(26, reference.COMPOSITE_PSI,
                               reference.CATCHMENT_AREA_HA, 0)
         assert got == pytest.approx(reference.TOTAL_RUNOFF_M3, abs=2)
-
-
-class TestAllocateAreas:
-    def test_single_kind_inversion(self):
-        areas = allocate_areas(8258, {"storage_tank": 1.0}, CATALOG)
-        assert areas[LidKind.STORAGE_TANK] == pytest.approx(0.8258)
-
-    def test_reference_share_round_trip(self):
-        """Shares backed out of the published scenario-4 areas reproduce
-        those areas."""
-        sc = scenario_from_reference("scenario_4")
-        total = control_capacity(sc, CATALOG)
-        shares = {
-            p.kind: p.area_m2 * CATALOG[p.kind].unit_capacity_m3_m2 / total
-            for p in sc.placements
-        }
-        areas = allocate_areas(total, shares, CATALOG)
-        for p in sc.placements:
-            assert areas[p.kind] == pytest.approx(p.area_ha, rel=1e-9)
-
-    def test_zero_required(self):
-        areas = allocate_areas(0.0, {"bio_retention": 0.5, "storage_tank": 0.5},
-                               CATALOG)
-        assert all(v == 0.0 for v in areas.values())
-
-    def test_capacity_round_trip_property(self):
-        shares = {"bio_retention": 0.3, "grassed_swale": 0.1,
-                  "sunken_green": 0.35, "permeable_pavement": 0.05,
-                  "storage_tank": 0.2}
-        areas = allocate_areas(5000.0, shares, CATALOG)
-        sc = Scenario("alloc", tuple(
-            LidPlacement("site", kind, area, 0.1)
-            for kind, area in areas.items()))
-        assert control_capacity(sc, CATALOG) == pytest.approx(5000.0, rel=1e-6)
-
-    def test_bad_shares(self):
-        with pytest.raises(ValidationError, match="sum"):
-            allocate_areas(100.0, {"storage_tank": 0.7}, CATALOG)
 
 
 class TestAreaProportions:
@@ -261,20 +222,6 @@ class TestLidProperties:
             for p in sc.placements))
         assert control_capacity(scaled, CATALOG) == pytest.approx(
             alpha * control_capacity(sc, CATALOG), rel=1e-12)
-
-    @given(
-        st.floats(100.0, 20000.0),
-        st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
-    )
-    def test_allocation_round_trips(self, required, raw_shares):
-        kinds = list(reference.UNIT_CAPACITY)[: len(raw_shares)]
-        total = sum(raw_shares)
-        shares = {k: s / total for k, s in zip(kinds, raw_shares)}
-        areas = allocate_areas(required, shares, CATALOG)
-        sc = Scenario("alloc", tuple(
-            LidPlacement("site", kind, area, 0.0)
-            for kind, area in areas.items()))
-        assert control_capacity(sc, CATALOG) == pytest.approx(required, rel=1e-6)
 
     @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60))
     def test_unit_balance_closes_for_any_inflow(self, inflow):

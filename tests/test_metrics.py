@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lidscore.errors import ValidationError
-from lidscore.hydrology import Hydrograph
 from lidscore.metrics import nse, peak_stats
 
 
@@ -51,25 +50,20 @@ class TestNse:
 
 class TestPeakStats:
     def test_constant_series_peaks_at_start(self):
-        h = Hydrograph(site="s", step_s=60, flows_lps=np.full(5, 3.0))
-        assert peak_stats(h) == (3.0, 0.0)
+        assert peak_stats(np.full(5, 3.0), 60) == (3.0, 0.0)
 
     def test_simple_peak(self):
-        h = Hydrograph(site="s", step_s=60, flows_lps=np.array([0.0, 5.0, 3.0]))
-        assert peak_stats(h) == (5.0, 60.0)
+        assert peak_stats(np.array([0.0, 5.0, 3.0]), 60) == (5.0, 60.0)
 
     def test_triangle_apex(self):
         flows = np.array([0.0, 2.0, 4.0, 6.0, 4.0, 2.0, 0.0])
-        h = Hydrograph(site="s", step_s=30, flows_lps=flows)
-        assert peak_stats(h) == (6.0, 90.0)
+        assert peak_stats(flows, 30) == (6.0, 90.0)
 
     def test_tie_breaks_earliest(self):
-        h = Hydrograph(site="s", step_s=60, flows_lps=np.array([1.0, 7.0, 7.0]))
-        assert peak_stats(h)[1] == 60.0
+        assert peak_stats(np.array([1.0, 7.0, 7.0]), 60)[1] == 60.0
 
     def test_empty_rejected(self):
-        h = Hydrograph(site="s", step_s=60, flows_lps=np.zeros(1))
-        assert peak_stats(h) == (0.0, 0.0)
-        with pytest.raises(ValidationError):
-            peak_stats(Hydrograph(site="s", step_s=60, flows_lps=np.zeros(0)))
+        assert peak_stats(np.zeros(1), 60) == (0.0, 0.0)
+        with pytest.raises(ValidationError, match="empty hydrograph"):
+            peak_stats(np.zeros(0), 60)
 

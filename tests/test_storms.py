@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from lidscore.errors import ValidationError
 from lidscore.storms import (Hyetograph, IdfParams, RainRecord, atrcr_curve,
                              chicago_hyetograph, design_storm_suite,
-                             invert_atrcr, segment_events)
+                             invert_atrcr)
 
 IDF = IdfParams(a=20.0, b_min=10.0, n=0.75)
 
@@ -173,34 +173,6 @@ class TestRainRecordCsv:
         with pytest.raises(ValidationError) as err:
             RainRecord.from_csv(path)
         assert str(err.value) == f"{path}: expected header 'date,depth_mm'"
-
-
-class TestSegmentEvents:
-    def test_dry_gap_splits_events(self):
-        t0 = dt.datetime(2023, 6, 1, 18, 0)
-        readings = [
-            (t0, 2.0),
-            (t0 + dt.timedelta(hours=1), 3.0),
-            (t0 + dt.timedelta(hours=9), 4.0),   # > 6 h dry gap, next day
-            (t0 + dt.timedelta(hours=10), 1.0),
-        ]
-        rec = segment_events(readings)
-        assert [round(d, 3) for _, d in rec.events] == [5.0, 5.0]
-
-    def test_same_day_events_merge(self):
-        # two gap-separated bursts starting on one date collapse so the
-        # record's dates stay strictly increasing
-        t0 = dt.datetime(2023, 6, 1, 1, 0)
-        readings = [(t0, 2.0), (t0 + dt.timedelta(hours=8), 3.0)]
-        rec = segment_events(readings)
-        assert [d for _, d in rec.events] == [5.0]
-
-    def test_continuous_rain_is_one_event(self):
-        t0 = dt.datetime(2023, 6, 1, 10, 0)
-        readings = [(t0 + dt.timedelta(hours=i), 1.0) for i in range(8)]
-        rec = segment_events(readings)
-        assert len(rec.events) == 1
-        assert rec.events[0][1] == pytest.approx(8.0)
 
 
 class TestChicagoHyetograph:
