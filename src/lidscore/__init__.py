@@ -7,8 +7,9 @@ from lidscore.ahp import (ConsistencyReport, PairwiseMatrix, WeightVector,
                           consistency, derive_weights, weight_tree)
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
-                                TreeNode, WeightTree, evaluate_environmental,
-                                facility_indicator_scores, normalize, rollup)
+                                TreeNode, WeightTree, check_normalized,
+                                evaluate_environmental, facility_scores,
+                                normalize, rollup)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 composite_runoff_coefficient, horton_rate,
                                 runoff_volume, simulate_subcatchment)

@@ -17,9 +17,9 @@ import yaml
 
 from lidscore import ahp
 from lidscore.errors import ConfigError, ValidationError
-from lidscore.evaluator import (IndicatorTable, WeightTree,
-                                environmental_indicators,
-                                facility_indicator_scores, normalize)
+from lidscore.evaluator import (IndicatorTable, WeightTree, check_normalized,
+                                environmental_indicators, facility_scores,
+                                normalize)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
@@ -563,10 +563,10 @@ def load_config(path) -> ProjectConfig:
 def _fixed_columns(errors: _Collector, config: ProjectConfig,
                    provided: dict) -> IndicatorTable:
     """The normalized column, in scenario order, of each leaf of `config.tree`
-    that the simulation does not fill: its facility scores or the one
-    column of its indicator that the direct tables `provided`, through
-    `evaluator.normalize`. Records a batch entry for every leaf that its
-    source cannot fill."""
+    that the simulation does not fill: `evaluator.normalize` of its facility
+    scores or of the one raw direct column of its indicator, or, from a
+    table marked `normalized`, that column after `check_normalized`.
+    Records a batch entry for every leaf that its source cannot fill."""
     names = [sc.name for sc in config.scenarios]
     simulated = environmental_indicators([p.name for p in config.pollutants])
     columns = {}
@@ -579,20 +579,23 @@ def _fixed_columns(errors: _Collector, config: ProjectConfig,
                                     f"(it produces {', '.join(simulated)})")
             continue
         if leaf.source == "facility_derived":
-            table = errors.guard(section, facility_indicator_scores,
-                                 config.scenarios, config.catalog, [leaf])
+            raw = errors.guard(section, facility_scores, config.scenarios,
+                               config.catalog, leaf)
+            normalized = False
         elif len(sources) == 1:
             _, direct, normalized = sources[0]
-            rows = [direct.scenarios.index(name) for name in names]
-            table = IndicatorTable(names, [leaf.indicator], direct.column(
-                leaf.indicator)[rows, None], normalized=normalized)
+            raw = direct.column(leaf.indicator)[[direct.scenarios.index(name)
+                                                 for name in names]]
         else:
             errors.add(section, f"more than one direct table provides {leaf.indicator!r}: "
                                 f"{', '.join(str(path) for path, _, _ in sources)}"
                        if sources else f"no direct table provides {leaf.indicator!r}")
             continue
-        table = table and errors.guard(section, normalize, table, config.tree)
-        if table:
-            columns[leaf.indicator] = table.values[:, 0]
+        if raw is None:
+            continue
+        column = (errors.guard(section, check_normalized, leaf.indicator, raw) if normalized
+                  else errors.guard(section, normalize, leaf, raw, names))
+        if column is not None:
+            columns[leaf.indicator] = column
     values = np.reshape(list(columns.values()), (len(columns), len(names))).T
-    return IndicatorTable(names, list(columns), values, normalized=True)
+    return IndicatorTable(names, list(columns), values)

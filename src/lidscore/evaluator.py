@@ -9,7 +9,7 @@ comprehensive benefit used for ranking.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,7 +158,6 @@ class IndicatorTable:
     scenarios: list
     indicators: list
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -181,8 +180,7 @@ class IndicatorTable:
 
     def __eq__(self, other):
         return (isinstance(other, IndicatorTable) and np.array_equal(self.values, other.values)
-                and (self.scenarios, self.indicators, self.normalized)
-                == (other.scenarios, other.indicators, other.normalized))
+                and (self.scenarios, self.indicators) == (other.scenarios, other.indicators))
 
     @classmethod
     def from_csv(cls, path) -> "IndicatorTable":
@@ -211,86 +209,64 @@ class IndicatorTable:
                    np.array(values).reshape(len(values), len(header) - 1))
 
 
-def check_normalized(table: IndicatorTable) -> None:
-    """Raise ValidationError naming the first column of `table` that does
-    not sum to 1 within 5e-3, the rounding of a published normalized
-    table."""
-    for j, indicator in enumerate(table.indicators):
-        total = float(table.values[:, j].sum())
-        if abs(total - 1.0) > 5e-3:
-            raise ValidationError(f"normalized column {indicator!r} sums to {total:.4f}")
+def check_normalized(indicator: str, column: np.ndarray) -> np.ndarray:
+    """Return `column` if it sums to 1 within 5e-3, the rounding of a
+    published normalized table; raise ValidationError naming `indicator`
+    otherwise."""
+    total = float(column.sum())
+    if abs(total - 1.0) > 5e-3:
+        raise ValidationError(f"normalized column {indicator!r} sums to {total:.4f}")
+    return column
 
 
-def normalize(table: IndicatorTable, tree: WeightTree | None = None) -> IndicatorTable:
-    """Column-wise linear normalization I = X / sum(X).
+def normalize(leaf: TreeNode, column, scenarios) -> np.ndarray:
+    """Linear normalization I = X / sum(X) of `leaf`'s raw column, one
+    value per scenario of `scenarios`.
 
-    Cost-polarity leaves with the `reciprocal` transform are inverted
-    before normalizing (favorability-encoded columns are used as-is); a
-    non-positive entry there is an error naming its scenarios. A column of
-    zeros is an error unless its indicator is in UNIFORM_IF_ZERO, in which
-    case every scenario gets 1/M with a warning. A negative column sum is an error naming the
-    scenarios with negative entries. A table marked normalized is
-    returned as it is, after `check_normalized`.
+    A `reciprocal` leaf's column is inverted first (favorability-encoded
+    columns are used as-is); a non-positive entry there is an error naming
+    its scenarios. A column of zeros is an error unless its indicator is in
+    UNIFORM_IF_ZERO, in which case every scenario gets 1/M with a warning.
+    Any other column whose sum is zero or negative is an error naming the
+    scenarios with negative entries.
     """
-    if table.normalized:
-        check_normalized(table)
-        return table
-    leaf_by_indicator = {}
-    if tree is not None:
-        leaf_by_indicator = {leaf.indicator: leaf for leaf in tree.leaves()}
-    m = len(table.scenarios)
-    out = np.empty_like(table.values)
-    for j, indicator in enumerate(table.indicators):
-        column = table.values[:, j].astype(float)
-        leaf = leaf_by_indicator.get(indicator)
-        if leaf is not None and leaf.transform == "reciprocal":
-            if np.any(column <= 0):
-                bad = [name for name, v in zip(table.scenarios, column) if v <= 0]
-                raise ValidationError(
-                    f"indicator {indicator!r}: reciprocal transform needs positive "
-                    f"values (not positive in {', '.join(bad)})"
-                )
-            column = 1.0 / column
-        total = column.sum()
-        if total == 0.0:
-            if indicator in UNIFORM_IF_ZERO:
-                warnings.warn(
-                    f"indicator {indicator!r} is zero everywhere; using uniform shares",
-                    stacklevel=2,
-                )
-                out[:, j] = 1.0 / m
-                continue
-            raise ValidationError(f"indicator {indicator!r} sums to zero")
-        if total < 0:
-            negative = [name for name, v in zip(table.scenarios, column) if v < 0]
+    indicator = leaf.indicator
+    column = np.asarray(column, dtype=float)
+    if leaf.transform == "reciprocal":
+        if np.any(column <= 0):
+            bad = [name for name, v in zip(scenarios, column) if v <= 0]
             raise ValidationError(
-                f"indicator {indicator!r} has a negative column sum "
-                f"(negative in {', '.join(negative)})"
+                f"indicator {indicator!r}: reciprocal transform needs positive "
+                f"values (not positive in {', '.join(bad)})"
             )
-        if np.any(column < 0):
-            warnings.warn(f"indicator {indicator!r} has negative entries", stacklevel=2)
-        out[:, j] = column / total
-    return IndicatorTable(list(table.scenarios), list(table.indicators), out,
-                          normalized=True)
+        column = 1.0 / column
+    total = column.sum()
+    if not column.any() and indicator in UNIFORM_IF_ZERO:
+        warnings.warn(
+            f"indicator {indicator!r} is zero everywhere; using uniform shares",
+            stacklevel=2,
+        )
+        return np.full(len(column), 1.0 / len(column))
+    if total <= 0.0:
+        negative = [name for name, v in zip(scenarios, column) if v < 0]
+        problem = "sums to zero" if total == 0.0 else "has a negative column sum"
+        where = f" (negative in {', '.join(negative)})" if negative else ""
+        raise ValidationError(f"indicator {indicator!r} {problem}{where}")
+    if np.any(column < 0):
+        warnings.warn(f"indicator {indicator!r} has negative entries", stacklevel=2)
+    return column / total
 
 
 @dataclass
 class BenefitReport:
-    """Node scores per scenario, the normalized leaves and the ranking."""
+    """Node scores per scenario, the normalized leaves and the ranking, as
+    `rollup` computes them."""
 
     scenarios: list
     node_scores: dict            # node name -> np.ndarray over scenarios
     leaf_values: IndicatorTable  # normalized leaf columns actually used
-    root_name: str
-    ranking: list = field(default_factory=list)
-    tied: bool = False
-
-    def __post_init__(self):
-        check_normalized(self.leaf_values)
-        if not self.ranking:
-            self.ranking, self.tied = rank_scenarios(
-                self.scenarios, self.node_scores[self.root_name]
-            )
+    ranking: list
+    tied: bool
 
     def score(self, node: str, scenario: str) -> float:
         return float(self.node_scores[node][self.scenarios.index(scenario)])
@@ -322,14 +298,13 @@ def rank_scenarios(scenarios, scores):
 
 def rollup(tree: WeightTree, table: IndicatorTable) -> BenefitReport:
     """Weighted summation up the hierarchy: each node's score is the
-    weighted sum of its children, leaves read their normalized column."""
-    if not table.normalized:
-        raise ValidationError("rollup needs a normalized indicator table")
+    weighted sum of its children; a leaf reads its column of `table`,
+    which must pass `check_normalized`."""
     scores: dict = {}
 
     def evaluate(node: TreeNode) -> np.ndarray:
         if node.is_leaf:
-            value = table.column(node.indicator)
+            value = check_normalized(node.indicator, table.column(node.indicator))
         else:
             value = np.zeros(len(table.scenarios))
             for child in node.children:
@@ -339,50 +314,39 @@ def rollup(tree: WeightTree, table: IndicatorTable) -> BenefitReport:
 
     evaluate(tree.root)
     used = [leaf.indicator for leaf in tree.leaves()]
-    leaf_values = IndicatorTable(
-        list(table.scenarios), used,
-        np.column_stack([table.column(i) for i in used]),
-        normalized=True,
-    )
-    return BenefitReport(
-        scenarios=list(table.scenarios),
-        node_scores=scores,
-        leaf_values=leaf_values,
-        root_name=tree.root.name,
-    )
+    leaf_values = IndicatorTable(list(table.scenarios), used,
+                                 np.column_stack([table.column(i) for i in used]))
+    ranking, tied = rank_scenarios(table.scenarios, scores[tree.root.name])
+    return BenefitReport(scenarios=list(table.scenarios), node_scores=scores,
+                         leaf_values=leaf_values, ranking=ranking, tied=tied)
 
 
-def facility_indicator_scores(scenarios, catalog: dict, leaves) -> IndicatorTable:
-    """Raw economic/social indicator values derived from facility areas.
+def facility_scores(scenarios, catalog: dict, leaf: TreeNode) -> np.ndarray:
+    """Raw value of an economic/social `leaf` per scenario, derived from
+    facility areas.
 
-    Benefit leaves (mode A) score sum(area_f * favorability_f(indicator));
-    cost leaves with the reciprocal transform (mode B) score their cost
+    A benefit leaf (mode A) scores sum(area_f * favorability_f(indicator));
+    a cost leaf with the reciprocal transform (mode B) scores its cost
     basis sum(area_f * unit_cost_weight_f), which `normalize` inverts, so
     cheaper scenarios score higher after normalization.
     """
-    scenarios = list(scenarios)
-    leaves = list(leaves)
-    values = np.zeros((len(scenarios), len(leaves)))
-    for i, scenario in enumerate(scenarios):
+    values = []
+    for scenario in scenarios:
         areas = scenario.area_by_kind()
-        for j, leaf in enumerate(leaves):
-            if leaf.transform == "reciprocal":
-                values[i, j] = sum(area * catalog[kind].unit_cost_weight
-                                   for kind, area in areas.items())
-            else:
-                total = 0.0
-                for kind, area in areas.items():
-                    spec = catalog[kind]
-                    if leaf.indicator not in spec.favorability:
-                        raise ValidationError(
-                            f"{kind.value}: no favorability score for "
-                            f"{leaf.indicator!r}"
-                        )
-                    total += area * spec.favorability[leaf.indicator]
-                values[i, j] = total
-    return IndicatorTable(
-        [s.name for s in scenarios], [leaf.indicator for leaf in leaves], values
-    )
+        if leaf.transform == "reciprocal":
+            values.append(sum(area * catalog[kind].unit_cost_weight
+                              for kind, area in areas.items()))
+            continue
+        total = 0.0
+        for kind, area in areas.items():
+            spec = catalog[kind]
+            if leaf.indicator not in spec.favorability:
+                raise ValidationError(
+                    f"{kind.value}: no favorability score for {leaf.indicator!r}"
+                )
+            total += area * spec.favorability[leaf.indicator]
+        values.append(total)
+    return np.array(values, dtype=float)
 
 
 @dataclass

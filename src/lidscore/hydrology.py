@@ -12,6 +12,7 @@ things the downstream indicators need.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,11 +147,14 @@ class WaterBalance:
     lid_captured_m3: float
 
     def closure_error(self) -> float:
+        """|rain - outflows| relative to the rain volume; a subnormal rain
+        volume has too few significant bits to measure against, so the
+        smallest normal float stands in for it."""
         if self.rainfall_m3 == 0.0:
             return 0.0
         out = (self.runoff_m3 + self.infiltration_m3 + self.surface_storage_m3
                + self.lid_captured_m3)
-        return abs(self.rainfall_m3 - out) / self.rainfall_m3
+        return abs(self.rainfall_m3 - out) / max(self.rainfall_m3, sys.float_info.min)
 
 
 def _manning_coefficient(sc: Subcatchment, area_m2: float, surface: str) -> float:

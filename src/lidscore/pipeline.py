@@ -406,7 +406,7 @@ def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:
     fixed = config.fixed_columns
     columns = dict(zip(fixed.indicators, fixed.values.T))
     simulated_table = None
-    simulated = [l.indicator for l in leaves if l.source == "simulated"]
+    simulated = [l for l in leaves if l.source == "simulated"]
     if simulated:
         by_scenario = {
             name: [r.summary for r in storm_runs]
@@ -417,15 +417,12 @@ def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:
             by_scenario,
             [p.name for p in config.pollutants],
         )
-        normalized = normalize(IndicatorTable(
-            fixed.scenarios, simulated,
-            np.column_stack([simulated_table.column(i) for i in simulated]),
-        ), config.tree)
-        columns.update((i, normalized.column(i)) for i in simulated)
+        for leaf in simulated:
+            columns[leaf.indicator] = normalize(
+                leaf, simulated_table.column(leaf.indicator), fixed.scenarios)
     indicators = [l.indicator for l in leaves]
     values = np.column_stack([columns[i] for i in indicators])
-    return (IndicatorTable(fixed.scenarios, indicators, values, normalized=True),
-            simulated_table)
+    return IndicatorTable(fixed.scenarios, indicators, values), simulated_table
 
 
 class _Stage:

@@ -520,6 +520,14 @@ class TestSimulateEvaluateRank:
         assert result.exit_code == 3
         assert f"error: cannot write {blocker / 'out'}" in result.output
 
+    def test_subnormal_storm_depth_closes(self, runner, sample_dir, tmp_path):
+        """A storm of subnormal depth loses no water: its closure is not
+        float rounding measured against a rain volume with few bits."""
+        path = edited_project(sample_dir, tmp_path, ("storms", "depths_mm"), [1e-321])
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+
     def test_substep_limit_exits_3(self, runner, sample_dir, tmp_path,
                                    monkeypatch):
         """A step past the runoff kernel's substep limit (reached here by
@@ -659,6 +667,42 @@ def hashes_on_disk(out_dir):
         for p in out_dir.rglob("*")
         if p.is_file() and p != out_dir / "manifest.json"
     }
+
+
+class TestPublishedRollupBytes:
+    """The published-tables project runs no simulation and has no AHP
+    matrix, so its roll-up files depend only on the loader, the
+    normalization and the weighted sums."""
+
+    DIGESTS = {
+        "benefit_report.json":
+            "8e3708f718d0db61f017a871dda2864de521115cc6c09aa47ca5214eddb4305a",
+        "benefits.csv":
+            "98ffb7adcd87d58d8d61b769b980f4bebf731d7950a1acd39442e418f0568684",
+        "indicators/normalized.csv":
+            "4a743a8331d95a8e709b8228746adac5dea5db217cc7bfc53adca834460c075d",
+        "ranking.csv":
+            "9e0cf5359b3739728d90591848f57dffa6c0a35cfedfb78f4fa0e7a8569d2ce7",
+        "weights.json":
+            "3955604eb7e43c429b61e34fad76e2dc0d3df98270780fed3e4f10e00abb64a7",
+    }
+
+    def test_rank_writes_pinned_bytes(self, runner, sample_dir, tmp_path):
+        result = runner.invoke(main, [
+            "rank", "--config", str(sample_dir / "published_tables.yaml"),
+            "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        hashes = hashes_on_disk(tmp_path)
+        assert {name: hashes.get(name) for name in self.DIGESTS} == self.DIGESTS
+        # the pre-normalized direct columns are used verbatim
+        with open(sample_dir / "econ_social_indicators.csv", newline="") as f:
+            direct = {row.pop("scenario"): row for row in csv.DictReader(f)}
+        with open(tmp_path / "indicators" / "normalized.csv", newline="") as f:
+            used = list(csv.DictReader(f))
+        assert {row["scenario"] for row in used} == set(direct)
+        for row in used:
+            for indicator, cell in direct[row["scenario"]].items():
+                assert float(row[indicator]) == float(cell), (row["scenario"], indicator)
 
 
 @pytest.fixture(scope="module")

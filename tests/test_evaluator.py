@@ -14,9 +14,8 @@ import reference
 from lidscore.ahp import weight_tree
 from lidscore.errors import ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, TreeNode,
-                                evaluate_environmental,
-                                facility_indicator_scores, normalize,
-                                rank_scenarios, rollup)
+                                evaluate_environmental, facility_scores,
+                                normalize, rank_scenarios, rollup)
 from lidscore.lid import LidKind, LidLayers, LidPlacement, LidSpec, Scenario
 from lidscore.pipeline import _persist_table, _Writer
 
@@ -35,90 +34,98 @@ def reference_tables():
         reference.SCENARIOS,
         list(reference.ECON_SOCIAL_NORMALIZED),
         np.array(list(reference.ECON_SOCIAL_NORMALIZED.values())).T,
-        normalized=True,
     )
     return env, econ
+
+
+def leaf(indicator, **spec):
+    return TreeNode.leaf_from_dict({"name": indicator, **spec}, 1.0)
+
+
+def normalize_table(table):
+    """`normalize` applied to every column of `table`, as a table."""
+    return IndicatorTable(table.scenarios, table.indicators, np.column_stack(
+        [normalize(leaf(i), table.column(i), table.scenarios)
+         for i in table.indicators]))
 
 
 def full_normalized_table():
     tree = reference_tree()
     env, econ = reference_tables()
-    env_n = normalize(env, tree)
-    order = [leaf.indicator for leaf in tree.leaves()]
-    columns = [(env_n if i in env_n.indicators else econ).column(i) for i in order]
-    return tree, IndicatorTable(
-        reference.SCENARIOS, order, np.column_stack(columns), normalized=True,
-    )
+    columns = [normalize(l, env.column(l.indicator), env.scenarios)
+               if l.indicator in env.indicators else econ.column(l.indicator)
+               for l in tree.leaves()]
+    order = [l.indicator for l in tree.leaves()]
+    return tree, IndicatorTable(reference.SCENARIOS, order, np.column_stack(columns))
 
 
 class TestNormalize:
     def test_simple_column(self):
-        t = IndicatorTable(["a", "b", "c"], ["x"], np.array([[2.0], [3.0], [5.0]]))
-        out = normalize(t)
-        np.testing.assert_allclose(out.values[:, 0], [0.2, 0.3, 0.5])
+        out = normalize(leaf("x"), [2.0, 3.0, 5.0], ["a", "b", "c"])
+        np.testing.assert_allclose(out, [0.2, 0.3, 0.5])
 
     def test_published_runoff_column(self):
         env, _ = reference_tables()
-        out = normalize(env)
+        out = normalize(leaf("runoff_reduction"), env.column("runoff_reduction"),
+                        env.scenarios)
         np.testing.assert_allclose(
-            out.column("runoff_reduction"),
-            [0.2119, 0.1877, 0.1954, 0.2151, 0.1899], atol=1e-4)
+            out, [0.2119, 0.1877, 0.1954, 0.2151, 0.1899], atol=1e-4)
 
     def test_uniform_column(self):
-        t = IndicatorTable(reference.SCENARIOS, ["x"], np.full((5, 1), 7.0))
-        out = normalize(t)
-        np.testing.assert_allclose(out.values[:, 0], 0.2)
+        out = normalize(leaf("x"), np.full(5, 7.0), reference.SCENARIOS)
+        np.testing.assert_allclose(out, 0.2)
 
     def test_columns_sum_to_one(self):
         env, _ = reference_tables()
-        out = normalize(env)
+        out = normalize_table(env)
         np.testing.assert_allclose(out.values.sum(axis=0), 1.0, atol=1e-9)
 
     def test_idempotent(self):
+        """A second pass only re-rounds: the column already sums to 1
+        within a few ulps."""
         env, _ = reference_tables()
-        once = normalize(env)
-        twice = normalize(once)
-        np.testing.assert_array_equal(once.values, twice.values)
+        once = normalize_table(env)
+        twice = normalize_table(once)
+        np.testing.assert_allclose(once.values, twice.values, rtol=1e-15, atol=0)
 
     def test_zero_column_errors_with_name(self):
-        t = IndicatorTable(["a", "b"], ["dead"], np.zeros((2, 1)))
-        with pytest.raises(ValidationError, match="dead"):
-            normalize(t)
+        with pytest.raises(ValidationError, match="'dead' sums to zero$"):
+            normalize(leaf("dead"), np.zeros(2), ["a", "b"])
 
     def test_zero_column_uniform_policy(self):
-        t = IndicatorTable(["a", "b"], ["peak_delay"], np.zeros((2, 1)))
         with pytest.warns(UserWarning, match="uniform"):
-            out = normalize(t)
-        np.testing.assert_allclose(out.values[:, 0], 0.5)
+            out = normalize(leaf("peak_delay"), np.zeros(2), ["a", "b"])
+        np.testing.assert_allclose(out, 0.5)
+
+    def test_mixed_signs_summing_to_zero_are_not_uniform(self):
+        """Only a column of zeros gets uniform shares: delays that cancel
+        out are an error naming the scenarios with negative entries."""
+        with pytest.raises(ValidationError,
+                           match=r"^indicator 'peak_delay' sums to zero "
+                                 r"\(negative in s1\)$"):
+            normalize(leaf("peak_delay"), [-1.0, 1.0, 0.0], ["s1", "s2", "s3"])
 
     def test_negative_column_sum_names_scenarios(self):
         """Peaks that LID makes earlier give negative delays; the error
         names every scenario with a negative entry."""
-        t = IndicatorTable(["s1", "s2", "s3"], ["peak_delay"],
-                           np.array([[-3.0], [1.0], [-0.5]]))
         with pytest.raises(ValidationError,
                            match=r"'peak_delay' has a negative column sum "
                                  r"\(negative in s1, s3\)"):
-            normalize(t)
+            normalize(leaf("peak_delay"), [-3.0, 1.0, -0.5], ["s1", "s2", "s3"])
 
     def test_reciprocal_cost_transform(self):
         """Raw direct cost columns flip to 1/x before Eq-3 normalization."""
-        tree = weight_tree({
-            "name": "goal", "children": [
-                {"name": "cost", "weight": 1.0, "indicator": "cost",
-                 "polarity": "cost", "transform": "reciprocal",
-                 "source": "direct"}]}, {})[0]
-        t = IndicatorTable(["a", "b"], ["cost"], np.array([[2.0], [4.0]]))
-        out = normalize(t, tree)
-        np.testing.assert_allclose(out.values[:, 0], [2 / 3, 1 / 3])
+        cost = leaf("cost", polarity="cost", transform="reciprocal", source="direct")
+        out = normalize(cost, [2.0, 4.0], ["a", "b"])
+        np.testing.assert_allclose(out, [2 / 3, 1 / 3])
 
     def test_scale_invariance_of_ranking_inputs(self):
         """Scaling one raw column leaves normalized values unchanged."""
         env, _ = reference_tables()
         scaled = IndicatorTable(env.scenarios, env.indicators,
                                 env.values * [3.7] + 0.0)
-        np.testing.assert_allclose(normalize(env).values,
-                                   normalize(scaled).values, atol=1e-12)
+        np.testing.assert_allclose(normalize_table(env).values,
+                                   normalize_table(scaled).values, atol=1e-12)
 
 
 class TestRollup:
@@ -147,15 +154,14 @@ class TestRollup:
             "name": "goal", "children": [
                 {"name": "x", "weight": 1.0, "indicator": "x",
                  "source": "direct"}]}, {})[0]
-        t = IndicatorTable(["a", "b"], ["x"], np.array([[0.25], [0.75]]),
-                           normalized=True)
+        t = IndicatorTable(["a", "b"], ["x"], np.array([[0.25], [0.75]]))
         report = rollup(tree, t)
         np.testing.assert_allclose(report.node_scores["goal"], [0.25, 0.75])
 
     def test_missing_column_names_leaf(self):
         tree, table = full_normalized_table()
         smaller = IndicatorTable(table.scenarios, table.indicators[:-1],
-                                 table.values[:, :-1], normalized=True)
+                                 table.values[:, :-1])
         with pytest.raises(ValidationError, match="ecological"):
             rollup(tree, smaller)
 
@@ -171,8 +177,7 @@ class TestRollup:
         # replace the verbatim direct columns with re-normalized ones so
         # every column sums to exactly 1
         exact = IndicatorTable(table.scenarios, table.indicators,
-                               table.values / table.values.sum(axis=0),
-                               normalized=True)
+                               table.values / table.values.sum(axis=0))
         report = rollup(tree, exact)
         for node, scores in report.node_scores.items():
             assert float(np.sum(scores)) == pytest.approx(1.0, abs=1e-9), node
@@ -184,10 +189,9 @@ class TestRollup:
                 {"name": "y", "weight": 0.4, "indicator": "y", "source": "direct"}]}, {})[0]
         a = np.array([[0.3, 0.6], [0.7, 0.4]])
         b = np.array([[0.5, 0.2], [0.5, 0.8]])
-        ta = IndicatorTable(["s1", "s2"], ["x", "y"], a, normalized=True)
-        tb = IndicatorTable(["s1", "s2"], ["x", "y"], b, normalized=True)
-        tmix = IndicatorTable(["s1", "s2"], ["x", "y"], 0.5 * a + 0.5 * b,
-                              normalized=True)
+        ta = IndicatorTable(["s1", "s2"], ["x", "y"], a)
+        tb = IndicatorTable(["s1", "s2"], ["x", "y"], b)
+        tmix = IndicatorTable(["s1", "s2"], ["x", "y"], 0.5 * a + 0.5 * b)
         mix = rollup(tree, tmix).node_scores["goal"]
         parts = 0.5 * rollup(tree, ta).node_scores["goal"] \
             + 0.5 * rollup(tree, tb).node_scores["goal"]
@@ -241,8 +245,8 @@ class TestFacilityScores:
             Scenario("small", (LidPlacement("s", LidKind.BIO_RETENTION, 1.0, 0.1),)),
             Scenario("large", (LidPlacement("s", LidKind.BIO_RETENTION, 3.0, 0.1),)),
         ]
-        table = facility_indicator_scores(scenarios, self.catalog(), [self.leaf()])
-        assert table.values[1, 0] == pytest.approx(3 * table.values[0, 0])
+        column = facility_scores(scenarios, self.catalog(), self.leaf())
+        assert column[1] == pytest.approx(3 * column[0])
 
     def test_mode_b_reciprocal_cost(self):
         """Unit costs 1 with areas 2 and 4 ha: cost bases 2 and 4, whose
@@ -254,28 +258,23 @@ class TestFacilityScores:
         ]
         leaf = self.leaf(name="construction_cost", indicator="construction_cost",
                          polarity="cost", transform="reciprocal")
-        table = facility_indicator_scores(scenarios, catalog, [leaf])
-        np.testing.assert_allclose(table.values[:, 0], [2.0, 4.0])
-        tree = weight_tree({
-            "name": "goal", "children": [
-                {"name": "construction_cost", "weight": 1.0,
-                 "indicator": "construction_cost", "polarity": "cost",
-                 "transform": "reciprocal", "source": "facility_derived"}]}, {})[0]
-        out = normalize(table, tree)
+        column = facility_scores(scenarios, catalog, leaf)
+        np.testing.assert_allclose(column, [2.0, 4.0])
         # the reciprocal applies once, in normalize
-        np.testing.assert_allclose(out.values[:, 0], [2 / 3, 1 / 3])
+        np.testing.assert_allclose(normalize(leaf, column, ["cheap", "dear"]),
+                                   [2 / 3, 1 / 3])
         # a scenario without facilities has no cost basis to invert
-        table = facility_indicator_scores(scenarios + [Scenario("none", ())],
-                                          catalog, [leaf])
+        scenarios.append(Scenario("none", ()))
+        column = facility_scores(scenarios, catalog, leaf)
         with pytest.raises(ValidationError, match=r"not positive in none\)"):
-            normalize(table, tree)
+            normalize(leaf, column, [s.name for s in scenarios])
 
     def test_missing_favorability_errors(self):
         scenarios = [Scenario("s", (LidPlacement("s", LidKind.BIO_RETENTION,
                                                  1.0, 0.1),))]
         leaf = self.leaf(name="ecological", indicator="ecological")
         with pytest.raises(ValidationError, match="ecological"):
-            facility_indicator_scores(scenarios, self.catalog(), [leaf])
+            facility_scores(scenarios, self.catalog(), leaf)
 
     def test_direct_injection_column_sums(self):
         """The published economic/social table keeps its near-1 column

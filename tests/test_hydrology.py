@@ -15,7 +15,7 @@ from lidscore import kernels
 from lidscore.errors import ValidationError
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 composite_runoff_coefficient, horton_rate,
-                                route_series, runoff_volume,
+                                WaterBalance, route_series, runoff_volume,
                                 simulate_subcatchment)
 from lidscore.lid import LidKind, LidPlacement, default_catalog
 from lidscore.storms import Hyetograph, IdfParams, chicago_hyetograph
@@ -161,6 +161,14 @@ class TestSimulateSubcatchment:
         storm = chicago_hyetograph(26, 90, 0.5, IdfParams(20, 10, 0.75), 60)
         _, balance, _ = simulate_subcatchment(sc, storm, tail_min=60)
         assert balance.closure_error() <= 0.005
+
+    def test_closure_of_subnormal_rain(self):
+        """A rain volume below the smallest normal float has too few
+        significant bits for a relative closure, so it is measured against
+        that float: 4e-321 m3 unaccounted for is no model error."""
+        assert WaterBalance(1e-320, 0, 0, 0.6e-320, 0).closure_error() < 1e-12
+        assert WaterBalance(2.0, 1.0, 0, 0.9, 0).closure_error() == pytest.approx(0.05)
+        assert WaterBalance(0.0, 0, 0, 0, 0).closure_error() == 0.0
 
     def test_mass_balance_with_lids(self):
         sc = make_subcatchment(impervious_fraction=0.6)

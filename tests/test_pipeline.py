@@ -650,14 +650,9 @@ class TestPipelineInvariants:
     @given(data=st.data())
     def test_water_balances_close(self, sports_config, data):
         """Every subcatchment's water balance closes within 1e-12 of its
-        rainfall, far inside the 0.5% `MASS_BALANCE_LIMIT` a run must meet.
-        A rain volume below the smallest normal float has fewer significant
-        bits, so its closure is measured against that float instead."""
+        rainfall, far inside the 0.5% `MASS_BALANCE_LIMIT` a run must meet."""
         config, storms = data.draw(generated_projects(sports_config))
         for label, storm_runs in simulate_or_reject(config, storms).items():
             for run in storm_runs:
                 for sc_id, b in run.balances.items():
-                    out = (b.runoff_m3 + b.infiltration_m3 + b.surface_storage_m3
-                           + b.lid_captured_m3)
-                    assert abs(b.rainfall_m3 - out) <= 1e-12 * max(
-                        b.rainfall_m3, np.finfo(float).tiny), (label, run.storm, sc_id)
+                    assert b.closure_error() <= 1e-12, (label, run.storm, sc_id)
