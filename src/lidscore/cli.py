@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -34,6 +35,17 @@ def main():
     """Evaluate and rank LID stormwater design scenarios."""
 
 
+def _echo_user_warnings(show):
+    """A `warnings.showwarning` that prints each UserWarning as one
+    `warning: <message>` line on stderr and hands any other warning to
+    `show`."""
+    def showwarning(message, category, *args, **kwargs):
+        if not issubclass(category, UserWarning):
+            return show(message, category, *args, **kwargs)
+        click.echo(f"warning: {message}", err=True)
+    return showwarning
+
+
 def _common(fn):
     @click.option("--config", "config_path", required=True,
                   type=click.Path(exists=False), help="Project YAML file.")
@@ -42,8 +54,10 @@ def _common(fn):
     @functools.wraps(fn)
     def wrapper(config_path, out_dir, **kwargs):
         try:
-            config = load_config(config_path)
-            fn(config, Path(out_dir) if out_dir else config.output_dir, **kwargs)
+            with warnings.catch_warnings():
+                warnings.showwarning = _echo_user_warnings(warnings.showwarning)
+                config = load_config(config_path)
+                fn(config, Path(out_dir) if out_dir else config.output_dir, **kwargs)
         except ConfigError as exc:
             for line in exc.errors:
                 click.echo(f"error: {line}", err=True)

@@ -26,7 +26,7 @@ from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
                           default_catalog, placement_problems)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
 from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams, RainRecord,
-                             design_storm_suite)
+                             design_storm_suite, storm_label)
 
 SCHEMA_VERSION = 1
 
@@ -417,6 +417,13 @@ def load_config(path) -> ProjectConfig:
                                                     storms_raw.get("depths_mm")))
             if not depths:
                 errors.add("storms.depths_mm", "at least one storm depth required")
+            labels: dict = {}   # storm label -> index of its first depth
+            for i, depth in enumerate(depths):
+                label = None if depth is None else storm_label(depth)
+                if label is not None and (first := labels.setdefault(label, i)) != i:
+                    errors.add("storms.depths_mm",
+                               f"depths {depths[first]!r} and {depth!r} both give "
+                               f"the storm label {label!r}")
             settings = {key: errors.number(f"storms.{key}",
                                            storms_raw.get(key, default))
                         for key, default in (("duration_min", 90),

@@ -20,20 +20,19 @@ being read back, so the manifest lists every file a run writes.
 
 A run carries each node's series as one (1 + pollutant, step) matrix:
 row 0 the flow (L/s), then the loads (kg) in `config.pollutants` order.
-One `route_series` call per run takes them to the outfalls, and the run
-writes one `outfall_<outfall>.csv` per outfall and storm: the rows of
-its matrix as columns, one row per step, the time column formatted once
-per writer. The text is built a column at a time (`repr` of every float)
-and equals a `csv.writer` row of those strings per step. No
+One `route_series` call per run takes them to the outfalls. Under
+results/<storm>/, `_persist_runs` writes one `outfall_<outfall>.csv` per
+outfall holding every run side by side: `t_s`, then for each run label
+in `runs` order `<run>/flow_Lps` and `<run>/<p>_load_kg` per pollutant,
+one row per step, the time column formatted once per writer. A run label
+holds no `/`, so each header cell after `t_s` splits at its first `/`
+into run and column. Every cell is the `repr` of its float. No
 concentration is written: a reader derives it from the row's own cells
-(see README "Outputs"). `_persist_runs` keeps one cache per (storm,
-outfall), keyed on the exact inputs of the text: the step, the pollutant
-names and the bytes of the matrix. A file whose bytes repeat another run
-label's there, as a scenario's do at an outfall fed only by
-placement-free subcatchments, is formatted, encoded and hashed once;
-those bytes and that digest then go to every path that repeats them, so
-every file is still written and listed. A cache per (storm, outfall)
-rather than per writer keeps only that outfall's texts in memory.
+(see README "Outputs"). Each run's block of a row (`flow,load,...`) is
+kept per (storm, outfall) keyed on its matrix's bytes, so a block that
+repeats another run's, as a scenario's does at an outfall fed only by
+placement-free subcatchments, is formatted once. Next to those files,
+`water_balance.csv` holds one row per run and subcatchment.
 
 The CLI subcommands call the same `_persist_*` functions as `run_pipeline`,
 so each file comes from exactly one function. Rerunning an identical
@@ -63,7 +62,8 @@ from lidscore.hydrology import (composite_runoff_coefficient, route_series,
                                 simulate_subcatchment)
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
-from lidscore.storms import atrcr_curve, design_storm_suite, invert_atrcr
+from lidscore.storms import (atrcr_curve, design_storm_suite, invert_atrcr,
+                             storm_label)
 
 MASS_BALANCE_LIMIT = 0.005
 ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.csv
@@ -168,17 +168,6 @@ class _Writer:
         writer.writerows(rows)
         return self.record(buf.getvalue(), *parts)
 
-    def write_series(self, text, key, cache: dict, *parts) -> Path:
-        """Numeric CSV of `text()`. `key` holds the exact inputs of that
-        text, so equal keys mean equal bytes. `cache` keeps (bytes,
-        SHA-256) per key: a key met before is written without calling
-        `text`, encoding or hashing again."""
-        entry = cache.get(key)
-        if entry is None:
-            data = text().encode("utf-8")
-            entry = cache[key] = (data, hashlib.sha256(data).hexdigest())
-        return self.put(*entry, *parts)
-
     def time_column(self, n: int, step_s) -> list:
         """repr of `k * step_s` for k < n, formatted once per writer. The
         key holds `repr(step_s)`: 60 and 60.0 are equal but give "60" and
@@ -189,10 +178,6 @@ class _Writer:
             column = list(map(repr, (np.arange(n) * step_s).tolist()))
             self._time_columns[key] = column
         return column
-
-
-def storm_label(depth_mm: float) -> str:
-    return f"{depth_mm:g}mm"
 
 
 def build_storms(config: ProjectConfig):
@@ -338,58 +323,45 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
     return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
 
 
-def _persist_outfall(writer: _Writer, step_s, names: list, series: np.ndarray,
-                     *parts, cache: dict) -> Path:
-    """`t_s,flow_Lps`, then `<p>_load_kg` for each pollutant `p` of `names`:
-    the rows of the (1 + pollutant, step) matrix `series` as columns, t at
-    step start. `cache` as in `_Writer.write_series`: the key holds the
-    step, the names and the matrix the text is made of."""
-    key = (repr(step_s), tuple(names), series.tobytes())
-    return writer.write_series(lambda: _outfall_text(writer, step_s, names, series),
-                               key, cache, *parts)
-
-
-def _outfall_text(writer: _Writer, step_s, names: list, series: np.ndarray) -> str:
-    """The text of `_persist_outfall`: one row per step."""
-    header = ["t_s", "flow_Lps", *(f"{p}_load_kg" for p in names)]
-    columns = [writer.time_column(series.shape[1], step_s),
-               *(map(repr, row) for row in series.tolist())]
-    buf = io.StringIO()
-    csv.writer(buf).writerow(header)   # a pollutant name may need quoting
-    return buf.getvalue() + "\r\n".join([*map(",".join, zip(*columns, strict=True)), ""])
+def _step_cells(series: np.ndarray) -> list:
+    """The `flow,load,...` text of each step of a (1 + pollutant, step) matrix."""
+    return list(map(",".join, zip(*(map(repr, row) for row in series.tolist()))))
 
 
 def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:
-    """Every run of `config` (`simulate_all`): its outfall series and water
-    balances under results/.
-
-    The outfall files go storm by storm and outfall by outfall, each
-    label in turn, with one cache per (storm, outfall): a file whose bytes
-    repeat another label's there, as a scenario's do at an outfall fed
-    only by placement-free subcatchments, is formatted and hashed once and
-    written to each path. Every run of a storm routes to the same
-    outfalls."""
-    names = [p.name for p in config.pollutants]
+    """Every run of `config` (`simulate_all`) under results/<storm>/: one
+    outfall table per outfall with every run side by side, and one water
+    balance table (see the module docstring). Every run of a storm routes
+    to the same outfalls."""
+    step_s = config.storms.step_s
+    columns = ["flow_Lps", *(f"{p.name}_load_kg" for p in config.pollutants)]
+    buf = io.StringIO()   # a pollutant name may need quoting
+    csv.writer(buf).writerow(["t_s", *(f"{label}/{c}" for label in runs for c in columns)])
+    header = buf.getvalue()
     for storm_runs in zip(*runs.values()):
-        for outfall in storm_runs[0].outfalls:
-            cache: dict = {}
-            for label, run in zip(runs, storm_runs):
-                _persist_outfall(writer, config.storms.step_s, names, run.outfalls[outfall],
-                                 "results", label, run.storm,
-                                 f"outfall_{outfall}.csv", cache=cache)
-    for label, storm_runs in runs.items():
-        for run in storm_runs:
-            rows = [
-                [sc_id, repr(float(b.rainfall_m3)), repr(float(b.runoff_m3)),
-                 repr(float(b.infiltration_m3)), repr(float(b.surface_storage_m3)),
-                 repr(float(b.lid_captured_m3)), repr(float(b.closure_error()))]
-                for sc_id, b in sorted(run.balances.items())
-            ]
-            writer.write_rows(
-                ["subcatchment", "rainfall_m3", "runoff_m3", "infiltration_m3",
-                 "surface_storage_m3", "lid_captured_m3", "closure_error"],
-                rows, "results", label, run.storm, "water_balance.csv",
-            )
+        storm = storm_runs[0].storm
+        for outfall, first in storm_runs[0].outfalls.items():
+            blocks: dict = {}   # matrix bytes -> its _step_cells
+            cells = [writer.time_column(first.shape[1], step_s)]
+            for run in storm_runs:
+                key = run.outfalls[outfall].tobytes()
+                if key not in blocks:
+                    blocks[key] = _step_cells(run.outfalls[outfall])
+                cells.append(blocks[key])
+            writer.record(header + "\r\n".join([*map(",".join, zip(*cells, strict=True)), ""]),
+                          "results", storm, f"outfall_{outfall}.csv")
+        rows = [
+            [label, sc_id, repr(float(b.rainfall_m3)), repr(float(b.runoff_m3)),
+             repr(float(b.infiltration_m3)), repr(float(b.surface_storage_m3)),
+             repr(float(b.lid_captured_m3)), repr(float(b.closure_error()))]
+            for label, run in zip(runs, storm_runs)
+            for sc_id, b in sorted(run.balances.items())
+        ]
+        writer.write_rows(
+            ["run", "subcatchment", "rainfall_m3", "runoff_m3", "infiltration_m3",
+             "surface_storage_m3", "lid_captured_m3", "closure_error"],
+            rows, "results", storm, "water_balance.csv",
+        )
 
 
 def assemble_indicators(config: ProjectConfig, runs: dict | None) -> tuple:

@@ -209,6 +209,11 @@ def chicago_hyetograph(depth_mm: float, duration_min: float, peak_ratio: float,
     )
 
 
+def storm_label(depth_mm: float) -> str:
+    """The name of the storm of `depth_mm` in result paths and the manifest."""
+    return f"{depth_mm:g}mm"
+
+
 def design_storm_suite(depths_mm, duration_min: float, peak_ratio: float,
                        idf: IdfParams, step_s: float) -> list:
     """One Chicago storm per requested depth, in the given order."""

@@ -228,13 +228,34 @@ def reference_pollutograph(step_s, flows, loads_kg) -> bytes:
 
 
 def reference_outfall(step_s, names, matrix) -> bytes:
-    """`outfall_<outfall>.csv` built row by row from the (1 + pollutant,
-    step) matrix `matrix`: row 0 the flows, then the loads in `names`
-    order. One row per step."""
+    """The earlier `results/<run>/<storm>/outfall_<outfall>.csv` of one run,
+    built row by row from its (1 + pollutant, step) matrix `matrix`: row 0
+    the flows, then the loads in `names` order. One row per step."""
     header = ["t_s", "flow_Lps"] + [f"{pollutant}_load_kg" for pollutant in names]
     rows = [[repr(k * step_s)] + [repr(float(value)) for value in column]
             for k, column in enumerate(np.asarray(matrix).T)]
     return reference_csv(header, rows)
+
+
+def reference_outfall_table(step_s, names, matrices: dict) -> bytes:
+    """`results/<storm>/outfall_<outfall>.csv` built row by row from the
+    outfall matrix of each run (`matrices`: run label -> matrix, in column
+    order): `t_s`, then `<run>/flow_Lps` and `<run>/<p>_load_kg` per run."""
+    header = ["t_s"] + [f"{run}/{column}" for run in matrices
+                        for column in ["flow_Lps"] + [f"{p}_load_kg" for p in names]]
+    steps = np.asarray(next(iter(matrices.values()))).shape[1] if matrices else 0
+    rows = [[repr(k * step_s)] + [repr(float(value)) for matrix in matrices.values()
+                                  for value in np.asarray(matrix)[:, k]]
+            for k in range(steps)]
+    return reference_csv(header, rows)
+
+
+def run_columns(data: bytes, run: str) -> dict:
+    """{column: cells} of one run in an outfall table's bytes: `t_s`, and
+    each `<run>/<column>` under its name after the first `/`."""
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    return {name.partition("/")[2] if j else name: [row[j] for row in rows]
+            for j, name in enumerate(header) if j == 0 or name.partition("/")[0] == run}
 
 
 def derived_concentration(flow_cells, load_cells, step_s) -> list:

@@ -6,7 +6,7 @@ import io
 import json
 import re
 import shutil
-from pathlib import Path
+import warnings
 from unittest import mock
 
 import pytest
@@ -140,6 +140,12 @@ class TestValidate:
         (("pollutants", 3), "name", "Runoff",
          "pollutants[Runoff]: pollutant 'Runoff' gives the indicator "
          "'runoff_reduction', which is built in"),
+        # storm depths that would share one storm name (a result directory)
+        ("storms", "depths_mm", [16, 26, 26],
+         "storms.depths_mm: depths 26.0 and 26.0 both give the storm label '26mm'"),
+        ("storms", "depths_mm", [16, 26, 26.0000001],
+         "storms.depths_mm: depths 26.0 and 26.0000001 both give the storm "
+         "label '26mm'"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -281,13 +287,16 @@ class TestValidate:
         out = tmp_path / "out"
         result = runner.invoke(main, ["rank", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        files = list((out / "results").glob("*/*/outfall_*.csv"))
-        assert len(files) == 6 * 3 * 6
+        files = list((out / "results").glob("*/outfall_*.csv"))
+        assert len(files) == 3 * 6
+        runs = ["baseline"] + [f"scenario_{i}" for i in range(1, 6)]
         for file in files:
             with file.open(newline="") as f:
                 header = next(csv.reader(f))
-            assert header == ["t_s", "flow_Lps", "TSS_load_kg", "COD_load_kg",
-                              "TN_load_kg", f"{name}_load_kg"]
+            assert header == ["t_s"] + [
+                f"{run}/{column}" for run in runs
+                for column in ["flow_Lps", "TSS_load_kg", "COD_load_kg",
+                               "TN_load_kg", f"{name}_load_kg"]]
         normalized = (out / "indicators" / "normalized.csv").read_text()
         assert indicator in normalized.splitlines()[0]
 
@@ -419,7 +428,7 @@ class TestSimulateEvaluateRank:
             "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert "baseline / 16mm" in result.output
-        assert (tmp_path / "results" / "baseline" / "26mm").exists()
+        assert (tmp_path / "results" / "26mm" / "water_balance.csv").exists()
 
     def test_simulate_writes_rank_results(self, runner, sample_dir, tmp_path):
         """`simulate` and `rank` write the same results/ tree, byte for byte."""
@@ -432,7 +441,7 @@ class TestSimulateEvaluateRank:
             assert result.exit_code == 0, result.output
             trees.append({str(p.relative_to(out)): p.read_bytes()
                           for p in (out / "results").rglob("*") if p.is_file()})
-        assert len(trees[0]) == 6 * 3 * 7
+        assert len(trees[0]) == 3 * 7
         assert trees[0] == trees[1]
 
     def test_evaluate_writes_indicators(self, runner, sample_dir, tmp_path):
@@ -649,6 +658,53 @@ class TestSimulateEvaluateRank:
         assert not (tmp_path / "out").exists()
 
 
+class TestWarnings:
+    @pytest.fixture()
+    def zero_peak_delay(self, sample_dir, tmp_path):
+        """A copy of the bundled published-tables project whose direct
+        `peak_delay` column is 0 in every row."""
+        shutil.copytree(sample_dir, tmp_path / "sample")
+        table = tmp_path / "sample" / "environmental_indicators.csv"
+        with table.open(newline="") as f:
+            header, *rows = csv.reader(f)
+        column = header.index("peak_delay")
+        with table.open("w", newline="") as f:
+            csv.writer(f).writerows([header] + [row[:column] + ["0"] + row[column + 1:]
+                                                for row in rows])
+        return tmp_path / "sample" / "published_tables.yaml"
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_user_warning_prints_one_line(self, runner, zero_peak_delay, tmp_path,
+                                          command):
+        """A UserWarning reaches stderr as one `warning:` line, not as a
+        Python warning naming library internals and a source line."""
+        result = runner.invoke(main, [command, "--config", str(zero_peak_delay),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ("warning: indicator 'peak_delay' is zero "
+                                 "everywhere; using uniform shares\n")
+
+    def test_other_warnings_pass_through(self, runner, sample_dir, monkeypatch):
+        """Only UserWarning is printed so: any other warning keeps its
+        filters and display, so `error::RuntimeWarning` still raises."""
+        load_config = config.load_config
+
+        def warning_load(path):
+            warnings.warn("numeric trouble", RuntimeWarning)
+            return load_config(path)
+
+        monkeypatch.setattr("lidscore.cli.load_config", warning_load)
+        args = ["validate", "--config", str(sample_dir / "sports_center.yaml")]
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert [str(w.message) for w in caught] == ["numeric trouble"]
+        assert result.stderr == ""
+
+
 class TestReport:
     @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
     def test_report_formats(self, runner, sample_dir, tmp_path, fmt):
@@ -708,19 +764,19 @@ class TestPublishedRollupBytes:
 @pytest.fixture(scope="module")
 def sports_rank(sample_dir, tmp_path_factory):
     """Output directory of `rank --sensitivity` on the bundled project, the
-    number of times it ran simulate_all and the number of outfall files it
-    formatted."""
+    number of times it ran simulate_all and the number of run blocks of
+    outfall tables it formatted."""
     out = tmp_path_factory.mktemp("rank")
     with mock.patch.object(pipeline, "simulate_all",
                            wraps=pipeline.simulate_all) as simulate_all, \
-            mock.patch.object(pipeline, "_outfall_text",
-                              wraps=pipeline._outfall_text) as outfall_text:
+            mock.patch.object(pipeline, "_step_cells",
+                              wraps=pipeline._step_cells) as step_cells:
         result = CliRunner().invoke(main, [
             "rank", "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(out), "--sensitivity", "environmental",
             "--delta", "0.05"])
     assert result.exit_code == 0, result.output
-    return out, simulate_all.call_count, outfall_text.call_count
+    return out, simulate_all.call_count, step_cells.call_count
 
 
 class TestSingleWriter:
@@ -734,22 +790,22 @@ class TestSingleWriter:
         assert manifest["files"] == hashes_on_disk(out)
 
     def test_each_series_formatted_once(self, sports_rank, sports_config):
-        """Outfall files repeat across run labels (a scenario outfall fed
-        only by placement-free subcatchments repeats the baseline's), but
-        each distinct (storm, outfall, bytes) is formatted once."""
+        """A run's columns of an outfall table repeat another run's (a
+        scenario outfall fed only by placement-free subcatchments repeats
+        the baseline's), but each distinct (storm, outfall, cells) is
+        formatted once."""
         out, _, formatted = sports_rank
-        outfall_of = {f"outfall_{outfall}.csv": outfall
-                      for outfall in sports_config.outfalls}
-        files = json.loads((out / "manifest.json").read_text())["files"]
-        series = {}
-        for rel, digest in files.items():
-            path = Path(rel)
-            if path.name in outfall_of:
-                series[rel] = (path.parent.name, outfall_of[path.name], digest)
-        assert len(series) > len(set(series.values()))   # there are repeats
-        assert formatted == len(set(series.values()))
-        for rel, digest in files.items():
-            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+        blocks = []
+        for path in (out / "results").glob("*/outfall_*.csv"):
+            with path.open(newline="") as f:
+                header, *rows = csv.reader(f)
+            runs = dict.fromkeys(cell.partition("/")[0] for cell in header[1:])
+            for run in runs:
+                cells = [j for j, cell in enumerate(header) if cell.startswith(f"{run}/")]
+                blocks.append((path, tuple(tuple(row[j] for j in cells) for row in rows)))
+        assert len(blocks) == 3 * 6 * 6
+        assert len(blocks) > len(set(blocks))   # there are repeats
+        assert formatted == len(set(blocks))
 
     def test_one_file_per_outfall(self, runner, sample_dir, tmp_path):
         """Outfall `OUT` with pollutant `A_TSS` and outfall `OUT_A` with
@@ -766,22 +822,26 @@ class TestSingleWriter:
         result = runner.invoke(main, ["rank", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 0, result.output
         expected = sorted([f"outfall_{o}.csv" for o in outfalls] + ["water_balance.csv"])
-        run_dirs = [d for d in (out / "results").glob("*/*") if d.is_dir()]
-        assert len(run_dirs) == 6 * 3
-        for run_dir in run_dirs:
-            assert sorted(p.name for p in run_dir.iterdir()) == expected
+        storm_dirs = list((out / "results").iterdir())
+        assert len(storm_dirs) == 3
+        runs = ["baseline"] + [f"scenario_{i}" for i in range(1, 6)]
+        for storm_dir in storm_dirs:
+            assert sorted(p.name for p in storm_dir.iterdir()) == expected
             for outfall in ("OUT", "OUT_A"):
-                header = (run_dir / f"outfall_{outfall}.csv").read_text().splitlines()[0]
-                assert header == ("t_s,flow_Lps" + "".join(
-                    f",{p}_load_kg" for p in ("TSS", "A_TSS", "TN", "TP")))
+                header = (storm_dir / f"outfall_{outfall}.csv").read_text().splitlines()[0]
+                assert header == "t_s" + "".join(
+                    f",{run}/{column}" for run in runs
+                    for column in ["flow_Lps"] + [f"{p}_load_kg" for p in
+                                                  ("TSS", "A_TSS", "TN", "TP")])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == hashes_on_disk(out)
 
     def test_concentration_derives_from_cells(self, sports_rank, sports_config):
-        """Each cell of the `<p>_conc_mg_L` column the earlier layout wrote
+        """Each cell of the `<p>_conc_mg_L` column an earlier layout wrote
         (`reference_pollutograph` of the same series), blanks included,
         equals bit for bit the concentration derived from the outfall
-        file's own flow and load cells and its second row's t_s."""
+        table's flow and load cells of that run and row, and its second
+        row's t_s."""
         out = sports_rank[0]
         runs = pipeline.simulate_all(sports_config, pipeline.build_storms(sports_config))
         pollutants = [p.name for p in sports_config.pollutants]
@@ -790,7 +850,7 @@ class TestSingleWriter:
         for label, storm_runs in runs.items():
             for run in storm_runs:
                 for outfall, (flows, *loads) in run.outfalls.items():
-                    path = out / "results" / label / run.storm / f"outfall_{outfall}.csv"
+                    path = out / "results" / run.storm / f"outfall_{outfall}.csv"
                     with path.open(newline="") as f:
                         header, *rows = csv.reader(f)
                     columns = dict(zip(header, map(list, zip(*rows))))
@@ -801,12 +861,13 @@ class TestSingleWriter:
                         conc = [row[2] for row in list(csv.reader(
                             io.StringIO(earlier.decode("utf-8"), newline="")))[1:]]
                         derived = derived_concentration(
-                            columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
+                            columns[f"{label}/flow_Lps"],
+                            columns[f"{label}/{pollutant}_load_kg"], step_s)
                         assert derived == conc, (path, pollutant)
                         seen.update(cell == "" for cell in conc)
                         checked += 1
                     files += 1
-        assert files == len(list(out.glob("results/*/*/outfall_*.csv"))) == 108
+        assert files == 6 * len(list(out.glob("results/*/outfall_*.csv"))) == 108
         assert checked == files * len(sports_config.pollutants)
         assert seen == {True, False}   # both blank and derived cells occur
 

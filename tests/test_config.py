@@ -186,6 +186,20 @@ class TestValidationFailures:
             load_config(rewrite(sample_dir, tmp_path, mutate))
         assert err.value.errors == [f"storms: {message}"]
 
+    def test_storm_depths_sharing_a_label(self, sample_dir, tmp_path):
+        """Each storm is named by its depth (`f"{depth:g}mm"`), and that
+        name keys the storm and heads a result directory: depths with one
+        name are each reported, naming both depths, in one batch."""
+        def mutate(raw):
+            raw["storms"]["depths_mm"] = [16, 26, 26.0000001, 16.0, 36]
+
+        with pytest.raises(ConfigError) as err:
+            load_config(rewrite(sample_dir, tmp_path, mutate))
+        assert err.value.errors == [
+            "storms.depths_mm: depths 26.0 and 26.0000001 both give the storm "
+            "label '26mm'",
+            "storms.depths_mm: depths 16.0 and 16.0 both give the storm label '16mm'"]
+
     def test_unread_link_capacity_still_loads(self, sample_dir, tmp_path):
         def mutate(raw):
             raw["catchment"]["links"][0]["capacity_lps"] = None

@@ -382,14 +382,15 @@ class TestRoute:
 
 class TestHydrographExport:
     def test_csv_format(self, tmp_path):
-        from lidscore.pipeline import _persist_outfall, _Writer
+        from lidscore.pipeline import _Writer
+        from test_pipeline import write_outfall_table
 
-        path = _persist_outfall(_Writer(tmp_path), 60, (), np.array([[0.0, 12.5, 3.0]]),
-                                "h.csv", cache={})
+        path = write_outfall_table(_Writer(tmp_path), 60, (), {
+            "baseline": np.array([[0.0, 12.5, 3.0]]), "s1": np.array([[0.0, 6.0, 1.5]])})
         lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,flow_Lps"
-        assert lines[1] == "0,0.0"
-        assert lines[2] == "60,12.5"
+        assert lines[0] == "t_s,baseline/flow_Lps,s1/flow_Lps"
+        assert lines[1] == "0,0.0,0.0"
+        assert lines[2] == "60,12.5,6.0"
 
 
 class TestSubcatchmentSurfaceDicts:

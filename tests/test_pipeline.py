@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,17 +17,18 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import reference
 import lidscore.pipeline
-from lidscore.config import load_config
+from lidscore.config import _Collector, load_config
 from lidscore.errors import ConfigError, ValidationError
-from lidscore.evaluator import StormSummary
+from lidscore.evaluator import StormSummary, environmental_indicators
 from lidscore.hydrology import HortonParams, Link, Subcatchment
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (_persist_outfall, _Writer, assemble_indicators,
+from lidscore.pipeline import (StormRun, _persist_runs, _Writer, assemble_indicators,
                                build_storms, compute_sizing, run_pipeline,
                                simulate_all, simulate_run, weight_sensitivity)
 from lidscore.storms import Hyetograph
 from reference import (derived_concentration, reference_hydrograph,
-                       reference_outfall, reference_pollutograph)
+                       reference_outfall, reference_outfall_table,
+                       reference_pollutograph, run_columns)
 from test_config import rewrite
 
 
@@ -149,7 +151,9 @@ class TestPipelineShapes:
         config = dataclasses.replace(sports_config, scenarios=[])
         manifest = run_pipeline(config, tmp_path / "base_only")
         assert manifest.ranking == []
-        assert (tmp_path / "base_only" / "results" / "baseline").exists()
+        header = (tmp_path / "base_only" / "results" / "16mm" / "outfall_OUT_A.csv"
+                  ).read_text().splitlines()[0]
+        assert header.startswith("t_s,baseline/flow_Lps,") and "scenario" not in header
         assert not (tmp_path / "base_only" / "benefit_report.json").exists()
 
     def test_undersized_scenario_flagged(self, published_config):
@@ -289,16 +293,17 @@ def csv_columns(data: bytes) -> dict:
     return {name: [row[j] for row in rows] for j, name in enumerate(header)}
 
 
-def assert_earlier_layout_text(data: bytes, step_s, names, matrix):
-    """The columns of an outfall file's bytes `data` hold, cell for cell
-    and blanks included, the text of the earlier layout's `hydro_` and
-    `quality_` files of the same series (`matrix` is the outfall matrix:
-    flows, then loads in `names` order). The earlier concentration column
-    is the one derived from the file's flow and load cells, which the file
-    no longer holds."""
-    columns = csv_columns(data)
+def assert_earlier_layout_text(data: bytes, step_s, names, matrix, run):
+    """The columns of run `run` in an outfall table's bytes `data` hold,
+    cell for cell and blanks included, the text of the earlier layouts'
+    files of the same series (`matrix` is the run's outfall matrix: flows,
+    then loads in `names` order): the one-file-per-run
+    `results/<run>/<storm>/outfall_<outfall>.csv`, and the `hydro_` and
+    `quality_` files before it. The earlier concentration column is the one
+    derived from the table's flow and load cells, which it does not hold."""
+    columns = run_columns(data, run)
+    assert columns == csv_columns(reference_outfall(step_s, names, matrix))
     for pollutant in names:
-        assert f"{pollutant}_conc_mg_L" not in columns
         columns[f"{pollutant}_conc_mg_L"] = derived_concentration(
             columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
     flows, *loads = matrix
@@ -311,6 +316,19 @@ def assert_earlier_layout_text(data: bytes, step_s, names, matrix):
     for earlier, column_names in pairs:
         for old_name, old_cells in csv_columns(earlier).items():
             assert columns[column_names[old_name]] == old_cells
+
+
+def write_outfall_table(writer: _Writer, step_s, names, matrices: dict,
+                        storm="s") -> Path:
+    """Write through `_persist_runs` the table of one outfall `o` under
+    `storm` for the runs `matrices` (run label -> outfall matrix, all of
+    one length) at the step `step_s` with the pollutants `names`; returns
+    its path."""
+    config = SimpleNamespace(storms=SimpleNamespace(step_s=step_s),
+                             pollutants=[SimpleNamespace(name=n) for n in names])
+    _persist_runs(writer, config, {label: [StormRun(storm, {"o": matrix}, {}, None)]
+                                   for label, matrix in matrices.items()})
+    return writer.out_dir / "results" / storm / "outfall_o.csv"
 
 
 # zero, subnormals, extremes and values that need all 17 significant digits
@@ -347,8 +365,8 @@ def pollutant_names(matrix) -> list:
 
 
 class TestSeriesWriterBytes:
-    """The column writer gives the bytes of the row-by-row reference, and
-    each column the text of the earlier one-file-per-series layout."""
+    """The table writer gives the bytes of the row-by-row reference, and
+    each run's columns the text of the earlier layouts' files."""
 
     @settings(max_examples=200, deadline=None)
     @given(matrix=outfall_series(), step_s=st.sampled_from(STEPS))
@@ -360,28 +378,73 @@ class TestSeriesWriterBytes:
                                     [0.0, 0.2, 0.0, 0.0, 1.0, 2.0]]), step_s=60)
     def test_series_bytes_equal_reference(self, tmp_path_factory, matrix, step_s):
         names = pollutant_names(matrix)
-        writer = _Writer(tmp_path_factory.mktemp("series"))
-        data = _persist_outfall(writer, step_s, names, matrix, "o.csv",
-                                cache={}).read_bytes()
-        assert data == reference_outfall(step_s, names, matrix)
-        assert_earlier_layout_text(data, step_s, names, matrix)
-        # the time column is cached per writer: a second file of the same
-        # length reuses it and still matches
         reversed_loads = matrix.copy()
         reversed_loads[1:] = matrix[1:, ::-1]
-        path = _persist_outfall(writer, step_s, names, reversed_loads, "o2.csv",
-                                cache={})
-        assert path.read_bytes() == reference_outfall(step_s, names, reversed_loads)
+        runs = {"baseline": matrix, "s1": reversed_loads}
+        writer = _Writer(tmp_path_factory.mktemp("series"))
+        data = write_outfall_table(writer, step_s, names, runs).read_bytes()
+        assert data == reference_outfall_table(step_s, names, runs)
+        for run, series in runs.items():
+            assert_earlier_layout_text(data, step_s, names, series, run)
+        # the time column is cached per writer: a second table of the same
+        # length reuses it and still matches
+        path = write_outfall_table(writer, step_s, names, {"s1": reversed_loads}, "t")
+        assert path.read_bytes() == reference_outfall_table(step_s, names,
+                                                            {"s1": reversed_loads})
 
     def test_header_quoted_like_csv_writer(self, tmp_path):
         """A pollutant name may hold `,` and `"`; the header row quotes it
         as `csv.writer` does, so a CSV reader gets the name back."""
-        names, matrix = ['a,"b'], np.array([[1.0, 2.0], [1e-3, 2e-3]])
-        data = _persist_outfall(_Writer(tmp_path), 60.0, names, matrix, "o.csv",
-                                cache={}).read_bytes()
-        assert data == reference_outfall(60.0, names, matrix)
-        assert list(csv_columns(data)) == ["t_s", "flow_Lps", 'a,"b_load_kg']
-        assert data.startswith(b't_s,flow_Lps,"a,""b_load_kg"\r\n')
+        names, runs = ['a,"b'], {"baseline": np.array([[1.0, 2.0], [1e-3, 2e-3]])}
+        data = write_outfall_table(_Writer(tmp_path), 60.0, names, runs).read_bytes()
+        assert data == reference_outfall_table(60.0, names, runs)
+        assert list(csv_columns(data)) == ["t_s", "baseline/flow_Lps",
+                                           'baseline/a,"b_load_kg']
+        assert data.startswith(b't_s,baseline/flow_Lps,"baseline/a,""b_load_kg"\r\n')
+
+
+def accepted_scenario_name(name: str) -> bool:
+    """Whether `load_config` takes `name` as a scenario name."""
+    errors = _Collector()
+    errors.path_name("name", name)
+    return not errors.errors and name != "baseline"
+
+
+def accepted_pollutant_name(name: str) -> bool:
+    """Whether `load_config` takes `name` as the only pollutant's name."""
+    indicator = environmental_indicators([name])[-1]
+    return bool(name) and indicator not in environmental_indicators([])
+
+
+# text that needs CSV quoting or holds the header separator
+header_text = st.text(st.one_of(st.sampled_from(',"/\\ '),
+                                st.characters(blacklist_categories=("Cs", "Cc"))),
+                      min_size=1, max_size=8)
+
+
+class TestOutfallHeader:
+    @settings(max_examples=300, deadline=None)
+    @given(scenarios=st.lists(header_text.filter(accepted_scenario_name),
+                              unique=True, max_size=4),
+           names=st.lists(header_text.filter(accepted_pollutant_name),
+                          unique_by=str.lower, max_size=4))
+    @example(scenarios=["s,1", 'q"x', "t_s"], names=['a,"b/c', "/", "T/P", "x_load_kg"])
+    def test_header_round_trip(self, tmp_path_factory, scenarios, names):
+        """Each header cell after `t_s` splits at its first `/` into (run,
+        column): the runs in order, each with `flow_Lps` and then its loads
+        in pollutant order. No two cells are equal. A run label holds no
+        `/` (the scenario-name rule); a pollutant name may."""
+        labels = ["baseline", *scenarios]
+        matrices = dict.fromkeys(labels, np.zeros((1 + len(names), 2)))
+        path = write_outfall_table(_Writer(tmp_path_factory.mktemp("header")), 60.0,
+                                   names, matrices)
+        with path.open(newline="") as f:
+            header = next(csv.reader(f))
+        assert header[0] == "t_s"
+        assert [tuple(cell.split("/", 1)) for cell in header[1:]] == [
+            (run, column) for run in labels
+            for column in ["flow_Lps", *(f"{p}_load_kg" for p in names)]]
+        assert len(set(header)) == len(header)
 
 
 def series_variant(draw, values) -> list:
@@ -401,43 +464,47 @@ def series_variant(draw, values) -> list:
 
 
 @st.composite
-def series_pairs(draw) -> list:
-    """Two runs' series at one outfall under one storm, each (outfall
-    matrix, step_s); the second is derived from the first."""
+def series_pairs(draw) -> tuple:
+    """Two runs' matrices at one outfall under one storm, the second
+    derived from the first, the step of their table and the step of a
+    second table."""
     matrix = draw(outfall_series(max_pollutants=2))
     step_s = draw(st.sampled_from(STEPS))
     second = np.array([series_variant(draw, row) for row in matrix.tolist()])
-    return [(matrix, step_s),
-            (second.reshape(matrix.shape), draw(st.sampled_from([step_s, step_s, *STEPS])))]
+    return (matrix, second.reshape(matrix.shape), step_s,
+            draw(st.sampled_from([step_s, step_s, *STEPS])))
 
 
 class TestSeriesCache:
-    """Under one cache, `_persist_outfall` formats a series once per
-    distinct key; series that differ in any byte, or in the text of the
-    step, stay separate files."""
+    """In one table each distinct matrix is formatted once; runs whose
+    matrices differ in any byte keep their own cells, and a table at a
+    step of another text keeps its own time column."""
 
     @settings(max_examples=200, deadline=None)
     @given(pair=series_pairs())
-    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 2e-3]]), 60.0),        # one ulp
-                   (np.array([[1.0, math.nextafter(2.0, math.inf)], [1e-3, 2e-3]]), 60.0)])
-    @example(pair=[(np.array([[0.0, 1.0], [0.0, 1e-3]]), 60.0),         # signed zero
-                   (np.array([[-0.0, 1.0], [-0.0, 1e-3]]), 60.0)])
-    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 0.0]]), 60),           # 60 == 60.0
-                   (np.array([[1.0, 2.0], [1e-3, 0.0]]), 60.0)])
-    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 0.0]]), 60.0),         # other step
-                   (np.array([[1.0, 2.0], [1e-3, 0.0]]), 90.0)])
-    @example(pair=[(np.array([[1.0, 2.0], [1e-3, 2e-3]]), 60.0),        # equal loads,
-                   (np.array([[2.0, 1.0], [1e-3, 2e-3]]), 60.0)])       # other flows
-    @example(pair=[(np.array([[1.0, 2.0]]), 60.0),                      # no pollutants
-                   (np.array([[1.0, 2.0]]), 60.0)])
+    @example(pair=(np.array([[1.0, 2.0], [1e-3, 2e-3]]),                # one ulp
+                   np.array([[1.0, math.nextafter(2.0, math.inf)], [1e-3, 2e-3]]),
+                   60.0, 60.0))
+    @example(pair=(np.array([[0.0, 1.0], [0.0, 1e-3]]),                 # signed zero
+                   np.array([[-0.0, 1.0], [-0.0, 1e-3]]), 60.0, 60.0))
+    @example(pair=(np.array([[1.0, 2.0], [1e-3, 0.0]]),                 # 60 == 60.0
+                   np.array([[1.0, 2.0], [1e-3, 0.0]]), 60, 60.0))
+    @example(pair=(np.array([[1.0, 2.0], [1e-3, 0.0]]),                 # other step
+                   np.array([[1.0, 2.0], [1e-3, 0.0]]), 60.0, 90.0))
+    @example(pair=(np.array([[1.0, 2.0], [1e-3, 2e-3]]),                # equal loads,
+                   np.array([[2.0, 1.0], [1e-3, 2e-3]]), 60.0, 60.0))   # other flows
+    @example(pair=(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]),      # no pollutants
+                   60.0, 60.0))
     def test_distinct_series_never_merged(self, tmp_path_factory, pair):
-        names = pollutant_names(pair[0][0])
+        first, second, step_s, other_step = pair
+        names = pollutant_names(first)
         writer = _Writer(tmp_path_factory.mktemp("group"))
-        cache: dict = {}
-        for i, (matrix, step_s) in enumerate(pair):
-            path = _persist_outfall(writer, step_s, names, matrix, f"run{i}.csv",
-                                    cache=cache)
-            assert path.read_bytes() == reference_outfall(step_s, names, matrix)
+        runs = {"baseline": first, "s1": second, "s2": first}
+        path = write_outfall_table(writer, step_s, names, runs)
+        assert path.read_bytes() == reference_outfall_table(step_s, names, runs)
+        path = write_outfall_table(writer, other_step, names, {"s1": second}, "t")
+        assert path.read_bytes() == reference_outfall_table(other_step, names,
+                                                            {"s1": second})
 
 
 class TestOutfallFiles:
@@ -450,30 +517,51 @@ class TestOutfallFiles:
         return out
 
     def test_every_float_round_trips(self, ranked, runs, sports_config):
-        """Each cell is the `repr` of the run's float, bit for bit, and
-        each column holds the text of the earlier layout's file."""
+        """results/ holds one directory per storm, each with one table per
+        outfall and a water-balance table. Each cell is the `repr` of the
+        run's float, bit for bit, and each run's columns hold the text of
+        the earlier layouts' files."""
         pollutants = [p.name for p in sports_config.pollutants]
-        header = ["t_s", "flow_Lps"] + [f"{p}_load_kg" for p in pollutants]
+        header = ["t_s"] + [f"{label}/{column}" for label in runs
+                            for column in ["flow_Lps"] + [f"{p}_load_kg" for p in pollutants]]
+        storms = [run.storm for run in runs["baseline"]]
+        assert sorted(p.name for p in (ranked / "results").iterdir()) == sorted(storms)
         checked = 0
-        for label, storm_runs in runs.items():
-            for run in storm_runs:
-                base = ranked / "results" / label / run.storm
-                assert sorted(p.name for p in base.iterdir()) == sorted(
-                    [f"outfall_{o}.csv" for o in sports_config.outfalls]
-                    + ["water_balance.csv"])
-                for outfall, matrix in run.outfalls.items():
-                    data = (base / f"outfall_{outfall}.csv").read_bytes()
+        for storm_runs in zip(*runs.values()):
+            base = ranked / "results" / storm_runs[0].storm
+            assert sorted(p.name for p in base.iterdir()) == sorted(
+                [f"outfall_{o}.csv" for o in sports_config.outfalls]
+                + ["water_balance.csv"])
+            for outfall in sports_config.outfalls:
+                data = (base / f"outfall_{outfall}.csv").read_bytes()
+                assert list(csv_columns(data)) == header
+                for label, run in zip(runs, storm_runs):
+                    matrix = run.outfalls[outfall]
                     assert matrix.shape[0] == 1 + len(pollutants)
-                    columns = csv_columns(data)
-                    assert list(columns) == header
+                    columns = run_columns(data, label)
                     for name, series in zip(header[1:], matrix):
-                        parsed = np.array([float(c) for c in columns[name]])
+                        parsed = np.array([float(c) for c in columns[name.partition("/")[2]]])
                         assert parsed.tobytes() == series.tobytes(), name
                     assert_earlier_layout_text(data, sports_config.storms.step_s,
-                                               pollutants, matrix)
+                                               pollutants, matrix, label)
                     checked += 1
         assert checked == (len(runs) * len(sports_config.storms.depths_mm)
                            * len(sports_config.outfalls))
+
+    def test_water_balance_rows(self, ranked, runs):
+        """One row per run and subcatchment, runs in order, the run label in
+        front and `closure_error` last."""
+        for storm_runs in zip(*runs.values()):
+            with open(ranked / "results" / storm_runs[0].storm / "water_balance.csv",
+                      newline="") as f:
+                header, *rows = csv.reader(f)
+            assert header[:2] == ["run", "subcatchment"] and header[-1] == "closure_error"
+            assert [row[:2] for row in rows] == [
+                [label, sc_id] for label, run in zip(runs, storm_runs)
+                for sc_id in sorted(run.balances)]
+            assert [float(row[-1]) for row in rows] == [
+                b.closure_error() for run in storm_runs
+                for _, b in sorted(run.balances.items())]
 
 
 def assert_same_run(a, b):

@@ -197,15 +197,16 @@ class TestPollutographExport:
     def test_csv_with_concentrations(self, tmp_path):
         """The file holds flows and loads; the concentration is derived
         from a row's cells and is blank without flow."""
-        from lidscore.pipeline import _persist_outfall, _Writer
+        from lidscore.pipeline import _Writer
         from reference import derived_concentration
+        from test_pipeline import write_outfall_table
 
         flows = np.array([0.0, 500.0, 250.0, 0.0])
         loads = np.array([0.0, 0.03, 0.015, 0.01])
-        path = _persist_outfall(_Writer(tmp_path), 60, ["TSS"], np.array([flows, loads]),
-                                "poll.csv", cache={})
+        path = write_outfall_table(_Writer(tmp_path), 60, ["TSS"],
+                                   {"baseline": np.array([flows, loads])})
         lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,flow_Lps,TSS_load_kg"
+        assert lines[0] == "t_s,baseline/flow_Lps,baseline/TSS_load_kg"
         assert lines[1] == "0,0.0,0.0"
         assert lines[2] == "60,500.0,0.03"
         assert lines[4] == "180,0.0,0.01"
