@@ -3,12 +3,15 @@ pollutants, LID catalog, scenarios, storm settings, sizing inputs and the
 indicator hierarchy. See docs/config.md for the schema.
 
 Validation is eager and batched: every problem found is reported with its
-section path in one ConfigError.
+section path in one ConfigError. One reader, `_Collector.build`, reads
+every dataclass section, so the same load rules hold in all of them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +33,12 @@ from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams, RainRecord,
 
 SCHEMA_VERSION = 1
 
-DEFAULT_HORTON = {"f0_mm_hr": 76.2, "fc_mm_hr": 3.81, "decay_per_hr": 4.14}
+# the keys of the top level and of a hierarchy node, which no dataclass reads
+_TOP_KEYS = ("schema_version", "name", "output_dir", "catchment", "pollutants",
+             "antecedent_dry_days", "lid_catalog", "scenarios", "storms",
+             "sizing", "hierarchy", "matrices", "direct_tables")
+_NODE_KEYS = ("name", "weight", "children", "indicator", "polarity", "source",
+              "transform")
 
 # PyYAML's libyaml binding parses a project several times faster than the
 # pure-Python parser. Both loaders share PyYAML's resolver and constructor,
@@ -41,11 +49,17 @@ _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 @dataclass(frozen=True)
 class StormSettings:
     depths_mm: tuple
-    duration_min: float
-    peak_ratio: float
-    step_s: float
     idf: IdfParams
+    duration_min: float = 90.0
+    peak_ratio: float = 0.5
+    step_s: float = 60.0
     tail_min: float = 60.0
+
+    def __post_init__(self):
+        # building the suite applies the storm generator's own checks
+        # (depth, peak ratio, step) when the settings are made
+        design_storm_suite(self.depths_mm, self.duration_min, self.peak_ratio,
+                           self.idf, self.step_s)
 
 
 @dataclass(frozen=True)
@@ -112,16 +126,18 @@ class _Collector:
             self.add(section, exc)
             return None
 
-    def number(self, section: str, value, optional: bool = False):
+    def number(self, section: str, value):
         """`float(value)`, or None after recording a batch entry when the
-        value is not a number. An optional value may also be None."""
-        if optional and value is None:
-            return None
+        value is not a number or not finite."""
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             self.add(section, f"expected a number, got {value!r}")
             return None
+        if math.isfinite(number):
+            return number
+        self.add(section, f"{number!r} is not finite")
+        return None
 
     def name(self, section: str, value) -> str:
         """`str(value)`, after recording a batch entry when it is empty or
@@ -170,14 +186,66 @@ class _Collector:
             if (entry := self.mapping(f"{section}[{i}]", entry)) is not None:
                 yield i, entry
 
+    def known(self, section: str, mapping: dict, keys) -> dict:
+        """The entries of `mapping` that are not null, after recording
+        `<section>.<key>: unknown key` for each key that is not in `keys`."""
+        for key in mapping:
+            if key not in keys:
+                self.add(f"{section}.{key}" if section else str(key), "unknown key")
+        return {key: value for key, value in mapping.items() if value is not None}
+
+    def build(self, section: str, cls, raw, defaults=None, keys=None, **values):
+        """The dataclass `cls` read from the mapping `raw`, or None after
+        recording a batch entry for each problem (an unknown key is one but
+        does not stop the build). `values` gives the fields the caller reads
+        itself, a None there marking one its reader rejected unless the field
+        defaults to None. Every other field reads the entry under its name,
+        or under `keys[name]`, through `value`; an absent or null entry takes
+        `defaults[name]` or the field's default, and is otherwise `missing`."""
+        raw = self.mapping(section, raw)
+        if raw is None:
+            return None
+        defaults, keys = defaults or {}, keys or {}
+        fields = dataclasses.fields(cls)
+        raw = self.known(section, raw, {keys.get(f.name, f.name) for f in fields} - {None})
+        kwargs = dict(values)
+        ok = all(values[f.name] is not None or f.default is None
+                 for f in fields if f.name in values)
+        for f in (f for f in fields if f.name not in values):
+            key = keys.get(f.name, f.name)
+            if key in raw:
+                kwargs[f.name] = self.value(f"{section}.{key}", f.type, raw[key])
+                ok &= kwargs[f.name] is not None
+            elif f.name in defaults:
+                kwargs[f.name] = defaults[f.name]
+            elif f.default is f.default_factory is dataclasses.MISSING:
+                self.add(f"{section}.{key}", "missing")
+                ok = False
+        return self.guard(section, cls, **kwargs) if ok else None
+
+    def value(self, section: str, annotation: str, value):
+        """`value` read for a field annotated `annotation`: a float through
+        `number`, a str through `str`, and a dict (every other field) as a
+        mapping of numbers; None after recording a batch entry."""
+        if annotation.startswith("float"):
+            return self.number(section, value)
+        if annotation == "str":
+            return str(value)
+        if (mapping := self.mapping(section, value)) is None:
+            return None
+        numbers = {str(k): self.number(f"{section}.{k}", v) for k, v in mapping.items()}
+        return None if None in numbers.values() else numbers
+
 
 def _check_node_shapes(errors: _Collector, section: str, node: dict) -> None:
     """Record a batch entry for every node at or below the hierarchy node
-    `node` that `ahp.weight_tree` cannot read: no name, a `name` or
-    `indicator` that is a list or mapping, `children` that is not a list, a
-    child that is not a mapping, a weight that is not a number."""
+    `node` that `ahp.weight_tree` cannot read: no name, an unknown key, a
+    `name` or `indicator` that is a list or mapping, `children` that is not
+    a list, a child that is not a mapping, a weight that is not a finite
+    number."""
     if "name" not in node:
         errors.add(section, "missing name")
+    errors.known(section, node, _NODE_KEYS)
     for key in ("name", "indicator"):
         if isinstance(node.get(key), (list, dict)):
             errors.add(f"{section}.{key}", f"expected a scalar, got {node[key]!r}")
@@ -208,55 +276,32 @@ def load_config(path) -> ProjectConfig:
 
     errors = _Collector()
     base_dir = path.parent
+    raw = errors.known("", raw, _TOP_KEYS)
 
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         errors.add("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
     name = raw.get("name", path.stem)
-    output_dir = base_dir / raw.get("output_dir", "results")
+    output_dir = base_dir / str(raw.get("output_dir", "results"))
 
     # --- catchment ------------------------------------------------------
     subcatchments: dict = {}
     links: list = []
-    outfalls: list = []
     catchment = errors.mapping("catchment", raw.get("catchment")) or {}
+    catchment = errors.known("catchment", catchment, ("subcatchments", "links", "outfalls"))
     for i, sub in errors.entries("catchment.subcatchments",
                                  catchment.get("subcatchments")):
         section = f"catchment.subcatchments[{sub.get('id', i)}]"
-        land_uses = []
-        for _, lu in errors.entries(section + ".land_uses", sub.get("land_uses")):
-            parsed = errors.guard(
-                section + ".land_uses", LandUse,
-                name=lu.get("name", "?"),
-                runoff_coefficient=lu.get("runoff_coefficient", -1),
-                area_ha=lu.get("area_ha", 0),
-                surface_class=lu.get("surface_class", "other"),
-            )
-            if parsed:
-                land_uses.append(parsed)
-        horton_raw = errors.mapping(section + ".horton", sub.get("horton"))
-        if horton_raw is None:
-            continue
-        horton = errors.guard(section + ".horton", HortonParams,
-                              **{**DEFAULT_HORTON, **horton_raw})
-        if horton is None:
-            continue
-        kwargs = {opt: errors.mapping(f"{section}.{opt}", sub[opt])
-                  for opt in ("depression_storage_mm", "manning_n") if opt in sub}
-        if None in kwargs.values():
-            continue
-        sc = errors.guard(
-            section, Subcatchment,
-            id=str(sub.get("id", f"sub{i}")),
-            area_ha=sub.get("area_ha", 0),
-            impervious_fraction=sub.get("impervious_fraction", 0),
-            width_m=sub.get("width_m", 0),
-            slope=sub.get("slope", 0),
-            horton=horton,
-            land_uses=tuple(land_uses),
-            outlet=errors.path_name(section + ".outlet", sub.get("outlet", "")),
-            **kwargs,
+        land_uses = tuple(
+            land_use for j, lu in errors.entries(section + ".land_uses",
+                                                 sub.get("land_uses"))
+            if (land_use := errors.build(f"{section}.land_uses[{j}]", LandUse, lu)))
+        sc = errors.build(
+            section, Subcatchment, sub,
+            horton=errors.build(section + ".horton", HortonParams, sub.get("horton")),
+            land_uses=land_uses,
+            outlet=errors.path_name(section + ".outlet", sub.get("outlet")),
         )
         if sc:
             if sc.id in subcatchments:
@@ -264,13 +309,10 @@ def load_config(path) -> ProjectConfig:
             subcatchments[sc.id] = sc
     for i, ln in errors.entries("catchment.links", catchment.get("links")):
         section = f"catchment.links[{ln.get('id', i)}]"
-        link = errors.guard(
-            section, Link,
-            id=str(ln.get("id", f"link{i}")),
-            from_node=str(ln.get("from", "")),
-            to_node=errors.path_name(section + ".to", ln.get("to", "")),
-            lag_s=ln.get("lag_s", 0),
-        )
+        ln.pop("capacity_lps", None)   # a retired key, accepted and ignored
+        link = errors.build(section, Link, ln,
+                            keys={"from_node": "from", "to_node": "to"},
+                            to_node=errors.path_name(section + ".to", ln.get("to")))
         if link:
             links.append(link)
     outfalls = [str(o) for o in errors.sequence("catchment.outfalls",
@@ -298,7 +340,7 @@ def load_config(path) -> ProjectConfig:
     for i, p in errors.entries("pollutants", raw.get("pollutants")):
         section = f"pollutants[{p.get('name') or i}]"
         # a pollutant name only heads result columns, which csv quotes
-        p_name = errors.name(section + ".name", p.get("name", f"pollutant{i}"))
+        p_name = errors.name(section + ".name", p.get("name"))
         # names equal in lower case would head one `<name>_reduction` column;
         # a built-in column must not be headed twice either
         indicator = environmental_indicators([p_name])[-1]
@@ -311,19 +353,7 @@ def load_config(path) -> ProjectConfig:
         elif indicator in environmental_indicators([]):
             errors.add(section, f"pollutant {p_name!r} gives the indicator "
                                 f"'{indicator}', which is built in")
-        spec = errors.guard(
-            section, PollutantSpec,
-            name=p_name,
-            buildup_max_kg_ha=p.get("buildup_max_kg_ha", 0),
-            half_saturation_days=p.get("half_saturation_days", 0),
-            washoff_coeff=p.get("washoff_coeff", 0),
-            washoff_exponent=p.get("washoff_exponent", 1.0),
-            lid_removal=errors.mapping(section + ".lid_removal",
-                                       p.get("lid_removal")) or {},
-            surface_class_factors=errors.mapping(
-                section + ".surface_class_factors",
-                p.get("surface_class_factors")) or {},
-        )
+        spec = errors.build(section, PollutantSpec, p, name=p_name)
         if spec:
             pollutants.append(spec)
     antecedent = errors.number(
@@ -338,24 +368,12 @@ def load_config(path) -> ProjectConfig:
         kind = errors.guard(section, LidKind.parse, key)
         if kind is None or (entry := errors.mapping(section, entry)) is None:
             continue
-        base = catalog[kind]
-        layers = base.layers
-        if "layers" in entry:
-            layers = errors.mapping(section + ".layers", entry["layers"])
-            if layers is not None:
-                layers = errors.guard(section + ".layers", LidLayers, **layers)
-            if layers is None:
-                continue
-        spec = errors.guard(
-            section, LidSpec,
+        layers = entry.get("layers")
+        spec = errors.build(
+            section, LidSpec, entry, defaults=vars(catalog[kind]), keys={"kind": None},
             kind=kind,
-            unit_capacity_m3_m2=entry.get("unit_capacity_m3_m2",
-                                          base.unit_capacity_m3_m2),
-            layers=layers,
-            favorability=dict(errors.mapping(section + ".favorability",
-                                             entry.get("favorability"))
-                              or base.favorability),
-            unit_cost_weight=entry.get("unit_cost_weight", base.unit_cost_weight),
+            layers=catalog[kind].layers if layers is None
+            else errors.build(section + ".layers", LidLayers, layers),
         )
         if spec:
             catalog[kind] = spec
@@ -364,8 +382,7 @@ def load_config(path) -> ProjectConfig:
     scenarios = []
     seen_names = set()
     for i, sc_raw in errors.entries("scenarios", raw.get("scenarios")):
-        sc_name = errors.path_name(f"scenarios[{i}].name",
-                                   sc_raw.get("name", f"scenario{i}"))
+        sc_name = errors.path_name(f"scenarios[{i}].name", sc_raw.get("name"))
         section = f"scenarios[{sc_name}]"
         if sc_name == "baseline":
             errors.add(section, "'baseline' is reserved for the run without LID")
@@ -384,58 +401,43 @@ def load_config(path) -> ProjectConfig:
             if host is None:
                 errors.add(psec, f"unknown subcatchment {host_id!r}")
                 continue
-            treated = pl.get("treated_fraction")
-            if treated is None:
-                treated = host.impervious_fraction
-            placement = errors.guard(
-                psec, LidPlacement,
+            placement = errors.build(
+                psec, LidPlacement, pl,
+                defaults={"treated_fraction": host.impervious_fraction},
                 subcatchment=host_id, kind=kind,
-                area_ha=pl.get("area_ha", 0),
-                treated_fraction=treated,
             )
             if placement:
                 placements.append(placement)
-        scenarios.append(Scenario(name=sc_name, placements=tuple(placements)))
+        scenarios.append(errors.build(section, Scenario, sc_raw, name=sc_name,
+                                      placements=tuple(placements)))
         for host_id in dict.fromkeys(p.subcatchment for p in placements):
             hosted = [p for p in placements if p.subcatchment == host_id]
             for problem in placement_problems(subcatchments[host_id], hosted):
                 errors.add(section, problem)
 
     # --- storms ------------------------------------------------------
-    storms_raw = errors.mapping("storms", raw.get("storms")) or {}
-    idf_raw = storms_raw.get("idf")
     storms = None
-    if idf_raw is None:
-        errors.add("storms.idf", "IDF constants are required (a, b_min, n)")
-    elif (idf_raw := errors.mapping("storms.idf", idf_raw)) is not None:
-        idf = errors.guard("storms.idf", IdfParams,
-                           a=idf_raw.get("a", 0), b_min=idf_raw.get("b_min", 0),
-                           n=idf_raw.get("n", 1))
-        if idf:
-            depths = tuple(errors.number("storms.depths_mm", d)
-                           for d in errors.sequence("storms.depths_mm",
-                                                    storms_raw.get("depths_mm")))
-            if not depths:
-                errors.add("storms.depths_mm", "at least one storm depth required")
-            labels: dict = {}   # storm label -> index of its first depth
-            for i, depth in enumerate(depths):
-                label = None if depth is None else storm_label(depth)
-                if label is not None and (first := labels.setdefault(label, i)) != i:
-                    errors.add("storms.depths_mm",
-                               f"depths {depths[first]!r} and {depth!r} both give "
-                               f"the storm label {label!r}")
-            settings = {key: errors.number(f"storms.{key}",
-                                           storms_raw.get(key, default))
-                        for key, default in (("duration_min", 90),
-                                             ("peak_ratio", 0.5),
-                                             ("step_s", 60), ("tail_min", 60))}
-            if None not in depths and None not in settings.values():
-                storms = StormSettings(depths_mm=depths, idf=idf, **settings)
-                # building the suite applies the storm generator's own
-                # checks (depth, peak ratio, step) at load time
-                errors.guard("storms", design_storm_suite, storms.depths_mm,
-                             storms.duration_min, storms.peak_ratio, idf,
-                             storms.step_s)
+    if (storms_raw := errors.mapping("storms", raw.get("storms"))) is not None:
+        idf_raw = storms_raw.get("idf")
+        if idf_raw is None:
+            errors.add("storms.idf", "IDF constants are required (a, b_min, n)")
+        depths = tuple(errors.number("storms.depths_mm", d)
+                       for d in errors.sequence("storms.depths_mm",
+                                                storms_raw.get("depths_mm")))
+        if not depths:
+            errors.add("storms.depths_mm", "at least one storm depth required")
+        labels: dict = {}   # storm label -> index of its first depth
+        for i, depth in enumerate(depths):
+            label = None if depth is None else storm_label(depth)
+            if label is not None and (first := labels.setdefault(label, i)) != i:
+                errors.add("storms.depths_mm",
+                           f"depths {depths[first]!r} and {depth!r} both give "
+                           f"the storm label {label!r}")
+        storms = errors.build(
+            "storms", StormSettings, storms_raw,
+            depths_mm=None if None in depths else depths,
+            idf=None if idf_raw is None else errors.build("storms.idf", IdfParams, idf_raw),
+        )
 
     # --- sizing ------------------------------------------------------
     sizing = None
@@ -444,6 +446,7 @@ def load_config(path) -> ProjectConfig:
         facilities = []
         for i, f in errors.entries("sizing.existing_facilities",
                                    sizing_raw.get("existing_facilities")):
+            f = errors.known(f"sizing.existing_facilities[{i}]", f, ("label", "volume_m3"))
             label = str(f.get("label", f"facility{i}"))
             volume = errors.number(f"sizing.existing_facilities[{label}]",
                                    f.get("volume_m3", 0))
@@ -454,45 +457,34 @@ def load_config(path) -> ProjectConfig:
         target_raw = errors.mapping("sizing.target", sizing_raw.get("target")) or {}
         csv_name = target_raw.get("rainfall_csv")
         csv_path = base_dir / str(csv_name) if csv_name else None
-        target = SizingTarget(
-            depth_mm=errors.number("sizing.target.depth_mm",
-                                   target_raw.get("depth_mm"), optional=True),
-            atrcr=errors.number("sizing.target.atrcr", target_raw.get("atrcr"),
-                                optional=True),
+        target = errors.build(
+            "sizing.target", SizingTarget, target_raw, keys={"record": None},
             rainfall_csv=csv_path,
             record=csv_path and errors.guard("sizing.target.rainfall_csv",
                                              RainRecord.from_csv, csv_path),
         )
-        if target_raw.get("depth_mm") is None and target_raw.get("atrcr") is None:
+        sizing = errors.build("sizing", SizingSettings, sizing_raw,
+                              existing_facilities=tuple(facilities), target=target)
+    if sizing:
+        target = sizing.target
+        if target.depth_mm is None and target.atrcr is None:
             errors.add("sizing.target", "need either depth_mm or atrcr")
-        if target.atrcr is not None and csv_path is None:
+        if target.atrcr is not None and target.rainfall_csv is None:
             errors.add("sizing.target", "atrcr target needs rainfall_csv")
         if target.atrcr is not None and not 0.0 < target.atrcr < 1.0:
             errors.add("sizing.target.atrcr", f"must be in (0, 1), got {target_raw['atrcr']}")
-        min_event = errors.number("sizing.min_event_mm",
-                                  sizing_raw.get("min_event_mm", DEFAULT_MIN_EVENT_MM))
-        if target.record and min_event is not None and not target.record.depths(min_event).size:
+        min_event = sizing.min_event_mm
+        if target.record and not target.record.depths(min_event).size:
             errors.add("sizing.min_event_mm",
                        f"the rainfall record has no event deeper than {min_event:g} mm")
-        psi_override = sizing_raw.get("psi")
-        area_override = sizing_raw.get("area_ha")
-        psi = errors.number("sizing.psi", psi_override, optional=True)
-        area = errors.number("sizing.area_ha", area_override, optional=True)
-        if psi is not None and not 0.0 < psi <= 1.0:
-            errors.add("sizing.psi", f"must be in (0, 1], got {psi_override}")
-        if area is not None and not area > 0.0:
-            errors.add("sizing.area_ha", f"must be positive, got {area_override}")
-        if psi_override is None and not any(sc.land_uses for sc in subcatchments.values()):
+        if sizing.psi is not None and not 0.0 < sizing.psi <= 1.0:
+            errors.add("sizing.psi", f"must be in (0, 1], got {sizing_raw['psi']}")
+        if sizing.area_ha is not None and not sizing.area_ha > 0.0:
+            errors.add("sizing.area_ha", f"must be positive, got {sizing_raw['area_ha']}")
+        if sizing.psi is None and not any(sc.land_uses for sc in subcatchments.values()):
             errors.add("sizing", "needs land uses or an explicit sizing.psi")
-        if area_override is None and not subcatchments:
+        if sizing.area_ha is None and not subcatchments:
             errors.add("sizing", "needs subcatchments or an explicit sizing.area_ha")
-        sizing = SizingSettings(
-            existing_facilities=tuple(facilities),
-            target=target,
-            min_event_mm=min_event,
-            psi=psi,
-            area_ha=area,
-        )
 
     # --- hierarchy and matrices ------------------------------------------
     hierarchy = errors.mapping("hierarchy", raw.get("hierarchy"))
@@ -505,6 +497,7 @@ def load_config(path) -> ProjectConfig:
         section = f"matrices.{node}"
         if (m_raw := errors.mapping(section, m_raw)) is None:
             continue
+        errors.known(section, m_raw, ("csv", "labels", "rows"))
         if "csv" in m_raw:
             matrices[node] = errors.guard(
                 section, ahp.PairwiseMatrix.from_csv, base_dir / str(m_raw["csv"])
@@ -521,6 +514,11 @@ def load_config(path) -> ProjectConfig:
     names = [sc.name for sc in scenarios]
     for i, entry in errors.entries("direct_tables", raw.get("direct_tables")):
         section = f"direct_tables[{i}]"
+        entry = errors.known(section, entry, ("file", "normalized"))
+        normalized = entry.get("normalized")
+        if normalized is not None and not isinstance(normalized, bool):
+            errors.add(section + ".normalized",
+                       f"expected true or false, got {normalized!r}")
         file_name = entry.get("file")
         if not file_name:
             errors.add(section, "missing file")
@@ -535,7 +533,7 @@ def load_config(path) -> ProjectConfig:
                                 f"not match config scenarios {names}")
         for indicator in table.indicators:
             provided.setdefault(indicator, []).append(
-                (table_path, table, bool(entry.get("normalized"))))
+                (table_path, table, normalized is True))
 
     if errors.errors:
         raise ConfigError(errors.errors)

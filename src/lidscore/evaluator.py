@@ -67,14 +67,11 @@ class TreeNode:
 
     @classmethod
     def leaf_from_dict(cls, spec: dict, weight: float) -> "TreeNode":
-        return cls(
-            name=spec["name"],
-            weight=weight,
-            indicator=spec.get("indicator", spec["name"]),
-            polarity=spec.get("polarity", "benefit"),
-            source=spec.get("source", "simulated"),
-            transform=spec.get("transform", "encoded"),
-        )
+        """An absent or null key takes its field's default; the indicator's
+        is the leaf's name."""
+        given = {key: spec[key] for key in ("indicator", "polarity", "source", "transform")
+                 if spec.get(key) is not None}
+        return cls(name=spec["name"], weight=weight, **{"indicator": spec["name"], **given})
 
 
 @dataclass(frozen=True)

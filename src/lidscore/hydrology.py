@@ -27,9 +27,9 @@ from lidscore.storms import Hyetograph
 class HortonParams:
     """Infiltration capacity decay f(t) = fc + (f0 - fc) * exp(-k t)."""
 
-    f0_mm_hr: float
-    fc_mm_hr: float
-    decay_per_hr: float
+    f0_mm_hr: float = 76.2
+    fc_mm_hr: float = 3.81
+    decay_per_hr: float = 4.14
 
     def __post_init__(self):
         if not self.f0_mm_hr >= self.fc_mm_hr >= 0:
@@ -68,7 +68,7 @@ class Subcatchment:
     impervious_fraction: float
     width_m: float
     slope: float
-    horton: HortonParams
+    horton: HortonParams = field(default_factory=HortonParams)
     land_uses: tuple = ()
     outlet: str = ""
     depression_storage_mm: dict = field(
@@ -113,7 +113,7 @@ class Link:
     id: str
     from_node: str
     to_node: str
-    lag_s: float
+    lag_s: float = 0.0
 
     def __post_init__(self):
         if self.lag_s < 0:

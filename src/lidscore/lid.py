@@ -1,9 +1,9 @@
 """LID facility catalog, sizing arithmetic and unit-scale water balance.
 
-Sizing (capacity per unit area, required control volume, area allocation)
-is deliberately separate from the event-scale unit simulation: the former
-is static bucket arithmetic, the latter steps a storage unit through a
-storm. Default layer parameters are chosen so both agree, i.e. the layered
+Sizing (capacity per unit area, required control volume, area shares per
+kind) is deliberately separate from the event-scale unit simulation: the
+former is static bucket arithmetic, the latter steps a storage unit through
+a storm. Default layer parameters are chosen so both agree, i.e. the layered
 static capacity equals the published per-unit-area control capacity.
 """
 

@@ -24,7 +24,7 @@ class PollutantSpec:
     buildup_max_kg_ha: float       # C1
     half_saturation_days: float    # C2
     washoff_coeff: float           # C3 (per hour at q = 1 mm/hr)
-    washoff_exponent: float        # C4
+    washoff_exponent: float = 1.0  # C4
     lid_removal: dict = field(default_factory=dict)
     surface_class_factors: dict = field(default_factory=dict)
 
@@ -34,10 +34,13 @@ class PollutantSpec:
         if self.washoff_exponent <= 0:
             raise ValidationError(f"{self.name}: washoff exponent must be positive")
         for kind, fraction in self.lid_removal.items():
+            LidKind.parse(kind)   # a misspelled kind would remove nothing
             if not 0.0 <= fraction <= 1.0:
                 raise ValidationError(
                     f"{self.name}: removal fraction for {kind} outside [0, 1]"
                 )
+        if not all(f >= 0 for f in self.surface_class_factors.values()):
+            raise ValidationError(f"{self.name}: surface class factors must be >= 0")
 
     def removal_for(self, kind: LidKind) -> float:
         key = kind.value if isinstance(kind, LidKind) else str(kind)

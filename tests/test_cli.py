@@ -146,6 +146,29 @@ class TestValidate:
         ("storms", "depths_mm", [16, 26, 26.0000001],
          "storms.depths_mm: depths 26.0 and 26.0000001 both give the storm "
          "label '26mm'"),
+        # a nan weight used to rank every scenario `nan`, in name order
+        (("hierarchy", "children", 2, "children", 1), "weight", float("nan"),
+         "hierarchy.children[2].children[1].weight: nan is not finite"),
+        # non-finite or non-numeric values that used to crash the run
+        (("catchment", "links", 0), "lag_s", float("nan"),
+         "catchment.links[LA].lag_s: nan is not finite"),
+        ((), "antecedent_dry_days", float("inf"),
+         "antecedent_dry_days: inf is not finite"),
+        (("pollutants", 0, "surface_class_factors"), "roads", "abc",
+         "pollutants[TSS].surface_class_factors.roads: expected a number, "
+         "got 'abc'"),
+        # a required field that is absent or null
+        (("catchment", "subcatchments", 0), "width_m", None,
+         "catchment.subcatchments[A].width_m: missing"),
+        # pollutant maps: a removal key that is no LID kind, a negative factor
+        (("pollutants", 0, "lid_removal"), "bioretention", 0.8,
+         "pollutants[TSS]: unknown LID kind 'bioretention'; expected one of "
+         "['bio_retention', "),
+        (("pollutants", 0, "surface_class_factors"), "roads", -1,
+         "pollutants[TSS]: TSS: surface class factors must be >= 0"),
+        # a quoted "false" is a string, which used to mark the table normalized
+        (("direct_tables", 0), "normalized", "false",
+         "direct_tables[0].normalized: expected true or false, got 'false'"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -379,6 +402,60 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert f"error: {message}\n" in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("owner,section", [
+        (lambda raw: raw, ""),
+        (lambda raw: raw["catchment"], "catchment"),
+        (lambda raw: raw["catchment"]["subcatchments"][0],
+         "catchment.subcatchments[A]"),
+        (lambda raw: raw["catchment"]["subcatchments"][0]["land_uses"][0],
+         "catchment.subcatchments[A].land_uses[0]"),
+        (lambda raw: raw["catchment"]["subcatchments"][0].setdefault("horton", {}),
+         "catchment.subcatchments[A].horton"),
+        (lambda raw: raw["catchment"]["links"][0], "catchment.links[LA]"),
+        (lambda raw: raw["pollutants"][0], "pollutants[TSS]"),
+        (lambda raw: raw.setdefault("lid_catalog", {}).setdefault("bio_retention", {}),
+         "lid_catalog.bio_retention"),
+        (lambda raw: raw.setdefault("lid_catalog", {}).setdefault(
+            "storage_tank", {"layers": {"storage_thickness_mm": 1000,
+                                        "storage_void_ratio": 1.0}})["layers"],
+         "lid_catalog.storage_tank.layers"),
+        (lambda raw: raw["scenarios"][0], "scenarios[scenario_1]"),
+        (lambda raw: raw["scenarios"][0]["placements"][0],
+         "scenarios[scenario_1].placements[0]"),
+        (lambda raw: raw["storms"], "storms"),
+        (lambda raw: raw["storms"]["idf"], "storms.idf"),
+        (lambda raw: raw["sizing"], "sizing"),
+        (lambda raw: raw["sizing"]["target"], "sizing.target"),
+        (lambda raw: raw["sizing"]["existing_facilities"][0],
+         "sizing.existing_facilities[0]"),
+        (lambda raw: raw["hierarchy"], "hierarchy"),
+        (lambda raw: raw["hierarchy"]["children"][0]["children"][0]["children"][0],
+         "hierarchy.children[0].children[0].children[0]"),
+        (lambda raw: raw.setdefault("matrices", {}).setdefault(
+            "social", {"labels": ["water_reuse", "landscape", "ecological"],
+                       "rows": [[1, 2, 3], [None, 1, 2], [None, None, 1]]}),
+         "matrices.social"),
+        (lambda raw: raw["direct_tables"][0], "direct_tables[0]"),
+    ], ids=lambda v: (v or "top") if isinstance(v, str) else "zz_typo")
+    def test_unknown_key_exit_2(self, runner, sample_dir, tmp_path, command,
+                                owner, section):
+        """A key that names no field, here `zz_typo` in one section of each
+        kind, is one batch entry named by its path. It does not drop its
+        section, so nothing else is reported. Earlier versions ignored it,
+        so a misspelled key silently took the default."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        owner(raw)["zz_typo"] = 1
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        key = f"{section}.zz_typo" if section else "zz_typo"
+        assert [line for line in result.output.splitlines()
+                if line.startswith("error:")] == [f"error: {key}: unknown key"]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",

@@ -135,6 +135,24 @@ class TestLidRemoval:
             PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
                           lid_removal={"bio_retention": 1.2})
 
+    def test_removal_key_must_be_a_lid_kind(self):
+        """A misspelled kind would leave its facility removing nothing."""
+        with pytest.raises(ValidationError,
+                           match="unknown LID kind 'bioretention'"):
+            PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
+                          lid_removal={"bioretention": 0.8})
+        PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
+                      lid_removal={LidKind.BIO_RETENTION: 0.8})
+
+    @pytest.mark.parametrize("factor", [-0.1, math.nan])
+    def test_class_factor_must_not_be_negative(self, factor):
+        """A negative factor used to pass and then fail the run with `bad
+        load series`."""
+        with pytest.raises(ValidationError,
+                           match="TSS: surface class factors must be >= 0"):
+            PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
+                          surface_class_factors={"roads": factor})
+
 
 class TestSubcatchmentQuality:
     def make_sc(self):
