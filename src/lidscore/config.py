@@ -288,19 +288,23 @@ def load_config(path) -> ProjectConfig:
     # --- catchment ------------------------------------------------------
     subcatchments: dict = {}
     links: list = []
+    surface_classes = set()   # of every land-use entry, built or not
     catchment = errors.mapping("catchment", raw.get("catchment")) or {}
     catchment = errors.known("catchment", catchment, ("subcatchments", "links", "outfalls"))
     for i, sub in errors.entries("catchment.subcatchments",
                                  catchment.get("subcatchments")):
         section = f"catchment.subcatchments[{sub.get('id', i)}]"
-        land_uses = tuple(
-            land_use for j, lu in errors.entries(section + ".land_uses",
-                                                 sub.get("land_uses"))
-            if (land_use := errors.build(f"{section}.land_uses[{j}]", LandUse, lu)))
+        land_uses = []
+        for j, lu in errors.entries(section + ".land_uses", sub.get("land_uses")):
+            surface_class = lu.get("surface_class")
+            surface_classes.add(LandUse.surface_class if surface_class is None
+                                else str(surface_class))
+            if land_use := errors.build(f"{section}.land_uses[{j}]", LandUse, lu):
+                land_uses.append(land_use)
         sc = errors.build(
             section, Subcatchment, sub,
             horton=errors.build(section + ".horton", HortonParams, sub.get("horton")),
-            land_uses=land_uses,
+            land_uses=tuple(land_uses),
             outlet=errors.path_name(section + ".outlet", sub.get("outlet")),
         )
         if sc:
@@ -356,6 +360,12 @@ def load_config(path) -> ProjectConfig:
         spec = errors.build(section, PollutantSpec, p, name=p_name)
         if spec:
             pollutants.append(spec)
+            # a factor no land use reads is most likely a misspelled class,
+            # which would leave that class at factor 1
+            for key in spec.surface_class_factors:
+                if key not in surface_classes:
+                    errors.add(f"{section}.surface_class_factors.{key}",
+                               f"no land use has surface class {key!r}")
     antecedent = errors.number(
         "antecedent_dry_days",
         raw.get("antecedent_dry_days", DEFAULT_ANTECEDENT_DRY_DAYS))

@@ -4,9 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -166,6 +170,11 @@ class TestValidate:
          "['bio_retention', "),
         (("pollutants", 0, "surface_class_factors"), "roads", -1,
          "pollutants[TSS]: TSS: surface class factors must be >= 0"),
+        # a misspelled class used to leave every `roofs` land use at factor 1
+        (("pollutants", 0), "surface_class_factors",
+         {"roads": 1.0, "roof": 0.6, "green": 0.2},
+         "pollutants[TSS].surface_class_factors.roof: no land use has surface "
+         "class 'roof'"),
         # a quoted "false" is a string, which used to mark the table normalized
         (("direct_tables", 0), "normalized", "false",
          "direct_tables[0].normalized: expected true or false, got 'false'"),
@@ -1057,3 +1066,20 @@ class TestYamlLoaders:
         assert result.exit_code == 2
         assert f"error: {path}: not valid YAML" in result.output
         assert re.search(r"\bline 88\b", result.output)
+
+
+def test_load_path_imports_neither_pipeline_nor_orjson(sample_dir):
+    """Loading a project through the CLI's module (what `validate` and the
+    start of every subcommand do) imports neither `lidscore.pipeline` nor
+    its outfall formatter `orjson`, so a process that only validates does
+    not pay for them. Run in a fresh interpreter: this one has imported
+    both already."""
+    code = ("import sys, lidscore.cli; lidscore.cli.load_config(sys.argv[1]); "
+            "print(sorted({'orjson', 'lidscore.pipeline'} & set(sys.modules)))")
+    src = str(Path(pipeline.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code,
+                             str(sample_dir / "sports_center.yaml")],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n", result.stderr

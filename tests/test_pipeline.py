@@ -7,10 +7,12 @@ import io
 import json
 import math
 import shutil
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 import yaml
 from hypothesis import example, given, reject, settings, strategies as st
@@ -22,9 +24,10 @@ from lidscore.errors import ConfigError, ValidationError
 from lidscore.evaluator import StormSummary, environmental_indicators
 from lidscore.hydrology import HortonParams, Link, Subcatchment
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (StormRun, _persist_runs, _Writer, assemble_indicators,
-                               build_storms, compute_sizing, run_pipeline,
-                               simulate_all, simulate_run, weight_sensitivity)
+from lidscore.pipeline import (StormRun, _float_cells, _persist_runs, _Writer,
+                               assemble_indicators, build_storms, compute_sizing,
+                               run_pipeline, simulate_all, simulate_run,
+                               weight_sensitivity)
 from lidscore.storms import Hyetograph
 from reference import (derived_concentration, reference_hydrograph,
                        reference_outfall, reference_outfall_table,
@@ -401,6 +404,46 @@ class TestSeriesWriterBytes:
         assert list(csv_columns(data)) == ["t_s", "baseline/flow_Lps",
                                            'baseline/a,"b_load_kg']
         assert data.startswith(b't_s,baseline/flow_Lps,"baseline/a,""b_load_kg"\r\n')
+
+
+def assert_repr_cells(xs) -> None:
+    """`_float_cells` of the floats `xs` is the `repr` of each."""
+    assert _float_cells(np.array(xs, dtype=float)) == [repr(x) for x in xs], \
+        f"orjson {orjson.__version__} text differs from repr in {xs!r}"
+
+
+def ulps_around(x: float) -> list:
+    """`x` and the two floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(2):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestFloatCells:
+    """Outfall cells come from orjson's shortest digits and, where its
+    notation differs from `repr` (non-finite, nonzero |x| < 1e-4 or
+    |x| >= 1e16), from `repr`: either way each is the float's `repr`."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(xs=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True)))
+    @example(xs=[])
+    @example(xs=[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                 sys.float_info.max, -sys.float_info.max, 1e-4, 1e16, 7.8e-6])
+    def test_any_floats_give_repr(self, xs):
+        assert_repr_cells(xs)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16, 5e-324, sys.float_info.max])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edges_of_the_orjson_range_give_repr(self, edge, sign):
+        """The two edges of the range orjson formats, each +/-2 ulps (the
+        float below 1e-4 is `9.999999999999999e-05` to `repr` but
+        `0.00009999999999999999` to orjson), and the smallest and largest
+        floats."""
+        xs = [sign * x for x in ulps_around(edge) if math.isfinite(x)]
+        assert_repr_cells(xs)
 
 
 def accepted_scenario_name(name: str) -> bool:
