@@ -4,7 +4,7 @@ multi-criteria benefit ranking of LID stormwater scenarios."""
 __version__ = "0.1.0"
 
 from lidscore.ahp import (ConsistencyReport, PairwiseMatrix, WeightVector,
-                          consistency, derive_weights, weight_tree)
+                          consistency, derive_weights)
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
                                 TreeNode, WeightTree, check_normalized,

@@ -2,7 +2,9 @@
 
 Weights come from the principal eigenvector of a positive reciprocal
 matrix (power iteration); judgment consistency is screened with the usual
-CR = CI / RI rule, rejecting matrices at CR >= 0.1.
+CR = CI / RI rule, rejecting matrices at CR >= 0.1. This module holds only
+the matrix maths: `config` reads the indicator hierarchy and asks it for
+the weights of each node that has a matrix.
 """
 
 from __future__ import annotations
@@ -157,12 +159,12 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
     """Consistency screen: lambda_max, CI = (lambda_max - n)/(n - 1), CR = CI/RI."""
     if matrix.order < 2:
         return ConsistencyReport(1.0, 0.0, 0.0, 0.0)
-    return _screen(matrix.order, _principal_eigenvector(matrix.values)[1])
+    return screen(matrix.order, _principal_eigenvector(matrix.values)[1])
 
 
-def _screen(n: int, lam: float) -> ConsistencyReport:
+def screen(n: int, lam: float) -> ConsistencyReport:
     """`consistency` of an order-n (n >= 2) matrix whose principal
-    eigenvalue is `lam`."""
+    eigenvalue is `lam`, such as the one `derive_weights` returns."""
     ci = (lam - n) / (n - 1)
     if n == 2:
         # 2x2 reciprocal matrices cannot be inconsistent
@@ -184,50 +186,3 @@ def aggregate_matrices(matrices) -> PairwiseMatrix:
             raise ValidationError("matrices disagree on labels")
     stack = np.stack([m.values for m in matrices])
     return PairwiseMatrix(labels, np.exp(np.log(stack).mean(axis=0)))
-
-
-def weight_tree(hierarchy: dict, matrices: dict):
-    """Build the weighted indicator tree from the nested node mapping of a
-    project's `hierarchy` section.
-
-    Each node is a mapping with `name` and either `children` or leaf keys
-    (see evaluator.TreeNode.leaf_from_dict). Explicit child weights win
-    when every child of a node has one; otherwise the node needs an entry
-    in `matrices` (a single child gets weight 1). Any node with CR >= 0.1
-    rejects the tree. Returns (WeightTree, {node: ConsistencyReport}).
-    """
-    from lidscore.evaluator import TreeNode, WeightTree
-
-    reports: dict = {}
-
-    def build(spec: dict, weight: float) -> TreeNode:
-        name = spec["name"]
-        children_spec = spec.get("children") or []
-        if not children_spec:
-            return TreeNode.leaf_from_dict(spec, weight)
-        if all("weight" in c for c in children_spec):
-            weights = [float(c["weight"]) for c in children_spec]
-        elif len(children_spec) == 1:
-            weights = [1.0]
-        else:
-            matrix = matrices.get(name)
-            if matrix is None:
-                raise ValidationError(f"no pairwise matrix for node '{name}'")
-            expected = tuple(c["name"] for c in children_spec)
-            if matrix.labels != expected:
-                raise ValidationError(
-                    f"matrix labels for '{name}' do not match children {expected}"
-                )
-            vector = derive_weights(matrix)   # one eigen-solve per matrix
-            report = reports[name] = _screen(matrix.order, vector.lambda_max)
-            if not report.passed:
-                raise ValidationError(
-                    f"node '{name}' rejected: CR = {report.cr:.4f} >= {CR_LIMIT}"
-                )
-            weights = vector.weights
-        children = tuple(
-            build(child, float(w)) for child, w in zip(children_spec, weights)
-        )
-        return TreeNode(name=name, weight=weight, children=children)
-
-    return WeightTree(build(hierarchy, 1.0)), reports

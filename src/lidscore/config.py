@@ -4,7 +4,10 @@ indicator hierarchy. See docs/config.md for the schema.
 
 Validation is eager and batched: every problem found is reported with its
 section path in one ConfigError. One reader, `_Collector.build`, reads
-every dataclass section, so the same load rules hold in all of them.
+every dataclass section, so the same load rules hold in all of them. The
+indicator hierarchy is read here too, node by node (`_tree_node`), with
+each node's child weights taken from the file or from its pairwise matrix;
+`ahp` only does the matrix maths.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import yaml
 
 from lidscore import ahp
 from lidscore.errors import ConfigError, ValidationError
-from lidscore.evaluator import (IndicatorTable, WeightTree, check_normalized,
-                                environmental_indicators, facility_scores,
-                                normalize)
+from lidscore.evaluator import (IndicatorTable, TreeNode, WeightTree,
+                                check_normalized, environmental_indicators,
+                                facility_scores, normalize)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
 from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
@@ -33,12 +36,10 @@ from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams, RainRecord,
 
 SCHEMA_VERSION = 1
 
-# the keys of the top level and of a hierarchy node, which no dataclass reads
+# the keys of the top level, which no dataclass reads
 _TOP_KEYS = ("schema_version", "name", "output_dir", "catchment", "pollutants",
              "antecedent_dry_days", "lid_catalog", "scenarios", "storms",
              "sizing", "hierarchy", "matrices", "direct_tables")
-_NODE_KEYS = ("name", "weight", "children", "indicator", "polarity", "source",
-              "transform")
 
 # PyYAML's libyaml binding parses a project several times faster than the
 # pure-Python parser. Both loaders share PyYAML's resolver and constructor,
@@ -60,6 +61,11 @@ class StormSettings:
         # (depth, peak ratio, step) when the settings are made
         design_storm_suite(self.depths_mm, self.duration_min, self.peak_ratio,
                            self.idf, self.step_s)
+        # the simulation appends round(tail_min * 60 / step_s) dry steps
+        steps = self.tail_min * 60.0 / self.step_s if self.step_s > 0 else 0.0
+        if not (steps >= 0 and math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValidationError(f"tail_min {self.tail_min} must be >= 0 and a whole "
+                                  f"number of {self.step_s} s steps")
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,19 @@ class ProjectConfig:
     consistency: dict = field(default_factory=dict)   # node -> ConsistencyReport
     fixed_columns: IndicatorTable | None = None   # see _fixed_columns
 
-    def weight_tree(self):
-        """Resolve the hierarchy to a WeightTree, deriving weights from
-        pairwise matrices wherever explicit weights are missing. Returns
-        (tree, {node: ConsistencyReport})."""
-        try:
-            return ahp.weight_tree(self.hierarchy_spec, self.matrices)
-        except ValidationError as exc:
-            raise ConfigError(f"hierarchy: {exc}") from exc
+    def weight_tree(self, errors: _Collector):
+        """(WeightTree, {node: ConsistencyReport}) read from `hierarchy_spec`
+        and `matrices` (see `_tree_node`), the tree None after recording a
+        batch entry for each problem, also for each matrix no node reads."""
+        reports, read = {}, set()
+        root = _tree_node(errors, "hierarchy", self.hierarchy_spec, 1.0,
+                          self.matrices, reports, read)
+        for node in self.matrices:
+            if node not in read:
+                errors.add(f"matrices.{node}", "no node reads this matrix: a node reads "
+                                               "the matrix of its name when it has two or "
+                                               "more children and none gives a weight")
+        return root and errors.guard("hierarchy", WeightTree, root), reports
 
 
 class _Collector:
@@ -140,12 +151,12 @@ class _Collector:
         return None
 
     def name(self, section: str, value) -> str:
-        """`str(value)`, after recording a batch entry when it is empty or
-        None (a YAML key with no value)."""
-        name = "" if value is None else str(value)
-        if not name:
+        """`str(value)`, after recording a batch entry when it is empty,
+        None (a YAML key with no value), or not a scalar (see `value`)."""
+        if value is None or value == "":
             self.add(section, "missing or empty")
-        return name
+            return ""
+        return self.value(section, "str", value) or ""
 
     def path_name(self, section: str, value) -> str:
         """`str(value)` for a name that becomes part of a result path,
@@ -225,39 +236,84 @@ class _Collector:
 
     def value(self, section: str, annotation: str, value):
         """`value` read for a field annotated `annotation`: a float through
-        `number`, a str through `str`, and a dict (every other field) as a
-        mapping of numbers; None after recording a batch entry."""
+        `number`, a str through `str` unless it is a list or a mapping, and a
+        dict (every other field) as a mapping of numbers; None after
+        recording a batch entry."""
         if annotation.startswith("float"):
             return self.number(section, value)
-        if annotation == "str":
-            return str(value)
+        if annotation.startswith("str"):
+            if not isinstance(value, (list, dict)):
+                return str(value)
+            self.add(section, f"expected a scalar, got {value!r}")
+            return None
         if (mapping := self.mapping(section, value)) is None:
             return None
         numbers = {str(k): self.number(f"{section}.{k}", v) for k, v in mapping.items()}
         return None if None in numbers.values() else numbers
 
 
-def _check_node_shapes(errors: _Collector, section: str, node: dict) -> None:
-    """Record a batch entry for every node at or below the hierarchy node
-    `node` that `ahp.weight_tree` cannot read: no name, an unknown key, a
-    `name` or `indicator` that is a list or mapping, `children` that is not
-    a list, a child that is not a mapping, a weight that is not a finite
-    number."""
-    if "name" not in node:
-        errors.add(section, "missing name")
-    errors.known(section, node, _NODE_KEYS)
-    for key in ("name", "indicator"):
-        if isinstance(node.get(key), (list, dict)):
-            errors.add(f"{section}.{key}", f"expected a scalar, got {node[key]!r}")
-    for i, child in enumerate(errors.sequence(section + ".children",
-                                              node.get("children"))):
-        child_section = f"{section}.children[{i}]"
-        if not isinstance(child, dict):
-            errors.add(child_section, f"expected a mapping, got {child!r}")
-            continue
-        if "weight" in child:
-            errors.number(child_section + ".weight", child["weight"])
-        _check_node_shapes(errors, child_section, child)
+def _tree_node(errors: _Collector, section: str, raw, weight: float,
+               matrices: dict, reports: dict, read: set) -> TreeNode | None:
+    """The hierarchy node `raw` at `section`, with its subtree, built through
+    `errors.build` with weight `weight`; None after recording a batch entry
+    for each problem at or below it. A leaf's indicator defaults to its name.
+    The children's weights are theirs when every child gives one, 1 for a
+    single child, and otherwise come from `matrices[name]` (`read` collects
+    each such name). The children are read even when their weights fail,
+    so that their own problems are listed too."""
+    raw = errors.mapping(section, raw)
+    if raw is None:
+        return None
+    name = errors.name(section + ".name", raw.get("name")) or None
+    entries = errors.sequence(section + ".children", raw.get("children"))
+    given = [entry.get("weight") for entry in entries if isinstance(entry, dict)]
+    weights = None   # a child that is not a mapping is recorded by its reader
+    if len(given) == len(entries) and None not in given:
+        weights = [errors.number(f"{section}.children[{i}].weight", w)
+                   for i, w in enumerate(given)]
+    elif len(entries) == 1:
+        weights = [1.0]
+    elif len(given) == len(entries) and name is not None:
+        read.add(name)
+        weights = _matrix_weights(errors, section, name, entries, matrices, reports)
+    weighted = weights is not None and None not in weights
+    children = tuple(_tree_node(errors, f"{section}.children[{i}]", entry,
+                                weights[i] if weighted else 0.0, matrices, reports, read)
+                     for i, entry in enumerate(entries))
+    return errors.build(section, TreeNode, raw,
+                        defaults={} if entries else {"indicator": name}, name=name,
+                        weight=weight,
+                        children=children if weighted and None not in children else None)
+
+
+def _matrix_weights(errors: _Collector, section: str, name: str, entries: list,
+                    matrices: dict, reports: dict) -> list | None:
+    """The weights of the children `entries` of the node `name` at `section`
+    from its matrix, with the matrix's CR screen put in `reports[name]`; None
+    after recording a batch entry, also when a child gives a weight."""
+    given = sum(entry.get("weight") is not None for entry in entries)
+    if given or name not in matrices:
+        errors.add(section, f"node {name}: {given} of its {len(entries)} children give "
+                            f"a weight; give every child a weight, or none and a "
+                            f"pairwise matrix matrices.{name}")
+        return None
+    if (matrix := matrices[name]) is None:   # its reader recorded why
+        return None
+    section = f"matrices.{name}"
+    labels = tuple(str(entry.get("name")) for entry in entries)
+    if tuple(map(str, matrix.labels)) != labels:
+        errors.add(section, f"labels {matrix.labels} do not match the children "
+                            f"{labels} of node {name}")
+        return None
+    vector = errors.guard(section, ahp.derive_weights, matrix)   # one eigen-solve
+    report = vector and errors.guard(section, ahp.screen, matrix.order, vector.lambda_max)
+    if report is None:
+        return None
+    reports[name] = report
+    if report.passed:
+        return vector.weights.tolist()
+    errors.add(section, f"node {name!r} rejected: CR = {report.cr:.4f} >= {ahp.CR_LIMIT}")
+    return None
 
 
 def load_config(path) -> ProjectConfig:
@@ -496,15 +552,11 @@ def load_config(path) -> ProjectConfig:
         if sizing.area_ha is None and not subcatchments:
             errors.add("sizing", "needs subcatchments or an explicit sizing.area_ha")
 
-    # --- hierarchy and matrices ------------------------------------------
-    hierarchy = errors.mapping("hierarchy", raw.get("hierarchy"))
-    if hierarchy == {}:
-        errors.add("hierarchy", "missing indicator hierarchy")
-    elif hierarchy is not None:
-        _check_node_shapes(errors, "hierarchy", hierarchy)
-    matrices: dict = {}
+    # --- matrices (the hierarchy is read with them, by weight_tree) --------
+    matrices: dict = {}   # node -> PairwiseMatrix, or None when it failed to read
     for node, m_raw in (errors.mapping("matrices", raw.get("matrices")) or {}).items():
         section = f"matrices.{node}"
+        matrices[node] = None
         if (m_raw := errors.mapping(section, m_raw)) is None:
             continue
         errors.known(section, m_raw, ("csv", "labels", "rows"))
@@ -518,7 +570,6 @@ def load_config(path) -> ProjectConfig:
                 tuple(errors.sequence(section + ".labels", m_raw.get("labels"))),
                 errors.sequence(section + ".rows", m_raw.get("rows")),
             )
-    matrices = {k: v for k, v in matrices.items() if v is not None}
 
     provided: dict = {}   # indicator -> [(path, table, normalized)] in file order
     names = [sc.name for sc in scenarios]
@@ -545,9 +596,6 @@ def load_config(path) -> ProjectConfig:
             provided.setdefault(indicator, []).append(
                 (table_path, table, normalized is True))
 
-    if errors.errors:
-        raise ConfigError(errors.errors)
-
     config = ProjectConfig(
         path=path,
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
@@ -562,12 +610,14 @@ def load_config(path) -> ProjectConfig:
         scenarios=scenarios,
         storms=storms,
         sizing=sizing,
-        hierarchy_spec=hierarchy,
+        hierarchy_spec=raw.get("hierarchy"),
         matrices=matrices,
     )
-    # resolving the tree applies the weight, matrix and CR rules; a project
-    # without scenarios ranks nothing, so its leaves need no source
-    config.tree, config.consistency = config.weight_tree()
+    # reading the tree applies the weight, matrix and CR rules
+    config.tree, config.consistency = config.weight_tree(errors)
+    if errors.errors:
+        raise ConfigError(errors.errors)
+    # a project without scenarios ranks nothing, so its leaves need no source
     if scenarios:
         config.fixed_columns = _fixed_columns(errors, config, provided)
     if errors.errors:

@@ -65,14 +65,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @classmethod
-    def leaf_from_dict(cls, spec: dict, weight: float) -> "TreeNode":
-        """An absent or null key takes its field's default; the indicator's
-        is the leaf's name."""
-        given = {key: spec[key] for key in ("indicator", "polarity", "source", "transform")
-                 if spec.get(key) is not None}
-        return cls(name=spec["name"], weight=weight, **{"indicator": spec["name"], **given})
-
 
 @dataclass(frozen=True)
 class WeightTree:

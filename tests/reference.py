@@ -8,10 +8,12 @@ against the same numbers.
 import csv
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from lidscore.errors import ValidationError
+from lidscore.config import ProjectConfig, _Collector
+from lidscore.errors import ConfigError, ValidationError
 
 # land use: (name, runoff coefficient, area ha, expected event runoff m3
 # at a 26 mm depth)
@@ -145,6 +147,18 @@ def hierarchy_spec(env_source="direct"):
              "children": [leaf(k, v, "direct") for k, v in w["social"].items()]},
         ],
     }
+
+
+def weight_tree(hierarchy: dict, matrices: dict | None = None):
+    """(WeightTree, {node: ConsistencyReport}) as a project load reads them
+    from its `hierarchy` section and its read `matrices`; raises the
+    ConfigError that lists every problem found."""
+    errors = _Collector()
+    project = SimpleNamespace(hierarchy_spec=hierarchy, matrices=matrices or {})
+    tree, reports = ProjectConfig.weight_tree(project, errors)
+    if errors.errors:
+        raise ConfigError(errors.errors)
+    return tree, reports
 
 
 def washoff_step(spec, runoff_mm_hr: float, available_kg: float,

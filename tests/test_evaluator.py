@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import reference
-from lidscore.ahp import weight_tree
 from lidscore.errors import ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, TreeNode,
                                 evaluate_environmental, facility_scores,
@@ -21,7 +20,7 @@ from lidscore.pipeline import _persist_table, _Writer
 
 
 def reference_tree():
-    return weight_tree(reference.hierarchy_spec(), {})[0]
+    return reference.weight_tree(reference.hierarchy_spec())[0]
 
 
 def reference_tables():
@@ -39,7 +38,7 @@ def reference_tables():
 
 
 def leaf(indicator, **spec):
-    return TreeNode.leaf_from_dict({"name": indicator, **spec}, 1.0)
+    return TreeNode(name=indicator, weight=1.0, indicator=indicator, **spec)
 
 
 def normalize_table(table):
@@ -150,10 +149,10 @@ class TestRollup:
                                        atol=1e-3, err_msg=node)
 
     def test_single_leaf_tree_is_identity(self):
-        tree = weight_tree({
+        tree = reference.weight_tree({
             "name": "goal", "children": [
                 {"name": "x", "weight": 1.0, "indicator": "x",
-                 "source": "direct"}]}, {})[0]
+                 "source": "direct"}]})[0]
         t = IndicatorTable(["a", "b"], ["x"], np.array([[0.25], [0.75]]))
         report = rollup(tree, t)
         np.testing.assert_allclose(report.node_scores["goal"], [0.25, 0.75])
@@ -183,10 +182,10 @@ class TestRollup:
             assert float(np.sum(scores)) == pytest.approx(1.0, abs=1e-9), node
 
     def test_rollup_linearity(self):
-        tree = weight_tree({
+        tree = reference.weight_tree({
             "name": "goal", "children": [
                 {"name": "x", "weight": 0.6, "indicator": "x", "source": "direct"},
-                {"name": "y", "weight": 0.4, "indicator": "y", "source": "direct"}]}, {})[0]
+                {"name": "y", "weight": 0.4, "indicator": "y", "source": "direct"}]})[0]
         a = np.array([[0.3, 0.6], [0.7, 0.4]])
         b = np.array([[0.5, 0.2], [0.5, 0.8]])
         ta = IndicatorTable(["s1", "s2"], ["x", "y"], a)
@@ -238,7 +237,7 @@ class TestFacilityScores:
         spec = {"name": "landscape", "weight": 1.0, "indicator": "landscape",
                 "source": "facility_derived"}
         spec.update(kw)
-        return TreeNode.leaf_from_dict(spec, 1.0)
+        return TreeNode(**spec)
 
     def test_mode_a_linear_in_area(self):
         scenarios = [
