@@ -112,7 +112,7 @@ class ProjectConfig:
         batch entry for each problem, also for each matrix no node reads."""
         reports, read = {}, set()
         root = _tree_node(errors, "hierarchy", self.hierarchy_spec, 1.0,
-                          self.matrices, reports, read)
+                          self.matrices, reports, read, {})
         for node in self.matrices:
             if node not in read:
                 errors.add(f"matrices.{node}", "no node reads this matrix: a node reads "
@@ -252,11 +252,19 @@ class _Collector:
         return None if None in numbers.values() else numbers
 
 
+def _label(value, index: int):
+    """The label of a list entry in messages: its `id` or `name` `value`
+    when that is a non-empty str, int or float, else its `index`."""
+    return value if isinstance(value, (str, int, float)) and value != "" else index
+
+
 def _tree_node(errors: _Collector, section: str, raw, weight: float,
-               matrices: dict, reports: dict, read: set) -> TreeNode | None:
+               matrices: dict, reports: dict, read: set, paths: dict) -> TreeNode | None:
     """The hierarchy node `raw` at `section`, with its subtree, built through
     `errors.build` with weight `weight`; None after recording a batch entry
     for each problem at or below it. A leaf's indicator defaults to its name.
+    Results and reports key nodes by name, so a name that `paths` (name ->
+    section, of every node read before) holds already is an error.
     The children's weights are theirs when every child gives one, 1 for a
     single child, and otherwise come from `matrices[name]` (`read` collects
     each such name). The children are read even when their weights fail,
@@ -265,6 +273,10 @@ def _tree_node(errors: _Collector, section: str, raw, weight: float,
     if raw is None:
         return None
     name = errors.name(section + ".name", raw.get("name")) or None
+    if name in paths:
+        errors.add(section, f"node name {name!r} is also used at {paths[name]}")
+    elif name is not None:
+        paths[name] = section
     entries = errors.sequence(section + ".children", raw.get("children"))
     given = [entry.get("weight") for entry in entries if isinstance(entry, dict)]
     weights = None   # a child that is not a mapping is recorded by its reader
@@ -278,7 +290,8 @@ def _tree_node(errors: _Collector, section: str, raw, weight: float,
         weights = _matrix_weights(errors, section, name, entries, matrices, reports)
     weighted = weights is not None and None not in weights
     children = tuple(_tree_node(errors, f"{section}.children[{i}]", entry,
-                                weights[i] if weighted else 0.0, matrices, reports, read)
+                                weights[i] if weighted else 0.0, matrices, reports, read,
+                                paths)
                      for i, entry in enumerate(entries))
     return errors.build(section, TreeNode, raw,
                         defaults={} if entries else {"indicator": name}, name=name,
@@ -349,7 +362,7 @@ def load_config(path) -> ProjectConfig:
     catchment = errors.known("catchment", catchment, ("subcatchments", "links", "outfalls"))
     for i, sub in errors.entries("catchment.subcatchments",
                                  catchment.get("subcatchments")):
-        section = f"catchment.subcatchments[{sub.get('id', i)}]"
+        section = f"catchment.subcatchments[{_label(sub.get('id'), i)}]"
         land_uses = []
         for j, lu in errors.entries(section + ".land_uses", sub.get("land_uses")):
             surface_class = lu.get("surface_class")
@@ -368,7 +381,7 @@ def load_config(path) -> ProjectConfig:
                 errors.add(section, f"duplicate subcatchment id {sc.id!r}")
             subcatchments[sc.id] = sc
     for i, ln in errors.entries("catchment.links", catchment.get("links")):
-        section = f"catchment.links[{ln.get('id', i)}]"
+        section = f"catchment.links[{_label(ln.get('id'), i)}]"
         ln.pop("capacity_lps", None)   # a retired key, accepted and ignored
         link = errors.build(section, Link, ln,
                             keys={"from_node": "from", "to_node": "to"},
@@ -398,7 +411,7 @@ def load_config(path) -> ProjectConfig:
     # --- pollutants ------------------------------------------------------
     pollutants = []
     for i, p in errors.entries("pollutants", raw.get("pollutants")):
-        section = f"pollutants[{p.get('name') or i}]"
+        section = f"pollutants[{_label(p.get('name'), i)}]"
         # a pollutant name only heads result columns, which csv quotes
         p_name = errors.name(section + ".name", p.get("name"))
         # names equal in lower case would head one `<name>_reduction` column;
@@ -449,7 +462,7 @@ def load_config(path) -> ProjectConfig:
     seen_names = set()
     for i, sc_raw in errors.entries("scenarios", raw.get("scenarios")):
         sc_name = errors.path_name(f"scenarios[{i}].name", sc_raw.get("name"))
-        section = f"scenarios[{sc_name}]"
+        section = f"scenarios[{_label(sc_name, i)}]"
         if sc_name == "baseline":
             errors.add(section, "'baseline' is reserved for the run without LID")
         if sc_name in seen_names:

@@ -26,8 +26,11 @@ outfall holding every run side by side: `t_s`, then for each run label
 in `runs` order `<run>/flow_Lps` and `<run>/<p>_load_kg` per pollutant,
 one row per step, the time column formatted once per writer. A run label
 holds no `/`, so each header cell after `t_s` splits at its first `/`
-into run and column. Every cell is the `repr` of its float, written by
-orjson (`_float_cells`) except where its notation differs from `repr`. No
+into run and column. Every cell is the `repr` of its float, and
+`_repr_rows` writes each block of cells with one orjson call: orjson gives
+the same shortest digits as `repr`, and where it writes them in another
+notation (nonzero |x| < 1e-4, |x| >= 1e16) the cell's text is rebuilt
+from orjson's digits; only a non-finite cell is taken from `repr`. No
 concentration is written: a reader derives it from the row's own cells
 (see README "Outputs"). Each run's block of a row (`flow,load,...`) is
 kept per (storm, outfall) keyed on its matrix's bytes, so a block that
@@ -47,6 +50,7 @@ import datetime as _dt
 import hashlib
 import io
 import json
+import math
 import platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -177,7 +181,7 @@ class _Writer:
         key = (n, repr(step_s))
         column = self._time_columns.get(key)
         if column is None:
-            column = _float_cells(np.arange(n) * step_s)
+            column = _repr_rows((np.arange(n) * step_s)[:, np.newaxis])
             self._time_columns[key] = column
         return column
 
@@ -325,25 +329,59 @@ def _persist_table(writer: _Writer, table: IndicatorTable, *parts) -> Path:
     return writer.write_rows(["scenario"] + list(table.indicators), rows, *parts)
 
 
-def _float_cells(row: np.ndarray) -> list:
-    """`repr` of each float of a 1-D float64 array. orjson writes the same
-    shortest round-trip digits as `repr` wherever 1e-4 <= |x| < 1e16 or
-    x == 0 and is several times faster; every other cell (non-finite,
-    which orjson writes as `null`, or one that orjson writes in another
-    notation, e.g. `7.8e-6` for `7.8e-06`) is taken from `repr`."""
-    values = row.tolist()
-    if not values:
-        return []
-    cells = orjson.dumps(values).decode()[1:-1].split(",")
-    a = np.abs(row)
-    for i in np.flatnonzero(~((a >= 1e-4) & (a < 1e16) | (a == 0.0))).tolist():
-        cells[i] = repr(values[i])
+# orjson writes the same shortest round-trip digits as `repr`, and in the
+# same notation wherever x == 0 or 1e-4 <= |x| < 1e16. Each entry rewrites
+# orjson's text of the floats with low <= |x| < high into repr's notation.
+# A float's shortest digits carry the decimal exponent of its magnitude, so
+# these exact bounds at powers of ten give each entry one notation.
+_REWRITES = (
+    # 0.0000123 -> 1.23e-05, 0.00005 -> 5e-05
+    (1e-5, 1e-4, lambda text: [f"{c[6]}.{c[7:]}e-05" if len(c) > 7 else f"{c[6]}e-05"
+                               for c in text.split(",")]),
+    # 7.8e-6 -> 7.8e-06: a one-digit exponent, -6 to -9
+    (1e-9, 1e-5, lambda text: text.replace("e-", "e-0").split(",")),
+    # 1e-10, 5e-324: already repr's text
+    (5e-324, 1e-9, lambda text: text.split(",")),
+    # 1e16 -> 1e+16
+    (1e16, math.inf, lambda text: text.replace("e", "e+").split(",")),
+)
+
+
+def _rebuilt_cells(x: np.ndarray) -> np.ndarray:
+    """`repr` of each float of a 1-D array, every one nonzero and outside
+    1e-4 <= |x| < 1e16, rebuilt from orjson's digits of it (`_REWRITES`).
+    A non-finite value, which orjson writes as `null`, is taken from
+    `repr`."""
+    a = np.abs(x)
+    cells = np.empty(x.shape, dtype=object)
+    for low, high, rewrite in _REWRITES:
+        group = (a >= low) & (a < high)
+        if group.any():
+            cells[group] = rewrite(orjson.dumps(a[group].tolist()).decode()[1:-1])
+    negative = (x < 0) & (a < math.inf)
+    cells[negative] = "-" + cells[negative]
+    for i in np.flatnonzero(~np.isfinite(x)).tolist():
+        cells[i] = repr(float(x[i]))
     return cells
+
+
+def _repr_rows(block: np.ndarray) -> list:
+    """The `repr` of each float of a 2-D array, one `,`-joined string per
+    row, all written by one orjson call on an object copy of the array.
+    In that copy each cell that orjson would write in another notation
+    than `repr` (see `_REWRITES`) holds its rebuilt text, which orjson
+    writes quoted; the quotes are dropped."""
+    a = np.abs(block)
+    odd = ~((a >= 1e-4) & (a < 1e16) | (a == 0.0))
+    cells = block.astype(object)
+    cells[odd] = _rebuilt_cells(block[odd])
+    text = orjson.dumps(cells.tolist()).replace(b'"', b"").decode()
+    return text[2:-2].split("],[") if len(block) else []
 
 
 def _step_cells(series: np.ndarray) -> list:
     """The `flow,load,...` text of each step of a (1 + pollutant, step) matrix."""
-    return list(map(",".join, zip(*map(_float_cells, series))))
+    return _repr_rows(series.T)
 
 
 def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:

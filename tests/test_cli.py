@@ -212,6 +212,11 @@ class TestValidate:
          "storms: tail_min 1.5 must be >= 0 and a whole number of 60.0 s steps"),
         ("storms", "tail_min", 2.5,
          "storms: tail_min 2.5 must be >= 0 and a whole number of 60.0 s steps"),
+        # two nodes of one name: scores, consistency reports and
+        # --sensitivity key nodes by name, and used to keep one of the two
+        (("hierarchy", "children", 1, "children", 2), "name", "water_quantity",
+         "hierarchy.children[1].children[2]: node name 'water_quantity' is also "
+         "used at hierarchy.children[0].children[0]"),
     ])
     def test_values_rank_cannot_use_exit_2(self, runner, sample_dir, tmp_path,
                                            command, section, key, value, message):
@@ -497,8 +502,16 @@ class TestValidate:
         (("catchment", "subcatchments", 0, "land_uses", 0, "surface_class"), {"a": 1},
          "catchment.subcatchments[A].land_uses[0].surface_class: expected a scalar, "
          "got {'a': 1}"),
+        # an entry whose id or name is no scalar is labelled by its index
         (("catchment", "links", 0, "id"), {"x": 1},
-         "catchment.links[{'x': 1}].id: expected a scalar, got {'x': 1}"),
+         "catchment.links[0].id: expected a scalar, got {'x': 1}"),
+        (("catchment", "subcatchments", 0, "id"), None,
+         "catchment.subcatchments[0].id: missing"),
+        (("pollutants", 0, "name"), ["a"],
+         "pollutants[0].name: expected a scalar, got ['a']"),
+        (("scenarios", 1), {"name": {"x": 1}, "placements": [
+            {"subcatchment": "NOPE", "kind": "bio_retention"}]},
+         "scenarios[1].placements[0]: unknown subcatchment 'NOPE'"),
     ])
     def test_misshapen_sections_exit_2(self, runner, sample_dir, tmp_path,
                                        keys, value, message):

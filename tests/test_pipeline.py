@@ -16,6 +16,7 @@ import orjson
 import pytest
 import yaml
 from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import reference
 import lidscore.pipeline
@@ -24,7 +25,7 @@ from lidscore.errors import ConfigError, ValidationError
 from lidscore.evaluator import StormSummary, environmental_indicators
 from lidscore.hydrology import HortonParams, Link, Subcatchment
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (StormRun, _float_cells, _persist_runs, _Writer,
+from lidscore.pipeline import (StormRun, _persist_runs, _step_cells, _Writer,
                                assemble_indicators, build_storms, compute_sizing,
                                run_pipeline, simulate_all, simulate_run,
                                weight_sensitivity)
@@ -407,8 +408,8 @@ class TestSeriesWriterBytes:
 
 
 def assert_repr_cells(xs) -> None:
-    """`_float_cells` of the floats `xs` is the `repr` of each."""
-    assert _float_cells(np.array(xs, dtype=float)) == [repr(x) for x in xs], \
+    """`_step_cells` of the floats `xs` as one series is the `repr` of each."""
+    assert _step_cells(np.array([xs], dtype=float)) == [repr(x) for x in xs], \
         f"orjson {orjson.__version__} text differs from repr in {xs!r}"
 
 
@@ -421,29 +422,47 @@ def ulps_around(x: float) -> list:
     return below[:0:-1] + above
 
 
-class TestFloatCells:
-    """Outfall cells come from orjson's shortest digits and, where its
-    notation differs from `repr` (non-finite, nonzero |x| < 1e-4 or
-    |x| >= 1e16), from `repr`: either way each is the float's `repr`."""
+# floats where orjson's notation or the rewrite of it into repr's changes:
+# the edges of each notation, one-digit mantissas, one- to three-digit
+# exponents, and the smallest and largest floats
+NOTATION_EDGES = sorted({
+    *(x for edge in (1e-4, 1e-5, 1e-9, 1e-10, 1e16) for x in ulps_around(edge)),
+    5e-05, 1e-06, 1e+16, *(float(f"{m}e{e}") for e in range(-10, -5) for m in (1, 7.8)),
+    1e-308, sys.float_info.min, 5e-324, sys.float_info.max,
+})
+MIXED_CELLS = [*NOTATION_EDGES, *(-x for x in NOTATION_EDGES),
+               math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5]
+
+
+class TestStepCells:
+    """Outfall cells come from orjson's shortest digits, in `repr`'s
+    notation: where orjson writes another one (nonzero |x| < 1e-4,
+    |x| >= 1e16) the text is rebuilt from orjson's digits, and a
+    non-finite cell is taken from `repr`. Either way each cell is the
+    float's `repr`."""
 
     @settings(max_examples=500, deadline=None)
-    @given(xs=st.lists(st.floats(allow_nan=True, allow_infinity=True,
-                                 allow_subnormal=True)))
-    @example(xs=[])
-    @example(xs=[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-                 sys.float_info.max, -sys.float_info.max, 1e-4, 1e16, 7.8e-6])
-    def test_any_floats_give_repr(self, xs):
-        assert_repr_cells(xs)
+    @given(series=arrays(np.float64,
+                         st.tuples(st.integers(1, 4), st.integers(0, 12)),
+                         elements=st.one_of(
+                             st.floats(allow_nan=True, allow_infinity=True,
+                                       allow_subnormal=True),
+                             st.floats(-1e-3, 1e-3), st.floats(-1e-8, 1e-8),
+                             st.floats(1e15, 1e18), st.floats(-1e18, -1e15))))
+    @example(series=np.array([MIXED_CELLS, MIXED_CELLS[::-1]]))
+    @example(series=np.zeros((3, 0)))
+    def test_any_matrix_gives_repr(self, series):
+        assert _step_cells(series) == [",".join(map(repr, column))
+                                       for column in series.T.tolist()], \
+            f"orjson {orjson.__version__} text differs from repr"
 
-    @pytest.mark.parametrize("edge", [1e-4, 1e16, 5e-324, sys.float_info.max])
+    @pytest.mark.parametrize("x", NOTATION_EDGES, ids=repr)
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_edges_of_the_orjson_range_give_repr(self, edge, sign):
-        """The two edges of the range orjson formats, each +/-2 ulps (the
-        float below 1e-4 is `9.999999999999999e-05` to `repr` but
-        `0.00009999999999999999` to orjson), and the smallest and largest
-        floats."""
-        xs = [sign * x for x in ulps_around(edge) if math.isfinite(x)]
-        assert_repr_cells(xs)
+    def test_notation_edges_give_repr(self, x, sign):
+        """The float below 1e-4 is `9.999999999999999e-05` to `repr` but
+        `0.00009999999999999999` to orjson; 1e-5 is `1e-05` and `0.00001`,
+        1e-9 `1e-09` and `1e-9`, 1e16 `1e+16` and `1e16`."""
+        assert_repr_cells([sign * x])
 
 
 def accepted_scenario_name(name: str) -> bool:
