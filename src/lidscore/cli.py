@@ -93,20 +93,15 @@ def storm(config, out_dir):
 @_common
 def atrcr(config, out_dir):
     """Capture-depth statistics from the configured rainfall record."""
-    from lidscore.pipeline import ATRCR_GRID_MM, _persist_atrcr_curve, _Writer
-    from lidscore.storms import atrcr_curve, invert_atrcr
+    from lidscore.pipeline import _persist_atrcr_curve, _Writer, compute_sizing
 
     if config.sizing is None or config.sizing.target.record is None:
         raise ConfigError("config has no sizing.target.rainfall_csv")
-    record = config.sizing.target.record
-    min_event = config.sizing.min_event_mm
-    points = atrcr_curve(record, ATRCR_GRID_MM, min_event)
-    target = config.sizing.target.atrcr
-    depth = invert_atrcr(record, target, min_event) if target is not None else None
-    path = _persist_atrcr_curve(_Writer(out_dir), points)
-    if depth is not None:
+    sizing = compute_sizing(config)
+    path = _persist_atrcr_curve(_Writer(out_dir), sizing.atrcr_points)
+    if (target := config.sizing.target.atrcr) is not None:
         click.echo(f"ATRCR {target:.0%} is reached at a capture depth of "
-                   f"{depth:.2f} mm")
+                   f"{sizing.target_depth_mm:.2f} mm")
     click.echo(f"wrote {path}")
 
 

@@ -7,7 +7,8 @@ section path in one ConfigError. One reader, `_Collector.build`, reads
 every dataclass section, so the same load rules hold in all of them. The
 indicator hierarchy is read here too, node by node (`_tree_node`), with
 each node's child weights taken from the file or from its pairwise matrix;
-`ahp` only does the matrix maths.
+`ahp` only does the matrix maths. `load_config` builds the frozen
+`ProjectConfig` once, from every value it read, after the last check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,7 @@ class SizingSettings:
     area_ha: float | None = None    # overrides the summed subcatchment area
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectConfig:
     path: Path
     config_hash: str
@@ -100,20 +101,18 @@ class ProjectConfig:
     scenarios: list
     storms: StormSettings
     sizing: SizingSettings | None
-    hierarchy_spec: dict
-    matrices: dict = field(default_factory=dict)
-    tree: WeightTree | None = None   # these three are built once, by load_config
-    consistency: dict = field(default_factory=dict)   # node -> ConsistencyReport
-    fixed_columns: IndicatorTable | None = None   # see _fixed_columns
+    tree: WeightTree
+    consistency: dict   # node -> ConsistencyReport
+    fixed_columns: IndicatorTable | None   # see _fixed_columns; None without scenarios
 
-    def weight_tree(self, errors: _Collector):
-        """(WeightTree, {node: ConsistencyReport}) read from `hierarchy_spec`
-        and `matrices` (see `_tree_node`), the tree None after recording a
-        batch entry for each problem, also for each matrix no node reads."""
+    @staticmethod
+    def weight_tree(errors: _Collector, hierarchy, matrices: dict):
+        """(WeightTree, {node: ConsistencyReport}) read from `hierarchy` and
+        the read `matrices` (see `_tree_node`), the tree None after recording
+        a batch entry for each problem, also for each matrix no node reads."""
         reports, read = {}, set()
-        root = _tree_node(errors, "hierarchy", self.hierarchy_spec, 1.0,
-                          self.matrices, reports, read, {})
-        for node in self.matrices:
+        root = _tree_node(errors, "hierarchy", hierarchy, 1.0, matrices, reports, read, {})
+        for node in matrices:
             if node not in read:
                 errors.add(f"matrices.{node}", "no node reads this matrix: a node reads "
                                                "the matrix of its name when it has two or "
@@ -150,22 +149,24 @@ class _Collector:
         self.add(section, f"{number!r} is not finite")
         return None
 
-    def name(self, section: str, value) -> str:
-        """`str(value)`, after recording a batch entry when it is empty,
-        None (a YAML key with no value), or not a scalar (see `value`)."""
+    def name(self, section: str, value) -> str | None:
+        """`str(value)`, or None after recording a batch entry when it is
+        empty, None (a YAML key with no value), or not a scalar (see
+        `value`)."""
         if value is None or value == "":
             self.add(section, "missing or empty")
-            return ""
-        return self.value(section, "str", value) or ""
+            return None
+        return self.value(section, "str", value)
 
-    def path_name(self, section: str, value) -> str:
-        """`str(value)` for a name that becomes part of a result path,
-        after recording a batch entry when it is not one plain, non-empty
-        path component."""
+    def path_name(self, section: str, value) -> str | None:
+        """`str(value)` for a name that becomes part of a result path, or
+        None after recording a batch entry when it is not one plain,
+        non-empty path component."""
         name = self.name(section, value)
-        if name in (".", "..") or "/" in name or "\\" in name:
+        if name in (".", "..") or name is not None and ("/" in name or "\\" in name):
             self.add(section, f"{name!r} must be a plain file name "
                               f"(no '/' or '\\', not '.' or '..')")
+            return None
         return name
 
     def sequence(self, section: str, value) -> list:
@@ -225,7 +226,8 @@ class _Collector:
         for f in (f for f in fields if f.name not in values):
             key = keys.get(f.name, f.name)
             if key in raw:
-                kwargs[f.name] = self.value(f"{section}.{key}", f.type, raw[key])
+                kwargs[f.name] = self.value(f"{section}.{key}", f.type, raw[key],
+                                            f.metadata.get("keys"))
                 ok &= kwargs[f.name] is not None
             elif f.name in defaults:
                 kwargs[f.name] = defaults[f.name]
@@ -234,11 +236,12 @@ class _Collector:
                 ok = False
         return self.guard(section, cls, **kwargs) if ok else None
 
-    def value(self, section: str, annotation: str, value):
+    def value(self, section: str, annotation: str, value, keys=None):
         """`value` read for a field annotated `annotation`: a float through
         `number`, a str through `str` unless it is a list or a mapping, and a
-        dict (every other field) as a mapping of numbers; None after
-        recording a batch entry."""
+        dict (every other field) as a mapping of numbers, each of its keys
+        not in `keys` (when given) an unknown key; None after recording a
+        batch entry."""
         if annotation.startswith("float"):
             return self.number(section, value)
         if annotation.startswith("str"):
@@ -248,6 +251,8 @@ class _Collector:
             return None
         if (mapping := self.mapping(section, value)) is None:
             return None
+        if keys is not None:
+            self.known(section, mapping, keys)
         numbers = {str(k): self.number(f"{section}.{k}", v) for k, v in mapping.items()}
         return None if None in numbers.values() else numbers
 
@@ -272,7 +277,7 @@ def _tree_node(errors: _Collector, section: str, raw, weight: float,
     raw = errors.mapping(section, raw)
     if raw is None:
         return None
-    name = errors.name(section + ".name", raw.get("name")) or None
+    name = errors.name(section + ".name", raw.get("name"))
     if name in paths:
         errors.add(section, f"node name {name!r} is also used at {paths[name]}")
     elif name is not None:
@@ -351,8 +356,8 @@ def load_config(path) -> ProjectConfig:
     if version != SCHEMA_VERSION:
         errors.add("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
-    name = raw.get("name", path.stem)
-    output_dir = base_dir / str(raw.get("output_dir", "results"))
+    name = errors.value("name", "str", raw.get("name", path.stem))
+    output_dir = errors.value("output_dir", "str", raw.get("output_dir", "results"))
 
     # --- catchment ------------------------------------------------------
     subcatchments: dict = {}
@@ -374,7 +379,7 @@ def load_config(path) -> ProjectConfig:
             section, Subcatchment, sub,
             horton=errors.build(section + ".horton", HortonParams, sub.get("horton")),
             land_uses=tuple(land_uses),
-            outlet=errors.path_name(section + ".outlet", sub.get("outlet")),
+            outlet=errors.path_name(section + ".outlet", sub.get("outlet")) or "",
         )
         if sc:
             if sc.id in subcatchments:
@@ -385,14 +390,14 @@ def load_config(path) -> ProjectConfig:
         ln.pop("capacity_lps", None)   # a retired key, accepted and ignored
         link = errors.build(section, Link, ln,
                             keys={"from_node": "from", "to_node": "to"},
-                            to_node=errors.path_name(section + ".to", ln.get("to")))
+                            to_node=errors.path_name(section + ".to", ln.get("to")) or "")
         if link:
             links.append(link)
-    outfalls = [str(o) for o in errors.sequence("catchment.outfalls",
-                                                 catchment.get("outfalls"))]
+    outfalls = [errors.value(f"catchment.outfalls[{i}]", "str", o) for i, o in
+                enumerate(errors.sequence("catchment.outfalls", catchment.get("outfalls")))]
 
-    # network integrity: outlets reach declared outfalls, no cycles
-    if subcatchments:
+    # network integrity: outlets reach declared outfalls (if all read), no cycles
+    if subcatchments and None not in outfalls:
         try:
             paths = _downstream_paths(links)
             for sc in subcatchments.values():
@@ -415,17 +420,19 @@ def load_config(path) -> ProjectConfig:
         # a pollutant name only heads result columns, which csv quotes
         p_name = errors.name(section + ".name", p.get("name"))
         # names equal in lower case would head one `<name>_reduction` column;
-        # a built-in column must not be headed twice either
-        indicator = environmental_indicators([p_name])[-1]
-        clash = [s.name for s in pollutants if s.name.lower() == p_name.lower()]
-        if p_name in clash:
-            errors.add(section, "duplicate pollutant name")
-        elif clash:
-            errors.add(section, f"pollutants {clash[0]!r} and {p_name!r} both give "
-                                f"the indicator '{indicator}'")
-        elif indicator in environmental_indicators([]):
-            errors.add(section, f"pollutant {p_name!r} gives the indicator "
-                                f"'{indicator}', which is built in")
+        # a built-in column must not be headed twice either; a name that fails
+        # to read joins no check, and its entry is not built
+        if p_name is not None:
+            indicator = environmental_indicators([p_name])[-1]
+            clash = [s.name for s in pollutants if s.name.lower() == p_name.lower()]
+            if p_name in clash:
+                errors.add(section, "duplicate pollutant name")
+            elif clash:
+                errors.add(section, f"pollutants {clash[0]!r} and {p_name!r} both give "
+                                    f"the indicator '{indicator}'")
+            elif indicator in environmental_indicators([]):
+                errors.add(section, f"pollutant {p_name!r} gives the indicator "
+                                    f"'{indicator}', which is built in")
         spec = errors.build(section, PollutantSpec, p, name=p_name)
         if spec:
             pollutants.append(spec)
@@ -460,14 +467,17 @@ def load_config(path) -> ProjectConfig:
     # --- scenarios ------------------------------------------------------
     scenarios = []
     seen_names = set()
-    for i, sc_raw in errors.entries("scenarios", raw.get("scenarios")):
+    scenario_entries = errors.sequence("scenarios", raw.get("scenarios"))
+    for i, sc_raw in errors.entries("scenarios", scenario_entries):
+        # an entry whose name fails to read is not built and joins no name check
         sc_name = errors.path_name(f"scenarios[{i}].name", sc_raw.get("name"))
         section = f"scenarios[{_label(sc_name, i)}]"
         if sc_name == "baseline":
             errors.add(section, "'baseline' is reserved for the run without LID")
         if sc_name in seen_names:
             errors.add(section, "duplicate scenario name")
-        seen_names.add(sc_name)
+        elif sc_name is not None:
+            seen_names.add(sc_name)
         placements = []
         for j, pl in errors.entries(section + ".placements",
                                     sc_raw.get("placements")):
@@ -487,8 +497,9 @@ def load_config(path) -> ProjectConfig:
             )
             if placement:
                 placements.append(placement)
-        scenarios.append(errors.build(section, Scenario, sc_raw, name=sc_name,
-                                      placements=tuple(placements)))
+        if scenario := errors.build(section, Scenario, sc_raw, name=sc_name,
+                                    placements=tuple(placements)):
+            scenarios.append(scenario)
         for host_id in dict.fromkeys(p.subcatchment for p in placements):
             hosted = [p for p in placements if p.subcatchment == host_id]
             for problem in placement_problems(subcatchments[host_id], hosted):
@@ -525,9 +536,10 @@ def load_config(path) -> ProjectConfig:
         facilities = []
         for i, f in errors.entries("sizing.existing_facilities",
                                    sizing_raw.get("existing_facilities")):
-            f = errors.known(f"sizing.existing_facilities[{i}]", f, ("label", "volume_m3"))
-            label = str(f.get("label", f"facility{i}"))
-            volume = errors.number(f"sizing.existing_facilities[{label}]",
+            section = f"sizing.existing_facilities[{i}]"
+            f = errors.known(section, f, ("label", "volume_m3"))
+            label = errors.value(section + ".label", "str", f.get("label", f"facility{i}"))
+            volume = errors.number(f"sizing.existing_facilities[{_label(label, i)}]",
                                    f.get("volume_m3", 0))
             facilities.append((label, volume))
             if volume is not None and volume < 0:
@@ -546,8 +558,9 @@ def load_config(path) -> ProjectConfig:
                               existing_facilities=tuple(facilities), target=target)
     if sizing:
         target = sizing.target
-        if target.depth_mm is None and target.atrcr is None:
-            errors.add("sizing.target", "need either depth_mm or atrcr")
+        if (target.depth_mm is None) == (target.atrcr is None):
+            errors.add("sizing.target", "need either depth_mm or atrcr" if target.atrcr is None
+                       else "give one of depth_mm and atrcr, not both")
         if target.atrcr is not None and target.rainfall_csv is None:
             errors.add("sizing.target", "atrcr target needs rainfall_csv")
         if target.atrcr is not None and not 0.0 < target.atrcr < 1.0:
@@ -585,7 +598,8 @@ def load_config(path) -> ProjectConfig:
             )
 
     provided: dict = {}   # indicator -> [(path, table, normalized)] in file order
-    names = [sc.name for sc in scenarios]
+    # a scenario entry that was not built is listed already: check no table against the rest
+    names = [sc.name for sc in scenarios] if len(scenarios) == len(scenario_entries) else []
     for i, entry in errors.entries("direct_tables", raw.get("direct_tables")):
         section = f"direct_tables[{i}]"
         entry = errors.known(section, entry, ("file", "normalized"))
@@ -609,11 +623,20 @@ def load_config(path) -> ProjectConfig:
             provided.setdefault(indicator, []).append(
                 (table_path, table, normalized is True))
 
-    config = ProjectConfig(
+    # reading the tree applies the weight, matrix and CR rules
+    tree, consistency = ProjectConfig.weight_tree(errors, raw.get("hierarchy"), matrices)
+    if errors.errors:
+        raise ConfigError(errors.errors)
+    # a project without scenarios ranks nothing, so its leaves need no source
+    fixed_columns = (_fixed_columns(errors, tree, scenarios, catalog, pollutants, provided)
+                     if scenarios else None)
+    if errors.errors:
+        raise ConfigError(errors.errors)
+    return ProjectConfig(
         path=path,
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
-        name=str(name),
-        output_dir=output_dir,
+        name=name,
+        output_dir=base_dir / output_dir,
         subcatchments=subcatchments,
         links=links,
         outfalls=outfalls,
@@ -623,32 +646,23 @@ def load_config(path) -> ProjectConfig:
         scenarios=scenarios,
         storms=storms,
         sizing=sizing,
-        hierarchy_spec=raw.get("hierarchy"),
-        matrices=matrices,
+        tree=tree,
+        consistency=consistency,
+        fixed_columns=fixed_columns,
     )
-    # reading the tree applies the weight, matrix and CR rules
-    config.tree, config.consistency = config.weight_tree(errors)
-    if errors.errors:
-        raise ConfigError(errors.errors)
-    # a project without scenarios ranks nothing, so its leaves need no source
-    if scenarios:
-        config.fixed_columns = _fixed_columns(errors, config, provided)
-    if errors.errors:
-        raise ConfigError(errors.errors)
-    return config
 
 
-def _fixed_columns(errors: _Collector, config: ProjectConfig,
-                   provided: dict) -> IndicatorTable:
-    """The normalized column, in scenario order, of each leaf of `config.tree`
-    that the simulation does not fill: `evaluator.normalize` of its facility
+def _fixed_columns(errors: _Collector, tree: WeightTree, scenarios: list, catalog: dict,
+                   pollutants: list, provided: dict) -> IndicatorTable:
+    """The normalized column, in scenario order, of each leaf of `tree` that
+    the simulation does not fill: `evaluator.normalize` of its facility
     scores or of the one raw direct column of its indicator, or, from a
     table marked `normalized`, that column after `check_normalized`.
     Records a batch entry for every leaf that its source cannot fill."""
-    names = [sc.name for sc in config.scenarios]
-    simulated = environmental_indicators([p.name for p in config.pollutants])
+    names = [sc.name for sc in scenarios]
+    simulated = environmental_indicators([p.name for p in pollutants])
     columns = {}
-    for leaf in config.tree.leaves():
+    for leaf in tree.leaves():
         section = f"hierarchy: leaf {leaf.name!r}"
         sources = provided.get(leaf.indicator, [])
         if leaf.source == "simulated":
@@ -657,8 +671,7 @@ def _fixed_columns(errors: _Collector, config: ProjectConfig,
                                     f"(it produces {', '.join(simulated)})")
             continue
         if leaf.source == "facility_derived":
-            raw = errors.guard(section, facility_scores, config.scenarios,
-                               config.catalog, leaf)
+            raw = errors.guard(section, facility_scores, scenarios, catalog, leaf)
             normalized = False
         elif len(sources) == 1:
             _, direct, normalized = sources[0]

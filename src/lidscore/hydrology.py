@@ -23,6 +23,9 @@ from lidscore.lid import (LidSpec, M2_PER_HA, placement_problems,
                           simulate_lid_unit)
 from lidscore.storms import Hyetograph
 
+SURFACES = ("impervious", "pervious")   # the two reservoirs of a subcatchment
+
+
 @dataclass(frozen=True)
 class HortonParams:
     """Infiltration capacity decay f(t) = fc + (f0 - fc) * exp(-k t)."""
@@ -72,18 +75,16 @@ class Subcatchment:
     land_uses: tuple = ()
     outlet: str = ""
     depression_storage_mm: dict = field(
-        default_factory=lambda: {"impervious": 1.5, "pervious": 2.5}
-    )
-    manning_n: dict = field(
-        default_factory=lambda: {"impervious": 0.012, "pervious": 0.15}
-    )
+        default_factory=lambda: {"impervious": 1.5, "pervious": 2.5}, metadata={"keys": SURFACES})
+    manning_n: dict = field(default_factory=lambda: {"impervious": 0.012, "pervious": 0.15},
+                            metadata={"keys": SURFACES})
 
     def __post_init__(self):
         if self.area_ha <= 0 or self.width_m <= 0 or self.slope <= 0:
             raise ValidationError(f"{self.id}: area, width and slope must be positive")
         if not 0.0 <= self.impervious_fraction <= 1.0:
             raise ValidationError(f"{self.id}: impervious fraction outside [0, 1]")
-        for surface in ("impervious", "pervious"):
+        for surface in SURFACES:
             if self.depression_storage_mm.get(surface, -1) < 0:
                 raise ValidationError(
                     f"{self.id}: depression_storage_mm needs a non-negative "

@@ -24,7 +24,7 @@ One `route_series` call per run takes them to the outfalls. Under
 results/<storm>/, `_persist_runs` writes one `outfall_<outfall>.csv` per
 outfall holding every run side by side: `t_s`, then for each run label
 in `runs` order `<run>/flow_Lps` and `<run>/<p>_load_kg` per pollutant,
-one row per step, the time column formatted once per writer. A run label
+one row per step, the time column formatted once per storm. A run label
 holds no `/`, so each header cell after `t_s` splits at its first `/`
 into run and column. Every cell is the `repr` of its float, and
 `_repr_rows` writes each block of cells with one orjson call: orjson gives
@@ -146,7 +146,6 @@ class _Writer:
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.files: dict = {}
-        self._time_columns: dict = {}
 
     def record(self, text: str, *parts) -> Path:
         data = text.encode("utf-8")
@@ -174,17 +173,6 @@ class _Writer:
         writer.writerows(rows)
         return self.record(buf.getvalue(), *parts)
 
-    def time_column(self, n: int, step_s) -> list:
-        """repr of `k * step_s` for k < n, formatted once per writer. The
-        key holds `repr(step_s)`: 60 and 60.0 are equal but give "60" and
-        "60.0"."""
-        key = (n, repr(step_s))
-        column = self._time_columns.get(key)
-        if column is None:
-            column = _repr_rows((np.arange(n) * step_s)[:, np.newaxis])
-            self._time_columns[key] = column
-        return column
-
 
 def build_storms(config: ProjectConfig):
     s = config.storms
@@ -197,7 +185,7 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     if config.sizing is None:
         return None
     # load_config has checked that the project has the source of each value
-    # that is not set explicitly
+    # that is not set explicitly, and one of depth_mm and atrcr
     subcatchments = config.subcatchments.values()
     psi = config.sizing.psi
     if psi is None:
@@ -205,14 +193,11 @@ def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     area_ha = config.sizing.area_ha
     if area_ha is None:
         area_ha = sum(sc.area_ha for sc in subcatchments)
-    target = config.sizing.target
-    atrcr_points = None
-    if target.depth_mm is not None:
-        depth = float(target.depth_mm)
-    else:
-        depth = invert_atrcr(target.record, target.atrcr, config.sizing.min_event_mm)
-        atrcr_points = atrcr_curve(target.record, ATRCR_GRID_MM,
-                                   config.sizing.min_event_mm)
+    target, min_event = config.sizing.target, config.sizing.min_event_mm
+    depth = (target.depth_mm if target.atrcr is None
+             else invert_atrcr(target.record, target.atrcr, min_event))
+    atrcr_points = (None if target.record is None
+                    else atrcr_curve(target.record, ATRCR_GRID_MM, min_event))
     existing_m3, existing_depth = existing_capacity(
         config.sizing.existing_facilities, psi, area_ha
     )
@@ -379,11 +364,6 @@ def _repr_rows(block: np.ndarray) -> list:
     return text[2:-2].split("],[") if len(block) else []
 
 
-def _step_cells(series: np.ndarray) -> list:
-    """The `flow,load,...` text of each step of a (1 + pollutant, step) matrix."""
-    return _repr_rows(series.T)
-
-
 def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:
     """Every run of `config` (`simulate_all`) under results/<storm>/: one
     outfall table per outfall with every run side by side, and one water
@@ -395,14 +375,17 @@ def _persist_runs(writer: _Writer, config: ProjectConfig, runs: dict) -> None:
     csv.writer(buf).writerow(["t_s", *(f"{label}/{c}" for label in runs for c in columns)])
     header = buf.getvalue()
     for storm_runs in zip(*runs.values()):
-        storm = storm_runs[0].storm
-        for outfall, first in storm_runs[0].outfalls.items():
-            blocks: dict = {}   # matrix bytes -> its _step_cells
-            cells = [writer.time_column(first.shape[1], step_s)]
+        storm, outfalls = storm_runs[0].storm, storm_runs[0].outfalls
+        # every outfall series of a storm has the same steps (route_series)
+        steps = next(iter(outfalls.values())).shape[1] if outfalls else 0
+        time = _repr_rows((np.arange(steps) * step_s)[:, np.newaxis])
+        for outfall in outfalls:
+            blocks: dict = {}   # matrix bytes -> the `flow,load,...` text of each step
+            cells = [time]
             for run in storm_runs:
                 key = run.outfalls[outfall].tobytes()
                 if key not in blocks:
-                    blocks[key] = _step_cells(run.outfalls[outfall])
+                    blocks[key] = _repr_rows(run.outfalls[outfall].T)
                 cells.append(blocks[key])
             writer.record(header + "\r\n".join([*map(",".join, zip(*cells, strict=True)), ""]),
                           "results", storm, f"outfall_{outfall}.csv")

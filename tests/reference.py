@@ -8,7 +8,6 @@ against the same numbers.
 import csv
 import io
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -154,8 +153,7 @@ def weight_tree(hierarchy: dict, matrices: dict | None = None):
     from its `hierarchy` section and its read `matrices`; raises the
     ConfigError that lists every problem found."""
     errors = _Collector()
-    project = SimpleNamespace(hierarchy_spec=hierarchy, matrices=matrices or {})
-    tree, reports = ProjectConfig.weight_tree(project, errors)
+    tree, reports = ProjectConfig.weight_tree(errors, hierarchy, matrices or {})
     if errors.errors:
         raise ConfigError(errors.errors)
     return tree, reports

@@ -287,6 +287,56 @@ class TestValidate:
         }
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("edits,messages", [
+        # an entry whose name fails to read is not built and joins no name
+        # check: it used to be built as `''`, a duplicate of the next such
+        # entry and a phantom scenario of the direct table
+        ({("scenarios", 1, "name"): {"x": 1}, ("scenarios", 2, "name"): None},
+         ["scenarios[1].name: expected a scalar, got {'x': 1}",
+          "scenarios[2].name: missing or empty"]),
+        ({("pollutants", 1, "name"): None, ("pollutants", 2, "name"): [1]},
+         ["pollutants[1].name: missing or empty",
+          "pollutants[2].name: expected a scalar, got [1]"]),
+        # values that used to bypass the scalar rule: a mapping output_dir
+        # made `storm` write into a directory named `{'x': 1}`
+        ({("output_dir",): {"x": 1}}, ["output_dir: expected a scalar, got {'x': 1}"]),
+        ({("name",): [1, 2]}, ["name: expected a scalar, got [1, 2]"]),
+        ({("sizing", "existing_facilities", 1, "label"): [1]},
+         ["sizing.existing_facilities[1].label: expected a scalar, got [1]"]),
+        # an outfall that fails to read used to show only as the outlet that
+        # drains to the outfall it should have declared
+        ({("catchment", "outfalls", 0): {"x": 1}},
+         ["catchment.outfalls[0]: expected a scalar, got {'x': 1}"]),
+        # the per-surface maps have two keys; a misspelled third loaded silently
+        ({("catchment", "subcatchments", 0, "depression_storage_mm"):
+          {"impervious": 1.5, "pervious": 2.5, "imprevious": 9}},
+         ["catchment.subcatchments[A].depression_storage_mm.imprevious: unknown key"]),
+        ({("catchment", "subcatchments", 0, "manning_n"):
+          {"impervious": 0.012, "pervious": 0.15, "Pervious": 0.2}},
+         ["catchment.subcatchments[A].manning_n.Pervious: unknown key"]),
+        # a sizing target gives exactly one design depth: `rank` used to size
+        # at depth_mm while `atrcr` printed the depth of the atrcr target
+        ({("sizing", "target", "depth_mm"): 40},
+         ["sizing.target: give one of depth_mm and atrcr, not both"]),
+        ({("sizing", "target", "atrcr"): None}, ["sizing.target: need either depth_mm or atrcr"]),
+    ], ids=["scenario_names", "pollutant_names", "output_dir", "name", "facility_label",
+            "outfall", "depression_storage_key", "manning_key", "both_targets",
+            "no_target"])
+    def test_entry_problems_listed_alone(self, runner, sample_dir, tmp_path, command,
+                                         edits, messages):
+        """Each problem is listed once, by its path, with no error that
+        follows from it; nothing is written, also where no `--out` is
+        given."""
+        (keys, value), *more = edits.items()
+        path = edited_project(sample_dir, tmp_path, keys, value, more=more)
+        before = sorted(tmp_path.iterdir())
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines()
+                if line.startswith("error:")] == [f"error: {m}" for m in messages]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
     @pytest.mark.parametrize("data,line,column,value,message", [
         ("econ_social_indicators.csv", 3, 3, "n/a",
          "line 3, column 3 (maintenance_cost): 'n/a' is not a number"),
@@ -957,19 +1007,20 @@ class TestPublishedRollupBytes:
 @pytest.fixture(scope="module")
 def sports_rank(sample_dir, tmp_path_factory):
     """Output directory of `rank --sensitivity` on the bundled project, the
-    number of times it ran simulate_all and the number of run blocks of
-    outfall tables it formatted."""
+    number of times it ran simulate_all and the widths of the blocks of
+    outfall table cells it formatted."""
     out = tmp_path_factory.mktemp("rank")
     with mock.patch.object(pipeline, "simulate_all",
                            wraps=pipeline.simulate_all) as simulate_all, \
-            mock.patch.object(pipeline, "_step_cells",
-                              wraps=pipeline._step_cells) as step_cells:
+            mock.patch.object(pipeline, "_repr_rows",
+                              wraps=pipeline._repr_rows) as repr_rows:
         result = CliRunner().invoke(main, [
             "rank", "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(out), "--sensitivity", "environmental",
             "--delta", "0.05"])
     assert result.exit_code == 0, result.output
-    return out, simulate_all.call_count, step_cells.call_count
+    return out, simulate_all.call_count, [call.args[0].shape[1]
+                                          for call in repr_rows.call_args_list]
 
 
 class TestSingleWriter:
@@ -986,8 +1037,9 @@ class TestSingleWriter:
         """A run's columns of an outfall table repeat another run's (a
         scenario outfall fed only by placement-free subcatchments repeats
         the baseline's), but each distinct (storm, outfall, cells) is
-        formatted once."""
-        out, _, formatted = sports_rank
+        formatted once, as a block of 1 + 4 pollutant columns. The time
+        column, one column wide, is formatted once per storm."""
+        out, _, widths = sports_rank
         blocks = []
         for path in (out / "results").glob("*/outfall_*.csv"):
             with path.open(newline="") as f:
@@ -998,7 +1050,9 @@ class TestSingleWriter:
                 blocks.append((path, tuple(tuple(row[j] for j in cells) for row in rows)))
         assert len(blocks) == 3 * 6 * 6
         assert len(blocks) > len(set(blocks))   # there are repeats
-        assert formatted == len(set(blocks))
+        assert widths.count(5) == len(set(blocks))
+        assert widths.count(1) == 3
+        assert len(widths) == len(set(blocks)) + 3
 
     def test_one_file_per_outfall(self, runner, sample_dir, tmp_path):
         """Outfall `OUT` with pollutant `A_TSS` and outfall `OUT_A` with
@@ -1084,6 +1138,26 @@ class TestSingleWriter:
         assert written
         ranked = hashes_on_disk(sports_rank[0])
         assert {path: ranked.get(path) for path in written} == written
+
+    def test_atrcr_curve_of_a_depth_target_equals_ranks(self, runner, sample_dir,
+                                                         tmp_path):
+        """A `depth_mm` target with a rainfall record sizes at that depth, and
+        `rank` writes the same `atrcr_curve.csv` as `lidscore atrcr`, which
+        prints no ATRCR line for it. Both read the curve from
+        `compute_sizing`."""
+        path = edited_project(sample_dir, tmp_path, ("sizing", "target"),
+                              {"depth_mm": 26, "rainfall_csv": "rainfall.csv"})
+        result = runner.invoke(main, ["atrcr", "--config", str(path),
+                                      "--out", str(tmp_path / "atrcr")])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote {tmp_path / 'atrcr' / 'atrcr_curve.csv'}\n"
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "rank")])
+        assert result.exit_code == 0, result.output
+        curve = (tmp_path / "atrcr" / "atrcr_curve.csv").read_bytes()
+        assert (tmp_path / "rank" / "atrcr_curve.csv").read_bytes() == curve
+        sizing = json.loads((tmp_path / "rank" / "sizing.json").read_text())
+        assert sizing["target_depth_mm"] == 26.0
 
     def test_rank_reads_no_input_file_after_load(self, sports_rank, sample_dir,
                                                   tmp_path):

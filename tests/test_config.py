@@ -1,5 +1,6 @@
 """Tests for project-file loading and batched validation."""
 
+import dataclasses
 import json
 import re
 import shutil
@@ -59,6 +60,12 @@ class TestValidProjects:
         assert reports == {}  # explicit weights, no matrices involved
         leaves = [l.indicator for l in tree.leaves()]
         assert len(leaves) == 15
+
+    def test_loaded_project_is_frozen(self, sports_config):
+        """`load_config` builds the project in one constructor call, after
+        which no field can be set."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sports_config.tree = None
 
     def test_config_hash_tracks_bytes(self, sample_dir, tmp_path):
         original = load_config(sample_dir / "sports_center.yaml")
@@ -370,7 +377,8 @@ class TestMatrixDrivenHierarchy:
         monkeypatch.undo()
         config = load_config(path)
         written = json.loads((tmp_path / "out" / "weights.json").read_text())
-        for node, matrix in config.matrices.items():
+        for node, entry in yaml.safe_load(path.read_text())["matrices"].items():
+            matrix = ahp.PairwiseMatrix.from_rows(tuple(entry["labels"]), entry["rows"])
             report = ahp.consistency(matrix)
             assert written["consistency"][node] == {
                 "lambda_max": report.lambda_max, "ci": report.ci,

@@ -25,7 +25,7 @@ from lidscore.errors import ConfigError, ValidationError
 from lidscore.evaluator import StormSummary, environmental_indicators
 from lidscore.hydrology import HortonParams, Link, Subcatchment
 from lidscore.lid import LidKind, LidPlacement, Scenario
-from lidscore.pipeline import (StormRun, _persist_runs, _step_cells, _Writer,
+from lidscore.pipeline import (StormRun, _persist_runs, _repr_rows, _Writer,
                                assemble_indicators, build_storms, compute_sizing,
                                run_pipeline, simulate_all, simulate_run,
                                weight_sensitivity)
@@ -390,8 +390,7 @@ class TestSeriesWriterBytes:
         assert data == reference_outfall_table(step_s, names, runs)
         for run, series in runs.items():
             assert_earlier_layout_text(data, step_s, names, series, run)
-        # the time column is cached per writer: a second table of the same
-        # length reuses it and still matches
+        # a second table through the same writer matches too
         path = write_outfall_table(writer, step_s, names, {"s1": reversed_loads}, "t")
         assert path.read_bytes() == reference_outfall_table(step_s, names,
                                                             {"s1": reversed_loads})
@@ -408,8 +407,8 @@ class TestSeriesWriterBytes:
 
 
 def assert_repr_cells(xs) -> None:
-    """`_step_cells` of the floats `xs` as one series is the `repr` of each."""
-    assert _step_cells(np.array([xs], dtype=float)) == [repr(x) for x in xs], \
+    """`_repr_rows` of the floats `xs` as one series is the `repr` of each."""
+    assert _repr_rows(np.array([xs], dtype=float).T) == [repr(x) for x in xs], \
         f"orjson {orjson.__version__} text differs from repr in {xs!r}"
 
 
@@ -452,7 +451,7 @@ class TestStepCells:
     @example(series=np.array([MIXED_CELLS, MIXED_CELLS[::-1]]))
     @example(series=np.zeros((3, 0)))
     def test_any_matrix_gives_repr(self, series):
-        assert _step_cells(series) == [",".join(map(repr, column))
+        assert _repr_rows(series.T) == [",".join(map(repr, column))
                                        for column in series.T.tolist()], \
             f"orjson {orjson.__version__} text differs from repr"
 
