@@ -13,9 +13,9 @@ from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 composite_runoff_coefficient, horton_rate,
                                 runoff_volume, simulate_subcatchment)
-from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
-                          area_proportions, control_capacity, default_catalog,
-                          existing_capacity, required_volume, simulate_lid_unit)
+from lidscore.lid import (LidKind, LidPlacement, LidSpec, Scenario, area_proportions,
+                          control_capacity, default_catalog, existing_capacity,
+                          required_volume, simulate_lid_unit)
 from lidscore.metrics import FitReport, nse, peak_stats
 from lidscore.quality import PollutantSpec, buildup
 from lidscore.storms import (Hyetograph, IdfParams, RainRecord, atrcr_curve,

@@ -29,8 +29,8 @@ from lidscore.evaluator import (IndicatorTable, TreeNode, WeightTree,
                                 facility_scores, normalize)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths)
-from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
-                          default_catalog, placement_problems)
+from lidscore.lid import (LidKind, LidPlacement, LidSpec, Scenario, default_catalog,
+                          placement_problems)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
 from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams, RainRecord,
                              design_storm_suite, storm_label)
@@ -168,6 +168,12 @@ class _Collector:
                               f"(no '/' or '\\', not '.' or '..')")
             return None
         return name
+
+    def file(self, section: str, base_dir: Path, value) -> Path | None:
+        """`base_dir / name` for a file name read through `name`, or None
+        after recording a batch entry when it is not one."""
+        name = self.name(section, value)
+        return None if name is None else base_dir / name
 
     def sequence(self, section: str, value) -> list:
         """The entries of a list-valued section: [] when it is absent or
@@ -363,6 +369,7 @@ def load_config(path) -> ProjectConfig:
     subcatchments: dict = {}
     links: list = []
     surface_classes = set()   # of every land-use entry, built or not
+    unbuilt = set()   # ids of subcatchment entries that failed to build, listed already
     catchment = errors.mapping("catchment", raw.get("catchment")) or {}
     catchment = errors.known("catchment", catchment, ("subcatchments", "links", "outfalls"))
     for i, sub in errors.entries("catchment.subcatchments",
@@ -385,6 +392,8 @@ def load_config(path) -> ProjectConfig:
             if sc.id in subcatchments:
                 errors.add(section, f"duplicate subcatchment id {sc.id!r}")
             subcatchments[sc.id] = sc
+        elif sub.get("id") is not None:
+            unbuilt.add(str(sub["id"]))
     for i, ln in errors.entries("catchment.links", catchment.get("links")):
         section = f"catchment.links[{_label(ln.get('id'), i)}]"
         ln.pop("capacity_lps", None)   # a retired key, accepted and ignored
@@ -454,13 +463,8 @@ def load_config(path) -> ProjectConfig:
         kind = errors.guard(section, LidKind.parse, key)
         if kind is None or (entry := errors.mapping(section, entry)) is None:
             continue
-        layers = entry.get("layers")
-        spec = errors.build(
-            section, LidSpec, entry, defaults=vars(catalog[kind]), keys={"kind": None},
-            kind=kind,
-            layers=catalog[kind].layers if layers is None
-            else errors.build(section + ".layers", LidLayers, layers),
-        )
+        spec = errors.build(section, LidSpec, entry, defaults=vars(catalog[kind]),
+                            keys={"kind": None}, kind=kind)
         if spec:
             catalog[kind] = spec
 
@@ -488,7 +492,8 @@ def load_config(path) -> ProjectConfig:
             host_id = str(pl.get("subcatchment", ""))
             host = subcatchments.get(host_id)
             if host is None:
-                errors.add(psec, f"unknown subcatchment {host_id!r}")
+                if host_id not in unbuilt:
+                    errors.add(psec, f"unknown subcatchment {host_id!r}")
                 continue
             placement = errors.build(
                 psec, LidPlacement, pl,
@@ -547,7 +552,8 @@ def load_config(path) -> ProjectConfig:
                            f"{label}: negative volume")
         target_raw = errors.mapping("sizing.target", sizing_raw.get("target")) or {}
         csv_name = target_raw.get("rainfall_csv")
-        csv_path = base_dir / str(csv_name) if csv_name else None
+        csv_path = (errors.file("sizing.target.rainfall_csv", base_dir, csv_name)
+                    if csv_name else None)
         target = errors.build(
             "sizing.target", SizingTarget, target_raw, keys={"record": None},
             rainfall_csv=csv_path,
@@ -561,7 +567,7 @@ def load_config(path) -> ProjectConfig:
         if (target.depth_mm is None) == (target.atrcr is None):
             errors.add("sizing.target", "need either depth_mm or atrcr" if target.atrcr is None
                        else "give one of depth_mm and atrcr, not both")
-        if target.atrcr is not None and target.rainfall_csv is None:
+        if target.atrcr is not None and not target_raw.get("rainfall_csv"):
             errors.add("sizing.target", "atrcr target needs rainfall_csv")
         if target.atrcr is not None and not 0.0 < target.atrcr < 1.0:
             errors.add("sizing.target.atrcr", f"must be in (0, 1), got {target_raw['atrcr']}")
@@ -587,9 +593,9 @@ def load_config(path) -> ProjectConfig:
             continue
         errors.known(section, m_raw, ("csv", "labels", "rows"))
         if "csv" in m_raw:
-            matrices[node] = errors.guard(
-                section, ahp.PairwiseMatrix.from_csv, base_dir / str(m_raw["csv"])
-            )
+            csv_path = errors.file(section + ".csv", base_dir, m_raw["csv"])
+            matrices[node] = csv_path and errors.guard(
+                section, ahp.PairwiseMatrix.from_csv, csv_path)
         else:
             matrices[node] = errors.guard(
                 section, ahp.PairwiseMatrix.from_rows,
@@ -611,7 +617,8 @@ def load_config(path) -> ProjectConfig:
         if not file_name:
             errors.add(section, "missing file")
             continue
-        table_path = base_dir / str(file_name)
+        if (table_path := errors.file(section + ".file", base_dir, file_name)) is None:
+            continue
         table = errors.guard(section, IndicatorTable.from_csv, table_path)
         if table is None:
             continue

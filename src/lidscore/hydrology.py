@@ -161,10 +161,12 @@ class WaterBalance:
 def _manning_coefficient(sc: Subcatchment, area_m2: float, surface: str) -> float:
     # q [mm/s] = coef * (depth_mm - dstore_mm)^(5/3); derived from the SWMM
     # per-unit-area form q = W * sqrt(S) / (A * n) * d^(5/3) with d in m.
-    if area_m2 <= 0:
-        return 0.0
-    n = sc.manning_n[surface]
-    return sc.width_m * math.sqrt(sc.slope) / (area_m2 * n) * 1000.0 ** (-2.0 / 3.0)
+    # A subnormal area can make A * n underflow to 0; such a surface drains
+    # its excess within the step, and the kernel takes an infinite coefficient.
+    denominator = area_m2 * sc.manning_n[surface]
+    if denominator == 0.0:
+        return math.inf
+    return sc.width_m * math.sqrt(sc.slope) / denominator * 1000.0 ** (-2.0 / 3.0)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Sizing (capacity per unit area, required control volume, area shares per
 kind) is deliberately separate from the event-scale unit simulation: the
 former is static bucket arithmetic, the latter steps a storage unit through
-a storm. Default layer parameters are chosen so both agree, i.e. the layered
-static capacity equals the published per-unit-area control capacity.
+a storm. Both read one storage number per kind, `unit_capacity_m3_m2`, so
+a unit filled to the brim holds exactly the control volume sizing counts.
 """
 
 from __future__ import annotations
@@ -39,40 +39,17 @@ class LidKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class LidLayers:
-    """Layered geometry of one facility; thicknesses in mm, rates in mm/hr."""
-
-    berm_mm: float = 0.0
-    soil_thickness_mm: float = 0.0
-    soil_porosity: float = 0.5
-    soil_ksat_mm_hr: float = 0.0
-    storage_thickness_mm: float = 0.0
-    storage_void_ratio: float = 0.5
-    underdrain_mm_hr: float = 0.0
-
-    def __post_init__(self):
-        if min(self.berm_mm, self.soil_thickness_mm, self.storage_thickness_mm,
-               self.soil_ksat_mm_hr, self.underdrain_mm_hr) < 0:
-            raise ValidationError("layer thicknesses and rates must be non-negative")
-        for name, value in (("soil_porosity", self.soil_porosity),
-                            ("storage_void_ratio", self.storage_void_ratio)):
-            if not 0.0 < value <= 1.0:
-                raise ValidationError(f"{name} must be in (0, 1], got {value}")
-
-    @property
-    def static_capacity_mm(self) -> float:
-        return (self.berm_mm
-                + self.soil_thickness_mm * self.soil_porosity
-                + self.storage_thickness_mm * self.storage_void_ratio)
-
-
-@dataclass(frozen=True)
 class LidSpec:
+    """One facility kind. `unit_capacity_m3_m2` is its only storage number:
+    sizing counts it as control volume and the unit simulation stores up to
+    that depth. Rates are in mm/hr."""
+
     kind: LidKind
     unit_capacity_m3_m2: float
-    layers: LidLayers
     favorability: dict = field(default_factory=dict)
     unit_cost_weight: float = 1.0
+    exfiltration_mm_hr: float = 0.0
+    underdrain_mm_hr: float = 0.0
 
     def __post_init__(self):
         if self.unit_capacity_m3_m2 <= 0:
@@ -81,50 +58,21 @@ class LidSpec:
             raise ValidationError(f"{self.kind.value}: unit cost weight must be positive")
         if any(v < 0 for v in self.favorability.values()):
             raise ValidationError(f"{self.kind.value}: favorability scores must be >= 0")
-
-    @property
-    def capacity_mm(self) -> float:
-        """Event storage depth used by the unit simulation."""
-        if self.kind is LidKind.STORAGE_TANK:
-            return self.unit_capacity_m3_m2 * 1000.0
-        return self.layers.static_capacity_mm
-
-    @property
-    def exfiltration_mm_hr(self) -> float:
-        return 0.0 if self.kind is LidKind.STORAGE_TANK else self.layers.soil_ksat_mm_hr
+        if min(self.exfiltration_mm_hr, self.underdrain_mm_hr) < 0:
+            raise ValidationError(f"{self.kind.value}: exfiltration and underdrain rates "
+                                  f"must be non-negative")
 
 
 def default_catalog() -> dict:
-    """Facility catalog whose layered capacities match the per-unit-area
-    control capacities exactly (m3 stored per m2 of facility)."""
-    return {
-        LidKind.BIO_RETENTION: LidSpec(
-            LidKind.BIO_RETENTION, 0.30,
-            LidLayers(berm_mm=150, soil_thickness_mm=500, soil_porosity=0.2,
-                      soil_ksat_mm_hr=30, storage_thickness_mm=200,
-                      storage_void_ratio=0.25),
-        ),
-        LidKind.GRASSED_SWALE: LidSpec(
-            LidKind.GRASSED_SWALE, 0.15,
-            LidLayers(berm_mm=150, soil_ksat_mm_hr=20),
-        ),
-        LidKind.SUNKEN_GREEN: LidSpec(
-            LidKind.SUNKEN_GREEN, 0.25,
-            LidLayers(berm_mm=100, soil_thickness_mm=150, soil_porosity=0.5,
-                      soil_ksat_mm_hr=25, storage_thickness_mm=300,
-                      storage_void_ratio=0.25),
-        ),
-        LidKind.PERMEABLE_PAVEMENT: LidSpec(
-            LidKind.PERMEABLE_PAVEMENT, 0.05,
-            LidLayers(soil_thickness_mm=100, soil_porosity=0.15,
-                      soil_ksat_mm_hr=40, storage_thickness_mm=140,
-                      storage_void_ratio=0.25),
-        ),
-        LidKind.STORAGE_TANK: LidSpec(
-            LidKind.STORAGE_TANK, 1.00,
-            LidLayers(storage_thickness_mm=1000, storage_void_ratio=1.0),
-        ),
-    }
+    """The published per-unit-area control capacities (m3 stored per m2 of
+    facility) with each kind's exfiltration rate."""
+    return {spec.kind: spec for spec in (
+        LidSpec(LidKind.BIO_RETENTION, 0.30, exfiltration_mm_hr=30),
+        LidSpec(LidKind.GRASSED_SWALE, 0.15, exfiltration_mm_hr=20),
+        LidSpec(LidKind.SUNKEN_GREEN, 0.25, exfiltration_mm_hr=25),
+        LidSpec(LidKind.PERMEABLE_PAVEMENT, 0.05, exfiltration_mm_hr=40),
+        LidSpec(LidKind.STORAGE_TANK, 1.00),
+    )}
 
 
 @dataclass(frozen=True)
@@ -270,8 +218,8 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
     overflow, drained, exfil, v_end = kernels.step_lid_unit(
         total_in_mm,
         spec.exfiltration_mm_hr / 3600.0,  # mm/hr -> mm/s
-        spec.layers.underdrain_mm_hr / 3600.0,
-        spec.capacity_mm,
+        spec.underdrain_mm_hr / 3600.0,
+        spec.unit_capacity_m3_m2 * 1000.0,  # m3/m2 -> mm
         float(dt_s),
         0.0,  # initial storage: units start empty
     )

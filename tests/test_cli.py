@@ -78,6 +78,43 @@ class TestValidate:
         assert result.exit_code == 2
         assert "unknown subcatchment" in result.output
 
+    def test_unbuilt_subcatchment_is_one_error(self, runner, sample_dir, tmp_path):
+        """A subcatchment entry that fails to build is reported once; the
+        placements it hosts are not each reported as naming an unknown
+        subcatchment."""
+        path = edited_project(sample_dir, tmp_path,
+                              ("catchment", "subcatchments", 0, "width_m"), float("nan"))
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] \
+            == ["error: catchment.subcatchments[A].width_m: nan is not finite"]
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_layers_key_is_unknown(self, runner, sample_dir, tmp_path, command):
+        """A facility's storage is its `unit_capacity_m3_m2` alone: the
+        layer geometry earlier versions read is an unknown key."""
+        path = edited_project(sample_dir, tmp_path, ("lid_catalog",),
+                              {"bio_retention": {"layers": {"berm_mm": 150}}})
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] \
+            == ["error: lid_catalog.bio_retention.layers: unknown key"]
+        assert not (tmp_path / "out").exists()
+
+    def test_subnormal_surface_ranks(self, runner, sample_dir, tmp_path):
+        """Subcatchment D shrunk to 1 m2 with impervious fraction 4e-323
+        ranks: its impervious surface is too small for area * manning n to
+        be a normal float. Earlier versions divided by zero."""
+        path = edited_project(sample_dir, tmp_path, ("catchment", "subcatchments", 3),
+                              {"id": "D", "area_ha": 1e-4, "impervious_fraction": 4e-323,
+                               "width_m": 390, "slope": 0.011, "outlet": "JD"})
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exception is None
+        assert result.exit_code == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["validate", "rank"])
     @pytest.mark.parametrize("section,key,value,message", [
         ("sizing", "psi", 0, "sizing.psi: must be in (0, 1], got 0"),
@@ -562,6 +599,13 @@ class TestValidate:
         (("scenarios", 1), {"name": {"x": 1}, "placements": [
             {"subcatchment": "NOPE", "kind": "bio_retention"}]},
          "scenarios[1].placements[0]: unknown subcatchment 'NOPE'"),
+        # a file name is a scalar too, not a path built from its repr
+        (("sizing", "target", "rainfall_csv"), {"x": 1},
+         "sizing.target.rainfall_csv: expected a scalar, got {'x': 1}"),
+        (("direct_tables", 0, "file"), {"x": 1},
+         "direct_tables[0].file: expected a scalar, got {'x': 1}"),
+        (("matrices",), {"environmental": {"csv": {"x": 1}}},
+         "matrices.environmental.csv: expected a scalar, got {'x': 1}"),
     ])
     def test_misshapen_sections_exit_2(self, runner, sample_dir, tmp_path,
                                        keys, value, message):
@@ -587,9 +631,7 @@ class TestValidate:
         (lambda raw: raw.setdefault("lid_catalog", {}).setdefault("bio_retention", {}),
          "lid_catalog.bio_retention"),
         (lambda raw: raw.setdefault("lid_catalog", {}).setdefault(
-            "storage_tank", {"layers": {"storage_thickness_mm": 1000,
-                                        "storage_void_ratio": 1.0}})["layers"],
-         "lid_catalog.storage_tank.layers"),
+            "storage_tank", {"exfiltration_mm_hr": 5}), "lid_catalog.storage_tank"),
         (lambda raw: raw["scenarios"][0], "scenarios[scenario_1]"),
         (lambda raw: raw["scenarios"][0]["placements"][0],
          "scenarios[scenario_1].placements[0]"),

@@ -6,15 +6,19 @@ import re
 import shutil
 from collections import Counter
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from lidscore import ahp
 from lidscore.cli import main
 from lidscore.config import ProjectConfig, load_config
 from lidscore.errors import ConfigError
 from lidscore.hydrology import HortonParams
+from lidscore.lid import (LidKind, LidPlacement, Scenario, control_capacity,
+                          simulate_lid_unit)
 
 
 # a number in value position of a bundled project: after `key: `, `[` or `, `
@@ -299,6 +303,32 @@ class TestLoadRules:
             "catchment.links[LD].from: missing",
             "pollutants[TSS].washoff_coeff: missing",
             "storms.idf.n: missing"]
+
+
+class TestOneCapacity:
+    @settings(max_examples=20, deadline=None)
+    @given(capacity=st.floats(0.001, 3.0))
+    def test_full_unit_holds_the_control_capacity(self, sample_dir, tmp_path_factory,
+                                                  capacity):
+        """`unit_capacity_m3_m2` is the one storage number of a facility: a
+        unit with no exfiltration or underdrain, fed more than it holds,
+        stores exactly its area times that capacity, which is the control
+        capacity sizing counts. Earlier versions stored the depth of a
+        separate layer geometry, whatever the override."""
+        def mutate(raw):
+            raw["lid_catalog"] = {"bio_retention": {"unit_capacity_m3_m2": capacity,
+                                                    "exfiltration_mm_hr": 0}}
+
+        config = load_config(rewrite(sample_dir, tmp_path_factory.mktemp("capacity"),
+                                     mutate))
+        spec = config.catalog[LidKind.BIO_RETENTION]
+        placement = LidPlacement("A", LidKind.BIO_RETENTION, 0.1, 0.5)   # 1000 m2
+        held = placement.area_m2 * capacity
+        unit = simulate_lid_unit(spec, placement.area_m2, np.full(10, held / 5),
+                                 np.zeros(10), 60.0)
+        assert float(unit.overflow_m3.sum()) > 0.0
+        assert unit.storage_final_m3 == held
+        assert held == control_capacity(Scenario("one", (placement,)), config.catalog)
 
 
 class TestMatrixDrivenHierarchy:

@@ -15,7 +15,7 @@ from lidscore.errors import ValidationError
 from lidscore.evaluator import (IndicatorTable, StormSummary, TreeNode,
                                 evaluate_environmental, facility_scores,
                                 normalize, rank_scenarios, rollup)
-from lidscore.lid import LidKind, LidLayers, LidPlacement, LidSpec, Scenario
+from lidscore.lid import LidKind, LidPlacement, LidSpec, Scenario
 from lidscore.pipeline import _persist_table, _Writer
 
 
@@ -222,14 +222,12 @@ class TestComprehensive:
 
 class TestFacilityScores:
     def catalog(self):
-        layers = LidLayers(berm_mm=100)
         return {
             LidKind.BIO_RETENTION: LidSpec(
-                LidKind.BIO_RETENTION, 0.3, layers,
+                LidKind.BIO_RETENTION, 0.3,
                 favorability={"landscape": 5.0}, unit_cost_weight=2.0),
             LidKind.STORAGE_TANK: LidSpec(
                 LidKind.STORAGE_TANK, 1.0,
-                LidLayers(storage_thickness_mm=1000, storage_void_ratio=1.0),
                 favorability={"landscape": 1.0}, unit_cost_weight=1.0),
         }
 

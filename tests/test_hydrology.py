@@ -15,8 +15,8 @@ from lidscore import kernels
 from lidscore.errors import ValidationError
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 composite_runoff_coefficient, horton_rate,
-                                WaterBalance, route_series, runoff_volume,
-                                simulate_subcatchment)
+                                WaterBalance, _manning_coefficient, route_series,
+                                runoff_volume, simulate_subcatchment)
 from lidscore.lid import LidKind, LidPlacement, default_catalog
 from lidscore.storms import Hyetograph, IdfParams, chicago_hyetograph
 
@@ -169,6 +169,18 @@ class TestSimulateSubcatchment:
         assert WaterBalance(1e-320, 0, 0, 0.6e-320, 0).closure_error() < 1e-12
         assert WaterBalance(2.0, 1.0, 0, 0.9, 0).closure_error() == pytest.approx(0.05)
         assert WaterBalance(0.0, 0, 0, 0, 0).closure_error() == 0.0
+
+    def test_subnormal_surface_drains_within_the_step(self):
+        """A 1 m2 subcatchment with impervious fraction 4e-323 has an
+        impervious surface so small that area * manning n underflows to 0.
+        That surface drains its excess within the step, with an infinite
+        outflow coefficient, instead of dividing by zero."""
+        sc = make_subcatchment(area_ha=1e-4, impervious_fraction=4e-323)
+        assert _manning_coefficient(sc, sc.area_m2 * 4e-323, "impervious") == math.inf
+        storm = chicago_hyetograph(26, 90, 0.5, IdfParams(20, 10, 0.75), 60)
+        flows, balance, _ = simulate_subcatchment(sc, storm, tail_min=60)
+        assert np.all(np.isfinite(flows))
+        assert balance.closure_error() <= 1e-12
 
     def test_mass_balance_with_lids(self):
         sc = make_subcatchment(impervious_fraction=0.6)

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 import reference
 from lidscore.errors import ValidationError
-from lidscore.lid import (LidKind, LidLayers, LidPlacement, LidSpec, Scenario,
-                          area_proportions, control_capacity, default_catalog,
-                          existing_capacity, required_volume, simulate_lid_unit)
+from lidscore.lid import (LidKind, LidPlacement, LidSpec, Scenario, area_proportions,
+                          control_capacity, default_catalog, existing_capacity,
+                          required_volume, simulate_lid_unit)
 
 CATALOG = default_catalog()
 KIND_ORDER = [LidKind.BIO_RETENTION, LidKind.GRASSED_SWALE, LidKind.SUNKEN_GREEN,
@@ -25,11 +25,13 @@ def scenario_from_reference(name):
 
 
 class TestCatalog:
-    def test_layer_capacity_matches_unit_capacity(self):
-        """Default layers are sized so both capacity paths agree."""
-        for kind, spec in CATALOG.items():
-            assert spec.capacity_mm == pytest.approx(
-                spec.unit_capacity_m3_m2 * 1000.0), kind
+    def test_default_rates(self):
+        """Exfiltration rates of the built-in kinds, in mm/hr; none has an
+        underdrain."""
+        assert {kind.value: spec.exfiltration_mm_hr for kind, spec in CATALOG.items()} == {
+            "bio_retention": 30, "grassed_swale": 20, "sunken_green": 25,
+            "permeable_pavement": 40, "storage_tank": 0}
+        assert all(spec.underdrain_mm_hr == 0 for spec in CATALOG.values())
 
     def test_published_unit_capacities(self):
         for kind, expected in reference.UNIT_CAPACITY.items():
@@ -42,11 +44,11 @@ class TestCatalog:
         with pytest.raises(ValidationError, match="unknown LID kind"):
             LidKind.parse("green_roof")
 
-    def test_layer_validation(self):
-        with pytest.raises(ValidationError):
-            LidLayers(soil_porosity=0.0)
-        with pytest.raises(ValidationError):
-            LidLayers(berm_mm=-10)
+    def test_rate_validation(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            LidSpec(LidKind.BIO_RETENTION, 0.3, exfiltration_mm_hr=-1)
+        with pytest.raises(ValidationError, match="non-negative"):
+            LidSpec(LidKind.BIO_RETENTION, 0.3, underdrain_mm_hr=-10)
 
 
 class TestControlCapacity:
@@ -180,9 +182,8 @@ class TestSimulateLidUnit:
             assert np.all(result.infiltration_m3 >= 0.0)
 
     def test_underdrain_becomes_outflow(self):
-        layers = LidLayers(berm_mm=100, soil_thickness_mm=200, soil_porosity=0.5,
-                           soil_ksat_mm_hr=10, underdrain_mm_hr=20)
-        spec = LidSpec(LidKind.BIO_RETENTION, 0.2, layers)
+        spec = LidSpec(LidKind.BIO_RETENTION, 0.2, exfiltration_mm_hr=10,
+                       underdrain_mm_hr=20)
         inflow = np.array([5.0, 0.0, 0.0, 0.0])
         result = simulate_lid_unit(spec, 100.0, inflow, np.zeros(4), 600.0)
         assert float(result.drained_m3.sum()) > 0.0
