@@ -269,6 +269,11 @@ def _label(value, index: int):
     return value if isinstance(value, (str, int, float)) and value != "" else index
 
 
+def _all_read(built: list, raw) -> bool:
+    """Whether `built` holds an entry for each entry of the list `raw`."""
+    return isinstance(raw, list) and len(built) == len(raw)
+
+
 def _tree_node(errors: _Collector, section: str, raw, weight: float,
                matrices: dict, reports: dict, read: set, paths: dict) -> TreeNode | None:
     """The hierarchy node `raw` at `section`, with its subtree, built through
@@ -375,8 +380,8 @@ def load_config(path) -> ProjectConfig:
     for i, sub in errors.entries("catchment.subcatchments",
                                  catchment.get("subcatchments")):
         section = f"catchment.subcatchments[{_label(sub.get('id'), i)}]"
-        land_uses = []
-        for j, lu in errors.entries(section + ".land_uses", sub.get("land_uses")):
+        land_uses, raw_uses = [], sub.get("land_uses") or []
+        for j, lu in errors.entries(section + ".land_uses", raw_uses):
             surface_class = lu.get("surface_class")
             surface_classes.add(LandUse.surface_class if surface_class is None
                                 else str(surface_class))
@@ -385,7 +390,8 @@ def load_config(path) -> ProjectConfig:
         sc = errors.build(
             section, Subcatchment, sub,
             horton=errors.build(section + ".horton", HortonParams, sub.get("horton")),
-            land_uses=tuple(land_uses),
+            # a partial list would fail the area check as well
+            land_uses=tuple(land_uses) if _all_read(land_uses, raw_uses) else None,
             outlet=errors.path_name(section + ".outlet", sub.get("outlet")) or "",
         )
         if sc:
@@ -394,9 +400,9 @@ def load_config(path) -> ProjectConfig:
             subcatchments[sc.id] = sc
         elif sub.get("id") is not None:
             unbuilt.add(str(sub["id"]))
-    for i, ln in errors.entries("catchment.links", catchment.get("links")):
+    raw_links = catchment.get("links") or []
+    for i, ln in errors.entries("catchment.links", raw_links):
         section = f"catchment.links[{_label(ln.get('id'), i)}]"
-        ln.pop("capacity_lps", None)   # a retired key, accepted and ignored
         link = errors.build(section, Link, ln,
                             keys={"from_node": "from", "to_node": "to"},
                             to_node=errors.path_name(section + ".to", ln.get("to")) or "")
@@ -405,8 +411,9 @@ def load_config(path) -> ProjectConfig:
     outfalls = [errors.value(f"catchment.outfalls[{i}]", "str", o) for i, o in
                 enumerate(errors.sequence("catchment.outfalls", catchment.get("outfalls")))]
 
-    # network integrity: outlets reach declared outfalls (if all read), no cycles
-    if subcatchments and None not in outfalls:
+    # network integrity: outlets reach declared outfalls (if all links and
+    # outfalls read), no cycles
+    if subcatchments and _all_read(links, raw_links) and None not in outfalls:
         try:
             paths = _downstream_paths(links)
             for sc in subcatchments.values():

@@ -110,16 +110,10 @@ class WeightTree:
                     raise ValidationError(
                         f"cannot rebalance around {name!r}: no sibling weight"
                     )
-                rebuilt = []
-                for c in node.children:
-                    if c.name == name:
-                        rebuilt.append(replace(c, weight=new_weight))
-                    else:
-                        scale = (1.0 - new_weight) / others
-                        if c.weight * scale < 0:
-                            raise ValidationError("negative sibling weight")
-                        rebuilt.append(replace(c, weight=c.weight * scale))
-                return replace(node, children=tuple(rebuilt))
+                scale = (1.0 - new_weight) / others if others else 0.0
+                return replace(node, children=tuple(
+                    replace(c, weight=new_weight if c.name == name else c.weight * scale)
+                    for c in node.children))
             return replace(node, children=tuple(walk(c) for c in node.children))
 
         if name == self.root.name:

@@ -41,11 +41,12 @@ class HortonParams:
             raise ValidationError("decay constant must be positive")
 
 
-def horton_rate(params: HortonParams, t_hr: float) -> float:
-    """Infiltration capacity (mm/hr) after `t_hr` hours of wetting."""
-    if t_hr < 0:
+def horton_rate(params: HortonParams, t_hr):
+    """Infiltration capacity (mm/hr) after `t_hr` hours of wetting; `t_hr`
+    is a float or an array of them."""
+    if np.any(np.asarray(t_hr) < 0):
         raise ValidationError("time must be non-negative")
-    return params.fc_mm_hr + (params.f0_mm_hr - params.fc_mm_hr) * math.exp(
+    return params.fc_mm_hr + (params.f0_mm_hr - params.fc_mm_hr) * np.exp(
         -params.decay_per_hr * t_hr
     )
 
@@ -216,11 +217,8 @@ def simulate_subcatchment(sc: Subcatchment, storm: Hyetograph,
     area_imp = area_rest * sc.impervious_fraction
     area_perv = area_rest - area_imp
 
-    # horton_rate at each step's midpoint, in mm/s
-    horton = sc.horton
-    t_mid_hr = (np.arange(n) + 0.5) * dt / 3600.0
-    fcap_mmps = (horton.fc_mm_hr + (horton.f0_mm_hr - horton.fc_mm_hr)
-                 * np.exp(-horton.decay_per_hr * t_mid_hr)) / 3600.0
+    # the Horton capacity at each step's midpoint, in mm/s
+    fcap_mmps = horton_rate(sc.horton, (np.arange(n) + 0.5) * dt / 3600.0) / 3600.0
     zeros = np.zeros(n)
 
     runoff_m3 = np.zeros(n)

@@ -17,7 +17,7 @@ import numpy as np
 
 from lidscore.errors import ValidationError
 
-# Reported as `kernel_backend` in manifest.json.
+# Recorded as "backend" in the environment of a perfbench BENCH file.
 BACKEND = "python"
 
 FIVE_THIRDS = 5.0 / 3.0

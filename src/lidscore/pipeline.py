@@ -59,11 +59,11 @@ import numpy as np
 import orjson
 
 import lidscore
-from lidscore import kernels
 from lidscore.config import ProjectConfig
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
-from lidscore.evaluator import (IndicatorTable, StormSummary, WeightTree,
-                                evaluate_environmental, normalize, rollup)
+from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
+                                WeightTree, evaluate_environmental, normalize,
+                                rollup)
 from lidscore.hydrology import (composite_runoff_coefficient, route_series,
                                 simulate_subcatchment)
 from lidscore.lid import control_capacity, existing_capacity, required_volume
@@ -120,8 +120,6 @@ class SizingSummary:
 @dataclass
 class RunManifest:
     config_hash: str
-    package_version: str
-    kernel_backend: str
     created_utc: str
     storms: list
     ranking: list
@@ -239,7 +237,7 @@ def simulate_run(config: ProjectConfig, storm, label: str,
                 tail_min=config.storms.tail_min,
             )
             closure = balance.closure_error()
-            if closure > MASS_BALANCE_LIMIT:
+            if not closure <= MASS_BALANCE_LIMIT:   # a nan closure fails too
                 raise LidscoreError(
                     f"{label}/{storm_name}/{sc.id}: water balance closure "
                     f"{closure:.2%} exceeds {MASS_BALANCE_LIMIT:.1%}"
@@ -502,7 +500,7 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
             report = rollup(tree, table)
         if sensitivity is not None:
             with _Stage("sensitivity"):
-                outcome = weight_sensitivity(tree, table, *sensitivity)
+                outcome = weight_sensitivity(tree, report, *sensitivity)
 
     writer = _Writer(Path(out_dir) if out_dir else config.output_dir)
     if sizing is not None:
@@ -540,8 +538,6 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
 
     manifest = RunManifest(
         config_hash=config.config_hash,
-        package_version=lidscore.__version__,
-        kernel_backend=kernels.BACKEND,
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         storms=list(storms),
         ranking=list(report.ranking) if report is not None else [],
@@ -557,21 +553,20 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
     return manifest
 
 
-def weight_sensitivity(tree: WeightTree, table: IndicatorTable, node: str,
+def weight_sensitivity(tree: WeightTree, report: BenefitReport, node: str,
                        delta: float) -> dict:
     """Perturb one hierarchy node weight by +/-delta (siblings renormalized)
-    and report whether the top-ranked scenario changes. `table` is the
-    normalized leaf table of `tree`; the leaf set does not change under
-    re-weighting, so it applies to every perturbed tree."""
-    base_report = rollup(tree, table)
+    and report whether the top-ranked scenario changes. `report` is the
+    roll-up of `tree`; the leaf set does not change under re-weighting, so
+    its leaf values apply to every perturbed tree."""
     outcomes = {"node": node, "base_weight": tree.find(node).weight,
-                "base_ranking": list(base_report.ranking), "perturbations": {}}
+                "base_ranking": list(report.ranking), "perturbations": {}}
     for key, (w, perturbed) in _perturbations(tree, node, delta).items():
-        report = rollup(perturbed, table)
+        ranking = rollup(perturbed, report.leaf_values).ranking
         outcomes["perturbations"][key] = {
             "weight": w,
-            "ranking": list(report.ranking),
-            "top_changed": report.ranking[0] != base_report.ranking[0],
+            "ranking": list(ranking),
+            "top_changed": ranking[0] != report.ranking[0],
         }
     return outcomes
 

@@ -199,9 +199,13 @@ def chicago_hyetograph(depth_mm: float, duration_min: float, peak_ratio: float,
     n_steps = int(round(n_steps))
     peak_min = peak_ratio * duration_min
     mids = (np.arange(n_steps) + 0.5) * step_s / 60.0
-    shape = np.array([_chicago_ordinate(t, peak_min, peak_ratio, idf) for t in mids])
-    raw_depth = shape.sum() * step_s / 3600.0
-    intensities = shape * (depth_mm / raw_depth)
+    with np.errstate(all="ignore"):   # a 0/0 at the peak (b = 0) is caught below
+        shape = np.array([_chicago_ordinate(t, peak_min, peak_ratio, idf) for t in mids])
+        raw_depth = shape.sum() * step_s / 3600.0
+        intensities = shape * (depth_mm / raw_depth)
+    if not np.all(np.isfinite(intensities)):
+        raise ValidationError("storm intensities are not all finite (with b_min 0, a "
+                              "step midpoint on the peak divides 0 by 0)")
     return Hyetograph(
         step_s=float(step_s),
         intensities_mm_hr=intensities,

@@ -89,6 +89,23 @@ class TestValidate:
         assert [line for line in result.output.splitlines() if line.startswith("error:")] \
             == ["error: catchment.subcatchments[A].width_m: nan is not finite"]
 
+    @pytest.mark.parametrize("keys,value,error", [
+        (("catchment", "subcatchments", 0, "land_uses", 0, "runoff_coefficient"), 2,
+         "catchment.subcatchments[A].land_uses[0]: asphalt_roof: runoff coefficient "
+         "outside [0, 1]"),
+        (("catchment", "links", 0, "lag_s"), -5, "catchment.links[LA]: link LA: negative lag"),
+    ], ids=["land_use", "link"])
+    def test_failed_land_use_or_link_is_one_error(self, runner, sample_dir, tmp_path,
+                                                  keys, value, error):
+        """A land use that fails to build leaves its subcatchment unbuilt
+        rather than short of area, and a link that fails to build skips the
+        outlet check rather than cutting a path: either is reported once."""
+        path = edited_project(sample_dir, tmp_path, keys, value)
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] \
+            == [f"error: {error}"]
+
     @pytest.mark.parametrize("command", ["validate", "rank"])
     def test_layers_key_is_unknown(self, runner, sample_dir, tmp_path, command):
         """A facility's storage is its `unit_capacity_m3_m2` alone: the

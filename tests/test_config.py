@@ -225,12 +225,29 @@ class TestValidationFailures:
             "label '26mm'",
             "storms.depths_mm: depths 16.0 and 16.0 both give the storm label '16mm'"]
 
-    def test_unread_link_capacity_still_loads(self, sample_dir, tmp_path):
+    def test_link_capacity_is_unknown_key(self, sample_dir, tmp_path):
+        """Links are pure lags: `capacity_lps`, which earlier versions
+        accepted and ignored, is an unknown key like any other."""
         def mutate(raw):
             raw["catchment"]["links"][0]["capacity_lps"] = None
 
-        config = load_config(rewrite(sample_dir, tmp_path, mutate))
-        assert config.links[0].lag_s == 120
+        with pytest.raises(ConfigError) as err:
+            load_config(rewrite(sample_dir, tmp_path, mutate))
+        assert err.value.errors == ["catchment.links[LA].capacity_lps: unknown key"]
+
+    def test_non_finite_storm_rejected_at_load(self, sample_dir, tmp_path):
+        """With b_min 0 and a step midpoint on the peak, the Chicago curve
+        divides 0 by 0 there: the storm is a load error, with no NumPy
+        warning on the way."""
+        def mutate(raw):
+            raw["storms"].update(duration_min=2, peak_ratio=0.25,
+                                 idf={"a": 20, "b_min": 0, "n": 0.75})
+
+        with pytest.raises(ConfigError) as err:
+            load_config(rewrite(sample_dir, tmp_path, mutate))
+        assert err.value.errors == ["storms: storm intensities are not all finite "
+                                    "(with b_min 0, a step midpoint on the peak "
+                                    "divides 0 by 0)"]
 
 
 class TestLoadRules:

@@ -197,6 +197,27 @@ class TestRollup:
         np.testing.assert_allclose(mix, parts, atol=1e-12)
 
 
+def flat_tree(weights):
+    """A root over leaves x, y, z with the given weights."""
+    return reference.weight_tree({"name": "goal", "children": [
+        {"name": n, "weight": w, "indicator": n, "source": "direct"}
+        for n, w in zip("xyz", weights)]})[0]
+
+
+class TestReweighted:
+    def test_siblings_keep_their_proportions(self):
+        got = flat_tree((0.5, 0.3, 0.2)).reweighted("x", 0.6)
+        assert [c.weight for c in got.root.children] == pytest.approx([0.6, 0.24, 0.16])
+
+    def test_node_without_sibling_weight(self):
+        """A node holding all of its parent's weight keeps it at 1 with its
+        siblings at 0, and cannot move off 1 with nothing to rescale."""
+        tree = flat_tree((1.0, 0.0, 0.0))
+        assert [c.weight for c in tree.reweighted("x", 1.0).root.children] == [1.0, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="no sibling weight"):
+            tree.reweighted("x", 0.9)
+
+
 class TestComprehensive:
     def test_published_ranking(self):
         tree, table = full_normalized_table()

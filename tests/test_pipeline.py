@@ -21,8 +21,8 @@ from hypothesis.extra.numpy import arrays
 import reference
 import lidscore.pipeline
 from lidscore.config import _Collector, load_config
-from lidscore.errors import ConfigError, ValidationError
-from lidscore.evaluator import StormSummary, environmental_indicators
+from lidscore.errors import ConfigError, LidscoreError, ValidationError
+from lidscore.evaluator import StormSummary, environmental_indicators, rollup
 from lidscore.hydrology import HortonParams, Link, Subcatchment
 from lidscore.lid import LidKind, LidPlacement, Scenario
 from lidscore.pipeline import (StormRun, _persist_runs, _repr_rows, _Writer,
@@ -187,12 +187,32 @@ class TestPipelineShapes:
         assert run.summary.volume_m3 > 0
         assert run.summary.peak_lps > 0
 
+    def test_nan_closure_fails_the_run(self, sports_config, monkeypatch):
+        """The water-balance guard fails closed: a closure that is not a
+        number does not pass as within the limit."""
+        simulate = lidscore.pipeline.simulate_subcatchment
+
+        def nan_runoff(*args, **kwargs):
+            flows, balance, detail = simulate(*args, **kwargs)
+            return flows, dataclasses.replace(balance, runoff_m3=math.nan), detail
+
+        monkeypatch.setattr(lidscore.pipeline, "simulate_subcatchment", nan_runoff)
+        storm = build_storms(sports_config)["26mm"]
+        with pytest.raises(LidscoreError, match="baseline/26mm/A: water balance closure nan"):
+            simulate_run(sports_config, storm, "baseline", "26mm", None)
+
 
 @pytest.fixture(scope="module")
-def published_weighted(published_config):
-    """(weighted tree, normalized leaf table) of the published project."""
+def published_table(published_config):
+    """Normalized leaf table of the published project."""
     table, _ = assemble_indicators(published_config, None)
-    return published_config.tree, table
+    return table
+
+
+@pytest.fixture(scope="module")
+def published_weighted(published_config, published_table):
+    """(weighted tree, its roll-up) of the published project."""
+    return published_config.tree, rollup(published_config.tree, published_table)
 
 
 class TestWeightSensitivity:
@@ -216,6 +236,22 @@ class TestWeightSensitivity:
         with pytest.raises(ValidationError, match="no node"):
             weight_sensitivity(*published_weighted, "nonexistent", 0.05)
 
+    def test_node_without_sibling_weight(self, sample_dir, tmp_path):
+        """A node holding all of its parent's weight has nothing to rescale:
+        a zero delta keeps it at 1, its siblings at 0, and the ranking."""
+        def mutate(raw):
+            social = next(c for c in raw["hierarchy"]["children"] if c["name"] == "social")
+            for child, weight in zip(social["children"], (1.0, 0.0, 0.0)):
+                child["weight"] = weight
+
+        config = load_config(rewrite(sample_dir, tmp_path, mutate, "published_tables.yaml"))
+        table, _ = assemble_indicators(config, None)
+        outcome = weight_sensitivity(config.tree, rollup(config.tree, table),
+                                     "water_reuse", 0.0)
+        assert [entry["weight"] for entry in outcome["perturbations"].values()] == [1.0, 1.0]
+        for entry in outcome["perturbations"].values():
+            assert entry["ranking"] == outcome["base_ranking"]
+
 
 class TestDirectTables:
     """Each direct leaf takes the one table column that provides it, in the
@@ -237,15 +273,14 @@ class TestDirectTables:
             f"{tmp_path / 'raw_landscape.csv'}"]
 
     def test_shuffled_rows_follow_config_order(self, sample_dir, tmp_path,
-                                               published_weighted):
-        _, table = published_weighted
+                                               published_table):
         path = rewrite(sample_dir, tmp_path, lambda raw: None, "published_tables.yaml")
         for name in ("environmental_indicators.csv", "econ_social_indicators.csv"):
             header, first, *rest = (tmp_path / name).read_text().splitlines()
             (tmp_path / name).write_text("\n".join([header, *rest, first]) + "\n")
         got, _ = assemble_indicators(load_config(path), None)
-        assert got.scenarios == table.scenarios
-        np.testing.assert_array_equal(got.values, table.values)
+        assert got.scenarios == published_table.scenarios
+        np.testing.assert_array_equal(got.values, published_table.values)
 
 
 class TestReportRendering:
