@@ -16,19 +16,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from lidscore import ahp
-from lidscore.errors import ConfigError, ValidationError
+from lidscore.errors import RANGES, ConfigError, RangeError, Ranged, ValidationError
 from lidscore.evaluator import (IndicatorTable, TreeNode, WeightTree,
                                 check_normalized, environmental_indicators,
                                 facility_scores, normalize)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
-                                _downstream_paths)
+                                _downstream_paths, composite_runoff_coefficient)
 from lidscore.lid import (LidKind, LidPlacement, LidSpec, Scenario, default_catalog,
                           placement_problems)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
@@ -36,6 +36,7 @@ from lidscore.storms import (DEFAULT_MIN_EVENT_MM, IdfParams, RainRecord,
                              design_storm_suite, storm_label)
 
 SCHEMA_VERSION = 1
+MAX_STEPS = 1_000_000   # of a storm and its dry tail together
 
 # the keys of the top level, which no dataclass reads
 _TOP_KEYS = ("schema_version", "name", "output_dir", "catchment", "pollutants",
@@ -58,8 +59,9 @@ class StormSettings:
     tail_min: float = 60.0
 
     def __post_init__(self):
-        # building the suite applies the storm generator's own checks
-        # (depth, peak ratio, step) when the settings are made
+        # building the suite, on a grid checked first so that it can be built,
+        # applies the storm generator's own checks (depth, peak ratio, step)
+        self._check_grid(self.duration_min)
         design_storm_suite(self.depths_mm, self.duration_min, self.peak_ratio,
                            self.idf, self.step_s)
         # the simulation appends round(tail_min * 60 / step_s) dry steps
@@ -67,23 +69,30 @@ class StormSettings:
         if not (steps >= 0 and math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
             raise ValidationError(f"tail_min {self.tail_min} must be >= 0 and a whole "
                                   f"number of {self.step_s} s steps")
+        self._check_grid(self.duration_min + self.tail_min)
+
+    def _check_grid(self, minutes: float) -> None:
+        if self.step_s > 0 and not minutes * 60.0 / self.step_s <= MAX_STEPS:
+            raise ValidationError(f"duration_min + tail_min exceed {MAX_STEPS} steps "
+                                  f"of {self.step_s} s")
 
 
 @dataclass(frozen=True)
-class SizingTarget:
-    depth_mm: float | None = None
-    atrcr: float | None = None
+class SizingTarget(Ranged):
+    depth_mm: float | None = field(default=None, metadata={"range": "> 0"})
+    atrcr: float | None = field(default=None, metadata={"range": "in (0, 1)"})
     rainfall_csv: Path | None = None
     record: RainRecord | None = None    # read from rainfall_csv at load
 
 
 @dataclass(frozen=True)
-class SizingSettings:
+class SizingSettings(Ranged):
     existing_facilities: tuple
     target: SizingTarget
     min_event_mm: float = DEFAULT_MIN_EVENT_MM
-    psi: float | None = None        # overrides the land-use composite
-    area_ha: float | None = None    # overrides the summed subcatchment area
+    # given, or else the land-use composite and the summed subcatchment area
+    psi: float | None = field(default=None, metadata={"range": "in (0, 1]"})
+    area_ha: float | None = field(default=None, metadata={"range": "> 0"})
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,11 @@ class ProjectConfig:
                                                "more children and none gives a weight")
         return root and errors.guard("hierarchy", WeightTree, root), reports
 
+    @staticmethod
+    def simulating(scenarios: list, tree: WeightTree) -> bool:
+        """Whether a run simulates: a leaf is simulated, or no scenario is ranked."""
+        return not scenarios or any(leaf.source == "simulated" for leaf in tree.leaves())
+
 
 class _Collector:
     def __init__(self):
@@ -127,26 +141,35 @@ class _Collector:
     def add(self, section: str, message) -> None:
         self.errors.append(f"{section}: {message}")
 
-    def guard(self, section: str, fn, *args, **kwargs):
+    def guard(self, section: str, fn, *args, sources=(), **kwargs):
         """Run a constructor, converting its ValidationError into a batch
-        entry; returns None on failure."""
+        entry, one per field of a RangeError (ending `(sources[field])` for
+        a field that `sources` names); returns None on failure."""
         try:
             return fn(*args, **kwargs)
+        except RangeError as exc:
+            for name, message in exc.problems.items():
+                self.add(section, f"{message} ({sources[name]})" if name in sources else message)
         except (ValidationError, ConfigError, KeyError, TypeError) as exc:
             self.add(section, exc)
-            return None
+        return None
 
-    def number(self, section: str, value):
+    def number(self, section: str, value, bound: str | None = None):
         """`float(value)`, or None after recording a batch entry when the
-        value is not a number or not finite."""
+        value is not a number (a boolean is not one), not finite, or
+        outside the range `bound` (a key of `errors.RANGES`)."""
         try:
-            number = float(value)
+            number = None if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
+            number = None
+        if number is None:
             self.add(section, f"expected a number, got {value!r}")
-            return None
-        if math.isfinite(number):
+        elif not math.isfinite(number):
+            self.add(section, f"{number!r} is not finite")
+        elif bound and not RANGES[bound](number):
+            self.add(section, f"must be {bound}, got {number}")
+        else:
             return number
-        self.add(section, f"{number!r} is not finite")
         return None
 
     def name(self, section: str, value) -> str | None:
@@ -212,14 +235,16 @@ class _Collector:
                 self.add(f"{section}.{key}" if section else str(key), "unknown key")
         return {key: value for key, value in mapping.items() if value is not None}
 
-    def build(self, section: str, cls, raw, defaults=None, keys=None, **values):
+    def build(self, section: str, cls, raw, defaults=None, keys=None, sources=None, **values):
         """The dataclass `cls` read from the mapping `raw`, or None after
         recording a batch entry for each problem (an unknown key is one but
-        does not stop the build). `values` gives the fields the caller reads
-        itself, a None there marking one its reader rejected unless the field
-        defaults to None. Every other field reads the entry under its name,
-        or under `keys[name]`, through `value`; an absent or null entry takes
-        `defaults[name]` or the field's default, and is otherwise `missing`."""
+        does not stop the build; each field outside its declared range is
+        one). `values` gives the fields the caller reads itself, a None
+        there marking one its reader rejected unless the field defaults to
+        None. Every other field reads the entry under its name, or under
+        `keys[name]`, through `value`; an absent or null entry takes
+        `defaults[name]` or the field's default, and is otherwise `missing`.
+        `sources[name]` says where `defaults[name]` comes from (see `guard`)."""
         raw = self.mapping(section, raw)
         if raw is None:
             return None
@@ -240,7 +265,9 @@ class _Collector:
             elif f.default is f.default_factory is dataclasses.MISSING:
                 self.add(f"{section}.{key}", "missing")
                 ok = False
-        return self.guard(section, cls, **kwargs) if ok else None
+        sources = {name: note for name, note in (sources or {}).items()
+                   if keys.get(name, name) not in raw}
+        return self.guard(section, cls, sources=sources, **kwargs) if ok else None
 
     def value(self, section: str, annotation: str, value, keys=None):
         """`value` read for a field annotated `annotation`: a float through
@@ -460,7 +487,7 @@ def load_config(path) -> ProjectConfig:
                                f"no land use has surface class {key!r}")
     antecedent = errors.number(
         "antecedent_dry_days",
-        raw.get("antecedent_dry_days", DEFAULT_ANTECEDENT_DRY_DAYS))
+        raw.get("antecedent_dry_days", DEFAULT_ANTECEDENT_DRY_DAYS), ">= 0")
 
     # --- LID catalog ------------------------------------------------------
     catalog = default_catalog()
@@ -551,12 +578,8 @@ def load_config(path) -> ProjectConfig:
             section = f"sizing.existing_facilities[{i}]"
             f = errors.known(section, f, ("label", "volume_m3"))
             label = errors.value(section + ".label", "str", f.get("label", f"facility{i}"))
-            volume = errors.number(f"sizing.existing_facilities[{_label(label, i)}]",
-                                   f.get("volume_m3", 0))
-            facilities.append((label, volume))
-            if volume is not None and volume < 0:
-                errors.add("sizing.existing_facilities",
-                           f"{label}: negative volume")
+            facilities.append((label, errors.number(
+                f"sizing.existing_facilities[{_label(label, i)}]", f.get("volume_m3", 0), ">= 0")))
         target_raw = errors.mapping("sizing.target", sizing_raw.get("target")) or {}
         csv_name = target_raw.get("rainfall_csv")
         csv_path = (errors.file("sizing.target.rainfall_csv", base_dir, csv_name)
@@ -567,8 +590,12 @@ def load_config(path) -> ProjectConfig:
             record=csv_path and errors.guard("sizing.target.rainfall_csv",
                                              RainRecord.from_csv, csv_path),
         )
-        sizing = errors.build("sizing", SizingSettings, sizing_raw,
-                              existing_facilities=tuple(facilities), target=target)
+        land_uses = [lu for sc in subcatchments.values() for lu in sc.land_uses]
+        sizing = errors.build("sizing", SizingSettings, sizing_raw, defaults={  # the catchment's
+            "psi": composite_runoff_coefficient(land_uses) if land_uses else None,
+            "area_ha": sum(sc.area_ha for sc in subcatchments.values()) or None},
+            sources={"psi": "the land-use composite"}, existing_facilities=tuple(facilities),
+            target=target)
     if sizing:
         target = sizing.target
         if (target.depth_mm is None) == (target.atrcr is None):
@@ -576,19 +603,13 @@ def load_config(path) -> ProjectConfig:
                        else "give one of depth_mm and atrcr, not both")
         if target.atrcr is not None and not target_raw.get("rainfall_csv"):
             errors.add("sizing.target", "atrcr target needs rainfall_csv")
-        if target.atrcr is not None and not 0.0 < target.atrcr < 1.0:
-            errors.add("sizing.target.atrcr", f"must be in (0, 1), got {target_raw['atrcr']}")
         min_event = sizing.min_event_mm
         if target.record and not target.record.depths(min_event).size:
             errors.add("sizing.min_event_mm",
                        f"the rainfall record has no event deeper than {min_event:g} mm")
-        if sizing.psi is not None and not 0.0 < sizing.psi <= 1.0:
-            errors.add("sizing.psi", f"must be in (0, 1], got {sizing_raw['psi']}")
-        if sizing.area_ha is not None and not sizing.area_ha > 0.0:
-            errors.add("sizing.area_ha", f"must be positive, got {sizing_raw['area_ha']}")
-        if sizing.psi is None and not any(sc.land_uses for sc in subcatchments.values()):
+        if sizing.psi is None:
             errors.add("sizing", "needs land uses or an explicit sizing.psi")
-        if sizing.area_ha is None and not subcatchments:
+        if sizing.area_ha is None:
             errors.add("sizing", "needs subcatchments or an explicit sizing.area_ha")
 
     # --- matrices (the hierarchy is read with them, by weight_tree) --------
@@ -604,11 +625,13 @@ def load_config(path) -> ProjectConfig:
             matrices[node] = csv_path and errors.guard(
                 section, ahp.PairwiseMatrix.from_csv, csv_path)
         else:
-            matrices[node] = errors.guard(
-                section, ahp.PairwiseMatrix.from_rows,
-                tuple(errors.sequence(section + ".labels", m_raw.get("labels"))),
-                errors.sequence(section + ".rows", m_raw.get("rows")),
-            )
+            before = len(errors.errors)
+            labels = tuple(errors.sequence(section + ".labels", m_raw.get("labels")))
+            rows = [errors.sequence(f"{section}.rows[{i}]", row) for i, row
+                    in enumerate(errors.sequence(section + ".rows", m_raw.get("rows")))]
+            if len(errors.errors) == before:
+                matrices[node] = errors.guard(section, ahp.PairwiseMatrix.from_rows,
+                                              labels, rows)
 
     provided: dict = {}   # indicator -> [(path, table, normalized)] in file order
     # a scenario entry that was not built is listed already: check no table against the rest
@@ -639,6 +662,9 @@ def load_config(path) -> ProjectConfig:
 
     # reading the tree applies the weight, matrix and CR rules
     tree, consistency = ProjectConfig.weight_tree(errors, raw.get("hierarchy"), matrices)
+    if tree and not catchment.get("subcatchments") and ProjectConfig.simulating(scenarios, tree):
+        errors.add("catchment", "no subcatchment to simulate: a project simulates when a "
+                                "hierarchy leaf is simulated or it has no scenarios")
     if errors.errors:
         raise ConfigError(errors.errors)
     # a project without scenarios ranks nothing, so its leaves need no source

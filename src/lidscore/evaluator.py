@@ -9,11 +9,11 @@ comprehensive benefit used for ranking.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from lidscore.errors import ValidationError
+from lidscore.errors import Ranged, ValidationError
 from lidscore.inputs import read_cell, read_rows
 from lidscore.metrics import peak_stats
 
@@ -28,9 +28,9 @@ UNIFORM_IF_ZERO = frozenset({"peak_delay"})
 
 
 @dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Ranged):
     name: str
-    weight: float
+    weight: float = field(metadata={"range": ">= 0"})
     children: tuple = ()
     indicator: str | None = None
     polarity: str = "benefit"
@@ -38,8 +38,7 @@ class TreeNode:
     transform: str = "encoded"
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValidationError(f"node {self.name}: negative weight")
+        super().__post_init__()
         if self.children and self.indicator:
             raise ValidationError(f"node {self.name}: both children and indicator")
         if not self.children:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lidscore import kernels
-from lidscore.errors import ValidationError
+from lidscore.errors import Ranged, ValidationError
 from lidscore.lid import (LidSpec, M2_PER_HA, placement_problems,
                           simulate_lid_unit)
 from lidscore.storms import Hyetograph
@@ -27,18 +27,17 @@ SURFACES = ("impervious", "pervious")   # the two reservoirs of a subcatchment
 
 
 @dataclass(frozen=True)
-class HortonParams:
+class HortonParams(Ranged):
     """Infiltration capacity decay f(t) = fc + (f0 - fc) * exp(-k t)."""
 
     f0_mm_hr: float = 76.2
-    fc_mm_hr: float = 3.81
-    decay_per_hr: float = 4.14
+    fc_mm_hr: float = field(default=3.81, metadata={"range": ">= 0"})
+    decay_per_hr: float = field(default=4.14, metadata={"range": "> 0"})
 
     def __post_init__(self):
-        if not self.f0_mm_hr >= self.fc_mm_hr >= 0:
-            raise ValidationError("need f0 >= fc >= 0")
-        if self.decay_per_hr <= 0:
-            raise ValidationError("decay constant must be positive")
+        super().__post_init__()
+        if not self.f0_mm_hr >= self.fc_mm_hr:
+            raise ValidationError("need f0 >= fc")
 
 
 def horton_rate(params: HortonParams, t_hr):
@@ -52,49 +51,33 @@ def horton_rate(params: HortonParams, t_hr):
 
 
 @dataclass(frozen=True)
-class LandUse:
+class LandUse(Ranged):
     name: str
-    runoff_coefficient: float
-    area_ha: float
+    runoff_coefficient: float = field(metadata={"range": "in [0, 1]"})
+    area_ha: float = field(metadata={"range": "> 0"})
     surface_class: str = "other"
-
-    def __post_init__(self):
-        if not 0.0 <= self.runoff_coefficient <= 1.0:
-            raise ValidationError(f"{self.name}: runoff coefficient outside [0, 1]")
-        if self.area_ha <= 0:
-            raise ValidationError(f"{self.name}: land-use area must be positive")
 
 
 @dataclass
-class Subcatchment:
+class Subcatchment(Ranged):
     id: str
-    area_ha: float
-    impervious_fraction: float
-    width_m: float
-    slope: float
+    area_ha: float = field(metadata={"range": "> 0"})
+    impervious_fraction: float = field(metadata={"range": "in [0, 1]"})
+    width_m: float = field(metadata={"range": "> 0"})
+    slope: float = field(metadata={"range": "> 0"})
     horton: HortonParams = field(default_factory=HortonParams)
     land_uses: tuple = ()
     outlet: str = ""
-    depression_storage_mm: dict = field(
-        default_factory=lambda: {"impervious": 1.5, "pervious": 2.5}, metadata={"keys": SURFACES})
+    depression_storage_mm: dict = field(default_factory=lambda: {"impervious": 1.5, "pervious": 2.5},
+                                        metadata={"keys": SURFACES, "range": ">= 0"})
     manning_n: dict = field(default_factory=lambda: {"impervious": 0.012, "pervious": 0.15},
-                            metadata={"keys": SURFACES})
+                            metadata={"keys": SURFACES, "range": "> 0"})
 
     def __post_init__(self):
-        if self.area_ha <= 0 or self.width_m <= 0 or self.slope <= 0:
-            raise ValidationError(f"{self.id}: area, width and slope must be positive")
-        if not 0.0 <= self.impervious_fraction <= 1.0:
-            raise ValidationError(f"{self.id}: impervious fraction outside [0, 1]")
-        for surface in SURFACES:
-            if self.depression_storage_mm.get(surface, -1) < 0:
-                raise ValidationError(
-                    f"{self.id}: depression_storage_mm needs a non-negative "
-                    f"{surface!r} entry"
-                )
-            if self.manning_n.get(surface, 0) <= 0:
-                raise ValidationError(
-                    f"{self.id}: manning_n needs a positive {surface!r} entry"
-                )
+        super().__post_init__()
+        for name in ("depression_storage_mm", "manning_n"):
+            if missing := [s for s in SURFACES if s not in getattr(self, name)]:
+                raise ValidationError(f"{self.id}: {name} needs a {missing[0]!r} entry")
         if self.land_uses:
             total = sum(lu.area_ha for lu in self.land_uses)
             if abs(total - self.area_ha) > 1e-3 * self.area_ha:
@@ -109,17 +92,13 @@ class Subcatchment:
 
 
 @dataclass(frozen=True)
-class Link:
+class Link(Ranged):
     """Pure-translation conduit: shifts its inflow by `lag_s`."""
 
     id: str
     from_node: str
     to_node: str
-    lag_s: float = 0.0
-
-    def __post_init__(self):
-        if self.lag_s < 0:
-            raise ValidationError(f"link {self.id}: negative lag")
+    lag_s: float = field(default=0.0, metadata={"range": ">= 0"})
 
 
 def composite_runoff_coefficient(land_uses) -> float:

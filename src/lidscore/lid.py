@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from lidscore import kernels
-from lidscore.errors import ValidationError
+from lidscore.errors import Ranged, ValidationError
 
 M2_PER_HA = 10_000.0
 
@@ -39,28 +39,17 @@ class LidKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class LidSpec:
+class LidSpec(Ranged):
     """One facility kind. `unit_capacity_m3_m2` is its only storage number:
     sizing counts it as control volume and the unit simulation stores up to
     that depth. Rates are in mm/hr."""
 
     kind: LidKind
-    unit_capacity_m3_m2: float
-    favorability: dict = field(default_factory=dict)
-    unit_cost_weight: float = 1.0
-    exfiltration_mm_hr: float = 0.0
-    underdrain_mm_hr: float = 0.0
-
-    def __post_init__(self):
-        if self.unit_capacity_m3_m2 <= 0:
-            raise ValidationError(f"{self.kind.value}: unit capacity must be positive")
-        if self.unit_cost_weight <= 0:
-            raise ValidationError(f"{self.kind.value}: unit cost weight must be positive")
-        if any(v < 0 for v in self.favorability.values()):
-            raise ValidationError(f"{self.kind.value}: favorability scores must be >= 0")
-        if min(self.exfiltration_mm_hr, self.underdrain_mm_hr) < 0:
-            raise ValidationError(f"{self.kind.value}: exfiltration and underdrain rates "
-                                  f"must be non-negative")
+    unit_capacity_m3_m2: float = field(metadata={"range": "> 0"})
+    favorability: dict = field(default_factory=dict, metadata={"range": ">= 0"})
+    unit_cost_weight: float = field(default=1.0, metadata={"range": "> 0"})
+    exfiltration_mm_hr: float = field(default=0.0, metadata={"range": ">= 0"})
+    underdrain_mm_hr: float = field(default=0.0, metadata={"range": ">= 0"})
 
 
 def default_catalog() -> dict:
@@ -76,17 +65,11 @@ def default_catalog() -> dict:
 
 
 @dataclass(frozen=True)
-class LidPlacement:
+class LidPlacement(Ranged):
     subcatchment: str
     kind: LidKind
-    area_ha: float
-    treated_fraction: float
-
-    def __post_init__(self):
-        if not self.area_ha > 0:
-            raise ValidationError("placement area must be positive")
-        if not 0.0 <= self.treated_fraction <= 1.0:
-            raise ValidationError("treated fraction must be in [0, 1]")
+    area_ha: float = field(metadata={"range": "> 0"})
+    treated_fraction: float = field(metadata={"range": "in [0, 1]"})
 
     @property
     def area_m2(self) -> float:

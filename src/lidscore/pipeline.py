@@ -64,8 +64,7 @@ from lidscore.errors import ConfigError, LidscoreError, ValidationError
 from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
                                 WeightTree, evaluate_environmental, normalize,
                                 rollup)
-from lidscore.hydrology import (composite_runoff_coefficient, route_series,
-                                simulate_subcatchment)
+from lidscore.hydrology import route_series, simulate_subcatchment
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
 from lidscore.storms import (atrcr_curve, design_storm_suite, invert_atrcr,
@@ -182,15 +181,8 @@ def build_storms(config: ProjectConfig):
 def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
     if config.sizing is None:
         return None
-    # load_config has checked that the project has the source of each value
-    # that is not set explicitly, and one of depth_mm and atrcr
-    subcatchments = config.subcatchments.values()
-    psi = config.sizing.psi
-    if psi is None:
-        psi = composite_runoff_coefficient([lu for sc in subcatchments for lu in sc.land_uses])
-    area_ha = config.sizing.area_ha
-    if area_ha is None:
-        area_ha = sum(sc.area_ha for sc in subcatchments)
+    # load_config resolved psi and area_ha, and checked one of depth_mm and atrcr
+    psi, area_ha = config.sizing.psi, config.sizing.area_ha
     target, min_event = config.sizing.target, config.sizing.min_event_mm
     depth = (target.depth_mm if target.atrcr is None
              else invert_atrcr(target.record, target.atrcr, min_event))
@@ -454,7 +446,7 @@ def simulate_if_needed(config: ProjectConfig,
     """Simulate when a hierarchy leaf is simulated or there is no scenario
     to evaluate (a baseline-only run); None otherwise. Storms are built
     here unless given."""
-    if config.scenarios and not any(l.source == "simulated" for l in config.tree.leaves()):
+    if not config.simulating(config.scenarios, config.tree):
         return None
     with _Stage("simulation"):
         return simulate_all(config, storms if storms is not None else build_storms(config))

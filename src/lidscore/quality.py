@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lidscore.errors import ValidationError
+from lidscore.errors import Ranged, ValidationError
 from lidscore.hydrology import Subcatchment
 from lidscore.lid import LidKind
 
@@ -19,28 +19,19 @@ DEFAULT_ANTECEDENT_DRY_DAYS = 7.0
 
 
 @dataclass(frozen=True)
-class PollutantSpec:
+class PollutantSpec(Ranged):
     name: str
-    buildup_max_kg_ha: float       # C1
-    half_saturation_days: float    # C2
-    washoff_coeff: float           # C3 (per hour at q = 1 mm/hr)
-    washoff_exponent: float = 1.0  # C4
-    lid_removal: dict = field(default_factory=dict)
-    surface_class_factors: dict = field(default_factory=dict)
+    buildup_max_kg_ha: float = field(metadata={"range": "> 0"})     # C1
+    half_saturation_days: float = field(metadata={"range": "> 0"})  # C2
+    washoff_coeff: float = field(metadata={"range": "> 0"})  # C3 (per hour at q = 1 mm/hr)
+    washoff_exponent: float = field(default=1.0, metadata={"range": "> 0"})  # C4
+    lid_removal: dict = field(default_factory=dict, metadata={"range": "in [0, 1]"})
+    surface_class_factors: dict = field(default_factory=dict, metadata={"range": ">= 0"})
 
     def __post_init__(self):
-        if min(self.buildup_max_kg_ha, self.half_saturation_days, self.washoff_coeff) <= 0:
-            raise ValidationError(f"{self.name}: C1, C2, C3 must be positive")
-        if self.washoff_exponent <= 0:
-            raise ValidationError(f"{self.name}: washoff exponent must be positive")
-        for kind, fraction in self.lid_removal.items():
+        super().__post_init__()
+        for kind in self.lid_removal:
             LidKind.parse(kind)   # a misspelled kind would remove nothing
-            if not 0.0 <= fraction <= 1.0:
-                raise ValidationError(
-                    f"{self.name}: removal fraction for {kind} outside [0, 1]"
-                )
-        if not all(f >= 0 for f in self.surface_class_factors.values()):
-            raise ValidationError(f"{self.name}: surface class factors must be >= 0")
 
     def removal_for(self, kind: LidKind) -> float:
         key = kind.value if isinstance(kind, LidKind) else str(kind)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from lidscore.errors import ValidationError
+from lidscore.errors import Ranged, ValidationError
 from lidscore.inputs import read_cell, read_rows
 
 # Events at or below this depth are excluded from ATRCR statistics unless
@@ -122,26 +122,16 @@ def invert_atrcr(record: RainRecord, target: float,
 
 
 @dataclass(frozen=True)
-class IdfParams:
+class IdfParams(Ranged):
     """Intensity-duration-frequency constants i = a / (t + b)^n.
 
     These shape the Chicago hyetograph only; the event depth is imposed
     afterwards by rescaling, so `a` cancels out.
     """
 
-    a: float
-    b_min: float
-    n: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValidationError("IDF scale a must be positive")
-        if self.b_min < 0:
-            raise ValidationError("IDF offset b must be non-negative")
-        if self.n >= 1:
-            raise ValidationError("divergent IDF exponent")
-        if self.n < 0:
-            raise ValidationError("IDF exponent must be non-negative")
+    a: float = field(metadata={"range": "> 0"})
+    b_min: float = field(metadata={"range": ">= 0"})
+    n: float = field(metadata={"range": "in [0, 1)"})   # n >= 1 diverges
 
 
 @dataclass

@@ -91,9 +91,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("keys,value,error", [
         (("catchment", "subcatchments", 0, "land_uses", 0, "runoff_coefficient"), 2,
-         "catchment.subcatchments[A].land_uses[0]: asphalt_roof: runoff coefficient "
-         "outside [0, 1]"),
-        (("catchment", "links", 0, "lag_s"), -5, "catchment.links[LA]: link LA: negative lag"),
+         "catchment.subcatchments[A].land_uses[0]: runoff_coefficient must be in [0, 1], "
+         "got 2.0"),
+        (("catchment", "links", 0, "lag_s"), -5,
+         "catchment.links[LA]: lag_s must be >= 0, got -5.0"),
     ], ids=["land_use", "link"])
     def test_failed_land_use_or_link_is_one_error(self, runner, sample_dir, tmp_path,
                                                   keys, value, error):
@@ -134,11 +135,11 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
     @pytest.mark.parametrize("section,key,value,message", [
-        ("sizing", "psi", 0, "sizing.psi: must be in (0, 1], got 0"),
-        ("sizing", "area_ha", 0, "sizing.area_ha: must be positive, got 0"),
+        ("sizing", "psi", 0, "sizing: psi must be in (0, 1], got 0.0"),
+        ("sizing", "area_ha", 0, "sizing: area_ha must be > 0, got 0.0"),
         ("storms", "step_s", 420, "storms: step 420.0 s does not divide"),
         (("scenarios", 0, "placements", 0), "area_ha", 0,
-         "scenarios[scenario_1].placements[0]: placement area must be positive"),
+         "scenarios[scenario_1].placements[0]: area_ha must be > 0, got 0.0"),
         # names that become result paths
         (("scenarios", 0), "name", "baseline",
          "scenarios[baseline]: 'baseline' is reserved for the run without LID"),
@@ -195,7 +196,7 @@ class TestValidate:
         # a sizing target the rainfall record cannot reach, a benefit leaf
         # with the cost-only reciprocal transform
         (("sizing", "target"), "atrcr", 1.5,
-         "sizing.target.atrcr: must be in (0, 1), got 1.5"),
+         "sizing.target: atrcr must be in (0, 1), got 1.5"),
         ("sizing", "min_event_mm", 100000,
          "sizing.min_event_mm: the rainfall record has no event deeper than "
          "100000 mm"),
@@ -233,7 +234,7 @@ class TestValidate:
          "pollutants[TSS]: unknown LID kind 'bioretention'; expected one of "
          "['bio_retention', "),
         (("pollutants", 0, "surface_class_factors"), "roads", -1,
-         "pollutants[TSS]: TSS: surface class factors must be >= 0"),
+         "pollutants[TSS]: surface_class_factors.roads must be >= 0, got -1.0"),
         # a misspelled class used to leave every `roofs` land use at factor 1
         (("pollutants", 0), "surface_class_factors",
          {"roads": 1.0, "roof": 0.6, "green": 0.2},
@@ -389,6 +390,63 @@ class TestValidate:
         assert [line for line in result.output.splitlines()
                 if line.startswith("error:")] == [f"error: {m}" for m in messages]
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("edit,message", [
+        # a range where there was none: rank sized at -5 mm and exited 3
+        (lambda raw: raw["sizing"].update(target={"depth_mm": -5}),
+         "sizing.target: depth_mm must be > 0, got -5.0"),
+        # a YAML boolean is not a number: `yes` loaded as 1.0, and a `true`
+        # depth as a 1 mm storm that gave no outfall volume
+        (lambda raw: raw.update(antecedent_dry_days=True),
+         "antecedent_dry_days: expected a number, got True"),
+        (lambda raw: raw["storms"].update(depths_mm=[16, 26, True]),
+         "storms.depths_mm: expected a number, got True"),
+        # the rule quality.buildup applies inside the run
+        (lambda raw: raw.update(antecedent_dry_days=-1),
+         "antecedent_dry_days: must be >= 0, got -1.0"),
+        # storm grids that could not be built: OverflowError, ValueError
+        (lambda raw: raw["storms"].update(step_s=5e-324),
+         "storms: duration_min + tail_min exceed 1000000 steps of 5e-324 s"),
+        (lambda raw: raw["storms"].update(duration_min=1e300),
+         "storms: duration_min + tail_min exceed 1000000 steps of 60.0 s"),
+        (lambda raw: raw["storms"].update(tail_min=1e300),
+         "storms: duration_min + tail_min exceed 1000000 steps of 60.0 s"),
+        # a psi that is not given is the composite, resolved and checked at load
+        (lambda raw: [use.update(runoff_coefficient=0)
+                      for sub in raw["catchment"]["subcatchments"] for use in sub["land_uses"]],
+         "sizing: psi must be in (0, 1], got 0.0 (the land-use composite)"),
+        # a baseline-only run simulates, and used to fail with no outfall series
+        (lambda raw: [raw.pop("catchment"), raw.pop("scenarios"),
+                      [p.pop("surface_class_factors") for p in raw["pollutants"]],
+                      raw["sizing"].update(psi=0.5, area_ha=60)],
+         "catchment: no subcatchment to simulate: a project simulates when a hierarchy "
+         "leaf is simulated or it has no scenarios"),
+        # a matrix row that is not a list used to fail with a TypeError or
+        # KeyError text, or be read one character per cell
+        (lambda raw: social_matrix(raw).update(rows=[5, [None, 1, 2], [None, None, 1]]),
+         "matrices.social.rows[0]: expected a list, got 5"),
+        (lambda raw: social_matrix(raw).update(rows=[{0: 1}, [None, 1, 2], [None, None, 1]]),
+         "matrices.social.rows[0]: expected a list, got {0: 1}"),
+        (lambda raw: social_matrix(raw).update(rows=["xyz", [None, 1, 2], [None, None, 1]]),
+         "matrices.social.rows[0]: expected a list, got 'xyz'"),
+    ], ids=["depth_mm", "dry_days_bool", "depth_bool", "dry_days_negative", "tiny_step",
+            "long_storm", "long_tail", "zero_composite_psi", "no_subcatchment",
+            "int_row", "mapping_row", "string_row"])
+    def test_load_rule_exit_2(self, runner, sample_dir, tmp_path, command, edit, message):
+        """Each of these projects passed `validate` and failed `rank` inside
+        the run, or failed both with a traceback or with the text of a Python
+        error; both now list exactly its one problem and write nothing."""
+        path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
+        raw = yaml.safe_load(path.read_text())
+        edit(raw)
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert [line for line in result.output.splitlines()
+                if line.startswith("error:")] == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
     @pytest.mark.parametrize("data,line,column,value,message", [

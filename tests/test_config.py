@@ -194,8 +194,8 @@ class TestValidationFailures:
 
         with pytest.raises(ConfigError) as err:
             load_config(rewrite(sample_dir, tmp_path, mutate))
-        assert err.value.errors == ["sizing.psi: must be in (0, 1], got 1.7",
-                                    "sizing.area_ha: must be positive, got 0"]
+        assert err.value.errors == ["sizing: psi must be in (0, 1], got 1.7",
+                                    "sizing: area_ha must be > 0, got 0.0"]
 
     @pytest.mark.parametrize("key,value,message", [
         ("step_s", 420, "step 420.0 s does not divide duration 90.0 min"),

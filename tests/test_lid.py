@@ -45,9 +45,9 @@ class TestCatalog:
             LidKind.parse("green_roof")
 
     def test_rate_validation(self):
-        with pytest.raises(ValidationError, match="non-negative"):
+        with pytest.raises(ValidationError, match="exfiltration_mm_hr must be >= 0, got -1"):
             LidSpec(LidKind.BIO_RETENTION, 0.3, exfiltration_mm_hr=-1)
-        with pytest.raises(ValidationError, match="non-negative"):
+        with pytest.raises(ValidationError, match="underdrain_mm_hr must be >= 0, got -10"):
             LidSpec(LidKind.BIO_RETENTION, 0.3, underdrain_mm_hr=-10)
 
 

@@ -131,7 +131,8 @@ class TestLidRemoval:
     def test_fraction_validation(self):
         with pytest.raises(ValidationError):
             self.placement(1.2)
-        with pytest.raises(ValidationError, match="removal fraction"):
+        with pytest.raises(ValidationError,
+                           match=r"lid_removal\.bio_retention must be in \[0, 1\], got 1\.2"):
             PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
                           lid_removal={"bio_retention": 1.2})
 
@@ -149,7 +150,7 @@ class TestLidRemoval:
         """A negative factor used to pass and then fail the run with `bad
         load series`."""
         with pytest.raises(ValidationError,
-                           match="TSS: surface class factors must be >= 0"):
+                           match="surface_class_factors.roads must be >= 0, got"):
             PollutantSpec("TSS", 50.0, 10.0, 0.01, 1.5,
                           surface_class_factors={"roads": factor})
 

@@ -216,7 +216,7 @@ class TestChicagoHyetograph:
         np.testing.assert_allclose(h.intensities_mm_hr, expected, rtol=1e-9)
 
     def test_divergent_exponent_raises(self):
-        with pytest.raises(ValidationError, match="divergent IDF exponent"):
+        with pytest.raises(ValidationError, match=r"n must be in \[0, 1\), got 1"):
             IdfParams(20, 10, 1.0)
 
     def test_step_must_divide_duration(self):
