@@ -111,6 +111,9 @@ def simulate(config, out_dir):
     """Run baseline and scenario simulations; write hydrographs and loads."""
     from lidscore.pipeline import _persist_runs, _Stage, _Writer, build_storms, simulate_all
 
+    # the load rule asks for subcatchments only where `rank` simulates
+    if not config.subcatchments:
+        raise ConfigError("catchment: no subcatchment to simulate")
     with _Stage("simulation"):
         runs = simulate_all(config, build_storms(config))
     _persist_runs(_Writer(out_dir), config, runs)

@@ -197,7 +197,19 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
     rain = np.asarray(rain_mm_hr, dtype=float)
     if inflow.shape != rain.shape:
         raise ValidationError("inflow and rainfall series differ in length")
-    total_in_mm = inflow / area_m2 * 1000.0 + rain * dt_s / 3600.0
+    rain_mm = rain * dt_s / 3600.0
+    with np.errstate(over="ignore"):
+        total_in_mm = inflow / area_m2 * 1000.0 + rain_mm
+    to_m3 = area_m2 / 1000.0
+    if not np.isfinite(total_in_mm).all():
+        # A unit too small for its run-on to be a finite depth (about 1e-308
+        # m2 or less) can hold, drain and infiltrate nothing: it passes all
+        # of its inflow on, as a surface too small for its Manning term
+        # drains within the step.
+        passed = inflow + rain_mm * to_m3
+        none = np.zeros_like(passed)
+        return LidUnitResult(inflow_m3=passed, overflow_m3=passed, drained_m3=none,
+                             infiltration_m3=none, storage_final_m3=0.0)
     overflow, drained, exfil, v_end = kernels.step_lid_unit(
         total_in_mm,
         spec.exfiltration_mm_hr / 3600.0,  # mm/hr -> mm/s
@@ -206,7 +218,6 @@ def simulate_lid_unit(spec: LidSpec, area_m2: float, inflow_m3, rain_mm_hr,
         float(dt_s),
         0.0,  # initial storage: units start empty
     )
-    to_m3 = area_m2 / 1000.0
     return LidUnitResult(
         inflow_m3=total_in_mm * to_m3,
         overflow_m3=overflow * to_m3,

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -95,12 +96,16 @@ class TestValidate:
          "got 2.0"),
         (("catchment", "links", 0, "lag_s"), -5,
          "catchment.links[LA]: lag_s must be >= 0, got -5.0"),
-    ], ids=["land_use", "link"])
+        (("catchment", "links", 0, "capacity_lps"), 100,
+         "catchment.links[LA].capacity_lps: unknown key"),
+    ], ids=["land_use", "link", "capacity"])
     def test_failed_land_use_or_link_is_one_error(self, runner, sample_dir, tmp_path,
                                                   keys, value, error):
         """A land use that fails to build leaves its subcatchment unbuilt
         rather than short of area, and a link that fails to build skips the
-        outlet check rather than cutting a path: either is reported once."""
+        outlet check rather than cutting a path: either is reported once.
+        A link's `capacity_lps`, which earlier versions accepted and ignored
+        (links are pure lags), is one unknown key."""
         path = edited_project(sample_dir, tmp_path, keys, value)
         result = runner.invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
@@ -131,6 +136,20 @@ class TestValidate:
                                       "--out", str(tmp_path / "out")])
         assert result.exception is None
         assert result.exit_code == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_subnormal_placement_ranks(self, runner, sample_dir, tmp_path):
+        """A placement of 5e-324 ha is too small for its run-on to be a
+        finite depth: it passes its inflow on and the project ranks, with
+        nothing on stderr. Earlier versions printed NumPy's overflow warning
+        and failed with a `nan` water-balance closure."""
+        path = edited_project(sample_dir, tmp_path,
+                              ("scenarios", 1, "placements", 1, "area_ha"), 5e-324)
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exception is None
+        assert result.exit_code == 0
+        assert result.stderr == ""
         assert (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
@@ -374,9 +393,21 @@ class TestValidate:
         ({("sizing", "target", "depth_mm"): 40},
          ["sizing.target: give one of depth_mm and atrcr, not both"]),
         ({("sizing", "target", "atrcr"): None}, ["sizing.target: need either depth_mm or atrcr"]),
+        # problems of four sections are listed in one batch
+        ({("storms", "tail_minutes"): 0,
+          ("hierarchy", "children", 2, "children", 1, "weight"): float("nan"),
+          ("hierarchy", "children", 0, "children", 0, "children", 0, "polarity"): "bogus",
+          ("matrices",): {"enviromental": {"labels": ["water_quantity", "water_quality"],
+                                           "rows": [[1, 1], [None, 1]]}}},
+         ["storms.tail_minutes: unknown key",
+          "hierarchy.children[0].children[0].children[0]: leaf runoff_reduction: "
+          "bad polarity bogus",
+          "hierarchy.children[2].children[1].weight: nan is not finite",
+          "matrices.enviromental: no node reads this matrix: a node reads the matrix "
+          "of its name when it has two or more children and none gives a weight"]),
     ], ids=["scenario_names", "pollutant_names", "output_dir", "name", "facility_label",
             "outfall", "depression_storage_key", "manning_key", "both_targets",
-            "no_target"])
+            "no_target", "four_sections"])
     def test_entry_problems_listed_alone(self, runner, sample_dir, tmp_path, command,
                                          edits, messages):
         """Each problem is listed once, by its path, with no error that
@@ -412,6 +443,11 @@ class TestValidate:
          "storms: duration_min + tail_min exceed 1000000 steps of 60.0 s"),
         (lambda raw: raw["storms"].update(tail_min=1e300),
          "storms: duration_min + tail_min exceed 1000000 steps of 60.0 s"),
+        # a storm of nan rain, and with it NumPy's invalid-value warning
+        (lambda raw: raw["storms"].update(duration_min=2, peak_ratio=0.25,
+                                          idf={"a": 20, "b_min": 0, "n": 0.75}),
+         "storms: storm intensities are not all finite (with b_min 0, a step midpoint "
+         "on the peak divides 0 by 0)"),
         # a psi that is not given is the composite, resolved and checked at load
         (lambda raw: [use.update(runoff_coefficient=0)
                       for sub in raw["catchment"]["subcatchments"] for use in sub["land_uses"]],
@@ -431,12 +467,13 @@ class TestValidate:
         (lambda raw: social_matrix(raw).update(rows=["xyz", [None, 1, 2], [None, None, 1]]),
          "matrices.social.rows[0]: expected a list, got 'xyz'"),
     ], ids=["depth_mm", "dry_days_bool", "depth_bool", "dry_days_negative", "tiny_step",
-            "long_storm", "long_tail", "zero_composite_psi", "no_subcatchment",
-            "int_row", "mapping_row", "string_row"])
+            "long_storm", "long_tail", "non_finite_storm", "zero_composite_psi",
+            "no_subcatchment", "int_row", "mapping_row", "string_row"])
     def test_load_rule_exit_2(self, runner, sample_dir, tmp_path, command, edit, message):
         """Each of these projects passed `validate` and failed `rank` inside
-        the run, or failed both with a traceback or with the text of a Python
-        error; both now list exactly its one problem and write nothing."""
+        the run, or failed both with a traceback, with the text of a Python
+        error or with a Python warning; both now print exactly its one error
+        line and nothing else, and write nothing."""
         path = copy_project(sample_dir, tmp_path, "sports_center.yaml")
         raw = yaml.safe_load(path.read_text())
         edit(raw)
@@ -444,8 +481,7 @@ class TestValidate:
         result = runner.invoke(main, [command, "--config", str(path),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert [line for line in result.output.splitlines()
-                if line.startswith("error:")] == [f"error: {message}"]
+        assert result.output == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
@@ -825,6 +861,48 @@ class TestSimulateEvaluateRank:
                 "least one scenario\n") in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_without_subcatchments_exits_2(self, runner, sample_dir, tmp_path):
+        """The published project without `catchment` and placements loads,
+        as none of its leaves is simulated, and ranks; `simulate` has nothing
+        to simulate. Earlier versions failed it with exit 3, `[stage:
+        simulation] no outfall series`."""
+        path = copy_project(sample_dir, tmp_path, "published_tables.yaml")
+        raw = yaml.safe_load(path.read_text())
+        del raw["catchment"]
+        for scenario in raw["scenarios"]:
+            del scenario["placements"]
+        raw["sizing"].update(psi=0.6, area_ha=64.6)
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == "error: catchment: no subcatchment to simulate\n"
+        assert not (tmp_path / "out").exists()
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert ("ranking: scenario_4 > scenario_1 > scenario_2 > scenario_3 > "
+                "scenario_5\n") in result.output
+
+    @pytest.mark.parametrize("keys,value,message", [
+        (("storms", "depths_mm"), [16, 26, 1], "storm 1mm: zero baseline volume"),
+        (("antecedent_dry_days",), 5e-324, "storm 16mm: zero baseline load for COD"),
+    ], ids=["storm_without_runoff", "no_buildup"])
+    def test_storm_only_the_run_rejects_exits_3(self, runner, sample_dir, tmp_path,
+                                                keys, value, message):
+        """A storm that sends no water to an outfall, or a dry period that
+        builds up no load, has no baseline to reduce. `validate` cannot see
+        this without simulating, so it passes, and `rank` fails in
+        indicator assembly and writes nothing."""
+        path = edited_project(sample_dir, tmp_path, keys, value)
+        result = runner.invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["rank", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert result.output == f"error: [stage: indicator assembly] {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_rank_prints_published_order(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [
             "rank", "--config", str(sample_dir / "published_tables.yaml"),
@@ -841,6 +919,21 @@ class TestSimulateEvaluateRank:
             "--delta", "0.05"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "sensitivity.json").exists()
+
+    def test_rank_sensitivity_around_a_whole_weight(self, runner, sample_dir, tmp_path):
+        """`water_reuse` holding all of `social`'s weight leaves its siblings
+        nothing to rescale; a zero delta still ranks and writes the
+        sensitivity report."""
+        social = ("hierarchy", "children", 2, "children")
+        path = edited_project(sample_dir, tmp_path, (*social, 0, "weight"), 1.0,
+                              "published_tables.yaml",
+                              more=[((*social, 1, "weight"), 0.0),
+                                    ((*social, 2, "weight"), 0.0)])
+        result = runner.invoke(main, ["rank", "--config", str(path), "--out",
+                                      str(tmp_path / "out"), "--sensitivity",
+                                      "water_reuse", "--delta", "0"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "sensitivity.json").exists()
 
     def test_rank_sensitivity_unknown_node_exits_3(self, runner, sample_dir, tmp_path):
         result = runner.invoke(main, [
@@ -966,6 +1059,7 @@ class TestSimulateEvaluateRank:
     @pytest.mark.parametrize("command", ["validate", "rank"])
     @pytest.mark.parametrize("normalized,scale,extra,message", [
         (False, 0.0, None, "indicator 'ecological' sums to zero"),
+        (True, 0.0, None, "normalized column 'ecological' sums to 0.0000"),
         (True, 1.05, None, "normalized column 'ecological' sums to 1.0500"),
         (True, 1.0, "extra.csv", "more than one direct table provides "
                                  "'ecological': <dir>/econ_social_indicators.csv, "
@@ -977,7 +1071,7 @@ class TestSimulateEvaluateRank:
         """The bundled direct table, with its `normalized` flag set and its
         `ecological` column scaled by `scale`, fails at load time when the
         column cannot fill its leaf: raw zeros, a pre-normalized column
-        summing to 1.05, or a second table (`extra`) providing the same
+        of zeros or summing to 1.05, or a second table (`extra`) providing the same
         indicator. `<dir>` in `message` is the project's directory."""
         tables = [{"file": "econ_social_indicators.csv", "normalized": normalized}]
         if extra is not None:
@@ -1140,6 +1234,24 @@ def sports_rank(sample_dir, tmp_path_factory):
                                           for call in repr_rows.call_args_list]
 
 
+@pytest.fixture(scope="module")
+def wide_output_report(sample_dir, tmp_path_factory):
+    """Output directory of `report --format markdown` on the benchmark's
+    `wide_output` project generated at seed 1 (by `perfbench/projects.py`),
+    where about a quarter of the outfall cells lie outside
+    1e-4 <= |x| < 1e16."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_projects", sample_dir.parent / "perfbench" / "projects.py")
+    projects = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(projects)
+    work = tmp_path_factory.mktemp("wide_output")
+    path = projects.generate(projects.WIDE_OUTPUT, 1, work / "project", "wide_output")
+    result = CliRunner().invoke(main, ["report", "--config", str(path), "--out",
+                                       str(work / "out"), "--format", "markdown"])
+    assert result.exit_code == 0, result.output
+    return work / "out"
+
+
 class TestSingleWriter:
     def test_rank_sensitivity_simulates_once(self, sports_rank):
         assert sports_rank[1] == 1
@@ -1170,6 +1282,30 @@ class TestSingleWriter:
         assert widths.count(5) == len(set(blocks))
         assert widths.count(1) == 3
         assert len(widths) == len(set(blocks)) + 3
+
+    @pytest.mark.parametrize("output", ["sports_rank", "wide_output_report"])
+    def test_every_float_cell_is_repr(self, request, output):
+        """Every float cell of every result CSV, whichever file and writer
+        it comes from, is the float's `repr`. Both outputs hold cells that
+        orjson writes in another notation than `repr` (a nonzero |x| < 1e-4
+        or |x| >= 1e16), which the outfall writer rebuilds."""
+        out = request.getfixturevalue(output)
+        out = out[0] if output == "sports_rank" else out
+        differ, rebuilt = [], 0
+        for path in sorted(out.rglob("*.csv")):
+            with path.open(newline="") as f:
+                for cell in (cell for row in csv.reader(f) for cell in row):
+                    try:
+                        x = float(cell)
+                    except ValueError:
+                        continue
+                    if cell.lstrip("-").isdigit():   # an integer, e.g. a rank
+                        continue
+                    rebuilt += x != 0 and not 1e-4 <= abs(x) < 1e16
+                    if cell != repr(x):
+                        differ.append((path, cell))
+        assert differ == []
+        assert rebuilt
 
     def test_one_file_per_outfall(self, runner, sample_dir, tmp_path):
         """Outfall `OUT` with pollutant `A_TSS` and outfall `OUT_A` with

@@ -190,6 +190,20 @@ class TestSimulateLidUnit:
         np.testing.assert_allclose(result.outflow_m3,
                                    result.overflow_m3 + result.drained_m3)
 
+    @pytest.mark.parametrize("area_m2", [5e-320, 1e-308])
+    def test_unit_too_small_for_a_depth_passes_its_inflow(self, area_m2):
+        """A unit on whose area the run-on is no finite depth (5 m3 on
+        1e-308 m2 is 5e311 mm) holds nothing and passes every inflow on,
+        with no NumPy overflow warning."""
+        inflow = np.array([0.0, 5.0, 2.0])
+        result = simulate_lid_unit(CATALOG[LidKind.BIO_RETENTION], area_m2, inflow,
+                                   np.full(3, 30.0), 60.0)
+        np.testing.assert_array_equal(result.outflow_m3, result.inflow_m3)
+        # the rain on the unit itself adds about 1e-311 m3 per step
+        np.testing.assert_allclose(result.inflow_m3, inflow, rtol=0, atol=1e-300)
+        assert result.captured_m3 == 0.0
+        assert result.balance_error() == 0.0
+
     def test_rejects_bad_series(self):
         spec = CATALOG[LidKind.STORAGE_TANK]
         with pytest.raises(ValidationError):

@@ -646,18 +646,33 @@ class TestOutfallFiles:
 
     def test_water_balance_rows(self, ranked, runs):
         """One row per run and subcatchment, runs in order, the run label in
-        front and `closure_error` last."""
+        front, then the subcatchment, the volumes and `closure_error` last."""
         for storm_runs in zip(*runs.values()):
             with open(ranked / "results" / storm_runs[0].storm / "water_balance.csv",
                       newline="") as f:
                 header, *rows = csv.reader(f)
-            assert header[:2] == ["run", "subcatchment"] and header[-1] == "closure_error"
+            assert header == ["run", "subcatchment", "rainfall_m3", "runoff_m3",
+                              "infiltration_m3", "surface_storage_m3", "lid_captured_m3",
+                              "closure_error"]
             assert [row[:2] for row in rows] == [
                 [label, sc_id] for label, run in zip(runs, storm_runs)
                 for sc_id in sorted(run.balances)]
             assert [float(row[-1]) for row in rows] == [
                 b.closure_error() for run in storm_runs
                 for _, b in sorted(run.balances.items())]
+
+    def test_rows_as_wide_as_header(self, ranked):
+        """Every row of every results/ table has a cell, none blank, in each
+        column of its header, and no file of the earlier `hydro_` and
+        `quality_` layout is written anywhere."""
+        paths = list((ranked / "results").glob("*/*.csv"))
+        assert len(paths) == 3 * 7
+        for path in paths:
+            with path.open(newline="") as f:
+                header, *rows = csv.reader(f)
+            assert {len(row) for row in rows} == {len(header)}, path
+            assert not any("" in row for row in rows), path
+        assert not [p for p in ranked.rglob("*") if p.name.startswith(("hydro_", "quality_"))]
 
 
 def assert_same_run(a, b):
