@@ -29,6 +29,7 @@ from lidscore.evaluator import (IndicatorTable, TreeNode, WeightTree,
                                 facility_scores, normalize)
 from lidscore.hydrology import (HortonParams, LandUse, Link, Subcatchment,
                                 _downstream_paths, composite_runoff_coefficient)
+from lidscore.kernels import ordered_sum
 from lidscore.lid import (LidKind, LidPlacement, LidSpec, Scenario, default_catalog,
                           placement_problems)
 from lidscore.quality import DEFAULT_ANTECEDENT_DRY_DAYS, PollutantSpec
@@ -57,13 +58,17 @@ class StormSettings:
     peak_ratio: float = 0.5
     step_s: float = 60.0
     tail_min: float = 60.0
+    # {storm label: Hyetograph} of depths_mm, built from the fields above
+    suite: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # building the suite, on a grid checked first so that it can be built,
         # applies the storm generator's own checks (depth, peak ratio, step)
         self._check_grid(self.duration_min)
-        design_storm_suite(self.depths_mm, self.duration_min, self.peak_ratio,
-                           self.idf, self.step_s)
+        suite = design_storm_suite(self.depths_mm, self.duration_min, self.peak_ratio,
+                                   self.idf, self.step_s)
+        object.__setattr__(self, "suite", {storm_label(d): storm
+                                           for d, storm in zip(self.depths_mm, suite)})
         # the simulation appends round(tail_min * 60 / step_s) dry steps
         steps = self.tail_min * 60.0 / self.step_s if self.step_s > 0 else 0.0
         if not (steps >= 0 and math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
@@ -249,7 +254,7 @@ class _Collector:
         if raw is None:
             return None
         defaults, keys = defaults or {}, keys or {}
-        fields = dataclasses.fields(cls)
+        fields = [f for f in dataclasses.fields(cls) if f.init]   # not those built from them
         raw = self.known(section, raw, {keys.get(f.name, f.name) for f in fields} - {None})
         kwargs = dict(values)
         ok = all(values[f.name] is not None or f.default is None
@@ -593,7 +598,7 @@ def load_config(path) -> ProjectConfig:
         land_uses = [lu for sc in subcatchments.values() for lu in sc.land_uses]
         sizing = errors.build("sizing", SizingSettings, sizing_raw, defaults={  # the catchment's
             "psi": composite_runoff_coefficient(land_uses) if land_uses else None,
-            "area_ha": sum(sc.area_ha for sc in subcatchments.values()) or None},
+            "area_ha": ordered_sum(sc.area_ha for sc in subcatchments.values()) or None},
             sources={"psi": "the land-use composite"}, existing_facilities=tuple(facilities),
             target=target)
     if sizing:

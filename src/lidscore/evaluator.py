@@ -15,6 +15,7 @@ import numpy as np
 
 from lidscore.errors import Ranged, ValidationError
 from lidscore.inputs import read_cell, read_rows
+from lidscore.kernels import ordered_sum
 from lidscore.metrics import peak_stats
 
 POLARITIES = ("benefit", "cost")
@@ -54,7 +55,7 @@ class TreeNode(Ranged):
                 raise ValidationError(f"leaf {self.name}: the reciprocal transform "
                                       f"applies only to cost leaves")
         else:
-            child_sum = sum(c.weight for c in self.children)
+            child_sum = ordered_sum(c.weight for c in self.children)
             if abs(child_sum - 1.0) > 1e-6:
                 raise ValidationError(
                     f"node {self.name}: child weights sum to {child_sum}, not 1"
@@ -104,7 +105,7 @@ class WeightTree:
 
         def walk(node: TreeNode) -> TreeNode:
             if any(c.name == name for c in node.children):
-                others = sum(c.weight for c in node.children if c.name != name)
+                others = ordered_sum(c.weight for c in node.children if c.name != name)
                 if others == 0 and new_weight != 1.0:
                     raise ValidationError(
                         f"cannot rebalance around {name!r}: no sibling weight"
@@ -316,8 +317,8 @@ def facility_scores(scenarios, catalog: dict, leaf: TreeNode) -> np.ndarray:
     for scenario in scenarios:
         areas = scenario.area_by_kind()
         if leaf.transform == "reciprocal":
-            values.append(sum(area * catalog[kind].unit_cost_weight
-                              for kind, area in areas.items()))
+            values.append(ordered_sum(area * catalog[kind].unit_cost_weight
+                                      for kind, area in areas.items()))
             continue
         total = 0.0
         for kind, area in areas.items():
@@ -349,9 +350,9 @@ class StormSummary:
         peak is taken on the summed outfall flows."""
         if not outfalls:
             raise ValidationError("no outfall series")
-        peak, peak_time = peak_stats(sum(m[0] for m in outfalls.values()), step_s)
-        volume = sum(float(m[0].sum() * step_s / 1000.0) for m in outfalls.values())
-        loads_kg = {p: sum(float(m[i].sum()) for m in outfalls.values())
+        peak, peak_time = peak_stats(ordered_sum(m[0] for m in outfalls.values()), step_s)
+        volume = ordered_sum(float(m[0].sum() * step_s / 1000.0) for m in outfalls.values())
+        loads_kg = {p: ordered_sum(float(m[i].sum()) for m in outfalls.values())
                     for i, p in enumerate(pollutants, 1)}
         return cls(storm=storm, volume_m3=volume, peak_lps=peak,
                    peak_time_s=peak_time, loads_kg=loads_kg)

@@ -8,7 +8,7 @@ and a midpoint trial over the whole step (Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.4); a trial within tolerance is the step.
 `step_lid_unit` routes inflow through one LID storage unit. Both are plain
 Python loops over the time steps, on Python floats taken from the inputs
-once.
+once. `ordered_sum` is the one float sum of the result path outside NumPy.
 """
 
 import math
@@ -36,6 +36,17 @@ TOL_REL = 0.03
 
 # A step that needs more substeps than this is rejected, not truncated.
 MAX_SUBSTEPS = 3600
+
+
+def ordered_sum(values):
+    """`values` added left to right from 0.0, as builtin `sum()` adds floats
+    before Python 3.12. From 3.12 on, `sum()` compensates the rounding of
+    a float sum (Neumaier), which changes the last bits of some totals;
+    the result bytes would then depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def step_subarea(intensity_mmps, fcap_mmps, q_coef, dstore_mm, dt_s, d0_mm):

@@ -89,7 +89,7 @@ class Scenario:
 
     @property
     def total_area_ha(self) -> float:
-        return sum(p.area_ha for p in self.placements)
+        return kernels.ordered_sum(p.area_ha for p in self.placements)
 
 
 def placement_problems(host, placements) -> list:
@@ -97,11 +97,11 @@ def placement_problems(host, placements) -> list:
     and `area_ha`) break: their LID area may not exceed the host's area and
     their treated fractions may not sum past 1. Empty when they fit."""
     problems = []
-    area = sum(p.area_ha for p in placements)
+    area = kernels.ordered_sum(p.area_ha for p in placements)
     if area > host.area_ha + 1e-9:
         problems.append(f"LID area {area:.3f} ha exceeds subcatchment "
                         f"{host.id} area {host.area_ha} ha")
-    treated = sum(p.treated_fraction for p in placements)
+    treated = kernels.ordered_sum(p.treated_fraction for p in placements)
     if treated > 1.0 + 1e-9:
         problems.append(f"treated fractions in {host.id} sum to {treated:.3f} (> 1)")
     return problems
@@ -126,7 +126,7 @@ def existing_capacity(facilities, psi: float, area_ha: float):
     volumes = [float(v) for _, v in facilities]
     if any(v < 0 for v in volumes):
         raise ValidationError("facility volumes must be non-negative")
-    total = sum(volumes)
+    total = kernels.ordered_sum(volumes)
     if total == 0.0:
         return 0.0, 0.0
     if psi <= 0 or area_ha <= 0:

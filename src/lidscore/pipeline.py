@@ -1,13 +1,13 @@
 """End-to-end evaluation pipeline and result persistence.
 
-Stages: sizing check -> design storms -> baseline and scenario simulations
-(skipped entirely when every hierarchy leaf is direct-injected) ->
-indicator tables -> normalization -> roll-up -> ranking -> capacity
-compliance flags -> optional weight sensitivity. The weighted hierarchy
-(`config.tree`) and the normalized column of every leaf that is not
-simulated (`config.fixed_columns`) are built once, by `load_config`. Every
-stage runs before the first result file is written, so a run that fails
-writes nothing.
+Stages: sizing check -> baseline and scenario simulations (skipped
+entirely when every hierarchy leaf is direct-injected) -> indicator tables
+-> normalization -> roll-up -> ranking -> capacity compliance flags ->
+optional weight sensitivity. The design storms (`config.storms.suite`),
+the weighted hierarchy (`config.tree`) and the normalized column of every
+leaf that is not simulated (`config.fixed_columns`) are built once, by
+`load_config`. Every stage runs before the first result file is written,
+so a run that fails writes nothing.
 
 Within one `simulate_all` call each storm keeps the baseline result of
 every subcatchment; a scenario that places nothing in a subcatchment
@@ -67,8 +67,7 @@ from lidscore.evaluator import (BenefitReport, IndicatorTable, StormSummary,
 from lidscore.hydrology import route_series, simulate_subcatchment
 from lidscore.lid import control_capacity, existing_capacity, required_volume
 from lidscore.quality import simulate_quality
-from lidscore.storms import (atrcr_curve, design_storm_suite, invert_atrcr,
-                             storm_label)
+from lidscore.storms import atrcr_curve, invert_atrcr
 
 MASS_BALANCE_LIMIT = 0.005
 ATRCR_GRID_MM = [float(h) for h in range(61)]   # capture depths of atrcr_curve.csv
@@ -171,11 +170,9 @@ class _Writer:
         return self.record(buf.getvalue(), *parts)
 
 
-def build_storms(config: ProjectConfig):
-    s = config.storms
-    suite = design_storm_suite(s.depths_mm, s.duration_min, s.peak_ratio,
-                               s.idf, s.step_s)
-    return {storm_label(d): storm for d, storm in zip(s.depths_mm, suite)}
+def build_storms(config: ProjectConfig) -> dict:
+    """{storm label: Hyetograph} of the design storms, built at load."""
+    return config.storms.suite
 
 
 def compute_sizing(config: ProjectConfig) -> SizingSummary | None:
@@ -441,15 +438,13 @@ class _Stage:
         return False
 
 
-def simulate_if_needed(config: ProjectConfig,
-                       storms: dict | None = None) -> dict | None:
+def simulate_if_needed(config: ProjectConfig) -> dict | None:
     """Simulate when a hierarchy leaf is simulated or there is no scenario
-    to evaluate (a baseline-only run); None otherwise. Storms are built
-    here unless given."""
+    to evaluate (a baseline-only run); None otherwise."""
     if not config.simulating(config.scenarios, config.tree):
         return None
     with _Stage("simulation"):
-        return simulate_all(config, storms if storms is not None else build_storms(config))
+        return simulate_all(config, build_storms(config))
 
 
 def _persist_indicators(writer: _Writer, table: IndicatorTable,
@@ -481,9 +476,8 @@ def run_pipeline(config: ProjectConfig, out_dir=None,
 
     with _Stage("sizing"):
         sizing = compute_sizing(config)
-    with _Stage("design storms"):
-        storms = build_storms(config)
-    runs = simulate_if_needed(config, storms)
+    storms = build_storms(config)
+    runs = simulate_if_needed(config)
     report = table = simulated_table = outcome = None
     if config.scenarios:
         with _Stage("indicator assembly"):

@@ -13,6 +13,7 @@ import numpy as np
 
 from lidscore.errors import Ranged, ValidationError
 from lidscore.hydrology import Subcatchment
+from lidscore.kernels import ordered_sum
 from lidscore.lid import LidKind
 
 DEFAULT_ANTECEDENT_DRY_DAYS = 7.0
@@ -67,7 +68,7 @@ def initial_buildup_kg(sc: Subcatchment, spec: PollutantSpec,
     facilities no longer accumulates surface load.
     """
     per_ha = buildup(spec, antecedent_dry_days)
-    total = sum(
+    total = ordered_sum(
         per_ha * spec.class_factor(lu.surface_class) * lu.area_ha
         for lu in sc.land_uses
     )
@@ -86,7 +87,7 @@ def simulate_quality(sc: Subcatchment, pre_lid_runoff_m3, specs, dt_s: float,
     by placement. Returns the (pollutant, step) load matrix in kg, rows in
     `specs` order."""
     placements = list(placements)
-    lid_area_ha = sum(p.area_ha for p in placements)
+    lid_area_ha = ordered_sum(p.area_ha for p in placements)
     runoff_m3 = np.asarray(pre_lid_runoff_m3, dtype=float)
     area_m2 = (sc.area_ha - lid_area_ha) * 10_000.0
     loads = np.zeros((len(specs), runoff_m3.size))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from lidscore.errors import ValidationError
 from lidscore.hydrology import runoff_volume
+from lidscore.kernels import ordered_sum
 from lidscore.lid import LidKind
 
 PERCENT_INDICATORS = ("reduction",)
@@ -53,7 +54,7 @@ def render_tables(writer, config, sizing, benefit_report,
              f"{runoff_volume(psi, sizing.target_depth_mm, area):.0f}"]
             for (name, psi), area in sorted(by_name.items())
         ]
-        total_area = sum(a for a in by_name.values())
+        total_area = ordered_sum(by_name.values())
         rows.append(["total", f"{sizing.psi:.2f}", f"{total_area:.2f}",
                      f"{runoff_volume(sizing.psi, sizing.target_depth_mm, total_area):.0f}"])
         paths.append(_emit(writer, "land_use_runoff", fmt,

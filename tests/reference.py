@@ -6,8 +6,12 @@ against the same numbers.
 """
 
 import csv
+import hashlib
 import io
+import json
 import math
+from pathlib import Path, PurePosixPath
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,12 +266,63 @@ def reference_outfall_table(step_s, names, matrices: dict) -> bytes:
     return reference_csv(header, rows)
 
 
-def run_columns(data: bytes, run: str) -> dict:
-    """{column: cells} of one run in an outfall table's bytes: `t_s`, and
-    each `<run>/<column>` under its name after the first `/`."""
-    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    return {name.partition("/")[2] if j else name: [row[j] for row in rows]
-            for j, name in enumerate(header) if j == 0 or name.partition("/")[0] == run}
+class ResultFile(NamedTuple):
+    """One file of a result tree, as `read_file` reads it."""
+
+    sha256: str
+    parsed: object      # CSV: rows of string cells; JSON: the object; Markdown: the text
+    runs: dict | None   # outfall tables only: {run: {column: cells}}
+
+    @property
+    def columns(self) -> dict:
+        """{header cell: [cells]} of a CSV file."""
+        header, *rows = self.parsed
+        return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def read_file(path: str, data: bytes) -> ResultFile:
+    """The result file at `path` (relative to `--out`, `/`-separated; its
+    suffix picks the parser) with the bytes `data`: its SHA-256 and its
+    parsed form. CSV is read as rows of string cells, JSON as objects and
+    Markdown as text. An outfall table (`results/<storm>/outfall_<o>.csv`)
+    also gets `runs`: each header cell after `t_s` split at its first `/`
+    into run and column, each run's columns led by `t_s`."""
+    path = PurePosixPath(path)
+    text = data.decode("utf-8")
+    suffix = path.suffix
+    if suffix == ".csv":
+        parsed = list(csv.reader(io.StringIO(text, newline="")))
+    elif suffix == ".json":
+        parsed = json.loads(text)
+    elif suffix == ".md":
+        parsed = text
+    else:
+        raise ValueError(f"{path}: not a result file")
+    file = ResultFile(hashlib.sha256(data).hexdigest(), parsed, None)
+    if not path.match("results/*/outfall_*.csv"):
+        return file
+    time, *cells = columns = file.columns
+    runs = {}
+    for cell in cells:
+        run, _, column = cell.partition("/")
+        runs.setdefault(run, {time: columns[time]})[column] = columns[cell]
+    return file._replace(runs=runs)
+
+
+def read_tree(out_dir) -> dict:
+    """{path relative to `out_dir`, `/`-separated: `read_file` of it} for
+    every file under `out_dir`, in path order."""
+    out_dir = Path(out_dir)
+    paths = sorted(p.relative_to(out_dir).as_posix()
+                   for p in out_dir.rglob("*") if p.is_file())
+    return {path: read_file(path, (out_dir / path).read_bytes()) for path in paths}
+
+
+def digests(out_dir) -> dict:
+    """{path: SHA-256} of every file `read_tree(out_dir)` reads but
+    `manifest.json`, the one file whose bytes differ between reruns."""
+    return {path: file.sha256 for path, file in read_tree(out_dir).items()
+            if path != "manifest.json"}
 
 
 def derived_concentration(flow_cells, load_cells, step_s) -> list:

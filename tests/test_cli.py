@@ -1,10 +1,9 @@
 """Tests for the command-line surface: subcommands, outputs, exit codes."""
 
+import builtins
 import csv
-import hashlib
 import importlib.util
-import io
-import json
+import math
 import os
 import re
 import shutil
@@ -20,7 +19,8 @@ from click.testing import CliRunner
 
 from lidscore import config, kernels, pipeline
 from lidscore.cli import main
-from reference import derived_concentration, reference_pollutograph
+from reference import (derived_concentration, digests, read_file, read_tree,
+                       reference_pollutograph)
 
 DATA_FILES = ("rainfall.csv", "environmental_indicators.csv",
               "econ_social_indicators.csv")
@@ -610,18 +610,16 @@ class TestValidate:
         out = tmp_path / "out"
         result = runner.invoke(main, ["rank", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        files = list((out / "results").glob("*/outfall_*.csv"))
-        assert len(files) == 3 * 6
+        tree = read_tree(out)
+        tables = [file for path, file in tree.items() if "/outfall_" in path]
+        assert len(tables) == 3 * 6
         runs = ["baseline"] + [f"scenario_{i}" for i in range(1, 6)]
-        for file in files:
-            with file.open(newline="") as f:
-                header = next(csv.reader(f))
-            assert header == ["t_s"] + [
+        for table in tables:
+            assert table.parsed[0] == ["t_s"] + [
                 f"{run}/{column}" for run in runs
                 for column in ["flow_Lps", "TSS_load_kg", "COD_load_kg",
                                "TN_load_kg", f"{name}_load_kg"]]
-        normalized = (out / "indicators" / "normalized.csv").read_text()
-        assert indicator in normalized.splitlines()[0]
+        assert indicator in tree["indicators/normalized.csv"].parsed[0]
 
     def test_pipe_in_markdown_cell_escaped(self, runner, sample_dir, tmp_path):
         """A pollutant named `T|P` heads the markdown column `t\\|p_reduction`:
@@ -835,8 +833,8 @@ class TestSimulateEvaluateRank:
                 command, "--config", str(sample_dir / "sports_center.yaml"),
                 "--out", str(out)])
             assert result.exit_code == 0, result.output
-            trees.append({str(p.relative_to(out)): p.read_bytes()
-                          for p in (out / "results").rglob("*") if p.is_file()})
+            trees.append({path: file.sha256 for path, file in read_tree(out).items()
+                          if path.startswith("results/")})
         assert len(trees[0]) == 3 * 7
         assert trees[0] == trees[1]
 
@@ -970,8 +968,9 @@ class TestSimulateEvaluateRank:
             assert result.exit_code == 0, result.output
             assert "warning: ranking has tied comprehensive scores" in result.output
             assert "scenario_1 > scenario_2" in result.output
-            assert "tied" not in json.loads((out / "manifest.json").read_text())
-            assert json.loads((out / "benefit_report.json").read_text())["tied"]
+            tree = read_tree(out)
+            assert "tied" not in tree["manifest.json"].parsed
+            assert tree["benefit_report.json"].parsed["tied"]
 
     def test_out_under_a_regular_file_exits_3(self, runner, sample_dir, tmp_path):
         blocker = tmp_path / "file"
@@ -1170,15 +1169,6 @@ class TestReport:
         assert "ranking:" in result.output
 
 
-def hashes_on_disk(out_dir):
-    """{relative path: SHA-256} of every file under out_dir but the manifest."""
-    return {
-        str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in out_dir.rglob("*")
-        if p.is_file() and p != out_dir / "manifest.json"
-    }
-
-
 class TestPublishedRollupBytes:
     """The published-tables project runs no simulation and has no AHP
     matrix, so its roll-up files depend only on the loader, the
@@ -1202,13 +1192,13 @@ class TestPublishedRollupBytes:
             "rank", "--config", str(sample_dir / "published_tables.yaml"),
             "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
-        hashes = hashes_on_disk(tmp_path)
-        assert {name: hashes.get(name) for name in self.DIGESTS} == self.DIGESTS
+        tree = read_tree(tmp_path)
+        assert {name: tree[name].sha256 for name in self.DIGESTS} == self.DIGESTS
         # the pre-normalized direct columns are used verbatim
         with open(sample_dir / "econ_social_indicators.csv", newline="") as f:
             direct = {row.pop("scenario"): row for row in csv.DictReader(f)}
-        with open(tmp_path / "indicators" / "normalized.csv", newline="") as f:
-            used = list(csv.DictReader(f))
+        header, *rows = tree["indicators/normalized.csv"].parsed
+        used = [dict(zip(header, row)) for row in rows]
         assert {row["scenario"] for row in used} == set(direct)
         for row in used:
             for indicator, cell in direct[row["scenario"]].items():
@@ -1258,9 +1248,9 @@ class TestSingleWriter:
 
     def test_rank_manifest_lists_every_file(self, sports_rank):
         out = sports_rank[0]
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_tree(out)["manifest.json"].parsed
         assert "sensitivity.json" in manifest["files"]
-        assert manifest["files"] == hashes_on_disk(out)
+        assert manifest["files"] == digests(out)
 
     def test_each_series_formatted_once(self, sports_rank, sports_config):
         """A run's columns of an outfall table repeat another run's (a
@@ -1270,13 +1260,10 @@ class TestSingleWriter:
         column, one column wide, is formatted once per storm."""
         out, _, widths = sports_rank
         blocks = []
-        for path in (out / "results").glob("*/outfall_*.csv"):
-            with path.open(newline="") as f:
-                header, *rows = csv.reader(f)
-            runs = dict.fromkeys(cell.partition("/")[0] for cell in header[1:])
-            for run in runs:
-                cells = [j for j, cell in enumerate(header) if cell.startswith(f"{run}/")]
-                blocks.append((path, tuple(tuple(row[j] for j in cells) for row in rows)))
+        for path, table in read_tree(out).items():
+            for columns in (table.runs or {}).values():
+                blocks.append((path, tuple(tuple(cells) for name, cells in columns.items()
+                                           if name != "t_s")))
         assert len(blocks) == 3 * 6 * 6
         assert len(blocks) > len(set(blocks))   # there are repeats
         assert widths.count(5) == len(set(blocks))
@@ -1325,16 +1312,16 @@ class TestSingleWriter:
         storm_dirs = list((out / "results").iterdir())
         assert len(storm_dirs) == 3
         runs = ["baseline"] + [f"scenario_{i}" for i in range(1, 6)]
+        tree = read_tree(out)
         for storm_dir in storm_dirs:
             assert sorted(p.name for p in storm_dir.iterdir()) == expected
             for outfall in ("OUT", "OUT_A"):
-                header = (storm_dir / f"outfall_{outfall}.csv").read_text().splitlines()[0]
-                assert header == "t_s" + "".join(
-                    f",{run}/{column}" for run in runs
+                table = tree[f"results/{storm_dir.name}/outfall_{outfall}.csv"]
+                assert table.parsed[0] == ["t_s"] + [
+                    f"{run}/{column}" for run in runs
                     for column in ["flow_Lps"] + [f"{p}_load_kg" for p in
-                                                  ("TSS", "A_TSS", "TN", "TP")])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["files"] == hashes_on_disk(out)
+                                                  ("TSS", "A_TSS", "TN", "TP")]]
+        assert tree["manifest.json"].parsed["files"] == digests(out)
 
     def test_concentration_derives_from_cells(self, sports_rank, sports_config):
         """Each cell of the `<p>_conc_mg_L` column an earlier layout wrote
@@ -1342,7 +1329,7 @@ class TestSingleWriter:
         equals bit for bit the concentration derived from the outfall
         table's flow and load cells of that run and row, and its second
         row's t_s."""
-        out = sports_rank[0]
+        tree = read_tree(sports_rank[0])
         runs = pipeline.simulate_all(sports_config, pipeline.build_storms(sports_config))
         pollutants = [p.name for p in sports_config.pollutants]
         files = checked = 0
@@ -1350,24 +1337,20 @@ class TestSingleWriter:
         for label, storm_runs in runs.items():
             for run in storm_runs:
                 for outfall, (flows, *loads) in run.outfalls.items():
-                    path = out / "results" / run.storm / f"outfall_{outfall}.csv"
-                    with path.open(newline="") as f:
-                        header, *rows = csv.reader(f)
-                    columns = dict(zip(header, map(list, zip(*rows))))
+                    path = f"results/{run.storm}/outfall_{outfall}.csv"
+                    columns = tree[path].runs[label]
                     step_s = float(columns["t_s"][1])
                     assert step_s == sports_config.storms.step_s
                     for pollutant, series in zip(pollutants, loads, strict=True):
                         earlier = reference_pollutograph(step_s, flows, series)
-                        conc = [row[2] for row in list(csv.reader(
-                            io.StringIO(earlier.decode("utf-8"), newline="")))[1:]]
+                        conc = read_file("earlier.csv", earlier).columns["conc_mg_L"]
                         derived = derived_concentration(
-                            columns[f"{label}/flow_Lps"],
-                            columns[f"{label}/{pollutant}_load_kg"], step_s)
+                            columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
                         assert derived == conc, (path, pollutant)
                         seen.update(cell == "" for cell in conc)
                         checked += 1
                     files += 1
-        assert files == 6 * len(list(out.glob("results/*/outfall_*.csv"))) == 108
+        assert files == 6 * len([path for path in tree if "/outfall_" in path]) == 108
         assert checked == files * len(sports_config.pollutants)
         assert seen == {True, False}   # both blank and derived cells occur
 
@@ -1376,8 +1359,7 @@ class TestSingleWriter:
             "report", "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(tmp_path), "--format", "markdown"])
         assert result.exit_code == 0, result.output
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["files"] == hashes_on_disk(tmp_path)
+        assert read_tree(tmp_path)["manifest.json"].parsed["files"] == digests(tmp_path)
 
     @pytest.mark.parametrize("command",
                              ["storm", "atrcr", "weights", "evaluate", "simulate"])
@@ -1387,9 +1369,9 @@ class TestSingleWriter:
             command, "--config", str(sample_dir / "sports_center.yaml"),
             "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
-        written = hashes_on_disk(tmp_path)
+        written = digests(tmp_path)
         assert written
-        ranked = hashes_on_disk(sports_rank[0])
+        ranked = digests(sports_rank[0])
         assert {path: ranked.get(path) for path in written} == written
 
     def test_atrcr_curve_of_a_depth_target_equals_ranks(self, runner, sample_dir,
@@ -1407,10 +1389,9 @@ class TestSingleWriter:
         result = runner.invoke(main, ["rank", "--config", str(path),
                                       "--out", str(tmp_path / "rank")])
         assert result.exit_code == 0, result.output
-        curve = (tmp_path / "atrcr" / "atrcr_curve.csv").read_bytes()
-        assert (tmp_path / "rank" / "atrcr_curve.csv").read_bytes() == curve
-        sizing = json.loads((tmp_path / "rank" / "sizing.json").read_text())
-        assert sizing["target_depth_mm"] == 26.0
+        ranked = read_tree(tmp_path / "rank")
+        assert ranked["atrcr_curve.csv"] == read_tree(tmp_path / "atrcr")["atrcr_curve.csv"]
+        assert ranked["sizing.json"].parsed["target_depth_mm"] == 26.0
 
     def test_rank_reads_no_input_file_after_load(self, sports_rank, sample_dir,
                                                   tmp_path):
@@ -1422,7 +1403,7 @@ class TestSingleWriter:
             (tmp_path / data).unlink()
         manifest = pipeline.run_pipeline(loaded, tmp_path / "out",
                                          sensitivity=("environmental", 0.05))
-        assert manifest.files == hashes_on_disk(sports_rank[0])
+        assert manifest.files == digests(sports_rank[0])
 
     def test_second_rank_into_same_out_writes_same_files(self, sports_rank,
                                                          runner, sample_dir,
@@ -1434,10 +1415,10 @@ class TestSingleWriter:
                 "--out", str(tmp_path), "--sensitivity", "environmental",
                 "--delta", "0.05"])
             assert result.exit_code == 0, result.output
-            manifests.append(json.loads((tmp_path / "manifest.json").read_text()))
+            manifests.append(read_tree(tmp_path)["manifest.json"].parsed)
         assert manifests[0]["files"] == manifests[1]["files"]
-        assert manifests[1]["files"] == hashes_on_disk(tmp_path)
-        assert hashes_on_disk(tmp_path) == hashes_on_disk(sports_rank[0])
+        assert manifests[1]["files"] == digests(tmp_path)
+        assert digests(tmp_path) == digests(sports_rank[0])
 
     def test_reordered_yaml_keys_write_same_files(self, sports_rank, runner,
                                                   sample_dir, tmp_path):
@@ -1458,7 +1439,63 @@ class TestSingleWriter:
             "rank", "--config", str(path), "--out", str(tmp_path / "out"),
             "--sensitivity", "environmental", "--delta", "0.05"])
         assert result.exit_code == 0, result.output
-        assert hashes_on_disk(tmp_path / "out") == hashes_on_disk(sports_rank[0])
+        assert digests(tmp_path / "out") == digests(sports_rank[0])
+
+
+def left_to_right_sum(values, start=0):
+    """Builtin `sum()` as Python 3.10 and 3.11 add: one `+` after another."""
+    total = start
+    for value in values:
+        total = total + value
+    return total
+
+
+def compensated_sum(values, start=0):
+    """Builtin `sum()` as Python 3.12 and later add floats: a float added to
+    a float total with Neumaier's compensation, which joins the total at
+    the end or before any other item, such as a NumPy float. Not emulated:
+    an int item of a float total, which lidscore never sums."""
+    total, compensation = start, 0.0
+    for value in values:
+        if type(total) is float and type(value) is float:
+            step = total + value
+            if abs(total) >= abs(value):
+                compensation += (total - step) + value
+            else:
+                compensation += (value - step) + total
+            total = step
+            continue
+        if compensation and math.isfinite(compensation):
+            total, compensation = total + compensation, 0.0
+        total = total + value
+    if compensation and math.isfinite(compensation):
+        total = total + compensation
+    return total
+
+
+def test_result_bytes_do_not_depend_on_the_float_sum(runner, sample_dir, tmp_path,
+                                                      monkeypatch):
+    """The bundled rank with its sensitivity step writes the same files
+    whether builtin `sum()` adds floats as Python 3.10 and 3.11 do or, with
+    compensation, as 3.12 and later do; `sum([0.1] * 10)` tells the two
+    apart, and this interpreter's `sum()` is one of them."""
+    tenths = [0.1] * 10
+    assert left_to_right_sum(tenths) != compensated_sum(tenths)
+    assert sum(tenths) == (compensated_sum if sys.version_info >= (3, 12)
+                           else left_to_right_sum)(tenths)
+    trees = []
+    for emulated in (left_to_right_sum, compensated_sum):
+        out = tmp_path / emulated.__name__
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", emulated)
+            result = runner.invoke(main, [
+                "rank", "--config", str(sample_dir / "sports_center.yaml"),
+                "--out", str(out), "--sensitivity", "environmental", "--delta", "0.05"])
+        assert result.exit_code == 0, result.output
+        trees.append(digests(out))
+    first, second = trees
+    assert sorted(path for path in first.keys() | second.keys()
+                  if first.get(path) != second.get(path)) == []
 
 
 # the loader `load_config` uses, and PyYAML's pure-Python one
@@ -1483,7 +1520,7 @@ class TestYamlLoaders:
             "--out", str(tmp_path), "--sensitivity", "environmental",
             "--delta", "0.05"])
         assert result.exit_code == 0, result.output
-        assert hashes_on_disk(tmp_path) == hashes_on_disk(sports_rank[0])
+        assert digests(tmp_path) == digests(sports_rank[0])
 
     @pytest.mark.parametrize("loader", LOADERS)
     def test_malformed_yaml_names_file_and_line(self, monkeypatch, runner,

@@ -1,7 +1,6 @@
 """Tests for project-file loading and batched validation."""
 
 import dataclasses
-import json
 import re
 import shutil
 from collections import Counter
@@ -19,6 +18,7 @@ from lidscore.errors import ConfigError
 from lidscore.hydrology import HortonParams
 from lidscore.lid import (LidKind, LidPlacement, Scenario, control_capacity,
                           simulate_lid_unit)
+from reference import read_tree
 
 
 # a number in value position of a bundled project: after `key: `, `[` or `, `
@@ -423,7 +423,7 @@ class TestMatrixDrivenHierarchy:
 
         monkeypatch.undo()
         config = load_config(path)
-        written = json.loads((tmp_path / "out" / "weights.json").read_text())
+        written = read_tree(tmp_path / "out")["weights.json"].parsed
         for node, entry in yaml.safe_load(path.read_text())["matrices"].items():
             matrix = ahp.PairwiseMatrix.from_rows(tuple(entry["labels"]), entry["rows"])
             report = ahp.consistency(matrix)

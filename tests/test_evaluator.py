@@ -5,7 +5,6 @@ published raw indicators and weights, every cell within +/-0.001 and the
 ranking 4 > 1 > 2 > 3 > 5.
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -368,15 +367,15 @@ class TestBenefitReportSerialization:
         tree, table = full_normalized_table()
         report = rollup(tree, table)
         writer = _Writer(tmp_path)
-        path = writer.write_json(report.to_dict(), "report.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["ranking"] == report.ranking
+        writer.write_json(report.to_dict(), "report.json")
+        loaded = reference.read_tree(tmp_path)["report.json"]
+        assert loaded.parsed["ranking"] == report.ranking
         np.testing.assert_allclose(
-            loaded["scores"]["comprehensive"],
+            loaded.parsed["scores"]["comprehensive"],
             report.node_scores["comprehensive"], atol=1e-12)
         # serialize -> parse -> serialize is byte-stable
-        path2 = writer.write_json(loaded, "again.json")
-        assert path.read_bytes() == path2.read_bytes()
+        writer.write_json(loaded.parsed, "again.json")
+        assert reference.read_tree(tmp_path)["again.json"].sha256 == loaded.sha256
 
 
 class TestIndicatorTableCsv:

@@ -163,12 +163,23 @@ class TestSimulateSubcatchment:
         assert balance.closure_error() <= 0.005
 
     def test_closure_of_subnormal_rain(self):
-        """A rain volume below the smallest normal float has too few
-        significant bits for a relative closure, so it is measured against
-        that float: 4e-321 m3 unaccounted for is no model error."""
+        """A rain volume below 2**-970 m3 has too few significant bits for a
+        relative closure, so it is measured against that floor: 4e-321 m3
+        unaccounted for is no model error."""
         assert WaterBalance(1e-320, 0, 0, 0.6e-320, 0).closure_error() < 1e-12
         assert WaterBalance(2.0, 1.0, 0, 0.9, 0).closure_error() == pytest.approx(0.05)
         assert WaterBalance(0.0, 0, 0, 0, 0).closure_error() == 0.0
+
+    def test_subnormal_storm_closes(self):
+        """One 300 s step of 7.88e-311 mm/hr: the water the kernel sees,
+        given the intensity divided by 3600, differs from the rain term by
+        3.7e-320 m3, which against the smallest normal float reads as a
+        closure of 1.65e-12."""
+        sc = Subcatchment(id="S", area_ha=5.0, impervious_fraction=0.26,
+                          width_m=453.0, slope=0.01)
+        _, balance, _ = simulate_subcatchment(sc, Hyetograph(300.0, [7.88e-311], 0.0),
+                                              tail_min=0)
+        assert balance.closure_error() <= 1e-12
 
     def test_subnormal_surface_drains_within_the_step(self):
         """A 1 m2 subcatchment with impervious fraction 4e-323 has an
@@ -397,12 +408,12 @@ class TestHydrographExport:
         from lidscore.pipeline import _Writer
         from test_pipeline import write_outfall_table
 
-        path = write_outfall_table(_Writer(tmp_path), 60, (), {
+        write_outfall_table(_Writer(tmp_path), 60, (), {
             "baseline": np.array([[0.0, 12.5, 3.0]]), "s1": np.array([[0.0, 6.0, 1.5]])})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,baseline/flow_Lps,s1/flow_Lps"
-        assert lines[1] == "0,0.0,0.0"
-        assert lines[2] == "60,12.5,6.0"
+        rows = reference.read_tree(tmp_path)["results/s/outfall_o.csv"].parsed
+        assert rows[0] == ["t_s", "baseline/flow_Lps", "s1/flow_Lps"]
+        assert rows[1] == ["0", "0.0", "0.0"]
+        assert rows[2] == ["60", "12.5", "6.0"]
 
 
 class TestSubcatchmentSurfaceDicts:

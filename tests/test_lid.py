@@ -217,11 +217,10 @@ class TestScenarioTableExport:
         from lidscore.pipeline import run_pipeline
 
         run_pipeline(published_config, tmp_path, render="csv")
-        lines = (tmp_path / "tables" / "scenario_areas.csv").read_text().splitlines()
-        assert lines[0] == ("scenario,bio_retention_ha,grassed_swale_ha,"
-                            "sunken_green_ha,permeable_pavement_ha,"
-                            "storage_tank_ha,total_ha")
-        first = lines[1].split(",")
+        header, first, *_ = reference.read_tree(tmp_path)["tables/scenario_areas.csv"].parsed
+        assert header == ["scenario", "bio_retention_ha", "grassed_swale_ha",
+                          "sunken_green_ha", "permeable_pavement_ha",
+                          "storage_tank_ha", "total_ha"]
         assert first[0] == "scenario_1"
         assert float(first[1]) == pytest.approx(0.757)
         assert float(first[-1]) == pytest.approx(2.491)

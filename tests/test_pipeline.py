@@ -1,10 +1,6 @@
 """End-to-end pipeline tests on the bundled projects."""
 
-import csv
 import dataclasses
-import filecmp
-import io
-import json
 import math
 import shutil
 import sys
@@ -30,33 +26,17 @@ from lidscore.pipeline import (StormRun, _persist_runs, _repr_rows, _Writer,
                                run_pipeline, simulate_all, simulate_run,
                                weight_sensitivity)
 from lidscore.storms import Hyetograph
-from reference import (derived_concentration, reference_hydrograph,
-                       reference_outfall, reference_outfall_table,
-                       reference_pollutograph, run_columns)
+from reference import (derived_concentration, digests, read_file, read_tree,
+                       reference_hydrograph, reference_outfall,
+                       reference_outfall_table, reference_pollutograph)
 from test_config import rewrite
-
-
-def compare_trees(a: Path, b: Path, skip=("manifest.json",)):
-    """Byte-compare two result trees; returns the differing files."""
-    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    assert files_a == files_b
-    different = []
-    for rel in files_a:
-        if rel.name in skip:
-            continue
-        if not filecmp.cmp(a / rel, b / rel, shallow=False):
-            different.append(str(rel))
-    return different
 
 
 @pytest.fixture(scope="module")
 def manifest_and_report(published_config, tmp_path_factory):
     out = tmp_path_factory.mktemp("published")
     manifest = run_pipeline(published_config, out)
-    with open(out / "benefit_report.json") as fh:
-        report = json.load(fh)
-    return manifest, report, out
+    return manifest, read_tree(out)["benefit_report.json"].parsed, out
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +62,7 @@ class TestPublishedTablesRun:
 
     def test_sizing_summary(self, manifest_and_report):
         _, _, out = manifest_and_report
-        with open(out / "sizing.json") as fh:
-            sizing = json.load(fh)
+        sizing = read_tree(out)["sizing.json"].parsed
         assert sizing["required_volume_m3"] == pytest.approx(
             reference.REQUIRED_M3, abs=2)
         assert sizing["existing_capacity_depth_mm"] == pytest.approx(4.50, abs=0.05)
@@ -140,7 +119,7 @@ class TestDeterminism:
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         m1 = run_pipeline(sports_config, out1)
         m2 = run_pipeline(sports_config, out2)
-        assert compare_trees(out1, out2) == []
+        assert digests(out1) == digests(out2)
         assert m1.files == m2.files  # manifest hashes agree too
 
     def test_rerun_into_same_directory(self, published_config, tmp_path):
@@ -155,9 +134,9 @@ class TestPipelineShapes:
         config = dataclasses.replace(sports_config, scenarios=[])
         manifest = run_pipeline(config, tmp_path / "base_only")
         assert manifest.ranking == []
-        header = (tmp_path / "base_only" / "results" / "16mm" / "outfall_OUT_A.csv"
-                  ).read_text().splitlines()[0]
-        assert header.startswith("t_s,baseline/flow_Lps,") and "scenario" not in header
+        table = read_tree(tmp_path / "base_only")["results/16mm/outfall_OUT_A.csv"]
+        assert table.parsed[0][:2] == ["t_s", "baseline/flow_Lps"]
+        assert list(table.runs) == ["baseline"] and len(table.runs["baseline"]) > 2
         assert not (tmp_path / "base_only" / "benefit_report.json").exists()
 
     def test_undersized_scenario_flagged(self, published_config):
@@ -298,8 +277,7 @@ class TestReportRendering:
 
     def test_benefit_cells_round_to_published(self, published_config, tmp_path):
         run_pipeline(published_config, tmp_path, render="json")
-        with open(tmp_path / "tables" / "benefits.json") as fh:
-            rows = json.load(fh)
+        rows = read_tree(tmp_path)["tables/benefits.json"].parsed
         by_name = {row["scenario"]: row for row in rows}
         for node in ("environmental", "economic", "social", "comprehensive"):
             for name, expected in zip(reference.SCENARIOS,
@@ -310,38 +288,30 @@ class TestReportRendering:
 
     def test_peak_delay_rounds_to_whole_minutes(self, sports_config, tmp_path):
         run_pipeline(sports_config, tmp_path, render="csv")
-        text = (tmp_path / "tables" / "environmental_indicators.csv").read_text()
-        header, first = text.splitlines()[:2]
-        delay_idx = header.split(",").index("peak_delay")
-        assert "." not in first.split(",")[delay_idx]
+        header, first = read_tree(tmp_path)["tables/environmental_indicators.csv"].parsed[:2]
+        assert "." not in first[header.index("peak_delay")]
 
 
 class TestHeaderOnlyRender:
     def test_scenarioless_report_emits_headers(self, sports_config, tmp_path):
         config = dataclasses.replace(sports_config, scenarios=[])
         run_pipeline(config, tmp_path, render="csv")
-        text = (tmp_path / "tables" / "scenario_areas.csv").read_text()
-        lines = text.splitlines()
-        assert lines[0].startswith("scenario,")
-        assert len(lines) == 1
+        rows = read_tree(tmp_path)["tables/scenario_areas.csv"].parsed
+        assert rows[0][0] == "scenario" and len(rows[0]) > 1
+        assert len(rows) == 1
 
 
-def csv_columns(data: bytes) -> dict:
-    """{header cell: [cells]} of a CSV file's bytes."""
-    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
-
-
-def assert_earlier_layout_text(data: bytes, step_s, names, matrix, run):
-    """The columns of run `run` in an outfall table's bytes `data` hold,
+def assert_earlier_layout_text(table, step_s, names, matrix, run):
+    """The columns of run `run` in the outfall table `table` hold,
     cell for cell and blanks included, the text of the earlier layouts'
     files of the same series (`matrix` is the run's outfall matrix: flows,
     then loads in `names` order): the one-file-per-run
     `results/<run>/<storm>/outfall_<outfall>.csv`, and the `hydro_` and
     `quality_` files before it. The earlier concentration column is the one
     derived from the table's flow and load cells, which it does not hold."""
-    columns = run_columns(data, run)
-    assert columns == csv_columns(reference_outfall(step_s, names, matrix))
+    columns = dict(table.runs[run])
+    earlier = reference_outfall(step_s, names, matrix)
+    assert columns == read_file("outfall.csv", earlier).columns
     for pollutant in names:
         columns[f"{pollutant}_conc_mg_L"] = derived_concentration(
             columns["flow_Lps"], columns[f"{pollutant}_load_kg"], step_s)
@@ -353,7 +323,7 @@ def assert_earlier_layout_text(data: bytes, step_s, names, matrix, run):
                 "conc_mg_L": f"{pollutant}_conc_mg_L"})
               for pollutant, series in zip(names, loads)]
     for earlier, column_names in pairs:
-        for old_name, old_cells in csv_columns(earlier).items():
+        for old_name, old_cells in read_file("earlier.csv", earlier).columns.items():
             assert columns[column_names[old_name]] == old_cells
 
 
@@ -421,10 +391,11 @@ class TestSeriesWriterBytes:
         reversed_loads[1:] = matrix[1:, ::-1]
         runs = {"baseline": matrix, "s1": reversed_loads}
         writer = _Writer(tmp_path_factory.mktemp("series"))
-        data = write_outfall_table(writer, step_s, names, runs).read_bytes()
-        assert data == reference_outfall_table(step_s, names, runs)
+        path = write_outfall_table(writer, step_s, names, runs)
+        assert path.read_bytes() == reference_outfall_table(step_s, names, runs)
+        table = read_tree(writer.out_dir)["results/s/outfall_o.csv"]
         for run, series in runs.items():
-            assert_earlier_layout_text(data, step_s, names, series, run)
+            assert_earlier_layout_text(table, step_s, names, series, run)
         # a second table through the same writer matches too
         path = write_outfall_table(writer, step_s, names, {"s1": reversed_loads}, "t")
         assert path.read_bytes() == reference_outfall_table(step_s, names,
@@ -436,8 +407,8 @@ class TestSeriesWriterBytes:
         names, runs = ['a,"b'], {"baseline": np.array([[1.0, 2.0], [1e-3, 2e-3]])}
         data = write_outfall_table(_Writer(tmp_path), 60.0, names, runs).read_bytes()
         assert data == reference_outfall_table(60.0, names, runs)
-        assert list(csv_columns(data)) == ["t_s", "baseline/flow_Lps",
-                                           'baseline/a,"b_load_kg']
+        assert read_tree(tmp_path)["results/s/outfall_o.csv"].parsed[0] == [
+            "t_s", "baseline/flow_Lps", 'baseline/a,"b_load_kg']
         assert data.startswith(b't_s,baseline/flow_Lps,"baseline/a,""b_load_kg"\r\n')
 
 
@@ -532,10 +503,9 @@ class TestOutfallHeader:
         `/` (the scenario-name rule); a pollutant name may."""
         labels = ["baseline", *scenarios]
         matrices = dict.fromkeys(labels, np.zeros((1 + len(names), 2)))
-        path = write_outfall_table(_Writer(tmp_path_factory.mktemp("header")), 60.0,
-                                   names, matrices)
-        with path.open(newline="") as f:
-            header = next(csv.reader(f))
+        out = tmp_path_factory.mktemp("header")
+        write_outfall_table(_Writer(out), 60.0, names, matrices)
+        header = read_tree(out)["results/s/outfall_o.csv"].parsed[0]
         assert header[0] == "t_s"
         assert [tuple(cell.split("/", 1)) for cell in header[1:]] == [
             (run, column) for run in labels
@@ -608,9 +578,10 @@ class TestOutfallFiles:
 
     @pytest.fixture(scope="class")
     def ranked(self, sports_config, tmp_path_factory):
+        """`read_tree` of the bundled project's rank."""
         out = tmp_path_factory.mktemp("ranked")
         run_pipeline(sports_config, out)
-        return out
+        return read_tree(out)
 
     def test_every_float_round_trips(self, ranked, runs, sports_config):
         """results/ holds one directory per storm, each with one table per
@@ -621,24 +592,25 @@ class TestOutfallFiles:
         header = ["t_s"] + [f"{label}/{column}" for label in runs
                             for column in ["flow_Lps"] + [f"{p}_load_kg" for p in pollutants]]
         storms = [run.storm for run in runs["baseline"]]
-        assert sorted(p.name for p in (ranked / "results").iterdir()) == sorted(storms)
+        results = [path.split("/")[1:] for path in ranked if path.startswith("results/")]
+        assert sorted({storm for storm, _ in results}) == sorted(storms)
         checked = 0
         for storm_runs in zip(*runs.values()):
-            base = ranked / "results" / storm_runs[0].storm
-            assert sorted(p.name for p in base.iterdir()) == sorted(
+            storm = storm_runs[0].storm
+            assert sorted(name for s, name in results if s == storm) == sorted(
                 [f"outfall_{o}.csv" for o in sports_config.outfalls]
                 + ["water_balance.csv"])
             for outfall in sports_config.outfalls:
-                data = (base / f"outfall_{outfall}.csv").read_bytes()
-                assert list(csv_columns(data)) == header
+                table = ranked[f"results/{storm}/outfall_{outfall}.csv"]
+                assert table.parsed[0] == header
                 for label, run in zip(runs, storm_runs):
                     matrix = run.outfalls[outfall]
                     assert matrix.shape[0] == 1 + len(pollutants)
-                    columns = run_columns(data, label)
                     for name, series in zip(header[1:], matrix):
-                        parsed = np.array([float(c) for c in columns[name.partition("/")[2]]])
+                        cells = table.runs[label][name.partition("/")[2]]
+                        parsed = np.array([float(c) for c in cells])
                         assert parsed.tobytes() == series.tobytes(), name
-                    assert_earlier_layout_text(data, sports_config.storms.step_s,
+                    assert_earlier_layout_text(table, sports_config.storms.step_s,
                                                pollutants, matrix, label)
                     checked += 1
         assert checked == (len(runs) * len(sports_config.storms.depths_mm)
@@ -648,9 +620,7 @@ class TestOutfallFiles:
         """One row per run and subcatchment, runs in order, the run label in
         front, then the subcatchment, the volumes and `closure_error` last."""
         for storm_runs in zip(*runs.values()):
-            with open(ranked / "results" / storm_runs[0].storm / "water_balance.csv",
-                      newline="") as f:
-                header, *rows = csv.reader(f)
+            header, *rows = ranked[f"results/{storm_runs[0].storm}/water_balance.csv"].parsed
             assert header == ["run", "subcatchment", "rainfall_m3", "runoff_m3",
                               "infiltration_m3", "surface_storage_m3", "lid_captured_m3",
                               "closure_error"]
@@ -665,14 +635,14 @@ class TestOutfallFiles:
         """Every row of every results/ table has a cell, none blank, in each
         column of its header, and no file of the earlier `hydro_` and
         `quality_` layout is written anywhere."""
-        paths = list((ranked / "results").glob("*/*.csv"))
+        paths = [path for path in ranked if path.startswith("results/")]
         assert len(paths) == 3 * 7
         for path in paths:
-            with path.open(newline="") as f:
-                header, *rows = csv.reader(f)
+            header, *rows = ranked[path].parsed
             assert {len(row) for row in rows} == {len(header)}, path
             assert not any("" in row for row in rows), path
-        assert not [p for p in ranked.rglob("*") if p.name.startswith(("hydro_", "quality_"))]
+        assert not [path for path in ranked
+                    if path.rpartition("/")[2].startswith(("hydro_", "quality_"))]
 
 
 def assert_same_run(a, b):

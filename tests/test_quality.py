@@ -11,7 +11,7 @@ from lidscore.lid import LidKind, LidPlacement
 from lidscore import quality
 from lidscore.quality import (PollutantSpec, buildup, initial_buildup_kg,
                               simulate_quality, washoff_series)
-from reference import washoff_step
+from reference import read_tree, washoff_step
 
 TSS = PollutantSpec(
     name="TSS", buildup_max_kg_ha=50.0, half_saturation_days=10.0,
@@ -222,14 +222,15 @@ class TestPollutographExport:
 
         flows = np.array([0.0, 500.0, 250.0, 0.0])
         loads = np.array([0.0, 0.03, 0.015, 0.01])
-        path = write_outfall_table(_Writer(tmp_path), 60, ["TSS"],
-                                   {"baseline": np.array([flows, loads])})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,baseline/flow_Lps,baseline/TSS_load_kg"
-        assert lines[1] == "0,0.0,0.0"
-        assert lines[2] == "60,500.0,0.03"
-        assert lines[4] == "180,0.0,0.01"
-        rows = [line.split(",") for line in lines[1:]]
+        write_outfall_table(_Writer(tmp_path), 60, ["TSS"],
+                            {"baseline": np.array([flows, loads])})
+        table = read_tree(tmp_path)["results/s/outfall_o.csv"]
+        header, *rows = table.parsed
+        assert header == ["t_s", "baseline/flow_Lps", "baseline/TSS_load_kg"]
+        assert rows[0] == ["0", "0.0", "0.0"]
+        assert rows[1] == ["60", "500.0", "0.03"]
+        assert rows[3] == ["180", "0.0", "0.01"]
         # 0.03 kg over 500 L/s * 60 s = 1 mg/L; no flow, no concentration
-        assert derived_concentration([r[1] for r in rows], [r[2] for r in rows],
-                                     float(rows[1][0])) == ["", "1.0", "1.0", ""]
+        columns = table.runs["baseline"]
+        assert derived_concentration(columns["flow_Lps"], columns["TSS_load_kg"],
+                                     float(columns["t_s"][1])) == ["", "1.0", "1.0", ""]

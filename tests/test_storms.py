@@ -11,6 +11,7 @@ from lidscore.errors import ValidationError
 from lidscore.storms import (Hyetograph, IdfParams, RainRecord, atrcr_curve,
                              chicago_hyetograph, design_storm_suite,
                              invert_atrcr)
+from reference import read_tree
 
 IDF = IdfParams(a=20.0, b_min=10.0, n=0.75)
 
@@ -231,10 +232,11 @@ class TestChicagoHyetograph:
         from lidscore.pipeline import _persist_storms, _Writer
 
         h = chicago_hyetograph(26, 90, 0.5, IDF, 60)
-        [path] = _persist_storms(_Writer(tmp_path), {"26mm": h})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_min,intensity_mm_per_hr"
-        assert len(lines) == 91
+        _persist_storms(_Writer(tmp_path), {"26mm": h})
+        [(path, table)] = read_tree(tmp_path).items()
+        assert path == "storms/storm_26mm.csv"
+        assert table.parsed[0] == ["t_min", "intensity_mm_per_hr"]
+        assert len(table.parsed) == 91
 
 
 class TestDesignStormSuite:
