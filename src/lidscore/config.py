@@ -104,7 +104,6 @@ class SizingSettings(Ranged):
 class ProjectConfig:
     path: Path
     config_hash: str
-    name: str
     output_dir: Path
     subcatchments: dict
     links: list
@@ -399,7 +398,7 @@ def load_config(path) -> ProjectConfig:
     if version != SCHEMA_VERSION:
         errors.add("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
-    name = errors.value("name", "str", raw.get("name", path.stem))
+    errors.value("name", "str", raw.get("name", path.stem))   # read for its checks only
     output_dir = errors.value("output_dir", "str", raw.get("output_dir", "results"))
 
     # --- catchment ------------------------------------------------------
@@ -437,14 +436,15 @@ def load_config(path) -> ProjectConfig:
         section = f"catchment.links[{_label(ln.get('id'), i)}]"
         link = errors.build(section, Link, ln,
                             keys={"from_node": "from", "to_node": "to"},
-                            to_node=errors.path_name(section + ".to", ln.get("to")) or "")
+                            to_node=errors.path_name(section + ".to", ln.get("to")))
         if link:
             links.append(link)
     outfalls = [errors.value(f"catchment.outfalls[{i}]", "str", o) for i, o in
                 enumerate(errors.sequence("catchment.outfalls", catchment.get("outfalls")))]
 
     # network integrity: outlets reach declared outfalls (if all links and
-    # outfalls read), no cycles
+    # outfalls read), no cycles; `paths` is None unless every check could run
+    paths = None
     if subcatchments and _all_read(links, raw_links) and None not in outfalls:
         try:
             paths = _downstream_paths(links)
@@ -572,6 +572,18 @@ def load_config(path) -> ProjectConfig:
             depths_mm=None if None in depths else depths,
             idf=None if idf_raw is None else errors.build("storms.idf", IdfParams, idf_raw),
         )
+    if storms and paths is not None:
+        # routing shifts each outlet's series by its path lag, rounded to steps
+        # as route_series rounds it: the storm, its tail and that shift together
+        # must fit the grid too
+        dt = storms.step_s
+        steps = round(storms.duration_min * 60.0 / dt) + round(storms.tail_min * 60.0 / dt)
+        for sc in subcatchments.values():
+            terminal, lag = paths.get(sc.outlet, (sc.outlet, 0.0))
+            if not (lag / dt <= MAX_STEPS and steps + round(lag / dt) <= MAX_STEPS):
+                errors.add(f"catchment.subcatchments[{sc.id}]",
+                           f"duration_min + tail_min + the {lag:g} s lag from outlet "
+                           f"{sc.outlet!r} to {terminal!r} exceed {MAX_STEPS} steps of {dt} s")
 
     # --- sizing ------------------------------------------------------
     sizing = None
@@ -680,7 +692,6 @@ def load_config(path) -> ProjectConfig:
     return ProjectConfig(
         path=path,
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
-        name=name,
         output_dir=base_dir / output_dir,
         subcatchments=subcatchments,
         links=links,

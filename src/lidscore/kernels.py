@@ -70,7 +70,8 @@ def step_subarea(intensity_mmps, fcap_mmps, q_coef, dstore_mm, dt_s, d0_mm):
     ceil(dt * q / (depth - dstore)) at the start and half-step depths of
     the trial (no substep drains at its rate more than the water above
     depression storage). Raises ValidationError when a step needs more
-    than MAX_SUBSTEPS.
+    than MAX_SUBSTEPS, or when a depth so large that its outflow overflows
+    a float is ponded.
 
     Returns (runoff_mm, infiltration_mm, final_depth_mm, substeps,
     max_substeps): per-step totals as arrays, the number of substeps over
@@ -94,79 +95,84 @@ def step_subarea(intensity_mmps, fcap_mmps, q_coef, dstore_mm, dt_s, d0_mm):
     excess = d - dstore_mm
     # outflow at the start of the step; each step leaves its end value here
     q = q_coef * excess**power if excess > 0.0 else 0.0
-    for i, fc in zip(intensity, fcap):
-        # trial: one midpoint step over the whole step
-        rain = i * dt_s
-        inf = fc * dt_s
-        avail = d + rain - inf
-        if avail < 0.0:
-            inf = d + rain
-            avail = 0.0
-        excess_mid = 0.5 * (d + avail) - half_dt * q - dstore_mm
-        q_mid = q_coef * excess_mid**power if excess_mid > 0.0 else 0.0
-        err = dt_s * abs(q_mid - q)
-        tol = tol_abs + half_tol_rel * (q + q_mid)
-        if err <= tol:
-            take = q_mid * dt_s
-            if take > avail:
-                take = avail
-            d = avail - take
-            runoff.append(take)
-            infil.append(inf)
-            excess = d - dstore_mm
-            q = q_coef * excess**power if excess > 0.0 else 0.0
-            continue
-        n_sub = err / tol
-        if excess > 0.0 and dt_s * q > n_sub * excess:
-            n_sub = dt_s * q / excess
-        if q_mid > 0.0 and dt_s * q_mid > n_sub * excess_mid:
-            n_sub = dt_s * q_mid / excess_mid
-        if not n_sub <= MAX_SUBSTEPS:   # inf or nan too, from a surface that stiff
-            k = len(runoff)
-            needs = math.ceil(n_sub) if math.isfinite(n_sub) else n_sub
-            raise ValidationError(
-                f"step {k} (t = {k * dt_s:g} s) needs {needs} substeps, "
-                f"more than {MAX_SUBSTEPS}")
-        n_sub = math.ceil(n_sub)
-        h = dt_s / n_sub
-        half_h = 0.5 * h
-        rain_h = i * h
-        inf_h = fc * h
-        d_start = d
-        r_acc = 0.0
-        f_acc = 0.0
-        for _ in range(n_sub):
-            inf = inf_h
-            avail = d + rain_h - inf
+    try:
+        for i, fc in zip(intensity, fcap):
+            # trial: one midpoint step over the whole step
+            rain = i * dt_s
+            inf = fc * dt_s
+            avail = d + rain - inf
             if avail < 0.0:
-                inf = d + rain_h
+                inf = d + rain
                 avail = 0.0
-            excess = 0.5 * (d + avail) - half_h * q - dstore_mm
-            take = q_coef * excess**power * h if excess > 0.0 else 0.0
-            if take > avail:
-                take = avail
-            d = avail - take
-            r_acc += take
-            f_acc += inf
+            excess_mid = 0.5 * (d + avail) - half_dt * q - dstore_mm
+            q_mid = q_coef * excess_mid**power if excess_mid > 0.0 else 0.0
+            err = dt_s * abs(q_mid - q)
+            tol = tol_abs + half_tol_rel * (q + q_mid)
+            if err <= tol:
+                take = q_mid * dt_s
+                if take > avail:
+                    take = avail
+                d = avail - take
+                runoff.append(take)
+                infil.append(inf)
+                excess = d - dstore_mm
+                q = q_coef * excess**power if excess > 0.0 else 0.0
+                continue
+            n_sub = err / tol
+            if excess > 0.0 and dt_s * q > n_sub * excess:
+                n_sub = dt_s * q / excess
+            if q_mid > 0.0 and dt_s * q_mid > n_sub * excess_mid:
+                n_sub = dt_s * q_mid / excess_mid
+            if not n_sub <= MAX_SUBSTEPS:   # inf or nan too, from a surface that stiff
+                k = len(runoff)
+                needs = math.ceil(n_sub) if math.isfinite(n_sub) else n_sub
+                raise ValidationError(
+                    f"step {k} (t = {k * dt_s:g} s) needs {needs} substeps, "
+                    f"more than {MAX_SUBSTEPS}")
+            n_sub = math.ceil(n_sub)
+            h = dt_s / n_sub
+            half_h = 0.5 * h
+            rain_h = i * h
+            inf_h = fc * h
+            d_start = d
+            r_acc = 0.0
+            f_acc = 0.0
+            for _ in range(n_sub):
+                inf = inf_h
+                avail = d + rain_h - inf
+                if avail < 0.0:
+                    inf = d + rain_h
+                    avail = 0.0
+                excess = 0.5 * (d + avail) - half_h * q - dstore_mm
+                take = q_coef * excess**power * h if excess > 0.0 else 0.0
+                if take > avail:
+                    take = avail
+                d = avail - take
+                r_acc += take
+                f_acc += inf
+                excess = d - dstore_mm
+                q = q_coef * excess**power if excess > 0.0 else 0.0
+            # the step's own balance gives its end depth, so the rounding of
+            # many substeps does not add up in the closure
+            d = d_start + rain - f_acc - r_acc
+            if d < 0.0:
+                # the substeps took a rounding more than there was: give it back
+                if r_acc >= -d:
+                    r_acc += d
+                else:
+                    f_acc += d
+                d = 0.0
             excess = d - dstore_mm
             q = q_coef * excess**power if excess > 0.0 else 0.0
-        # the step's own balance gives its end depth, so the rounding of
-        # many substeps does not add up in the closure
-        d = d_start + rain - f_acc - r_acc
-        if d < 0.0:
-            # the substeps took a rounding more than there was: give it back
-            if r_acc >= -d:
-                r_acc += d
-            else:
-                f_acc += d
-            d = 0.0
-        excess = d - dstore_mm
-        q = q_coef * excess**power if excess > 0.0 else 0.0
-        runoff.append(r_acc)
-        infil.append(f_acc)
-        extra += n_sub - 1
-        if n_sub > max_substeps:
-            max_substeps = n_sub
+            runoff.append(r_acc)
+            infil.append(f_acc)
+            extra += n_sub - 1
+            if n_sub > max_substeps:
+                max_substeps = n_sub
+    except OverflowError:   # a ponded depth whose outflow power exceeds a float
+        k = len(runoff)
+        raise ValidationError(f"step {k} (t = {k * dt_s:g} s): the outflow of its "
+                              f"ponded depth overflows a float") from None
     return (np.array(runoff), np.array(infil), d, len(runoff) + extra,
             max_substeps)
 

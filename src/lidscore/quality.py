@@ -93,10 +93,14 @@ def simulate_quality(sc: Subcatchment, pre_lid_runoff_m3, specs, dt_s: float,
     loads = np.zeros((len(specs), runoff_m3.size))
     if area_m2 > 0:
         q_mm_hr = runoff_m3 / area_m2 * 1000.0 * 3600.0 / dt_s
-        # one 1-D call per pollutant: a 2-D power may round on another SIMD path
-        for row, spec in zip(loads, specs):
-            initial = initial_buildup_kg(sc, spec, antecedent_dry_days, lid_area_ha)
-            row[:] = washoff_series(spec, q_mm_hr, initial, dt_s)
+        # a huge washoff exponent overflows q ** C4 to an infinite rate, which
+        # washes off the remaining mass in that step (exp(-inf) is 0): the
+        # limit of the rate law, and every load stays finite
+        with np.errstate(over="ignore"):
+            # one 1-D call per pollutant: a 2-D power may round on another SIMD path
+            for row, spec in zip(loads, specs):
+                initial = initial_buildup_kg(sc, spec, antecedent_dry_days, lid_area_ha)
+                row[:] = washoff_series(spec, q_mm_hr, initial, dt_s)
     for p in placements:
         for row, spec in zip(loads, specs):
             row *= 1.0 - p.treated_fraction * spec.removal_for(p.kind)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,15 +9,15 @@ from types import SimpleNamespace
 import numpy as np
 import orjson
 import pytest
-import yaml
 from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
+from conftest import edit_project
 import lidscore.pipeline
 from lidscore.config import _Collector, load_config
 from lidscore.errors import ConfigError, LidscoreError, ValidationError
-from lidscore.evaluator import StormSummary, environmental_indicators, rollup
+from lidscore.evaluator import environmental_indicators, rollup
 from lidscore.hydrology import HortonParams, Link, Subcatchment
 from lidscore.lid import LidKind, LidPlacement, Scenario
 from lidscore.pipeline import (StormRun, _persist_runs, _repr_rows, _Writer,
@@ -29,7 +28,6 @@ from lidscore.storms import Hyetograph
 from reference import (derived_concentration, digests, read_file, read_tree,
                        reference_hydrograph, reference_outfall,
                        reference_outfall_table, reference_pollutograph)
-from test_config import rewrite
 
 
 @pytest.fixture(scope="module")
@@ -215,15 +213,13 @@ class TestWeightSensitivity:
         with pytest.raises(ValidationError, match="no node"):
             weight_sensitivity(*published_weighted, "nonexistent", 0.05)
 
-    def test_node_without_sibling_weight(self, sample_dir, tmp_path):
+    def test_node_without_sibling_weight(self, tmp_path):
         """A node holding all of its parent's weight has nothing to rescale:
         a zero delta keeps it at 1, its siblings at 0, and the ranking."""
-        def mutate(raw):
-            social = next(c for c in raw["hierarchy"]["children"] if c["name"] == "social")
-            for child, weight in zip(social["children"], (1.0, 0.0, 0.0)):
-                child["weight"] = weight
-
-        config = load_config(rewrite(sample_dir, tmp_path, mutate, "published_tables.yaml"))
+        social = ("hierarchy", "children", 2, "children")
+        config = load_config(edit_project(tmp_path, {
+            (*social, i, "weight"): weight for i, weight in enumerate((1.0, 0.0, 0.0))},
+            "published_tables.yaml"))
         table, _ = assemble_indicators(config, None)
         outcome = weight_sensitivity(config.tree, rollup(config.tree, table),
                                      "water_reuse", 0.0)
@@ -236,14 +232,14 @@ class TestDirectTables:
     """Each direct leaf takes the one table column that provides it, in the
     config's scenario order."""
 
-    def test_leaf_two_tables_provide_is_rejected(self, sample_dir, tmp_path):
+    def test_leaf_two_tables_provide_is_rejected(self, tmp_path):
         """A raw table providing `landscape` listed after the pre-normalized
         one that provides it too is an error naming both files; no kind or
         place in the list wins."""
-        (tmp_path / "raw_landscape.csv").write_text("scenario,landscape\n" + "".join(
-            f"scenario_{k},{k}\n" for k in range(1, 6)))
-        path = rewrite(sample_dir, tmp_path, lambda raw: raw["direct_tables"].append(
-            {"file": "raw_landscape.csv"}), "published_tables.yaml")
+        path = edit_project(
+            tmp_path, {("direct_tables", 2): {"file": "raw_landscape.csv"}},
+            "published_tables.yaml", files={"raw_landscape.csv": "scenario,landscape\n" + "".join(
+                f"scenario_{k},{k}\n" for k in range(1, 6))})
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.errors == [
@@ -251,9 +247,8 @@ class TestDirectTables:
             f"'landscape': {tmp_path / 'econ_social_indicators.csv'}, "
             f"{tmp_path / 'raw_landscape.csv'}"]
 
-    def test_shuffled_rows_follow_config_order(self, sample_dir, tmp_path,
-                                               published_table):
-        path = rewrite(sample_dir, tmp_path, lambda raw: None, "published_tables.yaml")
+    def test_shuffled_rows_follow_config_order(self, tmp_path, published_table):
+        path = edit_project(tmp_path, name="published_tables.yaml")
         for name in ("environmental_indicators.csv", "econ_social_indicators.csv"):
             header, first, *rest = (tmp_path / name).read_text().splitlines()
             (tmp_path / name).write_text("\n".join([header, *rest, first]) + "\n")
